@@ -1,20 +1,6 @@
 """Universal online convex optimization with certified regret bounds."""
 
-from .core import (
-    AssumptionReport,
-    Ball,
-    Box,
-    DecisionSet,
-    GradientSample,
-    LossOracle,
-    ProblemParams,
-    ProjectionError,
-    UnsupportedSetOperation,
-    contains,
-    project_euclidean,
-    project_weighted,
-    validate_assumptions,
-)
+from .core import Ball, DecisionSet, LossOracle, ProblemParams, ProjectionError, Quadratic
 from .experts import expert_regret_certificate
 from .meta import (
     CertificateReport,
@@ -27,7 +13,6 @@ from .meta import (
     init_meta_state,
     meta_regret_bound,
     meta_regret_certificate,
-    metagrad_grid,
     potential_certificate,
     update_weights,
 )
@@ -42,7 +27,6 @@ from .universal import (
     ProtocolError,
     make_learner,
     metagrad_baseline,
-    ogd_baselines,
     play_round,
     regret_bound_certificate,
     regret_diagnostics,
@@ -51,15 +35,12 @@ from .universal import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssumptionReport",
     "AssumptionViolation",
     "Ball",
-    "Box",
     "CertificateReport",
     "CertificateRow",
     "DecisionSet",
     "ExpertGrid",
-    "GradientSample",
     "Learner",
     "LossOracle",
     "MalerLearner",
@@ -69,12 +50,11 @@ __all__ = [
     "ProblemParams",
     "ProjectionError",
     "ProtocolError",
+    "Quadratic",
     "RunTrace",
     "SurrogateContext",
-    "UnsupportedSetOperation",
     "aggregate_play",
     "build_grid",
-    "contains",
     "exp_inequality_check",
     "expert_regret_certificate",
     "init_meta_state",
@@ -82,16 +62,11 @@ __all__ = [
     "meta_regret_bound",
     "meta_regret_certificate",
     "metagrad_baseline",
-    "metagrad_grid",
-    "ogd_baselines",
     "parse_libsvm",
     "play_round",
     "potential_certificate",
-    "project_euclidean",
-    "project_weighted",
     "regret_bound_certificate",
     "regret_diagnostics",
     "update_weights",
-    "validate_assumptions",
     "write_libsvm",
 ]

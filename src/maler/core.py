@@ -1,4 +1,4 @@
-"""Problem data, decision-set geometry, and assumption validation.
+"""Problem data, decision-set geometry, and the quadratic-form type.
 
 The learners in this package operate on a compact convex decision set D
 under two standing assumptions: every loss gradient is bounded in norm
@@ -9,7 +9,6 @@ the problem statement and are carried around in :class:`ProblemParams`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -20,10 +19,6 @@ class ProjectionError(RuntimeError):
     def __init__(self, message: str, residual: float):
         super().__init__(message)
         self.residual = residual
-
-
-class UnsupportedSetOperation(NotImplementedError):
-    """Requested operation is not available for this decision-set shape."""
 
 
 @dataclass(frozen=True)
@@ -44,6 +39,11 @@ class ProblemParams:
             raise ValueError(f"grad_bound must be finite and > 0, got {self.grad_bound}")
         if not (np.isfinite(self.diameter) and self.diameter > 0):
             raise ValueError(f"diameter must be finite and > 0, got {self.diameter}")
+
+    @property
+    def grad_cap(self) -> float:
+        """Largest gradient norm accepted as within G: G (1 + 1e-9)."""
+        return self.grad_bound * (1.0 + 1e-9)
 
 
 def as_vector(x, dim: int) -> np.ndarray:
@@ -139,8 +139,17 @@ class Ball(DecisionSet):
         v = as_vector(y, self.dim)
         if self.contains(v):
             return v
-        # KKT for min (x-y)^T H (x-y) s.t. ||x-c|| <= r:
-        #   x(mu) = c + (H + mu I)^{-1} H (y - c),  mu >= 0,
+        return self._weighted_boundary_point(M, v, 1e-10)
+
+    def _weighted_boundary_point(self, M, v: np.ndarray, tol: float) -> np.ndarray:
+        """argmin (x-v)^T M (x-v) over the boundary sphere, for v outside the ball.
+
+        Bisects until the radius residual is at most tol; tol = 0 bisects
+        until the multiplier is pinned between adjacent floats and returns
+        the end on the feasible side.
+        """
+        # KKT for min (x-v)^T M (x-v) s.t. ||x-c|| <= r:
+        #   x(mu) = c + (M + mu I)^{-1} M (v - c),  mu >= 0,
         # and ||x(mu)-c|| decreases monotonically in mu; bisect on mu.
         lam, V = np.linalg.eigh(M)
         w = V.T @ (v - self.center)
@@ -157,9 +166,12 @@ class Ball(DecisionSet):
         residual = abs(offset_norm(mu) - self.radius)
         for _ in range(200):
             mu = 0.5 * (lo + hi)
+            if tol == 0.0 and mu in (lo, hi):
+                mu = hi
+                break
             n = offset_norm(mu)
             residual = abs(n - self.radius)
-            if residual <= 1e-10:
+            if residual <= tol:
                 break
             if n > self.radius:
                 lo = mu
@@ -185,91 +197,13 @@ class Ball(DecisionSet):
         return self.center + z * (self.radius * u / n)
 
 
-@dataclass(frozen=True)
-class Box(DecisionSet):
-    """Axis-aligned box { x : lower <= x <= upper }. Must contain the origin."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-    dim: int = field(init=False)
-
-    def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=float)
-        hi = np.asarray(self.upper, dtype=float)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-        object.__setattr__(self, "dim", lo.shape[0])
-        if lo.ndim != 1 or hi.shape != lo.shape:
-            raise ValueError("lower and upper must be vectors of equal length")
-        if not np.all(np.isfinite(lo)) or not np.all(np.isfinite(hi)):
-            raise ValueError("box bounds must be finite")
-        if np.any(hi <= lo):
-            raise ValueError("upper must exceed lower in every coordinate")
-        if np.any(lo > 1e-12) or np.any(hi < -1e-12):
-            raise ValueError("decision set must contain the origin")
-
-    def contains(self, x, tol: float = 1e-12) -> bool:
-        v = as_vector(x, self.dim)
-        return bool(np.all(v >= self.lower - tol) and np.all(v <= self.upper + tol))
-
-    def project(self, y) -> np.ndarray:
-        v = as_vector(y, self.dim)
-        return np.clip(v, self.lower, self.upper)
-
-    def project_weighted(self, H, y) -> np.ndarray:
-        raise UnsupportedSetOperation(
-            "weighted projection onto a box is not supported; use a ball decision set"
-        )
-
-    def diameter(self) -> float:
-        return float(np.linalg.norm(self.upper - self.lower))
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(self.lower, self.upper)
-
-
-def contains(dset: DecisionSet, x, tol: float = 1e-12) -> bool:
-    """Membership test with boundary tolerance."""
-    return dset.contains(x, tol)
-
-
-def project_euclidean(dset: DecisionSet, y) -> np.ndarray:
-    """Euclidean projection onto the decision set."""
-    return dset.project(y)
-
-
-def project_weighted(dset: DecisionSet, H, y) -> np.ndarray:
-    """Projection in the norm induced by SPD matrix H."""
-    return dset.project_weighted(H, y)
-
-
-@dataclass(frozen=True)
-class GradientSample:
-    """One observed (point, gradient) pair from the loss oracle."""
-
-    point: np.ndarray
-    gradient: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.point, dtype=float)
-        g = np.asarray(self.gradient, dtype=float)
-        object.__setattr__(self, "point", p)
-        object.__setattr__(self, "gradient", g)
-        if p.ndim != 1 or g.shape != p.shape:
-            raise ValueError("point and gradient must be vectors of equal length")
-        if not np.all(np.isfinite(g)):
-            raise ValueError("gradient has non-finite entries")
-
-
 class LossOracle:
     """One round's convex loss: value and gradient queries at feasible points.
 
-    Subclasses may declare curvature through `curvature` ("convex",
-    "strongly_convex", or "exp_concave") and `modulus` (the corresponding
-    lambda or alpha), which the harness uses to pick certificate bounds.
+    `modulus` is the loss's strong-convexity or exp-concavity constant, when
+    known.
     """
 
-    curvature: str = "convex"
     modulus: float = 0.0
 
     def value(self, x) -> float:
@@ -283,46 +217,101 @@ class LossOracle:
         return np.array([self.value(x) for x in np.asarray(X, dtype=float)])
 
 
-@dataclass
-class AssumptionReport:
-    """Outcome of checking Assumptions 1-2 on observed data."""
 
-    grad_bound: float
-    declared_diameter: float
-    measured_diameter: float
-    max_grad_norm: float
-    violations: list
+
+# Iteration cap and step tolerance of the projected-gradient fallback in
+# Quadratic.minimize.
+PGD_ITERS = 10000
+PGD_TOL = 1e-12
+
+
+class Quadratic(LossOracle):
+    """f(u) = iso ||u||^2 + u^T M u + q^T u + r, with M symmetric PSD or absent.
+
+    Quadratic losses, the summed per-expert surrogates, and sums of either are
+    all of this form; `+` adds coefficients. value and gradient evaluate
+    ((u^T M u + q^T u) + r) + iso u^T u and (2 M u + q) + 2 iso u in that
+    order: ridge-stream learner traces depend on it bit for bit.
+    """
+
+    def __init__(self, q, r: float = 0.0, iso: float = 0.0, M=None):
+        self.q = np.asarray(q, dtype=float)
+        self.r = r
+        self.iso = iso
+        self.M = None if M is None else np.asarray(M, dtype=float)
 
     @property
-    def ok(self) -> bool:
-        return not self.violations
+    def dim(self) -> int:
+        return self.q.shape[0]
 
+    def __add__(self, other: "Quadratic") -> "Quadratic":
+        if not isinstance(other, Quadratic):
+            return NotImplemented
+        if self.M is None or other.M is None:
+            M = other.M if self.M is None else self.M
+        else:
+            M = self.M + other.M
+        return Quadratic(self.q + other.q, self.r + other.r, self.iso + other.iso, M)
 
-def validate_assumptions(
-    params: ProblemParams,
-    dset: DecisionSet,
-    samples: Sequence[GradientSample],
-) -> AssumptionReport:
-    """Check gradient norms against G and the set diameter against D."""
-    violations = []
-    max_norm = 0.0
-    for i, s in enumerate(samples):
-        if s.point.shape != (params.dim,):
-            violations.append((i, "dimension mismatch"))
-            continue
-        n = float(np.linalg.norm(s.gradient))
-        max_norm = max(max_norm, n)
-        if n > params.grad_bound * (1.0 + 1e-9):
-            violations.append((i, f"gradient norm {n:.6g} exceeds G={params.grad_bound:.6g}"))
-        if not dset.contains(s.point, tol=1e-9):
-            violations.append((i, "query point outside the decision set"))
-    measured = dset.diameter()
-    if abs(measured - params.diameter) > 1e-9 * max(1.0, params.diameter):
-        violations.append((-1, f"set diameter {measured:.12g} != declared {params.diameter:.12g}"))
-    return AssumptionReport(
-        grad_bound=params.grad_bound,
-        declared_diameter=params.diameter,
-        measured_diameter=measured,
-        max_grad_norm=max_norm,
-        violations=violations,
-    )
+    def value(self, u) -> float:
+        u = np.asarray(u, dtype=float)
+        out = float(self.q @ u)
+        if self.M is not None:
+            out = float(u @ (self.M @ u)) + out
+        out += self.r
+        if self.iso:
+            out += self.iso * float(u @ u)
+        return out
+
+    def values(self, U) -> np.ndarray:
+        U = np.asarray(U, dtype=float)
+        out = U @ self.q
+        if self.M is not None:
+            out = np.einsum("nd,nd->n", U, U @ self.M) + out
+        out = out + self.r
+        if self.iso:
+            out = out + self.iso * np.einsum("nd,nd->n", U, U)
+        return out
+
+    def gradient(self, u) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
+        g = self.q.copy() if self.M is None else 2.0 * (self.M @ u) + self.q
+        if self.iso:
+            g = g + (2.0 * self.iso) * u
+        return g
+
+    def minimize(self, ball: Ball) -> np.ndarray:
+        """Minimizer over the ball.
+
+        Closed forms: the boundary point against q for a linear form, the
+        projection of the unconstrained minimizer for an isotropic one, and
+        for positive-definite H = M + iso I the H-weighted projection of the
+        unconstrained minimizer x_hat, exact because f(u) = (u - x_hat)^T H
+        (u - x_hat) + const. Singular H falls back to projected gradient
+        descent with step 1/(2 lambda_max(H)) from the origin.
+        """
+        if self.M is None:
+            if self.iso > 0.0:
+                return ball.project(-self.q / (2.0 * self.iso))
+            n = float(np.linalg.norm(self.q))
+            if n == 0.0:
+                return ball.center.copy()
+            return ball.center - ball.radius * self.q / n
+        H = self.M + self.iso * np.eye(self.dim) if self.iso else self.M
+        lam = np.linalg.eigvalsh(H)
+        if lam[0] > self.dim * np.finfo(float).eps * lam[-1]:
+            x_hat = np.linalg.solve(H, -0.5 * self.q)
+            if ball.contains(x_hat):
+                return x_hat
+            try:
+                return ball._weighted_boundary_point(H, x_hat, 0.0)
+            except ProjectionError:
+                pass
+        step = 1.0 / max(2.0 * float(lam[-1]), 1e-12)
+        u = ball.project(np.zeros(self.dim))
+        for _ in range(PGD_ITERS):
+            nxt = ball.project(u - step * self.gradient(u))
+            if float(np.linalg.norm(nxt - u)) <= PGD_TOL:
+                return nxt
+            u = nxt
+        return u

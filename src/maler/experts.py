@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import surrogates
-from .core import DecisionSet, ProblemParams
+from .core import DecisionSet, ProblemParams, Quadratic
 from .meta import (
     KIND_CONST,
     KIND_QUADRATIC,
@@ -189,99 +189,38 @@ def expert_regret_c_bound() -> float:
     return 0.75
 
 
-class SummedSurrogate:
-    """Cumulative surrogate of one expert as an explicit quadratic in u.
+def summed_surrogate(kind: str, plays: np.ndarray, grads: np.ndarray, eta: float,
+                     G: float, D: float) -> Quadratic:
+    """One expert's surrogate summed over rounds, as a quadratic in u.
 
-    Every surrogate is (at most) quadratic, so the sum over rounds is
-    u^T P u + q^T u + r with P either zero (constant-pad), isotropic
-    (spherical), or sum_t eta^2 g_t g_t^T (quadratic). Minimization over
-    the set uses a closed form when available and projected gradient
-    descent otherwise.
+    M is zero for the constant-pad surrogate, iso is zero except for the
+    spherical one, and M = sum_t eta^2 g_t g_t^T for the quadratic one.
     """
-
-    def __init__(self, kind: str, plays: np.ndarray, grads: np.ndarray, eta: float, G: float, D: float):
-        self.kind = kind
-        self.eta = eta
-        self.rounds = plays.shape[0]
-        xg = np.einsum("td,td->t", plays, grads)
-        sum_g = grads.sum(axis=0)
-        if kind == KIND_CONST:
-            self.iso = 0.0
-            self.M = None
-            self.q = eta * sum_g
-            self.r = -eta * float(xg.sum()) + self.rounds * (eta * G * D) ** 2
-        elif kind == KIND_SPHERICAL:
-            self.iso = eta**2 * G**2 * self.rounds
-            self.M = None
-            self.q = eta * sum_g - 2.0 * eta**2 * G**2 * plays.sum(axis=0)
-            self.r = -eta * float(xg.sum()) + eta**2 * G**2 * float(
-                np.einsum("td,td->", plays, plays)
-            )
-        elif kind == KIND_QUADRATIC:
-            self.iso = 0.0
-            self.M = eta**2 * np.einsum("ti,tj->ij", grads, grads)
-            self.q = eta * sum_g - 2.0 * eta**2 * (xg @ grads)
-            self.r = -eta * float(xg.sum()) + eta**2 * float(xg @ xg)
-        else:
-            raise ValueError(f"unknown surrogate kind {kind!r}")
-
-    def value(self, u) -> float:
-        u = np.asarray(u, dtype=float)
-        out = self.iso * float(u @ u) + float(self.q @ u) + self.r
-        if self.M is not None:
-            out += float(u @ (self.M @ u))
-        return out
-
-    def values(self, U) -> np.ndarray:
-        U = np.asarray(U, dtype=float)
-        out = self.iso * np.einsum("nd,nd->n", U, U) + U @ self.q + self.r
-        if self.M is not None:
-            out += np.einsum("nd,nd->n", U, U @ self.M)
-        return out
-
-    def gradient(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        g = 2.0 * self.iso * u + self.q
-        if self.M is not None:
-            g = g + 2.0 * (self.M @ u)
-        return g
-
-    def minimize(self, dset: DecisionSet, iters: int = 10000, tol: float = 1e-12) -> np.ndarray:
-        """Constrained minimizer of the summed surrogate over the set."""
-        from .core import Ball, Box
-
-        if self.M is None and self.iso > 0.0:
-            # Isotropic quadratic: constrained optimum is the Euclidean
-            # projection of the unconstrained one.
-            return dset.project(-self.q / (2.0 * self.iso))
-        if self.M is None and self.iso == 0.0:
-            if isinstance(dset, Ball):
-                n = float(np.linalg.norm(self.q))
-                if n == 0.0:
-                    return dset.center.copy()
-                return dset.center - dset.radius * self.q / n
-            if isinstance(dset, Box):
-                return np.where(self.q > 0, dset.lower, dset.upper)
-        curv = self.iso
-        if self.M is not None:
-            curv += float(np.linalg.eigvalsh(self.M)[-1])
-        lips = max(2.0 * curv, 1e-12)
-        u = dset.project(np.zeros(self.q.shape[0]))
-        step = 1.0 / lips
-        for _ in range(iters):
-            nxt = dset.project(u - step * self.gradient(u))
-            if float(np.linalg.norm(nxt - u)) <= tol:
-                u = nxt
-                break
-            u = nxt
-        return u
+    rounds = plays.shape[0]
+    xg = np.einsum("td,td->t", plays, grads)
+    sum_g = grads.sum(axis=0)
+    if kind == KIND_CONST:
+        return Quadratic(q=eta * sum_g, r=-eta * float(xg.sum()) + rounds * (eta * G * D) ** 2)
+    if kind == KIND_SPHERICAL:
+        return Quadratic(
+            q=eta * sum_g - 2.0 * eta**2 * G**2 * plays.sum(axis=0),
+            r=-eta * float(xg.sum()) + eta**2 * G**2 * float(np.einsum("td,td->", plays, plays)),
+            iso=eta**2 * G**2 * rounds,
+        )
+    if kind == KIND_QUADRATIC:
+        return Quadratic(
+            q=eta * sum_g - 2.0 * eta**2 * (xg @ grads),
+            r=-eta * float(xg.sum()) + eta**2 * float(xg @ xg),
+            M=eta**2 * np.einsum("ti,tj->ij", grads, grads),
+        )
+    raise ValueError(f"unknown surrogate kind {kind!r}")
 
 
 def expert_regret_certificate(trace: RunTrace, grid: Optional[ExpertGrid] = None) -> CertificateReport:
     """Check each expert's regret on its own surrogate sum against its fixed per-expert cap.
 
-    The comparator is the brute-force constrained minimizer of the summed
-    surrogate, realizing the worst u in the bound's quantifier.
+    The comparator is the constrained minimizer of the summed surrogate,
+    realizing the worst u in the bound's quantifier.
     """
     from .meta import recompute_surrogate_losses
 
@@ -294,11 +233,10 @@ def expert_regret_certificate(trace: RunTrace, grid: Optional[ExpertGrid] = None
     own = recompute_surrogate_losses(trace).sum(axis=0)
     rows = []
     for e, kind in enumerate(grid.kinds):
-        obj = SummedSurrogate(
+        obj = summed_surrogate(
             kind, trace.plays, trace.grads, float(grid.tilts[e]), params.grad_bound, params.diameter
         )
-        u = obj.minimize(trace.dset)
-        best = obj.value(u)
+        best = obj.value(obj.minimize(trace.dset))
         if kind == KIND_CONST:
             bound = expert_regret_c_bound()
         elif kind == KIND_SPHERICAL:

@@ -10,8 +10,10 @@ optional SVG regret plot.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -19,16 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import libsvm, meta, svgplot, universal
-from .core import (
-    Ball,
-    Box,
-    DecisionSet,
-    GradientSample,
-    LossOracle,
-    ProblemParams,
-    ProjectionError,
-    validate_assumptions,
-)
+from .core import Ball, LossOracle, ProblemParams, Quadratic
 from .experts import expert_regret_certificate
 from .libsvm import parse_libsvm
 from .meta import (
@@ -43,26 +36,16 @@ from .universal import Learner, make_learner, play_round, regret_diagnostics, re
 CSV_HEADER = "round,algo,cum_regret,V_s,V_ell,log_phi"
 
 
-class LinearLoss(LossOracle):
+class LinearLoss(Quadratic):
     """f(x) = g^T x with a fixed gradient."""
 
     def __init__(self, g):
         self.g = np.asarray(g, dtype=float)
-
-    def value(self, x) -> float:
-        return float(self.g @ np.asarray(x, dtype=float))
-
-    def gradient(self, x) -> np.ndarray:
-        return self.g.copy()
-
-    def values(self, X) -> np.ndarray:
-        return np.asarray(X, dtype=float) @ self.g
+        super().__init__(q=self.g)
 
 
-class CenteredQuadraticLoss(LossOracle):
+class CenteredQuadraticLoss(Quadratic):
     """f(x) = (lam/2) ||x - a||^2, lam-strongly convex."""
-
-    curvature = "strongly_convex"
 
     def __init__(self, lam: float, center):
         if lam <= 0:
@@ -70,23 +53,12 @@ class CenteredQuadraticLoss(LossOracle):
         self.lam = lam
         self.center = np.asarray(center, dtype=float)
         self.modulus = lam
-
-    def value(self, x) -> float:
-        d = np.asarray(x, dtype=float) - self.center
-        return 0.5 * self.lam * float(d @ d)
-
-    def gradient(self, x) -> np.ndarray:
-        return self.lam * (np.asarray(x, dtype=float) - self.center)
-
-    def values(self, X) -> np.ndarray:
-        d = np.asarray(X, dtype=float) - self.center
-        return 0.5 * self.lam * np.einsum("nd,nd->n", d, d)
+        super().__init__(q=-lam * self.center, r=0.5 * lam * float(self.center @ self.center),
+                         iso=0.5 * lam)
 
 
-class RidgeBatchLoss(LossOracle):
+class RidgeBatchLoss(Quadratic):
     """f(w) = (1/n) sum_i (w^T x_i - y_i)^2 + lam ||w||^2, 2*lam strongly convex."""
-
-    curvature = "strongly_convex"
 
     def __init__(self, X, y, lam: float):
         self.X = np.asarray(X, dtype=float)
@@ -94,23 +66,10 @@ class RidgeBatchLoss(LossOracle):
         self.lam = lam
         self.modulus = 2.0 * lam
         n = self.X.shape[0]
-        # Quadratic sufficient statistics: f(w) = w^T A w - 2 b^T w + c + lam w^T w.
+        # Sufficient statistics: f(w) = w^T A w - 2 b^T w + c + lam w^T w.
         self.A = self.X.T @ self.X / n
         self.b = self.X.T @ self.y / n
-        self.c = float(self.y @ self.y) / n
-
-    def value(self, x) -> float:
-        w = np.asarray(x, dtype=float)
-        return float(w @ (self.A @ w)) - 2.0 * float(self.b @ w) + self.c + self.lam * float(w @ w)
-
-    def gradient(self, x) -> np.ndarray:
-        w = np.asarray(x, dtype=float)
-        return 2.0 * (self.A @ w - self.b) + 2.0 * self.lam * w
-
-    def values(self, X) -> np.ndarray:
-        W = np.asarray(X, dtype=float)
-        quad = np.einsum("nd,nd->n", W, W @ self.A)
-        return quad - 2.0 * (W @ self.b) + self.c + self.lam * np.einsum("nd,nd->n", W, W)
+        super().__init__(q=-2.0 * self.b, r=float(self.y @ self.y) / n, iso=lam, M=self.A)
 
     def grad_bound_over(self, radius: float) -> float:
         """Analytic sup of ||gradient|| over the ball of given radius."""
@@ -130,8 +89,6 @@ def _log1pexp(z: np.ndarray) -> np.ndarray:
 
 class LogisticBatchLoss(LossOracle):
     """f(w) = (1/n) sum_i log(1 + exp(-y_i w^T x_i))."""
-
-    curvature = "exp_concave"
 
     def __init__(self, X, y, modulus: float = 0.0):
         self.X = np.asarray(X, dtype=float)
@@ -159,99 +116,56 @@ class LogisticBatchLoss(LossOracle):
         return float(np.mean(np.linalg.norm(self.X, axis=1)))
 
 
-class _SumOracle:
-    """Sum of per-round oracles with fused fast paths for batch evaluation."""
+class _LogisticSum(LossOracle):
+    """Sum of same-batch-size logistic losses over one stacked design matrix."""
 
     def __init__(self, losses):
-        self.losses = list(losses)
-        kinds = {type(f) for f in self.losses}
-        self._mode = "generic"
-        if kinds == {LinearLoss}:
-            self._mode = "linear"
-            self.g = np.sum([f.g for f in self.losses], axis=0)
-        elif kinds == {CenteredQuadraticLoss}:
-            self._mode = "quadratic"
-            lams = np.array([f.lam for f in self.losses])
-            centers = np.array([f.center for f in self.losses])
-            self.iso = 0.5 * float(lams.sum())
-            self.lin = -(lams[:, None] * centers).sum(axis=0)
-            self.const = 0.5 * float(np.sum(lams * np.einsum("td,td->t", centers, centers)))
-        elif kinds == {RidgeBatchLoss}:
-            self._mode = "quadratic_full"
-            self.M = np.sum([f.A for f in self.losses], axis=0)
-            self.M += sum(f.lam for f in self.losses) * np.eye(self.M.shape[0])
-            self.lin = -2.0 * np.sum([f.b for f in self.losses], axis=0)
-            self.const = float(np.sum([f.c for f in self.losses]))
-        elif kinds == {LogisticBatchLoss}:
-            self._mode = "logistic"
-            self.Z = np.concatenate([f.Z for f in self.losses], axis=0)
-            self.per_round = self.losses[0].Z.shape[0]
+        self.Z = np.concatenate([f.Z for f in losses], axis=0)
+        self.per_round = losses[0].Z.shape[0]
 
     def value(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        if self._mode == "linear":
-            return float(self.g @ x)
-        if self._mode == "quadratic":
-            return self.iso * float(x @ x) + float(self.lin @ x) + self.const
-        if self._mode == "quadratic_full":
-            return float(x @ (self.M @ x)) + float(self.lin @ x) + self.const
-        if self._mode == "logistic":
-            return float(np.sum(_log1pexp(-(self.Z @ x)))) / self.per_round
-        return float(sum(f.value(x) for f in self.losses))
+        return float(np.sum(_log1pexp(-(self.Z @ x)))) / self.per_round
 
     def gradient(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if self._mode == "linear":
-            return self.g.copy()
-        if self._mode == "quadratic":
-            return 2.0 * self.iso * x + self.lin
-        if self._mode == "quadratic_full":
-            return 2.0 * (self.M @ x) + self.lin
-        if self._mode == "logistic":
-            s = 1.0 / (1.0 + np.exp(np.clip(self.Z @ x, -700, 700)))
-            return -(self.Z.T @ s) / self.per_round
-        return np.sum([f.gradient(x) for f in self.losses], axis=0)
+        s = 1.0 / (1.0 + np.exp(np.clip(self.Z @ x, -700, 700)))
+        return -(self.Z.T @ s) / self.per_round
 
     def values(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        if self._mode == "linear":
-            return X @ self.g
-        if self._mode == "quadratic":
-            return self.iso * np.einsum("nd,nd->n", X, X) + X @ self.lin + self.const
-        if self._mode == "quadratic_full":
-            return np.einsum("nd,nd->n", X, X @ self.M) + X @ self.lin + self.const
-        if self._mode == "logistic":
-            out = np.empty(X.shape[0])
-            chunk = max(1, int(2**22 // max(self.Z.shape[0], 1)))
-            for lo in range(0, X.shape[0], chunk):
-                M = X[lo : lo + chunk] @ self.Z.T
-                out[lo : lo + chunk] = np.sum(_log1pexp(-M), axis=1) / self.per_round
-            return out
+        out = np.empty(X.shape[0])
+        chunk = max(1, int(2**22 // max(self.Z.shape[0], 1)))
+        for lo in range(0, X.shape[0], chunk):
+            M = X[lo : lo + chunk] @ self.Z.T
+            out[lo : lo + chunk] = np.sum(_log1pexp(-M), axis=1) / self.per_round
+        return out
+
+
+class _LossSum(LossOracle):
+    """Sum of arbitrary per-round oracles, evaluated term by term."""
+
+    def __init__(self, losses):
+        self.losses = losses
+
+    def value(self, x) -> float:
+        return float(sum(f.value(x) for f in self.losses))
+
+    def gradient(self, x) -> np.ndarray:
+        return np.sum([f.gradient(x) for f in self.losses], axis=0)
+
+    def values(self, X) -> np.ndarray:
         return np.sum([f.values(X) for f in self.losses], axis=0)
 
-    def smart_init(self, dset: DecisionSet) -> np.ndarray:
-        """Best-known starting point; exact for the quadratic fast paths."""
-        if self._mode == "quadratic" and self.iso > 0:
-            return dset.project(-self.lin / (2.0 * self.iso))
-        if self._mode == "quadratic_full":
-            try:
-                unc = np.linalg.solve(self.M, -0.5 * self.lin)
-            except np.linalg.LinAlgError:
-                return dset.project(np.zeros(self.lin.shape[0]))
-            if dset.contains(unc):
-                return unc
-            if isinstance(dset, Ball):
-                sym = 0.5 * (self.M + self.M.T)
-                try:
-                    return dset.project_weighted(sym, unc)
-                except (ValueError, ProjectionError):
-                    return dset.project(unc)
-            return dset.project(unc)
-        if self._mode == "linear" and isinstance(dset, Ball):
-            n = float(np.linalg.norm(self.g))
-            if n > 0:
-                return dset.center - dset.radius * self.g / n
-        return dset.project(np.zeros(dset.dim))
+
+def _loss_sum(losses) -> LossOracle:
+    """The summed loss: one Quadratic when every term is one, else a fused sum."""
+    losses = list(losses)
+    if losses and all(isinstance(f, Quadratic) for f in losses):
+        return functools.reduce(operator.add, losses)
+    if {type(f) for f in losses} == {LogisticBatchLoss}:
+        return _LogisticSum(losses)
+    return _LossSum(losses)
 
 
 @dataclass
@@ -264,33 +178,32 @@ class ComparatorReport:
     grid_gap: Optional[float] = None
 
 
-def _grid_points(dset: DecisionSet, resolution: float) -> np.ndarray:
-    if isinstance(dset, Ball):
-        lo = dset.center - dset.radius
-        hi = dset.center + dset.radius
-    elif isinstance(dset, Box):
-        lo, hi = dset.lower, dset.upper
-    else:
-        raise ValueError("grid search supports ball and box sets only")
-    axes = [np.arange(lo[i], hi[i] + resolution / 2, resolution) for i in range(dset.dim)]
+# Comparator search: projected-gradient iteration cap, and the spacing of
+# the dense grid it is cross-checked against when dim <= 2.
+COMPARATOR_ITERS = 10000
+GRID_RESOLUTION = 1e-3
+
+
+def _grid_points(ball: Ball) -> np.ndarray:
+    lo = ball.center - ball.radius
+    hi = ball.center + ball.radius
+    axes = [np.arange(lo[i], hi[i] + GRID_RESOLUTION / 2, GRID_RESOLUTION) for i in range(ball.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    if isinstance(dset, Ball):
-        d = pts - dset.center
-        pts = pts[np.einsum("nd,nd->n", d, d) <= dset.radius**2]
-    return pts
+    d = pts - ball.center
+    return pts[np.einsum("nd,nd->n", d, d) <= ball.radius**2]
 
 
-def offline_comparator(losses, dset: DecisionSet, iters: int = 10000,
-                       grid_check: bool = True, resolution: float = 1e-3):
-    """Minimize the summed loss over the set by projected gradient descent.
+def offline_comparator(losses, dset: Ball):
+    """Minimize the summed loss over the ball by projected gradient descent.
 
-    Step size 1/(L_hat sqrt(k)) with L_hat estimated from sampled gradient
-    norms; stops early once the gradient-mapping residual is negligible.
-    For dim <= 2 the result is cross-checked against a dense grid search.
-    Returns (x_star, ComparatorReport).
+    Quadratic sums start from their exact minimizer; others from the
+    origin's projection. Step size 1/(L_hat sqrt(k)) with L_hat estimated
+    from sampled gradient norms; stops early once the gradient-mapping
+    residual is negligible. For dim <= 2 the result is cross-checked
+    against a dense grid search. Returns (x_star, ComparatorReport).
     """
-    total = _SumOracle(losses)
+    total = _loss_sum(losses)
     rng = np.random.default_rng(0)
     probes = [dset.sample(rng) for _ in range(15)]
     probes.append(dset.project(np.zeros(dset.dim)))
@@ -298,10 +211,13 @@ def offline_comparator(losses, dset: DecisionSet, iters: int = 10000,
     l_hat = max(l_hat, 1e-12)
     tol = 1e-10 * max(1.0, l_hat)
 
-    u = total.smart_init(dset)
+    if isinstance(total, Quadratic):
+        u = total.minimize(dset)
+    else:
+        u = dset.project(np.zeros(dset.dim))
     used = 0
     residual = float("inf")
-    for k in range(1, iters + 1):
+    for k in range(1, COMPARATOR_ITERS + 1):
         used = k
         step = 1.0 / (l_hat * math.sqrt(k))
         nxt = dset.project(u - step * total.gradient(u))
@@ -311,9 +227,8 @@ def offline_comparator(losses, dset: DecisionSet, iters: int = 10000,
             break
 
     report = ComparatorReport(iterations=used, residual=residual, value=total.value(u))
-    if grid_check and dset.dim <= 2:
-        pts = _grid_points(dset, resolution)
-        best = float(np.min(total.values(pts)))
+    if dset.dim <= 2:
+        best = float(np.min(total.values(_grid_points(dset))))
         report.grid_gap = report.value - best
     return u, report
 
@@ -333,7 +248,7 @@ class RegressionTask:
 
     w_star: np.ndarray
     losses: list
-    dset: DecisionSet
+    dset: Ball
     params: ProblemParams
     sc_modulus: float
     exp_concavity: float
@@ -372,7 +287,7 @@ class ClassificationTask:
     """Mini-batch logistic classification stream over LIBSVM data."""
 
     losses: list
-    dset: DecisionSet
+    dset: Ball
     params: ProblemParams
     exp_concavity: float
     examples: int
@@ -479,20 +394,14 @@ def certificates_for(trace: RunTrace, sc_modulus: Optional[float] = None,
     return reports
 
 
-def _dset_to_json(dset: DecisionSet) -> dict:
-    if isinstance(dset, Ball):
-        return {"kind": "ball", "center": dset.center.tolist(), "radius": dset.radius}
-    if isinstance(dset, Box):
-        return {"kind": "box", "lower": dset.lower.tolist(), "upper": dset.upper.tolist()}
-    raise ValueError("unknown decision set")
+def _dset_to_json(ball: Ball) -> dict:
+    return {"kind": "ball", "center": ball.center.tolist(), "radius": ball.radius}
 
 
-def _dset_from_json(obj: dict) -> DecisionSet:
-    if obj["kind"] == "ball":
-        return Ball(center=np.array(obj["center"]), radius=float(obj["radius"]))
-    if obj["kind"] == "box":
-        return Box(lower=np.array(obj["lower"]), upper=np.array(obj["upper"]))
-    raise ValueError(f"unknown decision set kind {obj['kind']!r}")
+def _dset_from_json(obj: dict) -> Ball:
+    if obj["kind"] != "ball":
+        raise ValueError(f"unknown decision set kind {obj['kind']!r}")
+    return Ball(center=np.array(obj["center"]), radius=float(obj["radius"]))
 
 
 def save_trace(trace: RunTrace, path) -> None:
@@ -524,11 +433,8 @@ def load_trace(path) -> RunTrace:
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     params = ProblemParams(**obj["params"])
-    grid = None
-    if obj.get("grid_style") == "maler":
-        grid = meta.build_grid(params)
-    elif obj.get("grid_style") == "metagrad":
-        grid = meta.metagrad_grid(params)
+    style = obj.get("grid_style")
+    grid = None if style is None else meta.build_grid(params, style)
     trace = RunTrace(
         algo=obj["algo"],
         params=params,
@@ -569,7 +475,7 @@ class ExperimentResult:
 
     config: ExperimentConfig
     params: ProblemParams
-    dset: DecisionSet
+    dset: Ball
     comparator: np.ndarray
     comparator_report: ComparatorReport
     traces: dict
@@ -711,19 +617,27 @@ def _write_outputs(result: ExperimentResult) -> None:
 def certify_trace(trace: RunTrace) -> tuple:
     """Re-run every applicable certificate on a saved trace.
 
-    Returns (reports, ok). Also validates the recorded gradients against
-    the declared bound.
+    Returns (reports, ok). The first report checks the recorded data
+    against the problem's assumptions: gradients finite and within G,
+    plays inside the ball, and the ball's diameter equal to D. The other
+    certificates are computed only on finite data.
     """
-    samples = [GradientSample(point=p, gradient=g) for p, g in zip(trace.plays, trace.grads)]
-    assumption = validate_assumptions(trace.params, trace.dset, samples)
-    reports = list(certificates_for(trace))
+    p, ball = trace.params, trace.dset
+    finite = np.isfinite(trace.grads)
+    past = np.linalg.norm(trace.plays - ball.center, axis=1) - ball.radius
     rows = [
-        CertificateRow(label="max ||g_t|| <= G", measured=assumption.max_grad_norm,
-                       bound=trace.params.grad_bound * (1 + 1e-9)),
+        CertificateRow(label="max ||g_t|| <= G",
+                       measured=float(np.max(np.linalg.norm(trace.grads, axis=1), initial=0.0)),
+                       bound=p.grad_cap),
+        CertificateRow(label="gradients finite",
+                       measured=float(np.count_nonzero(~finite)), bound=0.0),
+        CertificateRow(label="max play distance past the radius",
+                       measured=float(np.max(past, initial=-ball.radius)), bound=1e-9),
         CertificateRow(label="set diameter matches D",
-                       measured=abs(assumption.measured_diameter - trace.params.diameter),
-                       bound=1e-9 * max(1.0, trace.params.diameter)),
+                       measured=abs(ball.diameter() - p.diameter),
+                       bound=1e-9 * max(1.0, p.diameter)),
     ]
-    reports.insert(0, CertificateReport(name="assumptions", rows=rows))
-    ok = all(r.ok for r in reports) and assumption.ok
-    return reports, ok
+    reports = [CertificateReport(name="assumptions", rows=rows)]
+    if finite.all() and np.isfinite(trace.plays).all():
+        reports += certificates_for(trace)
+    return reports, all(r.ok for r in reports)

@@ -19,7 +19,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import surrogates
 from .core import DecisionSet, ProblemParams
 
 KIND_CONST = "c"
@@ -73,38 +72,39 @@ class ExpertGrid:
         return np.exp(self.log_priors)
 
 
-def build_grid(params: ProblemParams) -> ExpertGrid:
-    """Full grid: one constant-rate expert plus (k+1) spherical/quadratic pairs.
+def build_grid(params: ProblemParams, style: str = "maler") -> ExpertGrid:
+    """Expert grid over the rates eta_i = 2^{-i} / (5 D G), i = 0..k, k = ceil(log2(T)/2).
 
-    eta_i = 2^{-i} / (5 D G) for i = 0..k with k = ceil(log2(T)/2), and
-    eta_c = 1/(2 G D sqrt(T)). Priors put 1/3 on the constant-rate expert and
-    split the rest as C/(3 (i+1)(i+2)) per member of each pair, C = 1 + 1/(1+k).
+    style "maler": one constant-rate expert with eta_c = 1/(2 G D sqrt(T)) and
+    prior 1/3, plus a spherical and a quadratic expert per rate, each with
+    prior C/(3 (i+1)(i+2)), C = 1 + 1/(1+k).
+    style "metagrad": the baseline's quadratic experts only, with priors
+    C/((i+1)(i+2)).
     """
     T, G, D = params.horizon, params.grad_bound, params.diameter
     k = grid_depth(T)
     etas = np.array([2.0**-i / (5.0 * D * G) for i in range(k + 1)])
     eta_c = 1.0 / (2.0 * G * D * math.sqrt(T))
     C = 1.0 + 1.0 / (1.0 + k)
-
-    kinds = [KIND_CONST] + [KIND_SPHERICAL] * (k + 1) + [KIND_QUADRATIC] * (k + 1)
-    tilts = np.concatenate([[eta_c], etas, etas])
-    priors = np.concatenate(
-        [
-            [1.0 / 3.0],
-            [C / (3.0 * (i + 1) * (i + 2)) for i in range(k + 1)],
-            [C / (3.0 * (i + 1) * (i + 2)) for i in range(k + 1)],
-        ]
-    )
-    labels = (
-        ["c"]
-        + [f"s[{i}]" for i in range(k + 1)]
-        + [f"ell[{i}]" for i in range(k + 1)]
-    )
+    ell_labels = [f"ell[{i}]" for i in range(k + 1)]
+    if style == "maler":
+        share = [C / (3.0 * (i + 1) * (i + 2)) for i in range(k + 1)]
+        kinds = [KIND_CONST] + [KIND_SPHERICAL] * (k + 1) + [KIND_QUADRATIC] * (k + 1)
+        tilts = np.concatenate([[eta_c], etas, etas])
+        priors = np.concatenate([[1.0 / 3.0], share, share])
+        labels = ["c"] + [f"s[{i}]" for i in range(k + 1)] + ell_labels
+    elif style == "metagrad":
+        kinds = [KIND_QUADRATIC] * (k + 1)
+        tilts = etas.copy()
+        priors = np.array([C / ((i + 1) * (i + 2)) for i in range(k + 1)])
+        labels = ell_labels
+    else:
+        raise ValueError(f"unknown grid style {style!r}")
     total = float(np.sum(priors))
     if abs(total - 1.0) > 1e-12:
         raise AssertionError(f"expert priors sum to {total!r}, not 1")
     return ExpertGrid(
-        style="maler",
+        style=style,
         horizon=T,
         k=k,
         eta_c=eta_c,
@@ -113,29 +113,6 @@ def build_grid(params: ProblemParams) -> ExpertGrid:
         tilts=tilts,
         log_priors=np.log(priors),
         labels=tuple(labels),
-    )
-
-
-def metagrad_grid(params: ProblemParams) -> ExpertGrid:
-    """Reduced grid with quadratic-surrogate experts only (the baseline learner)."""
-    T, G, D = params.horizon, params.grad_bound, params.diameter
-    k = grid_depth(T)
-    etas = np.array([2.0**-i / (5.0 * D * G) for i in range(k + 1)])
-    C = 1.0 + 1.0 / (1.0 + k)
-    priors = np.array([C / ((i + 1) * (i + 2)) for i in range(k + 1)])
-    total = float(np.sum(priors))
-    if abs(total - 1.0) > 1e-12:
-        raise AssertionError(f"expert priors sum to {total!r}, not 1")
-    return ExpertGrid(
-        style="metagrad",
-        horizon=T,
-        k=k,
-        eta_c=1.0 / (2.0 * G * D * math.sqrt(T)),
-        etas=etas,
-        kinds=tuple([KIND_QUADRATIC] * (k + 1)),
-        tilts=etas.copy(),
-        log_priors=np.log(priors),
-        labels=tuple(f"ell[{i}]" for i in range(k + 1)),
     )
 
 

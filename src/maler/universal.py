@@ -3,8 +3,9 @@
 Every learner speaks the same two-call protocol per round: predict() returns
 the point to play, observe(g) feeds back the loss gradient at that point.
 predict is pure between observes; observe without a pending prediction, or
-twice in a row, is a protocol error. Gradients are validated against the
-declared bound G on arrival.
+twice in a row, is a protocol error, and so is predicting past the horizon T.
+Gradients are validated against the declared bound G on arrival, and a
+failed observe leaves the learner exactly as it was.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ class Learner:
 
     def predict(self) -> np.ndarray:
         if self._pending is None:
+            if len(self._plays) >= self.params.horizon:
+                raise ProtocolError(f"all T={self.params.horizon} rounds have been played")
             self._pending = np.asarray(self._predict(), dtype=float)
         return self._pending.copy()
 
@@ -54,19 +57,20 @@ class Learner:
         gn = float(np.linalg.norm(g))
         if not np.all(np.isfinite(g)):
             raise AssumptionViolation("gradient has non-finite entries")
-        if gn > self.params.grad_bound * (1.0 + 1e-9):
+        if gn > self.params.grad_cap:
             raise AssumptionViolation(
                 f"gradient norm {gn:.6g} exceeds declared bound G={self.params.grad_bound:.6g}"
             )
+        self._observe(self._pending, g)
         self._plays.append(self._pending)
         self._grads.append(g)
-        self._observe(self._pending, g)
         self._pending = None
 
     def _predict(self) -> np.ndarray:
         raise NotImplementedError
 
     def _observe(self, play: np.ndarray, grad: np.ndarray) -> None:
+        """Advance the learner's state; must change nothing if it raises."""
         raise NotImplementedError
 
     def trace(self) -> RunTrace:
@@ -120,7 +124,7 @@ class _TiltedEnsembleLearner(Learner):
                 losses[e] = surrogates.s_value(ctx, self.experts[e].iterate)
             else:
                 losses[e] = surrogates.ell_value(ctx, self.experts[e].iterate)
-        self.state = meta.update_weights(self.state, self.grid, losses)
+        state = meta.update_weights(self.state, self.grid, losses)
         new_experts = []
         for e, kind in enumerate(self.grid.kinds):
             ctx = contexts[float(self.grid.tilts[e])]
@@ -130,7 +134,7 @@ class _TiltedEnsembleLearner(Learner):
                 new_experts.append(experts.spherical_expert_step(self.experts[e], ctx))
             else:
                 new_experts.append(experts.newton_expert_step(self.experts[e], ctx))
-        self.experts = new_experts
+        self.state, self.experts = state, new_experts
         self._expert_points.append(points)
         self._losses.append(losses)
         self._log_weights.append(self.state.log_weights.copy())
@@ -158,7 +162,7 @@ class MalerLearner(_TiltedEnsembleLearner):
 
 def metagrad_baseline(params: ProblemParams, dset: DecisionSet) -> Learner:
     """Baseline ensemble with quadratic-surrogate experts only."""
-    learner = _TiltedEnsembleLearner(params, dset, meta.metagrad_grid(params))
+    learner = _TiltedEnsembleLearner(params, dset, meta.build_grid(params, "metagrad"))
     learner.algo = "metagrad"
     return learner
 
@@ -217,24 +221,15 @@ class ONSLearner(Learner):
         return self._x
 
     def _observe(self, play: np.ndarray, grad: np.ndarray) -> None:
-        self._sigma = self._sigma + np.outer(grad, grad)
-        self._updates += 1
-        if self._updates % experts.REFACTOR_EVERY == 0:
-            self._sigma_inv = np.linalg.inv(self._sigma)
+        sigma = self._sigma + np.outer(grad, grad)
+        updates = self._updates + 1
+        if updates % experts.REFACTOR_EVERY == 0:
+            sigma_inv = np.linalg.inv(sigma)
         else:
-            self._sigma_inv = experts.sherman_morrison_update(self._sigma_inv, grad)
-        target = self._x - (1.0 / self.beta) * (self._sigma_inv @ grad)
-        self._x = self.dset.project_weighted(self._sigma, target)
-
-
-def ogd_baselines(params: ProblemParams, dset: DecisionSet,
-                  sc_modulus: Optional[float] = None) -> dict:
-    """Both gradient-descent baselines; the strongly convex one only when a
-    modulus is declared."""
-    out = {"ogd-convex": OGDLearner(params, dset, mode="convex")}
-    if sc_modulus is not None:
-        out["ogd-sc"] = OGDLearner(params, dset, mode="strongly-convex", sc_modulus=sc_modulus)
-    return out
+            sigma_inv = experts.sherman_morrison_update(self._sigma_inv, grad)
+        target = self._x - (1.0 / self.beta) * (sigma_inv @ grad)
+        self._x = self.dset.project_weighted(sigma, target)
+        self._sigma, self._sigma_inv, self._updates = sigma, sigma_inv, updates
 
 
 def make_learner(name: str, params: ProblemParams, dset: DecisionSet, *,

@@ -1,17 +1,12 @@
 import numpy as np
 import pytest
 
-from maler.core import (
-    Ball,
-    Box,
-    GradientSample,
-    ProblemParams,
-    UnsupportedSetOperation,
-    contains,
-    project_euclidean,
-    project_weighted,
-    validate_assumptions,
-)
+from conftest import fd_matches
+
+from maler.core import Ball, ProblemParams, Quadratic
+from maler.harness import certify_trace
+from maler.meta import RunTrace
+from maler.universal import AssumptionViolation, MalerLearner
 
 
 def test_problem_params_validation():
@@ -31,10 +26,7 @@ def test_problem_params_validation():
 def test_sets_must_contain_origin():
     with pytest.raises(ValueError):
         Ball(center=np.array([3.0, 0.0]), radius=1.0)
-    with pytest.raises(ValueError):
-        Box(lower=np.array([1.0]), upper=np.array([2.0]))
     Ball(center=np.array([0.5, 0.0]), radius=0.5)
-    Box(lower=np.array([-1.0, 0.0]), upper=np.array([2.0, 3.0]))
 
 
 def test_ball_membership_and_projection():
@@ -48,25 +40,15 @@ def test_ball_membership_and_projection():
     np.testing.assert_array_equal(ball.project(inside), inside)
 
 
-def test_box_membership_and_projection():
-    box = Box(lower=np.array([-1.0, -2.0]), upper=np.array([1.0, 0.5]))
-    assert box.contains([0.0, 0.0])
-    assert not box.contains([0.0, 0.6])
-    np.testing.assert_array_equal(box.project([3.0, -5.0]), [1.0, -2.0])
-    assert box.diameter() == pytest.approx(np.sqrt(4 + 6.25))
-
-
 def test_projection_idempotent_bitwise():
     rng = np.random.default_rng(7)
     ball = Ball(center=np.array([0.1, -0.2, 0.0]), radius=0.8)
-    box = Box(lower=np.array([-1.0, -0.5, -2.0]), upper=np.array([0.3, 0.7, 1.0]))
     for _ in range(200):
         y = rng.normal(scale=3.0, size=3)
-        for dset in (ball, box):
-            p = dset.project(y)
-            q = dset.project(p)
-            assert np.array_equal(p, q)
-            assert dset.contains(p, tol=1e-9)
+        p = ball.project(y)
+        q = ball.project(p)
+        assert np.array_equal(p, q)
+        assert ball.contains(p, tol=1e-9)
 
 
 def test_projection_nonexpansive():
@@ -150,55 +132,128 @@ def test_weighted_projection_rejects_bad_weights():
         ball.project_weighted(np.zeros((2, 2)), [2.0, 0.0])
 
 
-def test_weighted_projection_unsupported_for_box():
-    box = Box(lower=np.array([-1.0]), upper=np.array([1.0]))
-    with pytest.raises(UnsupportedSetOperation):
-        box.project_weighted(np.eye(1), [2.0])
-
-
-def test_module_level_wrappers():
-    ball = Ball(center=np.zeros(2), radius=1.0)
-    assert contains(ball, [0.5, 0.0])
-    np.testing.assert_allclose(project_euclidean(ball, [2.0, 0.0]), [1.0, 0.0])
-    np.testing.assert_allclose(
-        project_weighted(ball, np.eye(2), [2.0, 0.0]), [1.0, 0.0], atol=1e-9
-    )
-
-
 def test_sample_stays_inside():
     rng = np.random.default_rng(12)
     ball = Ball(center=np.array([0.1, 0.0]), radius=0.6)
-    box = Box(lower=np.array([-0.5, -1.0]), upper=np.array([1.5, 0.2]))
     for _ in range(500):
         assert ball.contains(ball.sample(rng))
-        assert box.contains(box.sample(rng))
+
+
+def _trace(plays, grads, params, ball):
+    return RunTrace(algo="test", params=params, dset=ball,
+                    plays=np.asarray(plays, dtype=float), grads=np.asarray(grads, dtype=float))
+
+
+def _assumption_rows(trace):
+    reports, ok = certify_trace(trace)
+    assert reports[0].name == "assumptions"
+    return {r.label: r for r in reports[0].rows}, ok
 
 
 def test_gradient_sample_validation():
-    GradientSample(point=np.zeros(2), gradient=np.ones(2))
+    params = ProblemParams(horizon=2, dim=2, grad_bound=1.0, diameter=1.0)
+    ball = Ball(center=np.zeros(2), radius=0.5)
+    learner = MalerLearner(params, ball)
+    learner.predict()
     with pytest.raises(ValueError):
-        GradientSample(point=np.zeros(2), gradient=np.ones(3))
-    with pytest.raises(ValueError):
-        GradientSample(point=np.zeros(1), gradient=np.array([float("nan")]))
+        learner.observe(np.ones(3))
+    with pytest.raises(AssumptionViolation):
+        learner.observe(np.array([float("nan"), 0.0]))
+    rows, ok = _assumption_rows(_trace([[0.0, 0.0]], [[float("nan"), 0.0]], params, ball))
+    assert not ok
+    assert not rows["gradients finite"].ok
+    assert rows["gradients finite"].measured == 1.0
 
 
 def test_validate_assumptions():
     params = ProblemParams(horizon=10, dim=2, grad_bound=1.0, diameter=1.0)
     ball = Ball(center=np.zeros(2), radius=0.5)
-    good = [
-        GradientSample(point=np.array([0.1, 0.0]), gradient=np.array([0.5, 0.5]))
-        for _ in range(5)
-    ]
-    rep = validate_assumptions(params, ball, good)
-    assert rep.ok
-    assert rep.max_grad_norm == pytest.approx(np.sqrt(0.5))
+    plays = [[0.1, 0.0]] * 5
+    good = [[0.5, 0.5]] * 5
+    rows, _ = _assumption_rows(_trace(plays, good, params, ball))
+    assert all(r.ok for r in rows.values())
+    assert rows["max ||g_t|| <= G"].measured == pytest.approx(np.sqrt(0.5))
+    assert rows["max play distance past the radius"].measured == pytest.approx(-0.4)
 
-    bad = good + [GradientSample(point=np.zeros(2), gradient=np.array([2.0, 0.0]))]
-    rep = validate_assumptions(params, ball, bad)
-    assert not rep.ok
-    assert any("exceeds" in msg for _, msg in rep.violations)
+    bad = good + [[2.0, 0.0]]
+    rows, ok = _assumption_rows(_trace(plays + [[0.0, 0.0]], bad, params, ball))
+    assert not ok and not rows["max ||g_t|| <= G"].ok
+    # The tolerance on G is relative 1e-9, the same one observe applies.
+    edge = good + [[params.grad_cap, 0.0]]
+    rows, _ = _assumption_rows(_trace(plays + [[0.0, 0.0]], edge, params, ball))
+    assert rows["max ||g_t|| <= G"].ok
+
+    outside = plays + [[0.5 + 1e-6, 0.0]]
+    rows, ok = _assumption_rows(_trace(outside, good + [[0.5, 0.5]], params, ball))
+    assert not ok and not rows["max play distance past the radius"].ok
 
     mismatched = ProblemParams(horizon=10, dim=2, grad_bound=1.0, diameter=2.0)
-    rep = validate_assumptions(mismatched, ball, good)
-    assert not rep.ok
-    assert any("diameter" in msg for _, msg in rep.violations)
+    rows, ok = _assumption_rows(_trace(plays, good, mismatched, ball))
+    assert not ok and not rows["set diameter matches D"].ok
+
+
+def _random_quadratic(rng, d, kind):
+    q = rng.normal(size=d)
+    if kind == "linear":
+        return Quadratic(q, r=0.3)
+    if kind == "isotropic":
+        return Quadratic(q, r=-0.1, iso=0.7)
+    A = rng.normal(size=(d, d))
+    if kind == "singular":
+        A[:, 0] = 0.0
+        return Quadratic(q, M=A @ A.T)
+    return Quadratic(q, r=0.2, iso=0.05, M=A @ A.T)
+
+
+def test_quadratic_value_gradient_and_sum():
+    rng = np.random.default_rng(13)
+    d = 3
+    quads = [_random_quadratic(rng, d, k) for k in ("linear", "isotropic", "singular", "full")]
+    U = rng.normal(size=(4, d))
+    for f in quads:
+        for u in U:
+            assert fd_matches(f.value, f.gradient, u)
+        np.testing.assert_allclose(f.values(U), [f.value(u) for u in U], atol=1e-12)
+    total = quads[0] + quads[1] + quads[2] + quads[3]
+    for u in U:
+        assert total.value(u) == pytest.approx(sum(f.value(u) for f in quads), abs=1e-12)
+        np.testing.assert_allclose(total.gradient(u), sum(f.gradient(u) for f in quads),
+                                   atol=1e-12)
+
+
+def test_quadratic_minimize_against_grid_search():
+    # Every minimize path (boundary point, projection, weighted projection of
+    # the unconstrained minimizer both inside and outside, and the PGD
+    # fallback for singular M) against a dense grid over the disk.
+    rng = np.random.default_rng(14)
+    ball = Ball(center=np.array([0.1, -0.05]), radius=0.5)
+    xs = np.linspace(-0.5, 0.5, 1001)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    pts = ball.center + np.stack([X.ravel(), Y.ravel()], axis=1)
+    pts = pts[np.linalg.norm(pts - ball.center, axis=1) <= 0.5]
+    inside = Quadratic(np.array([-0.1, 0.05]), M=np.diag([2.0, 1.0]))
+    cases = [inside] + [_random_quadratic(rng, 2, k)
+                        for k in ("linear", "isotropic", "singular", "full") for _ in range(3)]
+    for f in cases:
+        u = f.minimize(ball)
+        assert ball.contains(u, tol=1e-12)
+        assert f.value(u) <= float(f.values(pts).min()) + 1e-9
+    np.testing.assert_allclose(inside.minimize(ball), [0.025, -0.025], atol=1e-15)
+
+
+def test_quadratic_minimize_is_exact_on_the_boundary():
+    # With f = (u - v)^T H (u - v) for v outside the ball, the minimizer lies
+    # on the sphere with the gradient pointing straight inwards (KKT).
+    rng = np.random.default_rng(15)
+    ball = Ball(center=np.zeros(4), radius=0.5)
+    for _ in range(20):
+        A = rng.normal(size=(4, 4))
+        H = A @ A.T + 0.1 * np.eye(4)
+        v = rng.normal(size=4) * 3.0
+        f = Quadratic(-2.0 * H @ v, r=float(v @ H @ v), M=H)
+        u = f.minimize(ball)
+        assert abs(np.linalg.norm(u) - 0.5) <= 1e-14
+        g = f.gradient(u)
+        along = float(g @ u) / float(u @ u)
+        assert along < 0.0
+        assert np.linalg.norm(g - along * u) <= 1e-9 * np.linalg.norm(g)

@@ -6,7 +6,6 @@ import pytest
 from maler.core import Ball, ProblemParams
 from maler.experts import (
     REFACTOR_EVERY,
-    SummedSurrogate,
     convex_expert_step,
     init_convex_expert,
     init_newton_expert,
@@ -20,6 +19,7 @@ from maler.experts import (
     ons_grad_bound,
     sherman_morrison_update,
     spherical_expert_step,
+    summed_surrogate,
 )
 from maler.meta import KIND_CONST, KIND_QUADRATIC, KIND_SPHERICAL
 from maler.surrogates import SurrogateContext
@@ -183,7 +183,7 @@ def test_summed_surrogate_matches_per_round_sum():
         (KIND_QUADRATIC, surrogates.ell_value),
     ):
         eta = 0.1 if kind != KIND_CONST else 0.02
-        obj = SummedSurrogate(kind, plays, grads, eta, G, D)
+        obj = summed_surrogate(kind, plays, grads, eta, G, D)
         direct = sum(
             fn(SurrogateContext(play=plays[t], grad=grads[t], eta=eta, G=G, D=D), u)
             for t in range(T)
@@ -202,7 +202,7 @@ def test_summed_surrogate_minimizer_beats_grid():
     pts = np.stack([X.ravel(), Y.ravel()], axis=1)
     pts = pts[np.einsum("nd,nd->n", pts, pts) <= 0.25]
     for kind, eta in ((KIND_CONST, 0.02), (KIND_SPHERICAL, 0.15), (KIND_QUADRATIC, 0.15)):
-        obj = SummedSurrogate(kind, plays, grads, eta, 1.0, 1.0)
+        obj = summed_surrogate(kind, plays, grads, eta, 1.0, 1.0)
         u = obj.minimize(ball)
         assert ball.contains(u, tol=1e-9)
         assert obj.value(u) <= float(obj.values(pts).min()) + 1e-6

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import fd_matches
 from maler import cli
-from maler.core import Ball, Box, ProblemParams
+from maler.core import Ball, ProblemParams
 from maler.harness import (
     CSV_HEADER,
     CenteredQuadraticLoss,
@@ -355,6 +355,54 @@ def test_cli_certify_detects_tampering(tmp_path, capsys):
     rc = cli.main(["certify", "--trace", str(tpath)])
     assert rc == 2
     assert "FAIL" in capsys.readouterr().out
+
+
+def _tampered_trace(tmp_path, edit):
+    out = tmp_path / "exp"
+    assert cli.main([
+        "run", "--task", "regression", "--rounds", "6", "--dim", "2", "--batch", "5",
+        "--seed", "4", "--algos", "maler", "--out", str(out),
+    ]) == 0
+    tpath = out / "trace_maler.json"
+    obj = json.loads(tpath.read_text())
+    edit(obj)
+    tpath.write_text(json.dumps(obj))
+    return tpath
+
+
+def test_cli_certify_flags_play_outside_ball(tmp_path, capsys):
+    def move_play(obj):
+        obj["plays"][2] = [0.5 + 1e-6, 0.0]
+
+    tpath = _tampered_trace(tmp_path, move_play)
+    capsys.readouterr()
+    assert cli.main(["certify", "--trace", str(tpath)]) == 2
+    out = capsys.readouterr().out
+    assert "[FAIL] assumptions" in out
+    assert "violated: max play distance past the radius" in out
+    assert "certificates FAIL" in out
+
+
+def test_cli_certify_flags_nan_gradient(tmp_path, capsys):
+    def poison(obj):
+        obj["grads"][3][0] = float("nan")
+
+    tpath = _tampered_trace(tmp_path, poison)
+    capsys.readouterr()
+    assert cli.main(["certify", "--trace", str(tpath)]) == 2
+    out = capsys.readouterr().out
+    assert "violated: gradients finite measured=1 bound=0" in out
+    assert "certificates FAIL" in out
+
+
+def test_load_trace_rejects_non_ball_sets(tmp_path):
+    def boxed(obj):
+        obj["dset"] = {"kind": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0]}
+
+    tpath = _tampered_trace(tmp_path, boxed)
+    with pytest.raises(ValueError):
+        load_trace(tpath)
+    assert cli.main(["certify", "--trace", str(tpath)]) == 1
 
 
 def test_cli_error_paths(tmp_path, capsys):

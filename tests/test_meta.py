@@ -16,7 +16,6 @@ from maler.meta import (
     meta_regret_c_bound,
     logsumexp,
     meta_regret_certificate,
-    metagrad_grid,
     potential_certificate,
     recompute_surrogate_losses,
     update_weights,
@@ -65,11 +64,19 @@ def test_grid_expert_ordering_and_labels():
 
 
 def test_metagrad_grid():
-    grid = metagrad_grid(params_for(200))
+    grid = build_grid(params_for(200), "metagrad")
     assert grid.style == "metagrad"
     assert grid.size == 5
     assert all(kind == KIND_QUADRATIC for kind in grid.kinds)
     assert abs(grid.priors.sum() - 1.0) <= 1e-12
+    full = build_grid(params_for(200))
+    np.testing.assert_array_equal(grid.tilts, full.etas)
+    assert grid.eta_c == full.eta_c
+    # C = 1 + 1/(1+k) = 1.2 at k = 4: priors C/((i+1)(i+2)).
+    assert grid.priors[0] == pytest.approx(0.6, abs=1e-15)
+    assert grid.labels == tuple(f"ell[{i}]" for i in range(5))
+    with pytest.raises(ValueError):
+        build_grid(params_for(200), "bogus")
 
 
 def test_meta_regret_bound_values():
@@ -110,7 +117,7 @@ def test_aggregate_play_fixed_point():
 
 
 def test_update_weights_hand_computed():
-    grid = metagrad_grid(params_for(4))
+    grid = build_grid(params_for(4), "metagrad")
     state = init_meta_state(grid)
     losses = np.array([0.1, 0.3])
     new = update_weights(state, grid, losses)
@@ -121,7 +128,7 @@ def test_update_weights_hand_computed():
 
 
 def test_update_weights_rejects_bad_losses():
-    grid = metagrad_grid(params_for(4))
+    grid = build_grid(params_for(4), "metagrad")
     state = init_meta_state(grid)
     with pytest.raises(ValueError):
         update_weights(state, grid, np.array([0.1, np.nan]))
@@ -211,6 +218,6 @@ def test_potential_certificate():
 
 def test_meta_regret_certificate_requires_full_grid():
     trace = _run_maler()
-    trace.grid = metagrad_grid(trace.params)
+    trace.grid = build_grid(trace.params, "metagrad")
     with pytest.raises(ValueError):
         meta_regret_certificate(trace)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from maler.core import Ball, Box, ProblemParams
+from maler.core import Ball, ProblemParams, ProjectionError
 from maler.universal import (
     AssumptionViolation,
     MalerLearner,
@@ -13,7 +13,6 @@ from maler.universal import (
     exp_concave_regret_bound,
     make_learner,
     metagrad_baseline,
-    ogd_baselines,
     play_round,
     regret_diagnostics,
     strongly_convex_regret_bound,
@@ -103,19 +102,22 @@ def test_plays_stay_feasible():
 
 
 def test_ogd_convex_step_schedule():
-    box = Box(lower=np.array([-100.0, -100.0]), upper=np.array([100.0, 100.0]))
+    ball = Ball(center=np.zeros(2), radius=100.0)
     params = ProblemParams(horizon=16, dim=2, grad_bound=2.0, diameter=math.sqrt(200.0))
-    learner = OGDLearner(params, box)
+    learner = OGDLearner(params, ball)
     learner.predict()
     learner.observe(np.array([2.0, 0.0]))
-    # Step D/(G sqrt(1)) with D = sqrt(200), G = 2; no clipping inside the box.
+    # Step D/(G sqrt(1)) with D = sqrt(200), G = 2; no clipping inside the ball.
     np.testing.assert_allclose(learner.predict(), [-math.sqrt(200.0), 0.0], atol=1e-12)
+    learner.observe(np.array([0.0, 2.0]))
+    # Step D/(G sqrt(2)) = 5.
+    np.testing.assert_allclose(learner.predict(), [-math.sqrt(200.0), -10.0], atol=1e-12)
 
 
 def test_ogd_sc_step_schedule():
-    box = Box(lower=np.array([-50.0]), upper=np.array([50.0]))
+    ball = Ball(center=np.zeros(1), radius=50.0)
     params = ProblemParams(horizon=8, dim=1, grad_bound=1.0, diameter=100.0)
-    learner = OGDLearner(params, box, mode="strongly-convex", sc_modulus=0.1)
+    learner = OGDLearner(params, ball, mode="strongly-convex", sc_modulus=0.1)
     learner.predict()
     learner.observe(np.array([1.0]))
     np.testing.assert_allclose(learner.predict(), [-10.0], atol=1e-12)
@@ -131,10 +133,14 @@ def test_ogd_requires_modulus():
 
 
 def test_ogd_baselines_factory():
-    pair = ogd_baselines(PARAMS, BALL, sc_modulus=0.2)
-    assert set(pair) == {"ogd-convex", "ogd-sc"}
-    only = ogd_baselines(PARAMS, BALL)
-    assert set(only) == {"ogd-convex"}
+    convex = make_learner("ogd-convex", PARAMS, BALL, sc_modulus=0.2)
+    assert isinstance(convex, OGDLearner) and convex.mode == "convex"
+    sc = make_learner("ogd-sc", PARAMS, BALL, sc_modulus=0.2)
+    assert isinstance(sc, OGDLearner) and sc.mode == "strongly-convex"
+    assert sc.sc_modulus == 0.2
+    # The strongly convex baseline exists only with a declared modulus.
+    with pytest.raises(ValueError):
+        make_learner("ogd-sc", PARAMS, BALL)
 
 
 def test_ons_beta_choice():
@@ -243,3 +249,80 @@ def test_play_round_contract():
     np.testing.assert_allclose(g, 2.0 * x)
     # The learner consumed the round: a new predict differs or advances time.
     learner.predict()
+
+
+def test_protocol_horizon_enforced():
+    params = ProblemParams(horizon=8, dim=2, grad_bound=1.0, diameter=1.0)
+    for learner in (MalerLearner(params, BALL), OGDLearner(params, BALL),
+                    ONSLearner(params, BALL, alpha=0.5)):
+        for _ in range(8):
+            learner.predict()
+            learner.observe(np.array([0.1, -0.2]))
+        with pytest.raises(ProtocolError):
+            learner.predict()
+        assert learner.trace().rounds == 8
+
+
+def _drive(learner, grads):
+    for g in grads:
+        learner.predict()
+        learner.observe(g)
+
+
+def _snapshot(learner):
+    trace = learner.trace()
+    return {
+        "plays": trace.plays.copy(), "grads": trace.grads.copy(),
+        "expert_points": trace.expert_points.copy(), "log_weights": trace.log_weights.copy(),
+        "log_phi": trace.log_phi.copy(), "state": learner.state.log_weights.copy(),
+        "rounds": learner.state.rounds,
+        "iterates": np.array([ex.iterate for ex in learner.experts]),
+    }
+
+
+def _fail_projection(self, H, y):
+    raise ProjectionError("injected", 1.0)
+
+
+def test_observe_is_atomic_on_projection_failure(monkeypatch):
+    rng = np.random.default_rng(5)
+    params = ProblemParams(horizon=6, dim=2, grad_bound=1.0, diameter=1.0)
+    grads = [g / max(np.linalg.norm(g), 1.0) for g in rng.normal(size=(6, 2))]
+    reference = MalerLearner(params, BALL)
+    _drive(reference, grads)
+
+    learner = MalerLearner(params, BALL)
+    _drive(learner, grads[:1])
+    learner.predict()
+    before = _snapshot(learner)
+    with monkeypatch.context() as patch:
+        patch.setattr(Ball, "project_weighted", _fail_projection)
+        with pytest.raises(ProjectionError):
+            learner.observe(grads[1])
+    after = _snapshot(learner)
+    assert after.keys() == before.keys()
+    for key in before:
+        np.testing.assert_array_equal(after[key], before[key])
+    assert after["plays"].shape[0] == after["expert_points"].shape[0] == 1
+
+    # The pending play survives; the run resumes and matches bit for bit.
+    learner.observe(grads[1])
+    _drive(learner, grads[2:])
+    done, ref = _snapshot(learner), _snapshot(reference)
+    for key in ref:
+        np.testing.assert_array_equal(done[key], ref[key])
+
+
+def test_ons_observe_is_atomic_on_projection_failure(monkeypatch):
+    learner = ONSLearner(PARAMS, BALL, alpha=0.5)
+    learner.predict()
+    learner.observe(np.array([0.9, 0.1]))
+    learner.predict()
+    sigma, x = learner._sigma.copy(), learner._x.copy()
+    with monkeypatch.context() as patch:
+        patch.setattr(Ball, "project_weighted", _fail_projection)
+        with pytest.raises(ProjectionError):
+            learner.observe(np.array([0.9, 0.1]))
+    np.testing.assert_array_equal(learner._sigma, sigma)
+    np.testing.assert_array_equal(learner._x, x)
+    assert learner._updates == 1 and learner.trace().rounds == 1
