@@ -198,13 +198,7 @@ class Ball(DecisionSet):
 
 
 class LossOracle:
-    """One round's convex loss: value and gradient queries at feasible points.
-
-    `modulus` is the loss's strong-convexity or exp-concavity constant, when
-    known.
-    """
-
-    modulus: float = 0.0
+    """One round's convex loss: value and gradient queries at feasible points."""
 
     def value(self, x) -> float:
         raise NotImplementedError

@@ -1,4 +1,4 @@
-"""Expert algorithms driven by the broadcast (play, gradient) pair.
+"""The expert bank: every expert of one grid, stepped on the broadcast (play, gradient) pair.
 
 Each expert runs its own first-order method on its own surrogate sequence:
 
@@ -9,14 +9,17 @@ Each expert runs its own first-order method on its own surrogate sequence:
   quadratic:      x_{t+1} = P_D^{Sigma}(x_t^e - Sigma^{-1} grad l_t(x_t^e) / beta)
                   (online Newton step on the exp-concave l_t)
 
-The quadratic expert's matrix inverse is maintained by rank-one updates and
-re-factorized periodically to stop drift.
+ExpertBank holds them all as arrays. The constant-rate and spherical rows
+step in one batched expression per round; every Newton row, and ONSLearner,
+goes through newton_expert_step, whose Sigma^{-1} is kept by rank-one
+updates and re-factorized periodically to stop drift.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -31,8 +34,8 @@ from .meta import (
     CertificateRow,
     ExpertGrid,
     RunTrace,
+    recompute_surrogate_losses,
 )
-from .surrogates import SurrogateContext
 
 ONS_GRAD_SCALE = 7.0 / 25.0
 REFACTOR_EVERY = 512
@@ -48,77 +51,10 @@ def ons_beta(D: float) -> float:
     return 0.5 * min(1.0 / (4.0 * ons_grad_bound(D) * D), 1.0)
 
 
-@dataclass(frozen=True)
-class ConvexExpertState:
-    """Constant-rate gradient-descent expert."""
-
-    iterate: np.ndarray
-    round: int
-    eta: float
-    dset: DecisionSet
-    G: float
-    D: float
-
-
-@dataclass(frozen=True)
-class SphericalExpertState:
-    """Gradient-descent expert on the spherical surrogate."""
-
-    iterate: np.ndarray
-    round: int
-    eta: float
-    dset: DecisionSet
-    G: float
-
-
-@dataclass(frozen=True)
-class NewtonExpertState:
-    """Online-Newton expert on the quadratic surrogate."""
-
-    iterate: np.ndarray
-    round: int
-    eta: float
-    dset: DecisionSet
-    beta: float
-    sigma: np.ndarray
-    sigma_inv: np.ndarray
-    updates: int
-
-
-def init_convex_expert(dset: DecisionSet, params: ProblemParams, eta_c: float) -> ConvexExpertState:
-    return ConvexExpertState(
-        iterate=np.zeros(params.dim),
-        round=1,
-        eta=eta_c,
-        dset=dset,
-        G=params.grad_bound,
-        D=params.diameter,
-    )
-
-
-def init_spherical_expert(dset: DecisionSet, params: ProblemParams, eta: float) -> SphericalExpertState:
-    return SphericalExpertState(
-        iterate=np.zeros(params.dim),
-        round=1,
-        eta=eta,
-        dset=dset,
-        G=params.grad_bound,
-    )
-
-
-def init_newton_expert(dset: DecisionSet, params: ProblemParams, eta: float) -> NewtonExpertState:
-    beta = ons_beta(params.diameter)
-    scale = 1.0 / (beta**2 * params.diameter**2)
-    return NewtonExpertState(
-        iterate=np.zeros(params.dim),
-        round=1,
-        eta=eta,
-        dset=dset,
-        beta=beta,
-        sigma=scale * np.eye(params.dim),
-        sigma_inv=(1.0 / scale) * np.eye(params.dim),
-        updates=0,
-    )
+def newton_metric(beta: float, D: float, dim: int) -> tuple:
+    """Initial (Sigma, Sigma^{-1}) of an online Newton step: Sigma = I / (beta D)^2."""
+    scale = 1.0 / (beta**2 * D**2)
+    return scale * np.eye(dim), (1.0 / scale) * np.eye(dim)
 
 
 def sherman_morrison_update(A_inv: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -127,51 +63,127 @@ def sherman_morrison_update(A_inv: np.ndarray, v: np.ndarray) -> np.ndarray:
     return A_inv - np.outer(Av, Av) / (1.0 + float(v @ Av))
 
 
-def convex_expert_step(state: ConvexExpertState, ctx: SurrogateContext) -> ConvexExpertState:
-    """Descend the padded linear surrogate with rate D/(eta G sqrt(t))."""
-    if ctx.eta != state.eta:
-        raise ValueError("context rate does not match this expert's rate")
-    g = surrogates.c_grad(ctx, state.iterate)
-    step = state.D / (state.eta * state.G * math.sqrt(state.round))
-    nxt = state.dset.project(state.iterate - step * g)
-    return replace(state, iterate=nxt, round=state.round + 1)
+def _project_rows(dset: DecisionSet, targets: np.ndarray) -> np.ndarray:
+    # reshape keeps a family with no rows at (0, d)
+    return np.array([dset.project(y) for y in targets]).reshape(targets.shape)
 
 
-def spherical_expert_step(state: SphericalExpertState, ctx: SurrogateContext) -> SphericalExpertState:
-    """Descend the spherical surrogate with rate 1/(2 eta^2 G^2 t)."""
-    if ctx.eta != state.eta:
-        raise ValueError("context rate does not match this expert's rate")
-    g = surrogates.s_grad(ctx, state.iterate)
-    step = 1.0 / (2.0 * state.eta**2 * state.G**2 * state.round)
-    nxt = state.dset.project(state.iterate - step * g)
-    return replace(state, iterate=nxt, round=state.round + 1)
+def convex_expert_step(points: np.ndarray, etas: np.ndarray, t: int, grad: np.ndarray,
+                       G: float, D: float, dset: DecisionSet) -> np.ndarray:
+    """Descend the padded linear surrogates at round t with rates D/(eta G sqrt(t))."""
+    step = D / (etas * G * math.sqrt(t))
+    return _project_rows(dset, points - step[:, None] * (etas[:, None] * grad))
 
 
-def newton_expert_step(state: NewtonExpertState, ctx: SurrogateContext) -> NewtonExpertState:
-    """Newton-step on the quadratic surrogate under the running metric."""
-    if ctx.eta != state.eta:
-        raise ValueError("context rate does not match this expert's rate")
-    g = surrogates.ell_grad(ctx, state.iterate)
-    cap = ons_grad_bound(ctx.D)
-    gn = float(np.linalg.norm(g))
-    if gn > cap * (1.0 + 1e-9):
-        raise ValueError(f"surrogate gradient norm {gn:.6g} exceeds the proved cap {cap:.6g}")
-    sigma = state.sigma + np.outer(g, g)
-    updates = state.updates + 1
-    if updates % REFACTOR_EVERY == 0:
+def spherical_expert_step(points: np.ndarray, etas: np.ndarray, sph: np.ndarray, t: int,
+                          play: np.ndarray, grad: np.ndarray, dset: DecisionSet) -> np.ndarray:
+    """Descend the spherical surrogates at round t with rates 1/(2 sph t), sph = eta^2 G^2."""
+    g = etas[:, None] * grad + (2.0 * sph)[:, None] * (points - play)
+    return _project_rows(dset, points - (1.0 / (2.0 * sph * t))[:, None] * g)
+
+
+def newton_expert_step(x: np.ndarray, sigma: np.ndarray, sigma_inv: np.ndarray, updates: int,
+                       g: np.ndarray, beta: float, dset: DecisionSet) -> tuple:
+    """One online Newton step on gradient g; returns the next (x, Sigma, Sigma^{-1}).
+
+    updates counts the rank-one updates already in sigma; every
+    REFACTOR_EVERY-th update re-inverts densely instead.
+    """
+    sigma = sigma + np.outer(g, g)
+    if (updates + 1) % REFACTOR_EVERY == 0:
         sigma_inv = np.linalg.inv(sigma)
     else:
-        sigma_inv = sherman_morrison_update(state.sigma_inv, g)
-    target = state.iterate - (1.0 / state.beta) * (sigma_inv @ g)
-    nxt = state.dset.project_weighted(sigma, target)
-    return replace(
-        state,
-        iterate=nxt,
-        round=state.round + 1,
-        sigma=sigma,
-        sigma_inv=sigma_inv,
-        updates=updates,
-    )
+        sigma_inv = sherman_morrison_update(sigma_inv, g)
+    target = x - (1.0 / beta) * (sigma_inv @ g)
+    return dset.project_weighted(sigma, target), sigma, sigma_inv
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    return np.broadcast_to(a, a.shape)  # a view numpy refuses to write through
+
+
+@dataclass(frozen=True)
+class ExpertBank:
+    """All experts of one grid as arrays; step returns the next bank.
+
+    points is E x d and sigma, sigma_inv are L x d x d, one slice per
+    quadratic row; rows holds the c, s and ell row indices, and round the t
+    of the next step.
+    """
+
+    etas: np.ndarray
+    constants: np.ndarray
+    rows: tuple
+    ell_slope: np.ndarray
+    beta: float
+    params: ProblemParams
+    dset: DecisionSet
+    points: np.ndarray
+    sigma: np.ndarray
+    sigma_inv: np.ndarray
+    round: int = 1
+
+    @classmethod
+    def build(cls, kinds, etas, params: ProblemParams, dset: DecisionSet) -> "ExpertBank":
+        """Bank at round 1: every iterate at the origin; rates must lie in (0, 2/(3DG)]."""
+        G, D = params.grad_bound, params.diameter
+        etas = np.asarray(etas, dtype=float)
+        cap = surrogates.eta_cap(G, D)
+        if not np.all((etas > 0.0) & (etas <= cap * (1.0 + 1e-12))):
+            raise ValueError(f"rates {etas} outside (0, 2/(3DG)] = (0, {cap}]")
+        kinds = np.asarray(kinds)
+        rows = tuple(np.flatnonzero(kinds == kind)
+                     for kind in (KIND_CONST, KIND_SPHERICAL, KIND_QUADRATIC))
+        beta = ons_beta(D)
+        sigma, sigma_inv = newton_metric(beta, D, params.dim)
+        return cls(
+            etas=etas,
+            constants=surrogates.expert_constants(kinds, etas, G, D),
+            rows=rows,
+            # 2 eta^2 in Python floats, as ell_grad computes it
+            ell_slope=np.array([2.0 * float(eta) ** 2 for eta in etas[rows[2]]]),
+            beta=beta,
+            params=params,
+            dset=dset,
+            points=np.zeros((kinds.size, params.dim)),
+            sigma=np.repeat(sigma[None], rows[2].size, axis=0),
+            sigma_inv=np.repeat(sigma_inv[None], rows[2].size, axis=0),
+        )
+
+    def losses(self, play: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """Each expert's surrogate loss at its own iterate this round."""
+        return surrogates.expert_values(self.etas, self.constants, self.points, play, grad)
+
+    def step(self, play: np.ndarray, grad: np.ndarray) -> "ExpertBank":
+        """The bank after one round; raises if a Newton row's gradient is past its cap."""
+        conv, sph, ell = self.rows
+        G, D, t, X = self.params.grad_bound, self.params.diameter, self.round, self.points
+        # grad l_t(x) = (eta + 2 eta^2 (x - x_t)^T g_t) g_t, as surrogates.ell_grad.
+        ip = surrogates.rowdot(X[ell] - play, grad)
+        ell_grads = (self.etas[ell] + self.ell_slope * ip)[:, None] * grad
+        cap = ons_grad_bound(D)
+        norms = np.linalg.norm(ell_grads, axis=1)
+        if np.any(norms > cap * (1.0 + 1e-9)):
+            raise ValueError(f"surrogate gradient norm {norms.max():.6g} exceeds the proved "
+                             f"cap {cap:.6g}")
+        nxt = np.empty_like(X)
+        nxt[conv] = convex_expert_step(X[conv], self.etas[conv], t, grad, G, D, self.dset)
+        nxt[sph] = spherical_expert_step(X[sph], self.etas[sph], self.constants[1, sph], t,
+                                         play, grad, self.dset)
+        sigma, sigma_inv = np.empty_like(self.sigma), np.empty_like(self.sigma_inv)
+        for j, e in enumerate(ell):
+            nxt[e], sigma[j], sigma_inv[j] = newton_expert_step(
+                X[e], self.sigma[j], self.sigma_inv[j], t - 1, ell_grads[j], self.beta, self.dset
+            )
+        return replace(self, points=nxt, sigma=sigma, sigma_inv=sigma_inv, round=t + 1)
+
+    def views(self) -> tuple:
+        """Read-only per-expert views: iterate, plus sigma and sigma_inv on quadratic rows."""
+        out = [SimpleNamespace(iterate=_readonly(x)) for x in self.points]
+        for j, e in enumerate(self.rows[2]):
+            out[e].sigma = _readonly(self.sigma[j])
+            out[e].sigma_inv = _readonly(self.sigma_inv[j])
+        return tuple(out)
 
 
 def expert_regret_s_bound(horizon: int) -> float:
@@ -222,32 +234,20 @@ def expert_regret_certificate(trace: RunTrace, grid: Optional[ExpertGrid] = None
     The comparator is the constrained minimizer of the summed surrogate,
     realizing the worst u in the bound's quantifier.
     """
-    from .meta import recompute_surrogate_losses
-
     if grid is None:
         grid = trace.grid
     if grid is None or trace.expert_points is None:
         raise ValueError("trace does not carry expert data")
-    params = trace.params
+    p = trace.params
     T, d = trace.plays.shape
     own = recompute_surrogate_losses(trace).sum(axis=0)
+    bounds = {KIND_CONST: expert_regret_c_bound(), KIND_SPHERICAL: expert_regret_s_bound(T),
+              KIND_QUADRATIC: expert_regret_ell_bound(T, d)}
     rows = []
     for e, kind in enumerate(grid.kinds):
-        obj = summed_surrogate(
-            kind, trace.plays, trace.grads, float(grid.tilts[e]), params.grad_bound, params.diameter
-        )
-        best = obj.value(obj.minimize(trace.dset))
-        if kind == KIND_CONST:
-            bound = expert_regret_c_bound()
-        elif kind == KIND_SPHERICAL:
-            bound = expert_regret_s_bound(T)
-        else:
-            bound = expert_regret_ell_bound(T, d)
-        rows.append(
-            CertificateRow(
-                label=f"expert-regret {grid.labels[e]}",
-                measured=float(own[e]) - best,
-                bound=bound,
-            )
-        )
+        obj = summed_surrogate(kind, trace.plays, trace.grads, float(grid.tilts[e]), p.grad_bound,
+                               p.diameter)
+        rows.append(CertificateRow(label=f"expert-regret {grid.labels[e]}",
+                                   measured=float(own[e]) - obj.value(obj.minimize(trace.dset)),
+                                   bound=bounds[kind]))
     return CertificateReport(name="expert-regret", rows=rows)

@@ -52,7 +52,6 @@ class CenteredQuadraticLoss(Quadratic):
             raise ValueError("lam must be positive")
         self.lam = lam
         self.center = np.asarray(center, dtype=float)
-        self.modulus = lam
         super().__init__(q=-lam * self.center, r=0.5 * lam * float(self.center @ self.center),
                          iso=0.5 * lam)
 
@@ -64,7 +63,6 @@ class RidgeBatchLoss(Quadratic):
         self.X = np.asarray(X, dtype=float)
         self.y = np.asarray(y, dtype=float)
         self.lam = lam
-        self.modulus = 2.0 * lam
         n = self.X.shape[0]
         # Sufficient statistics: f(w) = w^T A w - 2 b^T w + c + lam w^T w.
         self.A = self.X.T @ self.X / n
@@ -90,10 +88,9 @@ def _log1pexp(z: np.ndarray) -> np.ndarray:
 class LogisticBatchLoss(LossOracle):
     """f(w) = (1/n) sum_i log(1 + exp(-y_i w^T x_i))."""
 
-    def __init__(self, X, y, modulus: float = 0.0):
+    def __init__(self, X, y):
         self.X = np.asarray(X, dtype=float)
         self.y = np.asarray(y, dtype=float)
-        self.modulus = modulus
         # Rows pre-multiplied by labels: f depends on Z w with Z = diag(y) X.
         self.Z = self.X * self.y[:, None]
 
@@ -313,7 +310,7 @@ def load_classification(path, rounds: int = 100, batch: int = 200,
     alpha = math.exp(-radius)
     for t in range(rounds):
         idx = np.arange(t * batch, (t + 1) * batch) % m
-        f = LogisticBatchLoss(X[idx], y[idx], modulus=alpha)
+        f = LogisticBatchLoss(X[idx], y[idx])
         losses.append(f)
         g_bound = max(g_bound, f.grad_bound())
     dset = Ball(center=np.zeros(X.shape[1]), radius=radius)
@@ -404,6 +401,11 @@ def _dset_from_json(obj: dict) -> Ball:
     return Ball(center=np.array(obj["center"]), radius=float(obj["radius"]))
 
 
+# The optional arrays of a RunTrace, as save_trace writes them.
+TRACE_ARRAYS = ("expert_points", "surrogate_losses", "log_weights", "log_phi", "loss_at_play",
+                "loss_at_comparator", "comparator")
+
+
 def save_trace(trace: RunTrace, path) -> None:
     """Serialize a trace (arrays and problem data) to JSON."""
     obj = {
@@ -419,8 +421,7 @@ def save_trace(trace: RunTrace, path) -> None:
         "plays": trace.plays.tolist(),
         "grads": trace.grads.tolist(),
     }
-    for name in ("expert_points", "surrogate_losses", "log_weights", "log_phi",
-                 "loss_at_play", "loss_at_comparator", "comparator"):
+    for name in TRACE_ARRAYS:
         arr = getattr(trace, name)
         obj[name] = None if arr is None else np.asarray(arr).tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -443,12 +444,34 @@ def load_trace(path) -> RunTrace:
         grads=np.array(obj["grads"], dtype=float),
         grid=grid,
     )
-    for name in ("expert_points", "surrogate_losses", "log_weights", "log_phi",
-                 "loss_at_play", "loss_at_comparator", "comparator"):
+    for name in TRACE_ARRAYS:
         val = obj.get(name)
         if val is not None:
             setattr(trace, name, np.array(val, dtype=float))
+    _check_trace_shapes(trace)
     return trace
+
+
+def _check_trace_shapes(trace: RunTrace) -> None:
+    """Raise ValueError unless every array has the shape T, d and the rebuilt grid imply."""
+    p = trace.params
+    T = trace.plays.shape[0] if trace.plays.ndim else 0
+    if T > p.horizon or trace.dset.dim != p.dim:
+        raise ValueError(f"trace of {T} rounds on a {trace.dset.dim}-dimensional set does not "
+                         f"fit horizon {p.horizon}, dimension {p.dim}")
+    want = {"plays": (T, p.dim), "grads": (T, p.dim), "log_phi": (T,), "loss_at_play": (T,),
+            "loss_at_comparator": (T,), "comparator": (p.dim,)}
+    if trace.grid is not None:
+        E = trace.grid.size
+        want.update(expert_points=(T, E, p.dim), surrogate_losses=(T, E), log_weights=(T, E))
+    for name in ("plays", "grads") + TRACE_ARRAYS:
+        arr = getattr(trace, name)
+        if arr is None:
+            continue
+        if name not in want:
+            raise ValueError(f"{name} needs a grid_style")
+        if arr.shape != want[name]:
+            raise ValueError(f"{name} has shape {arr.shape}, expected {want[name]}")
 
 
 @dataclass

@@ -19,11 +19,9 @@ from typing import Optional
 
 import numpy as np
 
+from . import surrogates
 from .core import DecisionSet, ProblemParams
-
-KIND_CONST = "c"
-KIND_SPHERICAL = "s"
-KIND_QUADRATIC = "ell"
+from .surrogates import KIND_CONST, KIND_QUADRATIC, KIND_SPHERICAL
 
 
 def logsumexp(v: np.ndarray) -> float:
@@ -185,26 +183,11 @@ class RunTrace:
 
 
 def recompute_surrogate_losses(trace: RunTrace) -> np.ndarray:
-    """Re-evaluate every expert's surrogate loss at its own point, per round."""
-    grid = trace.grid
-    T, E = trace.plays.shape[0], grid.size
-    G, D = trace.params.grad_bound, trace.params.diameter
-    out = np.empty((T, E))
-    kinds = np.array(grid.kinds)
-    etas = grid.tilts
-    for t in range(T):
-        diff = trace.expert_points[t] - trace.plays[t]
-        ip = diff @ trace.grads[t]
-        sq = np.einsum("ed,ed->e", diff, diff)
-        vals = etas * ip
-        is_c = kinds == KIND_CONST
-        is_s = kinds == KIND_SPHERICAL
-        is_l = kinds == KIND_QUADRATIC
-        vals[is_c] += (etas[is_c] * G * D) ** 2
-        vals[is_s] += etas[is_s] ** 2 * G**2 * sq[is_s]
-        vals[is_l] += (etas[is_l] * ip[is_l]) ** 2
-        out[t] = vals
-    return out
+    """Re-evaluate every expert's surrogate loss at its own point, for all rounds at once."""
+    grid, p = trace.grid, trace.params
+    constants = surrogates.expert_constants(grid.kinds, grid.tilts, p.grad_bound, p.diameter)
+    return surrogates.expert_values(grid.tilts, constants, trace.expert_points, trace.plays,
+                                    trace.grads)
 
 
 @dataclass
@@ -256,22 +239,16 @@ def meta_regret_certificate(trace: RunTrace, grid: Optional[ExpertGrid] = None) 
     T = trace.rounds
     G, D = trace.params.grad_bound, trace.params.diameter
     own = recompute_surrogate_losses(trace).sum(axis=0)
+    pad = surrogates.expert_constants(grid.kinds, grid.tilts, G, D)[0]
     bound_sl = meta_regret_bound(grid.horizon)
-    rows = []
-    for e, kind in enumerate(grid.kinds):
-        if kind == KIND_CONST:
-            at_play = T * (grid.tilts[e] * G * D) ** 2
-            bound = meta_regret_c_bound()
-        else:
-            at_play = 0.0
-            bound = bound_sl
-        rows.append(
-            CertificateRow(
-                label=f"meta-regret {grid.labels[e]}",
-                measured=at_play - float(own[e]),
-                bound=bound,
-            )
+    rows = [
+        CertificateRow(
+            label=f"meta-regret {grid.labels[e]}",
+            measured=T * pad[e] - float(own[e]),
+            bound=meta_regret_c_bound() if kind == KIND_CONST else bound_sl,
         )
+        for e, kind in enumerate(grid.kinds)
+    ]
     return CertificateReport(name="meta-regret", rows=rows)
 
 

@@ -9,6 +9,8 @@ three one-round surrogates in the comparator variable x:
 
 All three upper-bound the scaled linearized regret while staying exp-concave
 enough for an exponential-weights analysis, provided eta <= 2/(3 D G).
+The scalar functions are the reference; expert_values evaluates a whole
+grid of experts, each at its own point, in one vector expression.
 """
 
 from __future__ import annotations
@@ -19,13 +21,14 @@ import numpy as np
 
 from .core import as_vector
 
-ETA_CAP_NUM = 2.0
-ETA_CAP_DEN = 3.0
+KIND_CONST = "c"
+KIND_SPHERICAL = "s"
+KIND_QUADRATIC = "ell"
 
 
 def eta_cap(G: float, D: float) -> float:
     """Largest learning rate admitted by the surrogate construction, 2/(3DG)."""
-    return ETA_CAP_NUM / (ETA_CAP_DEN * D * G)
+    return 2.0 / (3.0 * D * G)
 
 
 @dataclass(frozen=True)
@@ -104,3 +107,30 @@ def exp_inequality_check(ctx: SurrogateContext, x, slack: float = 1e-12) -> bool
     pad = float(np.exp(-c_value(ctx, x)))
     upper = 1.0 - ctx.eta * ip
     return lower <= mid + slack and mid <= upper + slack and pad <= upper + slack
+
+
+def rowdot(a, b) -> np.ndarray:
+    """Dot products over the last axis, each through numpy's vector dot as in `u @ v`."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def expert_constants(kinds, etas, G: float, D: float) -> np.ndarray:
+    """Rows (pad, sph, quad) of expert_values, one column per expert, computed
+    as c_value and s_value compute them: (eta G D)^2, eta^2 G^2 and 1."""
+    out = np.zeros((3, len(kinds)))
+    for e, (kind, eta) in enumerate(zip(kinds, map(float, etas))):
+        row = (KIND_CONST, KIND_SPHERICAL, KIND_QUADRATIC).index(kind)
+        out[row, e] = ((eta * G * D) ** 2, eta**2 * G**2, 1.0)[row]
+    return out
+
+
+def expert_values(etas: np.ndarray, constants: np.ndarray, points, play, grad) -> np.ndarray:
+    """Each expert's surrogate eta ip + pad + sph ||x - x_t||^2 + quad (eta ip)^2 at its own point.
+
+    points is (..., E, d) and play, grad are (..., d), so one round and a
+    (T, E, d) stack of rounds go through the same expression.
+    """
+    pad, sph, quad = constants
+    diff = points - play[..., None, :]
+    lin = etas * rowdot(diff, grad[..., None, :])
+    return lin + pad + sph * rowdot(diff, diff) + quad * lin**2

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import experts, meta, surrogates
+from . import experts, meta
 from .core import DecisionSet, ProblemParams, as_vector
 from .meta import CertificateReport, CertificateRow, ExpertGrid, RunTrace
 
@@ -90,52 +90,26 @@ class _TiltedEnsembleLearner(Learner):
         super().__init__(params, dset)
         self.grid = grid
         self.state = meta.init_meta_state(grid)
-        self.experts = []
-        for e, kind in enumerate(grid.kinds):
-            eta = float(grid.tilts[e])
-            if kind == meta.KIND_CONST:
-                self.experts.append(experts.init_convex_expert(dset, params, eta))
-            elif kind == meta.KIND_SPHERICAL:
-                self.experts.append(experts.init_spherical_expert(dset, params, eta))
-            else:
-                self.experts.append(experts.init_newton_expert(dset, params, eta))
+        self.bank = experts.ExpertBank.build(grid.kinds, grid.tilts, params, dset)
         self._expert_points: list = []
         self._losses: list = []
         self._log_weights: list = []
         self._log_phi: list = []
 
+    @property
+    def experts(self) -> tuple:
+        """Read-only per-expert views of the bank, in grid order."""
+        return self.bank.views()
+
     def _predict(self) -> np.ndarray:
-        points = np.array([ex.iterate for ex in self.experts])
-        return meta.aggregate_play(self.state, self.grid, points)
+        return meta.aggregate_play(self.state, self.grid, self.bank.points)
 
     def _observe(self, play: np.ndarray, grad: np.ndarray) -> None:
-        G, D = self.params.grad_bound, self.params.diameter
-        contexts = {
-            eta: surrogates.SurrogateContext(play=play, grad=grad, eta=eta, G=G, D=D)
-            for eta in {float(t) for t in self.grid.tilts}
-        }
-        points = np.array([ex.iterate for ex in self.experts])
-        losses = np.empty(self.grid.size)
-        for e, kind in enumerate(self.grid.kinds):
-            ctx = contexts[float(self.grid.tilts[e])]
-            if kind == meta.KIND_CONST:
-                losses[e] = surrogates.c_value(ctx, self.experts[e].iterate)
-            elif kind == meta.KIND_SPHERICAL:
-                losses[e] = surrogates.s_value(ctx, self.experts[e].iterate)
-            else:
-                losses[e] = surrogates.ell_value(ctx, self.experts[e].iterate)
+        losses = self.bank.losses(play, grad)
         state = meta.update_weights(self.state, self.grid, losses)
-        new_experts = []
-        for e, kind in enumerate(self.grid.kinds):
-            ctx = contexts[float(self.grid.tilts[e])]
-            if kind == meta.KIND_CONST:
-                new_experts.append(experts.convex_expert_step(self.experts[e], ctx))
-            elif kind == meta.KIND_SPHERICAL:
-                new_experts.append(experts.spherical_expert_step(self.experts[e], ctx))
-            else:
-                new_experts.append(experts.newton_expert_step(self.experts[e], ctx))
-        self.state, self.experts = state, new_experts
-        self._expert_points.append(points)
+        bank = self.bank.step(play, grad)
+        self._expert_points.append(self.bank.points)
+        self.state, self.bank = state, bank
         self._losses.append(losses)
         self._log_weights.append(self.state.log_weights.copy())
         self._log_phi.append(self.state.log_potential)
@@ -211,25 +185,18 @@ class ONSLearner(Learner):
             raise ValueError("exp-concavity modulus must be positive")
         GD = params.grad_bound * params.diameter
         self.beta = 0.5 * min(alpha, 1.0 / (4.0 * GD))
-        scale = 1.0 / (self.beta**2 * params.diameter**2)
         self._x = np.zeros(params.dim)
-        self._sigma = scale * np.eye(params.dim)
-        self._sigma_inv = (1.0 / scale) * np.eye(params.dim)
+        self._sigma, self._sigma_inv = experts.newton_metric(self.beta, params.diameter, params.dim)
         self._updates = 0
 
     def _predict(self) -> np.ndarray:
         return self._x
 
     def _observe(self, play: np.ndarray, grad: np.ndarray) -> None:
-        sigma = self._sigma + np.outer(grad, grad)
-        updates = self._updates + 1
-        if updates % experts.REFACTOR_EVERY == 0:
-            sigma_inv = np.linalg.inv(sigma)
-        else:
-            sigma_inv = experts.sherman_morrison_update(self._sigma_inv, grad)
-        target = self._x - (1.0 / self.beta) * (sigma_inv @ grad)
-        self._x = self.dset.project_weighted(sigma, target)
-        self._sigma, self._sigma_inv, self._updates = sigma, sigma_inv, updates
+        self._x, self._sigma, self._sigma_inv = experts.newton_expert_step(
+            self._x, self._sigma, self._sigma_inv, self._updates, grad, self.beta, self.dset
+        )
+        self._updates += 1
 
 
 def make_learner(name: str, params: ProblemParams, dset: DecisionSet, *,

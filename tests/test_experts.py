@@ -3,27 +3,27 @@ import math
 import numpy as np
 import pytest
 
+from maler import surrogates
 from maler.core import Ball, ProblemParams
 from maler.experts import (
     REFACTOR_EVERY,
+    ExpertBank,
     convex_expert_step,
-    init_convex_expert,
-    init_newton_expert,
-    init_spherical_expert,
     expert_regret_c_bound,
     expert_regret_certificate,
     expert_regret_ell_bound,
     expert_regret_s_bound,
     newton_expert_step,
+    newton_metric,
     ons_beta,
     ons_grad_bound,
     sherman_morrison_update,
     spherical_expert_step,
     summed_surrogate,
 )
-from maler.meta import KIND_CONST, KIND_QUADRATIC, KIND_SPHERICAL
+from maler.meta import KIND_CONST, KIND_QUADRATIC, KIND_SPHERICAL, build_grid
 from maler.surrogates import SurrogateContext
-from maler.universal import MalerLearner
+from maler.universal import MalerLearner, metagrad_baseline
 
 
 BALL2 = Ball(center=np.zeros(2), radius=0.5)
@@ -40,63 +40,80 @@ def test_ons_constants():
 
 def test_convex_expert_first_step():
     eta_c = 1.0 / (2.0 * math.sqrt(PARAMS2.horizon))
-    st = init_convex_expert(BALL2, PARAMS2, eta_c)
-    ctx = SurrogateContext(play=np.zeros(2), grad=np.array([1.0, 0.0]),
-                           eta=eta_c, G=1.0, D=1.0)
-    st = convex_expert_step(st, ctx)
+    nxt = convex_expert_step(np.zeros((1, 2)), np.array([eta_c]), 1, np.array([1.0, 0.0]),
+                             1.0, 1.0, BALL2)
     # Step D/(G sqrt(1)) = 1 along -g, then projected onto the radius-1/2 ball.
-    np.testing.assert_allclose(st.iterate, [-0.5, 0.0], atol=1e-15)
-    assert st.round == 2
+    np.testing.assert_allclose(nxt, [[-0.5, 0.0]], atol=1e-15)
+    bank = ExpertBank.build((KIND_CONST,), [eta_c], PARAMS2, BALL2)
+    bank = bank.step(np.zeros(2), np.array([1.0, 0.0]))
+    np.testing.assert_allclose(bank.points, [[-0.5, 0.0]], atol=1e-15)
+    assert bank.round == 2
 
 
 def test_convex_expert_step_decays_like_inverse_sqrt():
-    eta_c = 0.05
-    st = init_convex_expert(BALL2, PARAMS2, eta_c)
+    bank = ExpertBank.build((KIND_CONST,), [0.05], PARAMS2, BALL2)
     g = np.array([0.02, 0.0])
-    ctx = SurrogateContext(play=np.zeros(2), grad=g, eta=eta_c, G=1.0, D=1.0)
-    st1 = convex_expert_step(st, ctx)
-    move1 = st1.iterate[0]
-    st2 = convex_expert_step(st1, ctx)
-    move2 = st2.iterate[0] - st1.iterate[0]
+    b1 = bank.step(np.zeros(2), g)
+    move1 = b1.points[0, 0]
+    b2 = b1.step(np.zeros(2), g)
+    move2 = b2.points[0, 0] - b1.points[0, 0]
     assert move2 / move1 == pytest.approx(1.0 / math.sqrt(2.0))
 
 
 def test_spherical_expert_first_step():
-    st = init_spherical_expert(BALL2, PARAMS2, eta=0.2)
-    ctx = SurrogateContext(play=np.zeros(2), grad=np.array([1.0, 0.0]),
-                           eta=0.2, G=1.0, D=1.0)
-    st = spherical_expert_step(st, ctx)
+    sph = np.array([0.2**2 * 1.0**2])
+    nxt = spherical_expert_step(np.zeros((1, 2)), np.array([0.2]), sph, 1, np.zeros(2),
+                                np.array([1.0, 0.0]), BALL2)
     # Rate 1/(2 eta^2 G^2) = 12.5 times grad eta*g = (0.2, 0): projected.
-    np.testing.assert_allclose(st.iterate, [-0.5, 0.0], atol=1e-15)
+    np.testing.assert_allclose(nxt, [[-0.5, 0.0]], atol=1e-15)
+    bank = ExpertBank.build((KIND_SPHERICAL,), [0.2], PARAMS2, BALL2)
+    bank = bank.step(np.zeros(2), np.array([1.0, 0.0]))
+    np.testing.assert_allclose(bank.points, [[-0.5, 0.0]], atol=1e-15)
 
 
 def test_newton_expert_hand_step():
     # D = 0.5, eta = 0.08 (the largest grid rate for G = 5), g = (5, 0).
     params = ProblemParams(horizon=16, dim=2, grad_bound=5.0, diameter=0.5)
     ball = Ball(center=np.zeros(2), radius=0.25)
-    st = init_newton_expert(ball, params, eta=0.08)
+    bank = ExpertBank.build((KIND_QUADRATIC,), [0.08], params, ball)
     beta = 25.0 / 56.0
     scale = 1.0 / (beta**2 * 0.5**2)
-    np.testing.assert_allclose(st.sigma, scale * np.eye(2))
-    ctx = SurrogateContext(play=np.zeros(2), grad=np.array([5.0, 0.0]),
-                           eta=0.08, G=5.0, D=0.5)
-    st = newton_expert_step(st, ctx)
+    np.testing.assert_allclose(bank.sigma[0], scale * np.eye(2))
+    bank = bank.step(np.zeros(2), np.array([5.0, 0.0]))
     # grad l = eta*g = (0.4, 0); sigma gains 0.16 in the (0,0) entry.
-    np.testing.assert_allclose(st.sigma, np.diag([scale + 0.16, scale]))
+    np.testing.assert_allclose(bank.sigma[0], np.diag([scale + 0.16, scale]))
     expect = -(1.0 / beta) * 0.4 / (scale + 0.16)
-    np.testing.assert_allclose(st.iterate, [expect, 0.0], atol=1e-12)
-    np.testing.assert_allclose(st.sigma_inv, np.linalg.inv(st.sigma), atol=1e-12)
+    np.testing.assert_allclose(bank.points[0], [expect, 0.0], atol=1e-12)
+    np.testing.assert_allclose(bank.sigma_inv[0], np.linalg.inv(bank.sigma[0]), atol=1e-12)
+    # The per-row kernel alone, on the surrogate gradient eta*g, gives the same step.
+    sigma, sigma_inv = newton_metric(ons_beta(0.5), 0.5, 2)
+    x, sigma, sigma_inv = newton_expert_step(np.zeros(2), sigma, sigma_inv, 0,
+                                             0.08 * np.array([5.0, 0.0]), ons_beta(0.5), ball)
+    np.testing.assert_array_equal(x, bank.points[0])
+    np.testing.assert_array_equal(sigma, bank.sigma[0])
+    np.testing.assert_array_equal(sigma_inv, bank.sigma_inv[0])
 
 
 def test_newton_expert_rejects_oversized_surrogate_gradient():
     params = ProblemParams(horizon=16, dim=2, grad_bound=5.0, diameter=0.5)
     ball = Ball(center=np.zeros(2), radius=0.25)
-    st = init_newton_expert(ball, params, eta=0.26)
-    # eta far above 1/(5DG) = 0.08 pushes ||grad l|| past 7/(25 D).
-    ctx = SurrogateContext(play=np.zeros(2), grad=np.array([5.0, 0.0]),
-                           eta=0.26, G=5.0, D=0.5)
+    bank = ExpertBank.build((KIND_CONST, KIND_QUADRATIC), [0.08, 0.26], params, ball)
+    # eta far above 1/(5DG) = 0.08 pushes ||grad l|| past 7/(25 D); the cap
+    # is checked before any row steps.
     with pytest.raises(ValueError, match="cap"):
-        newton_expert_step(st, ctx)
+        bank.step(np.zeros(2), np.array([5.0, 0.0]))
+    np.testing.assert_array_equal(bank.points, np.zeros((2, 2)))
+    assert bank.round == 1
+
+
+def test_bank_rejects_rates_above_the_surrogate_cap():
+    # 2/(3DG) = 2/3 for D = G = 1.
+    with pytest.raises(ValueError, match="2/\\(3DG\\)"):
+        ExpertBank.build((KIND_SPHERICAL,), [0.7], PARAMS2, BALL2)
+    with pytest.raises(ValueError):
+        ExpertBank.build((KIND_CONST,), [0.0], PARAMS2, BALL2)
+    with pytest.raises(ValueError):
+        ExpertBank.build(("q",), [0.1], PARAMS2, BALL2)
 
 
 def test_sherman_morrison_matches_dense_inverse():
@@ -114,53 +131,95 @@ def test_newton_expert_inverse_stays_fresh_over_100_rounds():
     rng = np.random.default_rng(4)
     params = ProblemParams(horizon=128, dim=5, grad_bound=1.0, diameter=1.0)
     ball = Ball(center=np.zeros(5), radius=0.5)
-    eta = 1.0 / 5.0
-    st = init_newton_expert(ball, params, eta=eta)
+    bank = ExpertBank.build((KIND_QUADRATIC,), [1.0 / 5.0], params, ball)
     play = np.zeros(5)
     for t in range(100):
         g = rng.normal(size=5)
         g *= rng.uniform(0.1, 1.0) / np.linalg.norm(g)
-        ctx = SurrogateContext(play=play, grad=g, eta=eta, G=1.0, D=1.0)
-        st = newton_expert_step(st, ctx)
+        bank = bank.step(play, g)
         play = ball.sample(rng)
-    assert st.updates == 100
-    assert np.max(np.abs(st.sigma_inv - np.linalg.inv(st.sigma))) <= 1e-8
+    assert bank.round - 1 == 100
+    assert np.max(np.abs(bank.sigma_inv[0] - np.linalg.inv(bank.sigma[0]))) <= 1e-8
 
 
 def test_refactor_cadence_resets_drift():
     rng = np.random.default_rng(5)
     params = ProblemParams(horizon=1024, dim=2, grad_bound=1.0, diameter=1.0)
     ball = Ball(center=np.zeros(2), radius=0.5)
-    st = init_newton_expert(ball, params, eta=0.2)
+    bank = ExpertBank.build((KIND_QUADRATIC,), [0.2], params, ball)
     play = np.zeros(2)
     for t in range(REFACTOR_EVERY):
         g = rng.normal(size=2)
         g *= rng.uniform(0.2, 1.0) / np.linalg.norm(g)
-        ctx = SurrogateContext(play=play, grad=g, eta=0.2, G=1.0, D=1.0)
-        st = newton_expert_step(st, ctx)
+        bank = bank.step(play, g)
     # The 512th update re-inverts densely, so agreement is near-exact.
-    assert st.updates == REFACTOR_EVERY
-    assert np.max(np.abs(st.sigma_inv - np.linalg.inv(st.sigma))) <= 1e-12
+    assert bank.round - 1 == REFACTOR_EVERY
+    assert np.max(np.abs(bank.sigma_inv[0] - np.linalg.inv(bank.sigma[0]))) <= 1e-12
+    # The kernel re-inverts on exactly that update: a stale inverse is discarded.
+    sigma = np.eye(2)
+    g = np.array([0.3, 0.1])
+    for updates, fresh in ((REFACTOR_EVERY - 2, False), (REFACTOR_EVERY - 1, True)):
+        _, s, s_inv = newton_expert_step(np.zeros(2), sigma, np.zeros((2, 2)), updates, g, 0.5, ball)
+        assert np.array_equal(s_inv, np.linalg.inv(s)) == fresh
 
 
 def test_expert_iterates_stay_feasible():
     rng = np.random.default_rng(6)
     params = ProblemParams(horizon=64, dim=3, grad_bound=1.0, diameter=1.0)
     ball = Ball(center=np.zeros(3), radius=0.5)
-    conv = init_convex_expert(ball, params, eta_c=1.0 / 16.0)
-    sph = init_spherical_expert(ball, params, eta=0.2)
-    newt = init_newton_expert(ball, params, eta=0.2)
+    bank = ExpertBank.build((KIND_CONST, KIND_SPHERICAL, KIND_QUADRATIC),
+                            [1.0 / 16.0, 0.2, 0.2], params, ball)
     for t in range(64):
         g = rng.normal(size=3)
         g /= max(np.linalg.norm(g), 1.0)
         play = ball.sample(rng)
-        ctx_c = SurrogateContext(play=play, grad=g, eta=1.0 / 16.0, G=1.0, D=1.0)
-        ctx = SurrogateContext(play=play, grad=g, eta=0.2, G=1.0, D=1.0)
-        conv = convex_expert_step(conv, ctx_c)
-        sph = spherical_expert_step(sph, ctx)
-        newt = newton_expert_step(newt, ctx)
-        for st in (conv, sph, newt):
-            assert ball.contains(st.iterate, tol=1e-9)
+        bank = bank.step(play, g)
+        for x in bank.points:
+            assert ball.contains(x, tol=1e-9)
+
+
+def test_expert_values_match_scalar_surrogates():
+    rng = np.random.default_rng(10)
+    T, d, G, D = 6, 3, 2.0, 1.0
+    params = ProblemParams(horizon=64, dim=d, grad_bound=G, diameter=D)
+    ball = Ball(center=np.zeros(d), radius=0.5)
+    grid = build_grid(params)
+    scalar = {KIND_CONST: surrogates.c_value, KIND_SPHERICAL: surrogates.s_value,
+              KIND_QUADRATIC: surrogates.ell_value}
+    plays, grads = _random_history(rng, T, d, G=G)
+    points = np.array([[ball.sample(rng) for _ in range(grid.size)] for _ in range(T)])
+    constants = surrogates.expert_constants(grid.kinds, grid.tilts, G, D)
+    stacked = surrogates.expert_values(grid.tilts, constants, points, plays, grads)
+    assert stacked.shape == (T, grid.size)
+    for t in range(T):
+        one = surrogates.expert_values(grid.tilts, constants, points[t], plays[t], grads[t])
+        np.testing.assert_array_equal(one, stacked[t])
+        for e, kind in enumerate(grid.kinds):
+            ctx = SurrogateContext(play=plays[t], grad=grads[t], eta=float(grid.tilts[e]), G=G, D=D)
+            assert one[e] == pytest.approx(scalar[kind](ctx, points[t, e]), rel=0, abs=1e-15)
+
+
+def test_learner_expert_views_carry_sigma_on_exactly_the_quadratic_rows():
+    rng = np.random.default_rng(11)
+    params = ProblemParams(horizon=8, dim=2, grad_bound=1.0, diameter=1.0)
+    for learner in (MalerLearner(params, BALL2), metagrad_baseline(params, BALL2)):
+        for _ in range(3):
+            learner.predict()
+            g = rng.normal(size=2)
+            learner.observe(g / max(np.linalg.norm(g), 1.0))
+        views = learner.experts
+        assert len(views) == learner.grid.size
+        ell = [e for e, kind in enumerate(learner.grid.kinds) if kind == KIND_QUADRATIC]
+        assert [e for e, ex in enumerate(views) if hasattr(ex, "sigma_inv")] == ell
+        assert [e for e, ex in enumerate(views) if hasattr(ex, "sigma")] == ell
+        np.testing.assert_array_equal(np.array([ex.iterate for ex in views]), learner.bank.points)
+        for j, e in enumerate(ell):
+            np.testing.assert_array_equal(views[e].sigma, learner.bank.sigma[j])
+            np.testing.assert_array_equal(views[e].sigma_inv, learner.bank.sigma_inv[j])
+            with pytest.raises(ValueError):
+                views[e].sigma_inv[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            views[0].iterate[0] = 1.0
 
 
 def _random_history(rng, T, d, G=1.0, radius=0.5):

@@ -60,7 +60,6 @@ def test_ridge_loss_matches_naive_formula():
     w = rng.normal(size=3)
     naive = float(np.mean((X @ w - y) ** 2)) + 0.05 * float(w @ w)
     assert f.value(w) == pytest.approx(naive, rel=1e-12)
-    assert f.modulus == pytest.approx(0.1)
 
 
 def test_ridge_grad_bound_is_a_bound():
@@ -403,6 +402,39 @@ def test_load_trace_rejects_non_ball_sets(tmp_path):
     with pytest.raises(ValueError):
         load_trace(tpath)
     assert cli.main(["certify", "--trace", str(tpath)]) == 1
+
+
+def _drop_column(key):
+    def edit(obj):
+        obj[key] = [row[:-1] for row in obj[key]]
+    return edit
+
+
+def _set(key, value):
+    def edit(obj):
+        obj[key] = value(obj)
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _set("log_phi", lambda obj: obj["log_phi"][:-3]),
+    _drop_column("expert_points"),
+    _drop_column("surrogate_losses"),
+    _drop_column("log_weights"),
+    _set("params", lambda obj: {**obj["params"], "horizon": 200}),
+    _set("params", lambda obj: {**obj["params"], "horizon": 4}),
+    _set("plays", lambda obj: obj["plays"][:-1]),
+    _drop_column("grads"),
+    _set("loss_at_play", lambda obj: obj["loss_at_play"][1:]),
+    _set("comparator", lambda obj: obj["comparator"] + [0.0]),
+], ids=["log_phi-rows", "expert_points-experts", "surrogate_losses-experts",
+        "log_weights-experts", "horizon-grid", "horizon-below-T", "plays-rows",
+        "grads-dim", "loss_at_play-rows", "comparator-dim"])
+def test_cli_certify_rejects_misshapen_traces(tmp_path, capsys, edit):
+    tpath = _tampered_trace(tmp_path, edit)
+    capsys.readouterr()
+    assert cli.main(["certify", "--trace", str(tpath)]) == 1
+    assert "error: cannot load trace" in capsys.readouterr().err
 
 
 def test_cli_error_paths(tmp_path, capsys):
