@@ -1,6 +1,6 @@
 """Universal online convex optimization with certified regret bounds."""
 
-from .core import Ball, DecisionSet, LossOracle, ProblemParams, ProjectionError, Quadratic
+from .core import Ball, LossOracle, ProblemParams, ProjectionError, Quadratic
 from .experts import expert_regret_certificate
 from .meta import (
     CertificateReport,
@@ -39,7 +39,6 @@ __all__ = [
     "Ball",
     "CertificateReport",
     "CertificateRow",
-    "DecisionSet",
     "ExpertGrid",
     "Learner",
     "LossOracle",

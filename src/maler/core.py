@@ -1,6 +1,6 @@
 """Problem data, decision-set geometry, and the quadratic-form type.
 
-The learners in this package operate on a compact convex decision set D
+The learners in this package operate on a decision set D, a Euclidean ball,
 under two standing assumptions: every loss gradient is bounded in norm
 by G, and the set has Euclidean diameter D. Both constants are part of
 the problem statement and are carried around in :class:`ProblemParams`.
@@ -54,30 +54,6 @@ def as_vector(x, dim: int) -> np.ndarray:
     return v
 
 
-class DecisionSet:
-    """Compact convex feasible region supporting membership and projection."""
-
-    dim: int
-
-    def contains(self, x, tol: float = 1e-12) -> bool:
-        raise NotImplementedError
-
-    def project(self, y) -> np.ndarray:
-        """Euclidean projection of y onto the set."""
-        raise NotImplementedError
-
-    def project_weighted(self, H, y) -> np.ndarray:
-        """argmin_x (x-y)^T H (x-y) over the set, H symmetric positive definite."""
-        raise NotImplementedError
-
-    def diameter(self) -> float:
-        raise NotImplementedError
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """Draw a point uniformly from the set."""
-        raise NotImplementedError
-
-
 def _check_spd(H, dim: int) -> np.ndarray:
     """Validate that H is symmetric positive definite, via attempted Cholesky."""
     M = np.asarray(H, dtype=float)
@@ -96,7 +72,7 @@ def _check_spd(H, dim: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Ball(DecisionSet):
+class Ball:
     """Euclidean ball { x : ||x - center|| <= radius }. Must contain the origin."""
 
     center: np.ndarray
@@ -105,10 +81,10 @@ class Ball(DecisionSet):
 
     def __post_init__(self):
         c = np.asarray(self.center, dtype=float)
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "dim", c.shape[0])
         if c.ndim != 1:
             raise ValueError("center must be a vector")
+        object.__setattr__(self, "center", c)
+        object.__setattr__(self, "dim", c.shape[0])
         if not (np.isfinite(self.radius) and self.radius > 0):
             raise ValueError(f"radius must be finite and > 0, got {self.radius}")
         if float(np.linalg.norm(c)) > self.radius + 1e-12:
@@ -119,6 +95,7 @@ class Ball(DecisionSet):
         return float(np.linalg.norm(v - self.center)) <= self.radius + tol
 
     def project(self, y) -> np.ndarray:
+        """Euclidean projection of y onto the ball."""
         v = as_vector(y, self.dim)
         z = v - self.center
         n = float(np.linalg.norm(z))
@@ -135,6 +112,7 @@ class Ball(DecisionSet):
         return p
 
     def project_weighted(self, H, y) -> np.ndarray:
+        """argmin_x (x-y)^T H (x-y) over the ball, H symmetric positive definite."""
         M = _check_spd(H, self.dim)
         v = as_vector(y, self.dim)
         if self.contains(v):
@@ -188,7 +166,7 @@ class Ball(DecisionSet):
         return 2.0 * self.radius
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        # Uniform in the ball: uniform direction times U^(1/d) radius.
+        """A uniform point: uniform direction times U^(1/d) radius."""
         z = rng.standard_normal(self.dim)
         n = float(np.linalg.norm(z))
         if n == 0.0:
@@ -205,12 +183,6 @@ class LossOracle:
 
     def gradient(self, x) -> np.ndarray:
         raise NotImplementedError
-
-    def values(self, X) -> np.ndarray:
-        """Vectorized value query; rows of X are points."""
-        return np.array([self.value(x) for x in np.asarray(X, dtype=float)])
-
-
 
 
 # Iteration cap and step tolerance of the projected-gradient fallback in

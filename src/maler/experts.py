@@ -20,19 +20,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
-from typing import Optional
 
 import numpy as np
 
 from . import surrogates
-from .core import DecisionSet, ProblemParams, Quadratic
+from .core import Ball, ProblemParams, Quadratic
 from .meta import (
     KIND_CONST,
     KIND_QUADRATIC,
     KIND_SPHERICAL,
     CertificateReport,
     CertificateRow,
-    ExpertGrid,
     RunTrace,
     recompute_surrogate_losses,
 )
@@ -63,27 +61,27 @@ def sherman_morrison_update(A_inv: np.ndarray, v: np.ndarray) -> np.ndarray:
     return A_inv - np.outer(Av, Av) / (1.0 + float(v @ Av))
 
 
-def _project_rows(dset: DecisionSet, targets: np.ndarray) -> np.ndarray:
+def _project_rows(dset: Ball, targets: np.ndarray) -> np.ndarray:
     # reshape keeps a family with no rows at (0, d)
     return np.array([dset.project(y) for y in targets]).reshape(targets.shape)
 
 
 def convex_expert_step(points: np.ndarray, etas: np.ndarray, t: int, grad: np.ndarray,
-                       G: float, D: float, dset: DecisionSet) -> np.ndarray:
+                       G: float, D: float, dset: Ball) -> np.ndarray:
     """Descend the padded linear surrogates at round t with rates D/(eta G sqrt(t))."""
     step = D / (etas * G * math.sqrt(t))
     return _project_rows(dset, points - step[:, None] * (etas[:, None] * grad))
 
 
 def spherical_expert_step(points: np.ndarray, etas: np.ndarray, sph: np.ndarray, t: int,
-                          play: np.ndarray, grad: np.ndarray, dset: DecisionSet) -> np.ndarray:
+                          play: np.ndarray, grad: np.ndarray, dset: Ball) -> np.ndarray:
     """Descend the spherical surrogates at round t with rates 1/(2 sph t), sph = eta^2 G^2."""
     g = etas[:, None] * grad + (2.0 * sph)[:, None] * (points - play)
     return _project_rows(dset, points - (1.0 / (2.0 * sph * t))[:, None] * g)
 
 
 def newton_expert_step(x: np.ndarray, sigma: np.ndarray, sigma_inv: np.ndarray, updates: int,
-                       g: np.ndarray, beta: float, dset: DecisionSet) -> tuple:
+                       g: np.ndarray, beta: float, dset: Ball) -> tuple:
     """One online Newton step on gradient g; returns the next (x, Sigma, Sigma^{-1}).
 
     updates counts the rank-one updates already in sigma; every
@@ -117,14 +115,14 @@ class ExpertBank:
     ell_slope: np.ndarray
     beta: float
     params: ProblemParams
-    dset: DecisionSet
+    dset: Ball
     points: np.ndarray
     sigma: np.ndarray
     sigma_inv: np.ndarray
     round: int = 1
 
     @classmethod
-    def build(cls, kinds, etas, params: ProblemParams, dset: DecisionSet) -> "ExpertBank":
+    def build(cls, kinds, etas, params: ProblemParams, dset: Ball) -> "ExpertBank":
         """Bank at round 1: every iterate at the origin; rates must lie in (0, 2/(3DG)]."""
         G, D = params.grad_bound, params.diameter
         etas = np.asarray(etas, dtype=float)
@@ -228,14 +226,14 @@ def summed_surrogate(kind: str, plays: np.ndarray, grads: np.ndarray, eta: float
     raise ValueError(f"unknown surrogate kind {kind!r}")
 
 
-def expert_regret_certificate(trace: RunTrace, grid: Optional[ExpertGrid] = None) -> CertificateReport:
+def expert_regret_certificate(trace: RunTrace) -> CertificateReport:
     """Check each expert's regret on its own surrogate sum against its fixed per-expert cap.
 
     The comparator is the constrained minimizer of the summed surrogate,
-    realizing the worst u in the bound's quantifier.
+    realizing the worst u in the bound's quantifier. Grid and losses both
+    come from the trace.
     """
-    if grid is None:
-        grid = trace.grid
+    grid = trace.grid
     if grid is None or trace.expert_points is None:
         raise ValueError("trace does not carry expert data")
     p = trace.params

@@ -23,7 +23,6 @@ import numpy as np
 from . import libsvm, meta, svgplot, universal
 from .core import Ball, LossOracle, ProblemParams, Quadratic
 from .experts import expert_regret_certificate
-from .libsvm import parse_libsvm
 from .meta import (
     CertificateReport,
     CertificateRow,
@@ -86,47 +85,38 @@ def _log1pexp(z: np.ndarray) -> np.ndarray:
 
 
 class LogisticBatchLoss(LossOracle):
-    """f(w) = (1/n) sum_i log(1 + exp(-y_i w^T x_i))."""
+    """f(w) = (1/per_round) sum_i log(1 + exp(-y_i w^T x_i)) over the rows of X.
+
+    per_round is the batch size, so f is the batch mean; stack(losses) is the
+    sum of same-size batches, one loss over all their rows. Everything is
+    computed from Z = diag(y) X and per_round; a stacked loss keeps only
+    those two, so it makes no second copy of X and y.
+    """
 
     def __init__(self, X, y):
         self.X = np.asarray(X, dtype=float)
         self.y = np.asarray(y, dtype=float)
         # Rows pre-multiplied by labels: f depends on Z w with Z = diag(y) X.
         self.Z = self.X * self.y[:, None]
+        self.per_round = self.Z.shape[0]
+
+    @classmethod
+    def stack(cls, losses) -> "LogisticBatchLoss":
+        """sum_t f_t for losses of one batch size, as a single loss."""
+        sizes = {f.per_round for f in losses}
+        if len(sizes) != 1:
+            raise ValueError(f"stacked losses need one batch size, got {sorted(sizes)}")
+        total = cls.__new__(cls)
+        total.Z = np.concatenate([f.Z for f in losses], axis=0)
+        total.per_round = sizes.pop()
+        return total
 
     def value(self, x) -> float:
-        m = self.Z @ np.asarray(x, dtype=float)
-        return float(np.mean(_log1pexp(-m)))
+        return float(np.sum(_log1pexp(-(self.Z @ np.asarray(x, dtype=float))))) / self.per_round
 
     def gradient(self, x) -> np.ndarray:
-        m = self.Z @ np.asarray(x, dtype=float)
-        # sigmoid(-m) = 1/(1+e^m)
-        s = 1.0 / (1.0 + np.exp(np.clip(m, -700, 700)))
-        return -(self.Z.T @ s) / self.Z.shape[0]
-
-    def values(self, X) -> np.ndarray:
-        M = np.asarray(X, dtype=float) @ self.Z.T
-        return np.mean(_log1pexp(-M), axis=1)
-
-    def grad_bound(self) -> float:
-        """Analytic cap (1/n) sum_i ||x_i|| on the gradient norm."""
-        return float(np.mean(np.linalg.norm(self.X, axis=1)))
-
-
-class _LogisticSum(LossOracle):
-    """Sum of same-batch-size logistic losses over one stacked design matrix."""
-
-    def __init__(self, losses):
-        self.Z = np.concatenate([f.Z for f in losses], axis=0)
-        self.per_round = losses[0].Z.shape[0]
-
-    def value(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(np.sum(_log1pexp(-(self.Z @ x)))) / self.per_round
-
-    def gradient(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        s = 1.0 / (1.0 + np.exp(np.clip(self.Z @ x, -700, 700)))
+        # sigmoid(-m) = 1/(1+e^m) with margins m = Z x
+        s = 1.0 / (1.0 + np.exp(np.clip(self.Z @ np.asarray(x, dtype=float), -700, 700)))
         return -(self.Z.T @ s) / self.per_round
 
     def values(self, X) -> np.ndarray:
@@ -138,31 +128,19 @@ class _LogisticSum(LossOracle):
             out[lo : lo + chunk] = np.sum(_log1pexp(-M), axis=1) / self.per_round
         return out
 
-
-class _LossSum(LossOracle):
-    """Sum of arbitrary per-round oracles, evaluated term by term."""
-
-    def __init__(self, losses):
-        self.losses = losses
-
-    def value(self, x) -> float:
-        return float(sum(f.value(x) for f in self.losses))
-
-    def gradient(self, x) -> np.ndarray:
-        return np.sum([f.gradient(x) for f in self.losses], axis=0)
-
-    def values(self, X) -> np.ndarray:
-        return np.sum([f.values(X) for f in self.losses], axis=0)
+    def grad_bound(self) -> float:
+        """Analytic cap (1/per_round) sum_i ||y_i x_i|| on the gradient norm."""
+        return float(np.sum(np.linalg.norm(self.Z, axis=1))) / self.per_round
 
 
 def _loss_sum(losses) -> LossOracle:
-    """The summed loss: one Quadratic when every term is one, else a fused sum."""
+    """The summed loss: one Quadratic or one stacked LogisticBatchLoss."""
     losses = list(losses)
     if losses and all(isinstance(f, Quadratic) for f in losses):
         return functools.reduce(operator.add, losses)
-    if {type(f) for f in losses} == {LogisticBatchLoss}:
-        return _LogisticSum(losses)
-    return _LossSum(losses)
+    if losses and all(type(f) is LogisticBatchLoss for f in losses):
+        return LogisticBatchLoss.stack(losses)
+    raise TypeError("offline_comparator sums quadratic-only or logistic-only loss lists")
 
 
 @dataclass
@@ -194,7 +172,8 @@ def _grid_points(ball: Ball) -> np.ndarray:
 def offline_comparator(losses, dset: Ball):
     """Minimize the summed loss over the ball by projected gradient descent.
 
-    Quadratic sums start from their exact minimizer; others from the
+    losses must be all quadratic or all logistic (TypeError otherwise).
+    Quadratic sums start from their exact minimizer, logistic ones from the
     origin's projection. Step size 1/(L_hat sqrt(k)) with L_hat estimated
     from sampled gradient norms; stops early once the gradient-mapping
     residual is negligible. For dim <= 2 the result is cross-checked
@@ -256,6 +235,8 @@ def gen_regression(rounds: int = 200, dim: int = 50, batch: int = 200,
                    seed: int = 0) -> RegressionTask:
     """Sample the regression stream: hidden w in a diameter-1 ball, features
     in a diameter-10 ball, Gaussian label noise, fresh batch per round."""
+    if min(rounds, dim, batch) < 1:
+        raise ValueError(f"rounds, dim and batch must be >= 1, got {rounds}, {dim}, {batch}")
     rng = np.random.default_rng(seed)
     r_w, r_x = 0.5, 5.0
     w_star = sample_ball(rng, 1, dim, r_w)[0]
@@ -294,6 +275,8 @@ def load_classification(path, rounds: int = 100, batch: int = 200,
                         radius: float = 0.5, seed: int = 0) -> ClassificationTask:
     """Build the classification stream: features scaled into the unit ball,
     rows shuffled by seed, batches cycling through the file."""
+    if min(rounds, batch) < 1:
+        raise ValueError(f"rounds and batch must be >= 1, got {rounds}, {batch}")
     rows = libsvm.parse_libsvm(path)
     if not rows:
         raise ValueError(f"no examples in {path}")
@@ -430,24 +413,29 @@ def save_trace(trace: RunTrace, path) -> None:
 
 
 def load_trace(path) -> RunTrace:
-    """Rebuild a RunTrace from its JSON serialization."""
+    """Rebuild a RunTrace from its JSON serialization; ValueError if it is malformed."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    params = ProblemParams(**obj["params"])
-    style = obj.get("grid_style")
-    grid = None if style is None else meta.build_grid(params, style)
-    trace = RunTrace(
-        algo=obj["algo"],
-        params=params,
-        dset=_dset_from_json(obj["dset"]),
-        plays=np.array(obj["plays"], dtype=float),
-        grads=np.array(obj["grads"], dtype=float),
-        grid=grid,
-    )
-    for name in TRACE_ARRAYS:
-        val = obj.get(name)
-        if val is not None:
-            setattr(trace, name, np.array(val, dtype=float))
+    if not isinstance(obj, dict):
+        raise ValueError(f"trace must be a JSON object, not {type(obj).__name__}")
+    try:
+        params = ProblemParams(**obj["params"])
+        style = obj.get("grid_style")
+        grid = None if style is None else meta.build_grid(params, style)
+        trace = RunTrace(
+            algo=obj["algo"],
+            params=params,
+            dset=_dset_from_json(obj["dset"]),
+            plays=np.array(obj["plays"], dtype=float),
+            grads=np.array(obj["grads"], dtype=float),
+            grid=grid,
+        )
+        for name in TRACE_ARRAYS:
+            val = obj.get(name)
+            if val is not None:
+                setattr(trace, name, np.array(val, dtype=float))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed trace: {type(exc).__name__}: {exc}") from None
     _check_trace_shapes(trace)
     return trace
 

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import surrogates
-from .core import DecisionSet, ProblemParams
+from .core import Ball, ProblemParams
 from .surrogates import KIND_CONST, KIND_QUADRATIC, KIND_SPHERICAL
 
 
@@ -120,11 +120,10 @@ class MetaState:
 
     log_weights: np.ndarray
     log_potential: float
-    rounds: int
 
 
 def init_meta_state(grid: ExpertGrid) -> MetaState:
-    return MetaState(log_weights=grid.log_priors.copy(), log_potential=0.0, rounds=0)
+    return MetaState(log_weights=grid.log_priors.copy(), log_potential=0.0)
 
 
 def aggregate_play(state: MetaState, grid: ExpertGrid, points: np.ndarray) -> np.ndarray:
@@ -147,11 +146,7 @@ def update_weights(state: MetaState, grid: ExpertGrid, losses: np.ndarray) -> Me
         raise ValueError("surrogate losses must be finite")
     shifted = state.log_weights - lv
     z = logsumexp(shifted)
-    return MetaState(
-        log_weights=shifted - z,
-        log_potential=state.log_potential + z,
-        rounds=state.rounds + 1,
-    )
+    return MetaState(log_weights=shifted - z, log_potential=state.log_potential + z)
 
 
 @dataclass
@@ -160,7 +155,7 @@ class RunTrace:
 
     algo: str
     params: ProblemParams
-    dset: DecisionSet
+    dset: Ball
     plays: np.ndarray
     grads: np.ndarray
     grid: Optional[ExpertGrid] = None
@@ -222,16 +217,16 @@ class CertificateReport:
         return min(self.rows, key=lambda r: r.slack)
 
 
-def meta_regret_certificate(trace: RunTrace, grid: Optional[ExpertGrid] = None) -> CertificateReport:
+def meta_regret_certificate(trace: RunTrace) -> CertificateReport:
     """Check each expert's meta regret against its exponential-weights bound.
 
     Meta regret of expert e is sum_t f~(x_t) - sum_t f~(x_t^e) where f~ is
     e's surrogate. At x = x_t the spherical and quadratic surrogates vanish
     and the constant-pad surrogate equals (eta_c G D)^2, so the first term
     is recomputed directly; the second is re-evaluated from the trace.
+    Grid and losses both come from the trace.
     """
-    if grid is None:
-        grid = trace.grid
+    grid = trace.grid
     if grid is None or trace.expert_points is None:
         raise ValueError("trace does not carry expert data")
     if grid.style != "maler":
@@ -252,8 +247,12 @@ def meta_regret_certificate(trace: RunTrace, grid: Optional[ExpertGrid] = None) 
     return CertificateReport(name="meta-regret", rows=rows)
 
 
-def potential_certificate(trace: RunTrace, slack: float = 1e-9) -> CertificateReport:
-    """Check that log Phi_t never increases and never exceeds 0."""
+# Rounding allowance of the potential certificate: log Phi may rise by this much.
+POTENTIAL_SLACK = 1e-9
+
+
+def potential_certificate(trace: RunTrace) -> CertificateReport:
+    """Check that log Phi_t never increases and never exceeds 0, up to POTENTIAL_SLACK."""
     if trace.log_phi is None:
         raise ValueError("trace does not carry the potential diagnostic")
     phi = np.concatenate([[0.0], np.asarray(trace.log_phi, dtype=float)])
@@ -261,9 +260,10 @@ def potential_certificate(trace: RunTrace, slack: float = 1e-9) -> CertificateRe
         CertificateRow(
             label=f"log-potential step t={t}",
             measured=float(phi[t] - phi[t - 1]),
-            bound=slack,
+            bound=POTENTIAL_SLACK,
         )
         for t in range(1, phi.shape[0])
     ]
-    rows.append(CertificateRow(label="log-potential final", measured=float(phi[-1]), bound=slack))
+    rows.append(CertificateRow(label="log-potential final", measured=float(phi[-1]),
+                               bound=POTENTIAL_SLACK))
     return CertificateReport(name="potential", rows=rows)

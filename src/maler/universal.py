@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import experts, meta
-from .core import DecisionSet, ProblemParams, as_vector
+from .core import Ball, ProblemParams, as_vector
 from .meta import CertificateReport, CertificateRow, ExpertGrid, RunTrace
 
 
@@ -34,7 +34,7 @@ class Learner:
 
     algo = "learner"
 
-    def __init__(self, params: ProblemParams, dset: DecisionSet):
+    def __init__(self, params: ProblemParams, dset: Ball):
         if dset.dim != params.dim:
             raise ValueError("decision set dimension does not match the problem")
         self.params = params
@@ -86,7 +86,7 @@ class Learner:
 class _TiltedEnsembleLearner(Learner):
     """Shared engine: a grid of experts under tilted exponential weights."""
 
-    def __init__(self, params: ProblemParams, dset: DecisionSet, grid: ExpertGrid):
+    def __init__(self, params: ProblemParams, dset: Ball, grid: ExpertGrid):
         super().__init__(params, dset)
         self.grid = grid
         self.state = meta.init_meta_state(grid)
@@ -130,11 +130,11 @@ class MalerLearner(_TiltedEnsembleLearner):
 
     algo = "maler"
 
-    def __init__(self, params: ProblemParams, dset: DecisionSet):
+    def __init__(self, params: ProblemParams, dset: Ball):
         super().__init__(params, dset, meta.build_grid(params))
 
 
-def metagrad_baseline(params: ProblemParams, dset: DecisionSet) -> Learner:
+def metagrad_baseline(params: ProblemParams, dset: Ball) -> Learner:
     """Baseline ensemble with quadratic-surrogate experts only."""
     learner = _TiltedEnsembleLearner(params, dset, meta.build_grid(params, "metagrad"))
     learner.algo = "metagrad"
@@ -144,34 +144,28 @@ def metagrad_baseline(params: ProblemParams, dset: DecisionSet) -> Learner:
 class OGDLearner(Learner):
     """Projected online gradient descent on the true gradients.
 
-    mode "convex" uses the D/(G sqrt(t)) schedule; mode "strongly-convex"
-    uses 1/(lam t) for a declared modulus lam.
+    With no modulus it is "ogd-convex", on the D/(G sqrt(t)) schedule; with a
+    strong-convexity modulus lam > 0 it is "ogd-sc", on the 1/(lam t) schedule.
     """
 
-    def __init__(self, params: ProblemParams, dset: DecisionSet, mode: str = "convex",
-                 sc_modulus: Optional[float] = None):
+    def __init__(self, params: ProblemParams, dset: Ball, sc_modulus: Optional[float] = None):
         super().__init__(params, dset)
-        if mode not in ("convex", "strongly-convex"):
-            raise ValueError(f"unknown OGD mode {mode!r}")
-        if mode == "strongly-convex":
-            if sc_modulus is None or sc_modulus <= 0:
-                raise ValueError("strongly-convex OGD needs a positive modulus")
-        self.mode = mode
+        if sc_modulus is not None and not sc_modulus > 0:
+            raise ValueError(f"strong-convexity modulus must be positive, got {sc_modulus}")
         self.sc_modulus = sc_modulus
-        self.algo = "ogd-convex" if mode == "convex" else "ogd-sc"
+        self.algo = "ogd-convex" if sc_modulus is None else "ogd-sc"
         self._x = np.zeros(params.dim)
-        self._t = 1
 
     def _predict(self) -> np.ndarray:
         return self._x
 
     def _observe(self, play: np.ndarray, grad: np.ndarray) -> None:
-        if self.mode == "convex":
-            step = self.params.diameter / (self.params.grad_bound * math.sqrt(self._t))
+        t = len(self._plays) + 1
+        if self.sc_modulus is None:
+            step = self.params.diameter / (self.params.grad_bound * math.sqrt(t))
         else:
-            step = 1.0 / (self.sc_modulus * self._t)
+            step = 1.0 / (self.sc_modulus * t)
         self._x = self.dset.project(self._x - step * grad)
-        self._t += 1
 
 
 class ONSLearner(Learner):
@@ -179,7 +173,7 @@ class ONSLearner(Learner):
 
     algo = "ons"
 
-    def __init__(self, params: ProblemParams, dset: DecisionSet, alpha: float):
+    def __init__(self, params: ProblemParams, dset: Ball, alpha: float):
         super().__init__(params, dset)
         if alpha <= 0:
             raise ValueError("exp-concavity modulus must be positive")
@@ -187,19 +181,17 @@ class ONSLearner(Learner):
         self.beta = 0.5 * min(alpha, 1.0 / (4.0 * GD))
         self._x = np.zeros(params.dim)
         self._sigma, self._sigma_inv = experts.newton_metric(self.beta, params.diameter, params.dim)
-        self._updates = 0
 
     def _predict(self) -> np.ndarray:
         return self._x
 
     def _observe(self, play: np.ndarray, grad: np.ndarray) -> None:
         self._x, self._sigma, self._sigma_inv = experts.newton_expert_step(
-            self._x, self._sigma, self._sigma_inv, self._updates, grad, self.beta, self.dset
+            self._x, self._sigma, self._sigma_inv, len(self._plays), grad, self.beta, self.dset
         )
-        self._updates += 1
 
 
-def make_learner(name: str, params: ProblemParams, dset: DecisionSet, *,
+def make_learner(name: str, params: ProblemParams, dset: Ball, *,
                  sc_modulus: Optional[float] = None,
                  exp_concavity: Optional[float] = None) -> Learner:
     """Construct a learner by CLI name."""
@@ -208,9 +200,11 @@ def make_learner(name: str, params: ProblemParams, dset: DecisionSet, *,
     if name == "metagrad":
         return metagrad_baseline(params, dset)
     if name == "ogd-convex":
-        return OGDLearner(params, dset, mode="convex")
+        return OGDLearner(params, dset)
     if name == "ogd-sc":
-        return OGDLearner(params, dset, mode="strongly-convex", sc_modulus=sc_modulus)
+        if sc_modulus is None:
+            raise ValueError("ogd-sc baseline needs the strong-convexity modulus")
+        return OGDLearner(params, dset, sc_modulus=sc_modulus)
     if name == "ons":
         if exp_concavity is None:
             raise ValueError("ons baseline needs the exp-concavity modulus")
@@ -249,14 +243,11 @@ class RegretDiagnostics:
     cum_v_ell: np.ndarray
 
 
-def regret_diagnostics(trace: RunTrace, comparator=None) -> RegretDiagnostics:
-    """Per-round regret and deviation series against a fixed comparator."""
-    if comparator is None:
-        comparator = trace.comparator
-    if comparator is None or trace.loss_at_play is None or trace.loss_at_comparator is None:
+def regret_diagnostics(trace: RunTrace) -> RegretDiagnostics:
+    """Per-round regret and deviation series against the trace's comparator."""
+    if trace.comparator is None or trace.loss_at_play is None or trace.loss_at_comparator is None:
         raise ValueError("trace lacks comparator loss data")
-    u = np.asarray(comparator, dtype=float)
-    diff = trace.plays - u
+    diff = trace.plays - trace.comparator
     G = trace.params.grad_bound
     v_s_steps = G**2 * np.einsum("td,td->t", diff, diff)
     v_ell_steps = np.einsum("td,td->t", diff, trace.grads) ** 2
@@ -271,14 +262,14 @@ def regret_diagnostics(trace: RunTrace, comparator=None) -> RegretDiagnostics:
     )
 
 
-def regret_bound_certificate(trace: RunTrace, comparator=None) -> CertificateReport:
+def regret_bound_certificate(trace: RunTrace) -> CertificateReport:
     """Check measured regret against the three simultaneous regret bounds.
 
     The worst-case bound 2(1+ln3) G D sqrt(T) and the two adaptive bounds
     3 sqrt(V B) + 10 G D B must all hold at once, with V the spherical or
     quadratic cumulative deviation and B the matching constant.
     """
-    diag = regret_diagnostics(trace, comparator)
+    diag = regret_diagnostics(trace)
     p = trace.params
     T, d = trace.plays.shape
     GD = p.grad_bound * p.diameter

@@ -86,6 +86,34 @@ def test_logistic_loss_is_stable_and_bounded():
         assert np.linalg.norm(f.gradient(w)) <= cap * (1 + 1e-12)
 
 
+def test_logistic_stack_is_the_term_by_term_sum():
+    rng = np.random.default_rng(11)
+    losses = []
+    for _ in range(4):
+        X = rng.normal(size=(7, 3))
+        losses.append(LogisticBatchLoss(X, np.where(rng.uniform(size=7) < 0.5, -1.0, 1.0)))
+    total = LogisticBatchLoss.stack(losses)
+    assert total.per_round == 7
+    pts = rng.normal(size=(5, 3)) * 0.5
+    for x in pts:
+        assert total.value(x) == pytest.approx(sum(f.value(x) for f in losses), rel=1e-12)
+        np.testing.assert_allclose(total.gradient(x), np.sum([f.gradient(x) for f in losses], axis=0),
+                                   rtol=1e-12, atol=0)
+    np.testing.assert_allclose(total.values(pts), np.sum([f.values(pts) for f in losses], axis=0),
+                               rtol=1e-12, atol=0)
+    with pytest.raises(ValueError):
+        LogisticBatchLoss.stack([losses[0], LogisticBatchLoss(np.ones((3, 3)), np.ones(3))])
+
+
+def test_offline_comparator_rejects_mixed_loss_lists():
+    rng = np.random.default_rng(12)
+    ball = Ball(center=np.zeros(2), radius=0.5)
+    X = rng.normal(size=(6, 2))
+    mixed = [LinearLoss(np.array([0.3, -0.1])), LogisticBatchLoss(X, np.sign(X[:, 0]))]
+    with pytest.raises(TypeError):
+        offline_comparator(mixed, ball)
+
+
 def test_offline_comparator_linear_ball_closed_form():
     rng = np.random.default_rng(4)
     ball = Ball(center=np.zeros(2), radius=0.5)
@@ -151,6 +179,22 @@ def test_gen_regression_shapes_and_scales():
     for f in task.losses[:3]:
         for w in sample_ball(rng, 50, 4, 0.5):
             assert np.linalg.norm(f.gradient(w)) <= task.params.grad_bound * (1 + 1e-9)
+
+
+def test_task_builders_reject_non_positive_sizes(tmp_path, capsys):
+    for sizes in ({"rounds": 0}, {"dim": 0}, {"batch": 0}, {"dim": -3}):
+        with pytest.raises(ValueError):
+            gen_regression(**{"rounds": 3, "dim": 2, "batch": 4, **sizes})
+    path = tmp_path / "d.libsvm"
+    gen_classification_file(path, examples=20, dim=3, seed=1)
+    for sizes in ({"rounds": 0}, {"batch": 0}):
+        with pytest.raises(ValueError):
+            load_classification(path, **{"rounds": 3, "batch": 4, **sizes})
+    for flags in (["--dim", "0"], ["--batch", "0"], ["--rounds", "0"],
+                  ["--task", "classification", "--data", str(path), "--batch", "0"]):
+        capsys.readouterr()
+        assert cli.main(["run", "--rounds", "3", *flags]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_gen_regression_deterministic():
@@ -364,8 +408,8 @@ def _tampered_trace(tmp_path, edit):
     ]) == 0
     tpath = out / "trace_maler.json"
     obj = json.loads(tpath.read_text())
-    edit(obj)
-    tpath.write_text(json.dumps(obj))
+    replaced = edit(obj)
+    tpath.write_text(json.dumps(obj if replaced is None else replaced))
     return tpath
 
 
@@ -427,9 +471,14 @@ def _set(key, value):
     _drop_column("grads"),
     _set("loss_at_play", lambda obj: obj["loss_at_play"][1:]),
     _set("comparator", lambda obj: obj["comparator"] + [0.0]),
+    lambda obj: [obj],
+    _set("params", lambda obj: {**obj["params"], "extra": 1}),
+    _set("params", lambda obj: {**obj["params"], "horizon": "6"}),
+    _set("dset", lambda obj: {**obj["dset"], "center": 0.0}),
 ], ids=["log_phi-rows", "expert_points-experts", "surrogate_losses-experts",
         "log_weights-experts", "horizon-grid", "horizon-below-T", "plays-rows",
-        "grads-dim", "loss_at_play-rows", "comparator-dim"])
+        "grads-dim", "loss_at_play-rows", "comparator-dim", "top-level-list",
+        "params-extra-key", "horizon-string", "center-scalar"])
 def test_cli_certify_rejects_misshapen_traces(tmp_path, capsys, edit):
     tpath = _tampered_trace(tmp_path, edit)
     capsys.readouterr()

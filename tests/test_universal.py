@@ -89,7 +89,7 @@ def test_plays_stay_feasible():
         MalerLearner(PARAMS, BALL),
         metagrad_baseline(PARAMS, BALL),
         OGDLearner(PARAMS, BALL),
-        OGDLearner(PARAMS, BALL, mode="strongly-convex", sc_modulus=0.5),
+        OGDLearner(PARAMS, BALL, sc_modulus=0.5),
         ONSLearner(PARAMS, BALL, alpha=0.5),
     ]
     for _ in range(16):
@@ -117,7 +117,7 @@ def test_ogd_convex_step_schedule():
 def test_ogd_sc_step_schedule():
     ball = Ball(center=np.zeros(1), radius=50.0)
     params = ProblemParams(horizon=8, dim=1, grad_bound=1.0, diameter=100.0)
-    learner = OGDLearner(params, ball, mode="strongly-convex", sc_modulus=0.1)
+    learner = OGDLearner(params, ball, sc_modulus=0.1)
     learner.predict()
     learner.observe(np.array([1.0]))
     np.testing.assert_allclose(learner.predict(), [-10.0], atol=1e-12)
@@ -126,18 +126,25 @@ def test_ogd_sc_step_schedule():
 
 
 def test_ogd_requires_modulus():
-    with pytest.raises(ValueError):
-        OGDLearner(PARAMS, BALL, mode="strongly-convex")
-    with pytest.raises(ValueError):
-        OGDLearner(PARAMS, BALL, mode="bogus")
+    # The schedule follows the modulus: none is convex, a positive one is
+    # strongly convex, and anything else is rejected.
+    assert OGDLearner(PARAMS, BALL).algo == "ogd-convex"
+    assert OGDLearner(PARAMS, BALL, sc_modulus=0.5).algo == "ogd-sc"
+    for bad in (0.0, -0.5, float("nan")):
+        with pytest.raises(ValueError):
+            OGDLearner(PARAMS, BALL, sc_modulus=bad)
 
 
 def test_ogd_baselines_factory():
     convex = make_learner("ogd-convex", PARAMS, BALL, sc_modulus=0.2)
-    assert isinstance(convex, OGDLearner) and convex.mode == "convex"
+    assert isinstance(convex, OGDLearner) and convex.algo == "ogd-convex"
+    assert convex.sc_modulus is None
     sc = make_learner("ogd-sc", PARAMS, BALL, sc_modulus=0.2)
-    assert isinstance(sc, OGDLearner) and sc.mode == "strongly-convex"
+    assert isinstance(sc, OGDLearner) and sc.algo == "ogd-sc"
     assert sc.sc_modulus == 0.2
+    for bad in (0.0, -0.2):
+        with pytest.raises(ValueError):
+            make_learner("ogd-sc", PARAMS, BALL, sc_modulus=bad)
     # The strongly convex baseline exists only with a declared modulus.
     with pytest.raises(ValueError):
         make_learner("ogd-sc", PARAMS, BALL)
@@ -275,7 +282,7 @@ def _snapshot(learner):
         "plays": trace.plays.copy(), "grads": trace.grads.copy(),
         "expert_points": trace.expert_points.copy(), "log_weights": trace.log_weights.copy(),
         "log_phi": trace.log_phi.copy(), "state": learner.state.log_weights.copy(),
-        "rounds": learner.state.rounds,
+        "rounds": learner.bank.round,
         "iterates": np.array([ex.iterate for ex in learner.experts]),
     }
 
@@ -325,4 +332,4 @@ def test_ons_observe_is_atomic_on_projection_failure(monkeypatch):
             learner.observe(np.array([0.9, 0.1]))
     np.testing.assert_array_equal(learner._sigma, sigma)
     np.testing.assert_array_equal(learner._x, x)
-    assert learner._updates == 1 and learner.trace().rounds == 1
+    assert learner.trace().rounds == 1
