@@ -8,6 +8,8 @@ the problem statement and are carried around in :class:`ProblemParams`.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +33,10 @@ class ProblemParams:
     diameter: float
 
     def __post_init__(self):
+        for name in ("horizon", "dim"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.dim < 1:
@@ -134,7 +140,9 @@ class Ball:
         a = lam * w
 
         def offset_norm(mu: float) -> float:
-            return float(np.linalg.norm(a / (lam + mu)))
+            # np.linalg.norm's own arithmetic for a float vector, minus its wrapper
+            q = a / (lam + mu)
+            return math.sqrt(q.dot(q))
 
         lo = 0.0
         hi = max(float(lam[-1]), 1.0)

@@ -58,7 +58,7 @@ def newton_metric(beta: float, D: float, dim: int) -> tuple:
 def sherman_morrison_update(A_inv: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Inverse of (A + v v^T) given A_inv, via the rank-one identity."""
     Av = A_inv @ v
-    return A_inv - np.outer(Av, Av) / (1.0 + float(v @ Av))
+    return A_inv - Av[:, None] * Av / (1.0 + float(v @ Av))
 
 
 def _project_rows(dset: Ball, targets: np.ndarray) -> np.ndarray:
@@ -87,7 +87,7 @@ def newton_expert_step(x: np.ndarray, sigma: np.ndarray, sigma_inv: np.ndarray, 
     updates counts the rank-one updates already in sigma; every
     REFACTOR_EVERY-th update re-inverts densely instead.
     """
-    sigma = sigma + np.outer(g, g)
+    sigma = sigma + g[:, None] * g
     if (updates + 1) % REFACTOR_EVERY == 0:
         sigma_inv = np.linalg.inv(sigma)
     else:

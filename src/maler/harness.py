@@ -10,6 +10,7 @@ optional SVG regret plot.
 
 from __future__ import annotations
 
+import base64
 import functools
 import json
 import math
@@ -388,10 +389,41 @@ def _dset_from_json(obj: dict) -> Ball:
 TRACE_ARRAYS = ("expert_points", "surrogate_losses", "log_weights", "log_phi", "loss_at_play",
                 "loss_at_comparator", "comparator")
 
+# Layout version save_trace writes; a trace without the key is the legacy
+# layout, every array a nested JSON list.
+TRACE_FORMAT = 2
+
+
+def _encode_array(arr) -> dict:
+    """An array as its shape and its raw little-endian float64 bytes in base64."""
+    a = np.ascontiguousarray(arr, dtype="<f8")
+    return {"shape": list(a.shape), "f8": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def _decode_array(obj) -> np.ndarray:
+    """Inverse of _encode_array, as a writable native float array; ValueError if malformed."""
+    if not isinstance(obj, dict) or set(obj) != {"shape", "f8"}:
+        raise ValueError("an array must be an object with exactly the keys 'shape' and 'f8'")
+    shape, data = obj["shape"], obj["f8"]
+    if not isinstance(shape, list) or not all(
+            isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape):
+        raise ValueError(f"array shape must be a list of non-negative integers, got {shape!r}")
+    if not isinstance(data, str):
+        raise ValueError("array data 'f8' must be a base64 string")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError as exc:
+        raise ValueError(f"array data 'f8' is not valid base64: {exc}") from None
+    size = 8 * math.prod(shape)
+    if len(raw) != size:
+        raise ValueError(f"array of shape {shape} needs {size} bytes, got {len(raw)}")
+    return np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
+
 
 def save_trace(trace: RunTrace, path) -> None:
-    """Serialize a trace (arrays and problem data) to JSON."""
+    """Serialize a trace to JSON: problem data as JSON values, arrays as _encode_array."""
     obj = {
+        "format": TRACE_FORMAT,
         "algo": trace.algo,
         "params": {
             "horizon": trace.params.horizon,
@@ -401,23 +433,29 @@ def save_trace(trace: RunTrace, path) -> None:
         },
         "dset": _dset_to_json(trace.dset),
         "grid_style": trace.grid.style if trace.grid is not None else None,
-        "plays": trace.plays.tolist(),
-        "grads": trace.grads.tolist(),
     }
-    for name in TRACE_ARRAYS:
+    for name in ("plays", "grads") + TRACE_ARRAYS:
         arr = getattr(trace, name)
-        obj[name] = None if arr is None else np.asarray(arr).tolist()
+        obj[name] = None if arr is None else _encode_array(arr)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh)
-        fh.write("\n")
+        fh.write(json.dumps(obj) + "\n")
 
 
 def load_trace(path) -> RunTrace:
-    """Rebuild a RunTrace from its JSON serialization; ValueError if it is malformed."""
+    """Rebuild a RunTrace from save_trace's JSON or the legacy nested-list layout.
+
+    Raises ValueError if the file is malformed.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):
         raise ValueError(f"trace must be a JSON object, not {type(obj).__name__}")
+    if "format" not in obj:
+        array = functools.partial(np.array, dtype=float)
+    elif type(obj["format"]) is int and obj["format"] == TRACE_FORMAT:
+        array = _decode_array
+    else:
+        raise ValueError(f"unknown trace format {obj['format']!r}")
     try:
         params = ProblemParams(**obj["params"])
         style = obj.get("grid_style")
@@ -426,14 +464,14 @@ def load_trace(path) -> RunTrace:
             algo=obj["algo"],
             params=params,
             dset=_dset_from_json(obj["dset"]),
-            plays=np.array(obj["plays"], dtype=float),
-            grads=np.array(obj["grads"], dtype=float),
+            plays=array(obj["plays"]),
+            grads=array(obj["grads"]),
             grid=grid,
         )
         for name in TRACE_ARRAYS:
             val = obj.get(name)
             if val is not None:
-                setattr(trace, name, np.array(val, dtype=float))
+                setattr(trace, name, array(val))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed trace: {type(exc).__name__}: {exc}") from None
     _check_trace_shapes(trace)

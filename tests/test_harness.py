@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import os
@@ -10,6 +11,7 @@ from maler import cli
 from maler.core import Ball, ProblemParams
 from maler.harness import (
     CSV_HEADER,
+    TRACE_ARRAYS,
     CenteredQuadraticLoss,
     ExperimentConfig,
     LinearLoss,
@@ -318,12 +320,22 @@ def test_csv_reproducible_from_saved_traces(tmp_path):
                 assert float(parts[5]) == pytest.approx(trace.log_phi[t], abs=1e-12)
 
 
-def test_trace_round_trip(tmp_path):
-    task = gen_regression(rounds=6, dim=2, batch=5, seed=7)
-    learner = MalerLearner(task.params, task.dset)
-    trace = run_stream(learner, task.losses)
+def _full_trace(rounds):
+    """A maler trace with every array set; rounds=0 gives zero-row arrays."""
+    task = gen_regression(rounds=max(rounds, 1), dim=2, batch=5, seed=7)
+    trace = run_stream(MalerLearner(task.params, task.dset), task.losses[:rounds])
     x, _ = offline_comparator(task.losses, task.dset)
-    trace.with_comparator(x, np.array([f.value(x) for f in task.losses]))
+    trace.with_comparator(x, np.array([f.value(x) for f in task.losses[:rounds]]))
+    if rounds == 0:
+        E = trace.grid.size
+        trace.expert_points = np.zeros((0, E, 2))
+        trace.surrogate_losses = trace.log_weights = np.zeros((0, E))
+        trace.log_phi = np.zeros(0)
+    return trace
+
+
+def test_trace_round_trip(tmp_path):
+    trace = _full_trace(6)
     path = tmp_path / "t.json"
     save_trace(trace, path)
     again = load_trace(path)
@@ -385,32 +397,60 @@ def test_cli_run_and_certify(tmp_path, capsys):
     assert "certificates PASS" in capsys.readouterr().out
 
 
-def test_cli_certify_detects_tampering(tmp_path, capsys):
-    out = tmp_path / "exp"
-    assert cli.main([
-        "run", "--task", "regression", "--rounds", "6", "--dim", "2", "--batch", "5",
-        "--seed", "4", "--algos", "maler", "--out", str(out),
-    ]) == 0
-    tpath = out / "trace_maler.json"
-    obj = json.loads(tpath.read_text())
-    obj["log_phi"][3] = obj["log_phi"][2] + 0.5
-    tpath.write_text(json.dumps(obj))
-    rc = cli.main(["certify", "--trace", str(tpath)])
-    assert rc == 2
-    assert "FAIL" in capsys.readouterr().out
+# The run every tamper test edits; tests/data/trace_v1_maler.json is its
+# trace in the legacy nested-list layout.
+SMALL_RUN = ["run", "--task", "regression", "--rounds", "6", "--dim", "2", "--batch", "5",
+             "--seed", "4", "--algos", "maler"]
+LEGACY_TRACE = os.path.join(os.path.dirname(__file__), "data", "trace_v1_maler.json")
+ARRAY_KEYS = ("plays", "grads") + TRACE_ARRAYS
 
 
-def _tampered_trace(tmp_path, edit):
+def _encode(values) -> dict:
+    a = np.asarray(values, dtype=float)
+    return {"shape": list(a.shape), "f8": base64.b64encode(a.astype("<f8").tobytes()).decode()}
+
+
+def _decode(obj) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(obj["f8"]), dtype="<f8").reshape(obj["shape"])
+
+
+def _small_run_trace(tmp_path):
     out = tmp_path / "exp"
-    assert cli.main([
-        "run", "--task", "regression", "--rounds", "6", "--dim", "2", "--batch", "5",
-        "--seed", "4", "--algos", "maler", "--out", str(out),
-    ]) == 0
-    tpath = out / "trace_maler.json"
+    assert cli.main([*SMALL_RUN, "--out", str(out)]) == 0
+    return out / "trace_maler.json"
+
+
+def _rewritten(tpath, edit):
     obj = json.loads(tpath.read_text())
     replaced = edit(obj)
     tpath.write_text(json.dumps(obj if replaced is None else replaced))
     return tpath
+
+
+def _tampered_trace(tmp_path, edit):
+    """The small run's trace with edit applied to its arrays as nested lists, saved as format 2."""
+    def on_lists(obj):
+        assert obj["format"] == 2
+        for name in ARRAY_KEYS:
+            if obj[name] is not None:
+                obj[name] = _decode(obj[name]).tolist()
+        replaced = edit(obj)
+        for name in ARRAY_KEYS:
+            if isinstance(obj.get(name), list):
+                obj[name] = _encode(obj[name])
+        return replaced
+
+    return _rewritten(_small_run_trace(tmp_path), on_lists)
+
+
+def test_cli_certify_detects_tampering(tmp_path, capsys):
+    def raise_phi(obj):
+        obj["log_phi"][3] = obj["log_phi"][2] + 0.5
+
+    tpath = _tampered_trace(tmp_path, raise_phi)
+    rc = cli.main(["certify", "--trace", str(tpath)])
+    assert rc == 2
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_cli_certify_flags_play_outside_ball(tmp_path, capsys):
@@ -475,15 +515,89 @@ def _set(key, value):
     _set("params", lambda obj: {**obj["params"], "extra": 1}),
     _set("params", lambda obj: {**obj["params"], "horizon": "6"}),
     _set("dset", lambda obj: {**obj["dset"], "center": 0.0}),
+    _set("params", lambda obj: {**obj["params"], "horizon": 6.5}),
+    _set("params", lambda obj: {**obj["params"], "dim": 2.0}),
+    _set("params", lambda obj: {**obj["params"], "horizon": True}),
 ], ids=["log_phi-rows", "expert_points-experts", "surrogate_losses-experts",
         "log_weights-experts", "horizon-grid", "horizon-below-T", "plays-rows",
         "grads-dim", "loss_at_play-rows", "comparator-dim", "top-level-list",
-        "params-extra-key", "horizon-string", "center-scalar"])
+        "params-extra-key", "horizon-string", "center-scalar", "horizon-fraction",
+        "dim-float", "horizon-bool"])
 def test_cli_certify_rejects_misshapen_traces(tmp_path, capsys, edit):
     tpath = _tampered_trace(tmp_path, edit)
     capsys.readouterr()
     assert cli.main(["certify", "--trace", str(tpath)]) == 1
     assert "error: cannot load trace" in capsys.readouterr().err
+
+
+def _set_array(key, **fields):
+    def edit(obj):
+        obj[key] = {**obj[key], **fields}
+    return edit
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (_set_array("plays", f8="!!!!"), "not valid base64"),
+    (_set_array("plays", f8="AAAAA"), "not valid base64"),
+    (_set_array("log_phi", f8=""), "needs 48 bytes, got 0"),
+    (_set_array("grads", shape=[6, 3]), "needs 144 bytes, got 96"),
+    (_set_array("plays", shape=[-6, -2]), "non-negative integers"),
+    (_set_array("plays", shape=[6.0, 2]), "non-negative integers"),
+    (_set_array("comparator", shape=[True, True]), "non-negative integers"),
+    (_set_array("comparator", shape=2), "non-negative integers"),
+    (_set_array("comparator", f8=None), "base64 string"),
+    (_set_array("plays", dtype="f8"), "exactly the keys"),
+    (_set("log_weights", lambda obj: _decode(obj["log_weights"]).tolist()), "exactly the keys"),
+    (_set("format", lambda obj: 3), "unknown trace format"),
+    (_set("format", lambda obj: "2"), "unknown trace format"),
+    (_set("format", lambda obj: None), "unknown trace format"),
+], ids=["base64-alphabet", "base64-padding", "bytes-short", "bytes-vs-shape",
+        "shape-negative", "shape-float", "shape-bool", "shape-scalar", "data-null",
+        "extra-key", "list-in-format-2", "format-3", "format-string", "format-null"])
+def test_load_trace_rejects_malformed_arrays(tmp_path, capsys, edit, reason):
+    tpath = _rewritten(_small_run_trace(tmp_path), edit)
+    with pytest.raises(ValueError, match=reason):
+        load_trace(tpath)
+    capsys.readouterr()
+    assert cli.main(["certify", "--trace", str(tpath)]) == 1
+    assert "error: cannot load trace" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rounds", [6, 0])
+def test_trace_arrays_round_trip_bit_exact(tmp_path, rounds):
+    trace = _full_trace(rounds)
+    if rounds:
+        # Non-finite entries, one a NaN with a payload, survive bit for bit.
+        payload_nan = np.frombuffer(np.uint64(0x7FF8_0000_0000_0123).tobytes(), dtype=float)[0]
+        trace.log_phi = trace.log_phi.copy()
+        trace.log_phi[1:4] = [payload_nan, np.inf, -np.inf]
+        trace.expert_points = trace.expert_points.copy()
+        trace.expert_points[2, 0, 1] = -0.0
+    path = tmp_path / "t.json"
+    save_trace(trace, path)
+    assert json.loads(path.read_text())["format"] == 2
+    again = load_trace(path)
+    for name in ARRAY_KEYS:
+        want, got = getattr(trace, name), getattr(again, name)
+        assert got is not None, name
+        assert got.dtype == np.float64 and got.flags.writeable and got.shape == want.shape, name
+        assert got.tobytes() == np.asarray(want, dtype=float).tobytes(), name
+
+
+def test_legacy_trace_loads_like_its_format_2_run(tmp_path):
+    with open(LEGACY_TRACE, encoding="utf-8") as fh:
+        assert "format" not in json.load(fh)
+    legacy = load_trace(LEGACY_TRACE)
+    current = load_trace(_small_run_trace(tmp_path))
+    for name in ARRAY_KEYS:
+        assert getattr(legacy, name).tobytes() == getattr(current, name).tobytes(), name
+    (legacy_reports, legacy_ok), (reports, ok) = certify_trace(legacy), certify_trace(current)
+    assert legacy_ok and ok
+
+    def rows(reps):
+        return [(rep.name, row.label, row.measured, row.bound) for rep in reps for row in rep.rows]
+
+    assert rows(legacy_reports) == rows(reports)
 
 
 def test_cli_error_paths(tmp_path, capsys):
