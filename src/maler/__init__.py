@@ -17,7 +17,6 @@ from .meta import (
     update_weights,
 )
 from .libsvm import parse_libsvm, write_libsvm
-from .surrogates import SurrogateContext, exp_inequality_check
 from .universal import (
     AssumptionViolation,
     Learner,
@@ -51,10 +50,8 @@ __all__ = [
     "ProtocolError",
     "Quadratic",
     "RunTrace",
-    "SurrogateContext",
     "aggregate_play",
     "build_grid",
-    "exp_inequality_check",
     "expert_regret_certificate",
     "init_meta_state",
     "make_learner",

@@ -8,8 +8,6 @@ import sys
 from . import harness
 from .universal import AssumptionViolation
 
-KNOWN_ALGOS = ("maler", "metagrad", "ogd-convex", "ogd-sc", "ons")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="maler",
@@ -20,7 +18,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--task", choices=("regression", "classification"),
                      default="regression")
     run.add_argument("--algos", default=None,
-                     help="comma-separated subset of " + ",".join(KNOWN_ALGOS))
+                     help="comma-separated subset of "
+                     + ",".join(harness.DEFAULT_ALGOS["regression"]))
     run.add_argument("--rounds", type=int, default=200)
     run.add_argument("--dim", type=int, default=50)
     run.add_argument("--batch", type=int, default=200)
@@ -38,21 +37,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _default_algos(task: str) -> tuple:
-    if task == "classification":
-        return ("maler", "metagrad", "ogd-convex", "ons")
-    return KNOWN_ALGOS
-
-
 def cmd_run(args) -> int:
-    algos = tuple(a for a in (args.algos or "").split(",") if a) or _default_algos(args.task)
+    algos = tuple(a for a in (args.algos or "").split(",") if a)
+    known = harness.DEFAULT_ALGOS["regression"]  # the regression task runs every algo
     for a in algos:
-        if a not in KNOWN_ALGOS:
-            print(f"unknown algo {a!r}; known: {', '.join(KNOWN_ALGOS)}", file=sys.stderr)
+        if a not in known:
+            print(f"unknown algo {a!r}; known: {', '.join(known)}", file=sys.stderr)
             return 2
     cfg = harness.ExperimentConfig(
         task=args.task,
-        algos=algos,
+        algos=algos or None,
         rounds=args.rounds,
         dim=args.dim,
         batch=args.batch,

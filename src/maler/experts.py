@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -96,10 +95,6 @@ def newton_expert_step(x: np.ndarray, sigma: np.ndarray, sigma_inv: np.ndarray, 
     return dset.project_weighted(sigma, target), sigma, sigma_inv
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    return np.broadcast_to(a, a.shape)  # a view numpy refuses to write through
-
-
 @dataclass(frozen=True)
 class ExpertBank:
     """All experts of one grid as arrays; step returns the next bank.
@@ -174,14 +169,6 @@ class ExpertBank:
                 X[e], self.sigma[j], self.sigma_inv[j], t - 1, ell_grads[j], self.beta, self.dset
             )
         return replace(self, points=nxt, sigma=sigma, sigma_inv=sigma_inv, round=t + 1)
-
-    def views(self) -> tuple:
-        """Read-only per-expert views: iterate, plus sigma and sigma_inv on quadratic rows."""
-        out = [SimpleNamespace(iterate=_readonly(x)) for x in self.points]
-        for j, e in enumerate(self.rows[2]):
-            out[e].sigma = _readonly(self.sigma[j])
-            out[e].sigma_inv = _readonly(self.sigma_inv[j])
-        return tuple(out)
 
 
 def expert_regret_s_bound(horizon: int) -> float:

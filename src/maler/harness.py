@@ -37,11 +37,10 @@ CSV_HEADER = "round,algo,cum_regret,V_s,V_ell,log_phi"
 
 
 class LinearLoss(Quadratic):
-    """f(x) = g^T x with a fixed gradient."""
+    """f(x) = g^T x with a fixed gradient g, kept as q."""
 
     def __init__(self, g):
-        self.g = np.asarray(g, dtype=float)
-        super().__init__(q=self.g)
+        super().__init__(q=g)
 
 
 class CenteredQuadraticLoss(Quadratic):
@@ -50,30 +49,26 @@ class CenteredQuadraticLoss(Quadratic):
     def __init__(self, lam: float, center):
         if lam <= 0:
             raise ValueError("lam must be positive")
-        self.lam = lam
-        self.center = np.asarray(center, dtype=float)
-        super().__init__(q=-lam * self.center, r=0.5 * lam * float(self.center @ self.center),
-                         iso=0.5 * lam)
+        a = np.asarray(center, dtype=float)
+        super().__init__(q=-lam * a, r=0.5 * lam * float(a @ a), iso=0.5 * lam)
 
 
 class RidgeBatchLoss(Quadratic):
-    """f(w) = (1/n) sum_i (w^T x_i - y_i)^2 + lam ||w||^2, 2*lam strongly convex."""
+    """f(w) = (1/n) sum_i (w^T x_i - y_i)^2 + lam ||w||^2, 2*lam strongly convex.
 
-    def __init__(self, X, y, lam: float):
-        self.X = np.asarray(X, dtype=float)
-        self.y = np.asarray(y, dtype=float)
-        self.lam = lam
-        n = self.X.shape[0]
-        # Sufficient statistics: f(w) = w^T A w - 2 b^T w + c + lam w^T w.
-        self.A = self.X.T @ self.X / n
-        self.b = self.X.T @ self.y / n
-        super().__init__(q=-2.0 * self.b, r=float(self.y @ self.y) / n, iso=lam, M=self.A)
+    Keeps only the quadratic form, M = X^T X / n, q = -2 X^T y / n, r = y^T y / n
+    and iso = lam, and grad_bound, the analytic sup of ||gradient|| over the
+    origin-centered ball of the given radius.
+    """
 
-    def grad_bound_over(self, radius: float) -> float:
-        """Analytic sup of ||gradient|| over the ball of given radius."""
-        norms = np.linalg.norm(self.X, axis=1)
-        n = self.X.shape[0]
-        return (2.0 / n) * float(np.sum(norms * (radius * norms + np.abs(self.y)))) + 2.0 * self.lam * radius
+    def __init__(self, X, y, lam: float, radius: float):
+        X = np.asarray(X, dtype=float)
+        y = np.asarray(y, dtype=float)
+        n = X.shape[0]
+        super().__init__(q=-2.0 * (X.T @ y / n), r=float(y @ y) / n, iso=lam, M=X.T @ X / n)
+        norms = np.linalg.norm(X, axis=1)
+        spread = float(np.sum(norms * (radius * norms + np.abs(y))))
+        self.grad_bound = (2.0 / n) * spread + 2.0 * lam * radius
 
 
 def _log1pexp(z: np.ndarray) -> np.ndarray:
@@ -86,20 +81,16 @@ def _log1pexp(z: np.ndarray) -> np.ndarray:
 
 
 class LogisticBatchLoss(LossOracle):
-    """f(w) = (1/per_round) sum_i log(1 + exp(-y_i w^T x_i)) over the rows of X.
+    """f(w) = (1/per_round) sum_i log(1 + exp(-z_i^T w)) over the rows z_i = y_i x_i of Z.
 
-    per_round is the batch size, so f is the batch mean; stack(losses) is the
-    sum of same-size batches, one loss over all their rows. Everything is
-    computed from Z = diag(y) X and per_round; a stacked loss keeps only
-    those two, so it makes no second copy of X and y.
+    Z = diag(y) X is the batch with its rows pre-multiplied by their labels,
+    and per_round the batch size, so f is the batch mean; stack(losses) is
+    the sum of same-size batches, one loss over all their rows.
     """
 
-    def __init__(self, X, y):
-        self.X = np.asarray(X, dtype=float)
-        self.y = np.asarray(y, dtype=float)
-        # Rows pre-multiplied by labels: f depends on Z w with Z = diag(y) X.
-        self.Z = self.X * self.y[:, None]
-        self.per_round = self.Z.shape[0]
+    def __init__(self, Z, per_round: int):
+        self.Z = np.asarray(Z, dtype=float)
+        self.per_round = per_round
 
     @classmethod
     def stack(cls, losses) -> "LogisticBatchLoss":
@@ -107,10 +98,7 @@ class LogisticBatchLoss(LossOracle):
         sizes = {f.per_round for f in losses}
         if len(sizes) != 1:
             raise ValueError(f"stacked losses need one batch size, got {sorted(sizes)}")
-        total = cls.__new__(cls)
-        total.Z = np.concatenate([f.Z for f in losses], axis=0)
-        total.per_round = sizes.pop()
-        return total
+        return cls(np.concatenate([f.Z for f in losses], axis=0), sizes.pop())
 
     def value(self, x) -> float:
         return float(np.sum(_log1pexp(-(self.Z @ np.asarray(x, dtype=float))))) / self.per_round
@@ -129,8 +117,9 @@ class LogisticBatchLoss(LossOracle):
             out[lo : lo + chunk] = np.sum(_log1pexp(-M), axis=1) / self.per_round
         return out
 
+    @property
     def grad_bound(self) -> float:
-        """Analytic cap (1/per_round) sum_i ||y_i x_i|| on the gradient norm."""
+        """Analytic cap (1/per_round) sum_i ||z_i|| on the gradient norm."""
         return float(np.sum(np.linalg.norm(self.Z, axis=1))) / self.per_round
 
 
@@ -247,9 +236,9 @@ def gen_regression(rounds: int = 200, dim: int = 50, batch: int = 200,
     for _ in range(rounds):
         X = sample_ball(rng, batch, dim, r_x)
         y = X @ w_star + noise_std * rng.standard_normal(batch)
-        f = RidgeBatchLoss(X, y, lam)
+        f = RidgeBatchLoss(X, y, lam, r_w)
         losses.append(f)
-        g_bound = max(g_bound, f.grad_bound_over(r_w))
+        g_bound = max(g_bound, f.grad_bound)
     params = ProblemParams(horizon=rounds, dim=dim, grad_bound=g_bound, diameter=2 * r_w)
     return RegressionTask(
         w_star=w_star,
@@ -294,9 +283,9 @@ def load_classification(path, rounds: int = 100, batch: int = 200,
     alpha = math.exp(-radius)
     for t in range(rounds):
         idx = np.arange(t * batch, (t + 1) * batch) % m
-        f = LogisticBatchLoss(X[idx], y[idx])
+        f = LogisticBatchLoss(X[idx] * y[idx][:, None], batch)
         losses.append(f)
-        g_bound = max(g_bound, f.grad_bound())
+        g_bound = max(g_bound, f.grad_bound)
     dset = Ball(center=np.zeros(X.shape[1]), radius=radius)
     params = ProblemParams(horizon=rounds, dim=X.shape[1], grad_bound=g_bound,
                            diameter=2 * radius)
@@ -345,7 +334,7 @@ def certificates_for(trace: RunTrace, sc_modulus: Optional[float] = None,
                      exp_concavity: Optional[float] = None) -> list:
     """All certificate reports that apply to this trace."""
     reports = []
-    if trace.log_phi is not None:
+    if trace.grid is not None:
         reports.append(potential_certificate(trace))
     if trace.grid is not None and trace.grid.style == "maler":
         reports.append(meta_regret_certificate(trace))
@@ -385,9 +374,14 @@ def _dset_from_json(obj: dict) -> Ball:
     return Ball(center=np.array(obj["center"]), radius=float(obj["radius"]))
 
 
-# The optional arrays of a RunTrace, as save_trace writes them.
-TRACE_ARRAYS = ("expert_points", "surrogate_losses", "log_weights", "log_phi", "loss_at_play",
-                "loss_at_comparator", "comparator")
+# Every array of a RunTrace, in the order save_trace writes them; the four
+# GRID_ARRAYS are recorded by an ensemble only, the others by every learner.
+TRACE_ARRAYS = ("plays", "grads", "expert_points", "surrogate_losses", "log_weights", "log_phi",
+                "loss_at_play", "loss_at_comparator", "comparator")
+GRID_ARRAYS = TRACE_ARRAYS[2:6]
+
+# The ensemble algos; each runs on the grid style of its own name, every other algo on none.
+GRID_ALGOS = ("maler", "metagrad")
 
 # Layout version save_trace writes; a trace without the key is the legacy
 # layout, every array a nested JSON list.
@@ -434,7 +428,7 @@ def save_trace(trace: RunTrace, path) -> None:
         "dset": _dset_to_json(trace.dset),
         "grid_style": trace.grid.style if trace.grid is not None else None,
     }
-    for name in ("plays", "grads") + TRACE_ARRAYS:
+    for name in TRACE_ARRAYS:
         arr = getattr(trace, name)
         obj[name] = None if arr is None else _encode_array(arr)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -444,7 +438,10 @@ def save_trace(trace: RunTrace, path) -> None:
 def load_trace(path) -> RunTrace:
     """Rebuild a RunTrace from save_trace's JSON or the legacy nested-list layout.
 
-    Raises ValueError if the file is malformed.
+    The algo fixes the grid style, and the trace must carry exactly the
+    arrays that learner records: every one of TRACE_ARRAYS for an ensemble,
+    all but GRID_ARRAYS otherwise. Raises ValueError if the file is
+    malformed or an array is missing.
     """
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
@@ -458,20 +455,19 @@ def load_trace(path) -> RunTrace:
         raise ValueError(f"unknown trace format {obj['format']!r}")
     try:
         params = ProblemParams(**obj["params"])
-        style = obj.get("grid_style")
-        grid = None if style is None else meta.build_grid(params, style)
-        trace = RunTrace(
-            algo=obj["algo"],
-            params=params,
-            dset=_dset_from_json(obj["dset"]),
-            plays=array(obj["plays"]),
-            grads=array(obj["grads"]),
-            grid=grid,
-        )
+        algo, style = obj["algo"], obj.get("grid_style")
+        expected = algo if algo in GRID_ALGOS else None
+        if style != expected:
+            raise ValueError(f"algo {algo!r} runs on grid_style {expected!r}, not {style!r}")
+        carried = [n for n in TRACE_ARRAYS if style is not None or n not in GRID_ARRAYS]
         for name in TRACE_ARRAYS:
-            val = obj.get(name)
-            if val is not None:
-                setattr(trace, name, array(val))
+            if name in carried and obj.get(name) is None:
+                raise ValueError(f"a trace of algo {algo!r} must carry {name}")
+            if name not in carried and obj.get(name) is not None:
+                raise ValueError(f"a trace of algo {algo!r} carries no {name}")
+        trace = RunTrace(algo=algo, params=params, dset=_dset_from_json(obj["dset"]),
+                         grid=None if style is None else meta.build_grid(params, style),
+                         **{name: array(obj[name]) for name in carried})
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed trace: {type(exc).__name__}: {exc}") from None
     _check_trace_shapes(trace)
@@ -485,27 +481,31 @@ def _check_trace_shapes(trace: RunTrace) -> None:
     if T > p.horizon or trace.dset.dim != p.dim:
         raise ValueError(f"trace of {T} rounds on a {trace.dset.dim}-dimensional set does not "
                          f"fit horizon {p.horizon}, dimension {p.dim}")
-    want = {"plays": (T, p.dim), "grads": (T, p.dim), "log_phi": (T,), "loss_at_play": (T,),
+    want = {"plays": (T, p.dim), "grads": (T, p.dim), "loss_at_play": (T,),
             "loss_at_comparator": (T,), "comparator": (p.dim,)}
     if trace.grid is not None:
         E = trace.grid.size
-        want.update(expert_points=(T, E, p.dim), surrogate_losses=(T, E), log_weights=(T, E))
-    for name in ("plays", "grads") + TRACE_ARRAYS:
+        want.update(expert_points=(T, E, p.dim), surrogate_losses=(T, E), log_weights=(T, E),
+                    log_phi=(T,))
+    for name, shape in want.items():
         arr = getattr(trace, name)
-        if arr is None:
-            continue
-        if name not in want:
-            raise ValueError(f"{name} needs a grid_style")
-        if arr.shape != want[name]:
-            raise ValueError(f"{name} has shape {arr.shape}, expected {want[name]}")
+        if arr.shape != shape:
+            raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+
+
+# Each task's default learners; the strongly convex regression task runs every algo.
+DEFAULT_ALGOS = {
+    "regression": ("maler", "metagrad", "ogd-convex", "ogd-sc", "ons"),
+    "classification": ("maler", "metagrad", "ogd-convex", "ons"),
+}
 
 
 @dataclass
 class ExperimentConfig:
-    """Everything one `run` invocation needs."""
+    """Everything one `run` invocation needs; algos None runs DEFAULT_ALGOS[task]."""
 
     task: str = "regression"
-    algos: tuple = ("maler", "metagrad", "ogd-convex", "ogd-sc", "ons")
+    algos: Optional[tuple] = None
     rounds: int = 200
     dim: int = 50
     batch: int = 200
@@ -516,6 +516,10 @@ class ExperimentConfig:
     radius: float = 0.5
     out: Optional[str] = None
     svg: bool = False
+
+    def __post_init__(self):
+        if self.algos is None:
+            self.algos = DEFAULT_ALGOS.get(self.task, ())
 
 
 @dataclass

@@ -49,13 +49,10 @@ def meta_regret_c_bound() -> float:
 
 @dataclass(frozen=True)
 class ExpertGrid:
-    """Immutable roster of experts: kind, learning rate, tilt, and prior."""
+    """Immutable roster of experts: kind, tilt (its learning rate), log prior and label."""
 
     style: str
     horizon: int
-    k: int
-    eta_c: float
-    etas: np.ndarray
     kinds: tuple
     tilts: np.ndarray
     log_priors: np.ndarray
@@ -64,10 +61,6 @@ class ExpertGrid:
     @property
     def size(self) -> int:
         return len(self.kinds)
-
-    @property
-    def priors(self) -> np.ndarray:
-        return np.exp(self.log_priors)
 
 
 def build_grid(params: ProblemParams, style: str = "maler") -> ExpertGrid:
@@ -104,9 +97,6 @@ def build_grid(params: ProblemParams, style: str = "maler") -> ExpertGrid:
     return ExpertGrid(
         style=style,
         horizon=T,
-        k=k,
-        eta_c=eta_c,
-        etas=etas,
         kinds=tuple(kinds),
         tilts=tilts,
         log_priors=np.log(priors),

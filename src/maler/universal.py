@@ -74,13 +74,10 @@ class Learner:
         raise NotImplementedError
 
     def trace(self) -> RunTrace:
-        return RunTrace(
-            algo=self.algo,
-            params=self.params,
-            dset=self.dset,
-            plays=np.array(self._plays) if self._plays else np.zeros((0, self.params.dim)),
-            grads=np.array(self._grads) if self._grads else np.zeros((0, self.params.dim)),
-        )
+        d = self.params.dim
+        return RunTrace(algo=self.algo, params=self.params, dset=self.dset,
+                        plays=np.array(self._plays).reshape(-1, d),
+                        grads=np.array(self._grads).reshape(-1, d))
 
 
 class _TiltedEnsembleLearner(Learner):
@@ -95,11 +92,6 @@ class _TiltedEnsembleLearner(Learner):
         self._losses: list = []
         self._log_weights: list = []
         self._log_phi: list = []
-
-    @property
-    def experts(self) -> tuple:
-        """Read-only per-expert views of the bank, in grid order."""
-        return self.bank.views()
 
     def _predict(self) -> np.ndarray:
         return meta.aggregate_play(self.state, self.grid, self.bank.points)
@@ -116,12 +108,12 @@ class _TiltedEnsembleLearner(Learner):
 
     def trace(self) -> RunTrace:
         t = super().trace()
+        E, d = self.grid.size, self.params.dim
         t.grid = self.grid
-        if self._expert_points:
-            t.expert_points = np.array(self._expert_points)
-            t.surrogate_losses = np.array(self._losses)
-            t.log_weights = np.array(self._log_weights)
-            t.log_phi = np.array(self._log_phi)
+        t.expert_points = np.array(self._expert_points).reshape(-1, E, d)
+        t.surrogate_losses = np.array(self._losses).reshape(-1, E)
+        t.log_weights = np.array(self._log_weights).reshape(-1, E)
+        t.log_phi = np.array(self._log_phi)
         return t
 
 
@@ -175,10 +167,7 @@ class ONSLearner(Learner):
 
     def __init__(self, params: ProblemParams, dset: Ball, alpha: float):
         super().__init__(params, dset)
-        if alpha <= 0:
-            raise ValueError("exp-concavity modulus must be positive")
-        GD = params.grad_bound * params.diameter
-        self.beta = 0.5 * min(alpha, 1.0 / (4.0 * GD))
+        self.beta = exp_concave_beta(params, alpha)
         self._x = np.zeros(params.dim)
         self._sigma, self._sigma_inv = experts.newton_metric(self.beta, params.diameter, params.dim)
 
@@ -189,6 +178,14 @@ class ONSLearner(Learner):
         self._x, self._sigma, self._sigma_inv = experts.newton_expert_step(
             self._x, self._sigma, self._sigma_inv, len(self._plays), grad, self.beta, self.dset
         )
+
+
+def exp_concave_beta(params: ProblemParams, alpha: float) -> float:
+    """ONS step parameter beta = min(alpha, 1/(4 G D)) / 2 for alpha-exp-concave losses."""
+    if alpha <= 0:
+        raise ValueError("exp-concavity modulus must be positive")
+    GD = params.grad_bound * params.diameter
+    return 0.5 * min(alpha, 1.0 / (4.0 * GD))
 
 
 def make_learner(name: str, params: ProblemParams, dset: Ball, *,
@@ -307,8 +304,6 @@ def strongly_convex_regret_bound(params: ProblemParams, lam: float) -> float:
 
 def exp_concave_regret_bound(params: ProblemParams, alpha: float) -> float:
     """Regret bound (10 G D + 9 / (2 beta)) B for alpha-exp-concave losses."""
-    if alpha <= 0:
-        raise ValueError("modulus must be positive")
     p = params
-    beta = 0.5 * min(alpha, 1.0 / (4.0 * p.grad_bound * p.diameter))
+    beta = exp_concave_beta(p, alpha)
     return (10.0 * p.grad_bound * p.diameter + 9.0 / (2.0 * beta)) * bound_constant_b(p.horizon, p.dim)

@@ -23,7 +23,7 @@ from maler.experts import (
 )
 from maler.meta import KIND_CONST, KIND_QUADRATIC, KIND_SPHERICAL, build_grid
 from maler.surrogates import SurrogateContext
-from maler.universal import MalerLearner, metagrad_baseline
+from maler.universal import MalerLearner, ONSLearner, metagrad_baseline
 
 
 BALL2 = Ball(center=np.zeros(2), radius=0.5)
@@ -199,27 +199,31 @@ def test_expert_values_match_scalar_surrogates():
             assert one[e] == pytest.approx(scalar[kind](ctx, points[t, e]), rel=0, abs=1e-15)
 
 
-def test_learner_expert_views_carry_sigma_on_exactly_the_quadratic_rows():
-    rng = np.random.default_rng(11)
-    params = ProblemParams(horizon=8, dim=2, grad_bound=1.0, diameter=1.0)
-    for learner in (MalerLearner(params, BALL2), metagrad_baseline(params, BALL2)):
-        for _ in range(3):
-            learner.predict()
-            g = rng.normal(size=2)
-            learner.observe(g / max(np.linalg.norm(g), 1.0))
-        views = learner.experts
-        assert len(views) == learner.grid.size
-        ell = [e for e, kind in enumerate(learner.grid.kinds) if kind == KIND_QUADRATIC]
-        assert [e for e, ex in enumerate(views) if hasattr(ex, "sigma_inv")] == ell
-        assert [e for e, ex in enumerate(views) if hasattr(ex, "sigma")] == ell
-        np.testing.assert_array_equal(np.array([ex.iterate for ex in views]), learner.bank.points)
-        for j, e in enumerate(ell):
-            np.testing.assert_array_equal(views[e].sigma, learner.bank.sigma[j])
-            np.testing.assert_array_equal(views[e].sigma_inv, learner.bank.sigma_inv[j])
-            with pytest.raises(ValueError):
-                views[e].sigma_inv[0, 0] = 0.0
-        with pytest.raises(ValueError):
-            views[0].iterate[0] = 1.0
+def test_newton_sigma_stays_exactly_symmetric_and_positive_definite():
+    # Sigma = I / (beta D)^2 plus rank-one updates g[:, None] * g, each exactly
+    # symmetric, so every Newton row of maler and metagrad, and ONS, keeps an
+    # exactly symmetric Sigma with a Cholesky factor, whatever the scale of G and D.
+    rng = np.random.default_rng(2026)
+    for _ in range(16):
+        G, D = 10.0 ** rng.uniform(-4.0, 4.0, size=2)
+        d, T = int(rng.integers(1, 5)), 24
+        params = ProblemParams(horizon=T, dim=d, grad_bound=G, diameter=D)
+        ball = Ball(center=np.zeros(d), radius=D / 2)
+        ensembles = [MalerLearner(params, ball), metagrad_baseline(params, ball)]
+        ons = ONSLearner(params, ball, alpha=float(10.0 ** rng.uniform(-3.0, 0.0)))
+        for learner in ensembles:
+            ell = [e for e, kind in enumerate(learner.grid.kinds) if kind == KIND_QUADRATIC]
+            np.testing.assert_array_equal(learner.bank.rows[2], ell)
+            assert learner.bank.sigma.shape == learner.bank.sigma_inv.shape == (len(ell), d, d)
+        for _ in range(T):
+            g = rng.standard_normal(d)
+            g *= G * rng.uniform() / np.linalg.norm(g)
+            for learner in ensembles + [ons]:
+                learner.predict()
+                learner.observe(g)
+            for S in [*ensembles[0].bank.sigma, *ensembles[1].bank.sigma, ons._sigma]:
+                assert np.array_equal(S, S.T), (G, D)
+                np.linalg.cholesky(S)
 
 
 def _random_history(rng, T, d, G=1.0, radius=0.5):

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from conftest import fd_matches
-from maler import cli
+from maler import cli, harness
 from maler.core import Ball, ProblemParams
 from maler.harness import (
     CSV_HEADER,
+    GRID_ARRAYS,
     TRACE_ARRAYS,
     CenteredQuadraticLoss,
     ExperimentConfig,
@@ -37,11 +38,12 @@ def test_loss_oracle_gradients_match_fd():
     d = 4
     X = rng.normal(size=(6, d))
     y = rng.normal(size=6)
+    labels = np.sign(y) + (np.sign(y) == 0)
     oracles = [
         LinearLoss(rng.normal(size=d)),
         CenteredQuadraticLoss(0.7, rng.normal(size=d) * 0.2),
-        RidgeBatchLoss(X, y, lam=0.01),
-        LogisticBatchLoss(X, np.sign(y) + (np.sign(y) == 0)),
+        RidgeBatchLoss(X, y, lam=0.01, radius=0.5),
+        LogisticBatchLoss(X * labels[:, None], 6),
     ]
     for f in oracles:
         for _ in range(10):
@@ -58,7 +60,7 @@ def test_ridge_loss_matches_naive_formula():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(8, 3))
     y = rng.normal(size=8)
-    f = RidgeBatchLoss(X, y, lam=0.05)
+    f = RidgeBatchLoss(X, y, lam=0.05, radius=0.5)
     w = rng.normal(size=3)
     naive = float(np.mean((X @ w - y) ** 2)) + 0.05 * float(w @ w)
     assert f.value(w) == pytest.approx(naive, rel=1e-12)
@@ -68,8 +70,8 @@ def test_ridge_grad_bound_is_a_bound():
     rng = np.random.default_rng(2)
     X = rng.normal(size=(30, 4))
     y = rng.normal(size=30)
-    f = RidgeBatchLoss(X, y, lam=0.01)
-    cap = f.grad_bound_over(0.5)
+    f = RidgeBatchLoss(X, y, lam=0.01, radius=0.5)
+    cap = f.grad_bound
     for w in sample_ball(rng, 200, 4, 0.5):
         assert np.linalg.norm(f.gradient(w)) <= cap * (1 + 1e-12)
 
@@ -79,11 +81,11 @@ def test_logistic_loss_is_stable_and_bounded():
     X = rng.normal(size=(10, 3))
     X /= np.max(np.linalg.norm(X, axis=1))
     y = np.where(rng.uniform(size=10) < 0.5, -1.0, 1.0)
-    f = LogisticBatchLoss(X, y)
+    f = LogisticBatchLoss(X * y[:, None], 10)
     big = np.array([1e3, -1e3, 1e3])
     assert np.isfinite(f.value(big))
     assert np.all(np.isfinite(f.gradient(big)))
-    cap = f.grad_bound()
+    cap = f.grad_bound
     for w in sample_ball(rng, 200, 3, 0.5):
         assert np.linalg.norm(f.gradient(w)) <= cap * (1 + 1e-12)
 
@@ -93,7 +95,8 @@ def test_logistic_stack_is_the_term_by_term_sum():
     losses = []
     for _ in range(4):
         X = rng.normal(size=(7, 3))
-        losses.append(LogisticBatchLoss(X, np.where(rng.uniform(size=7) < 0.5, -1.0, 1.0)))
+        y = np.where(rng.uniform(size=7) < 0.5, -1.0, 1.0)
+        losses.append(LogisticBatchLoss(X * y[:, None], 7))
     total = LogisticBatchLoss.stack(losses)
     assert total.per_round == 7
     pts = rng.normal(size=(5, 3)) * 0.5
@@ -104,14 +107,14 @@ def test_logistic_stack_is_the_term_by_term_sum():
     np.testing.assert_allclose(total.values(pts), np.sum([f.values(pts) for f in losses], axis=0),
                                rtol=1e-12, atol=0)
     with pytest.raises(ValueError):
-        LogisticBatchLoss.stack([losses[0], LogisticBatchLoss(np.ones((3, 3)), np.ones(3))])
+        LogisticBatchLoss.stack([losses[0], LogisticBatchLoss(np.ones((3, 3)), 3)])
 
 
 def test_offline_comparator_rejects_mixed_loss_lists():
     rng = np.random.default_rng(12)
     ball = Ball(center=np.zeros(2), radius=0.5)
     X = rng.normal(size=(6, 2))
-    mixed = [LinearLoss(np.array([0.3, -0.1])), LogisticBatchLoss(X, np.sign(X[:, 0]))]
+    mixed = [LinearLoss(np.array([0.3, -0.1])), LogisticBatchLoss(X * np.sign(X[:, :1]), 6)]
     with pytest.raises(TypeError):
         offline_comparator(mixed, ball)
 
@@ -121,7 +124,7 @@ def test_offline_comparator_linear_ball_closed_form():
     ball = Ball(center=np.zeros(2), radius=0.5)
     losses = [LinearLoss(rng.normal(size=2)) for _ in range(20)]
     x, rep = offline_comparator(losses, ball)
-    total = np.sum([f.g for f in losses], axis=0)
+    total = np.sum([f.q for f in losses], axis=0)
     expect = -0.5 * total / np.linalg.norm(total)
     np.testing.assert_allclose(x, expect, atol=1e-8)
     assert rep.residual <= 1e-6
@@ -131,9 +134,10 @@ def test_offline_comparator_linear_ball_closed_form():
 def test_offline_comparator_quadratic_exact():
     rng = np.random.default_rng(5)
     ball = Ball(center=np.zeros(3), radius=0.5)
-    losses = [CenteredQuadraticLoss(0.5, sample_ball(rng, 1, 3, 0.4)[0]) for _ in range(15)]
+    centers = sample_ball(rng, 15, 3, 0.4)
+    losses = [CenteredQuadraticLoss(0.5, a) for a in centers]
     x, rep = offline_comparator(losses, ball)
-    mean = np.mean([f.center for f in losses], axis=0)
+    mean = np.mean(centers, axis=0)
     np.testing.assert_allclose(x, ball.project(mean), atol=1e-9)
     assert rep.residual <= 1e-8
 
@@ -146,10 +150,11 @@ def test_offline_comparator_ridge_matches_unconstrained_solve():
     for _ in range(5):
         X = rng.normal(size=(20, d))
         y = rng.normal(size=20)
-        losses.append(RidgeBatchLoss(X, y, lam=0.1))
+        losses.append(RidgeBatchLoss(X, y, lam=0.1, radius=10.0))
     x, rep = offline_comparator(losses, ball)
-    M = np.sum([f.A for f in losses], axis=0) + 0.5 * np.eye(d)
-    b = np.sum([f.b for f in losses], axis=0)
+    # Each loss is w^T A w - 2 b^T w + c + lam w^T w, kept as M = A and q = -2 b.
+    M = np.sum([f.M for f in losses], axis=0) + 0.5 * np.eye(d)
+    b = -0.5 * np.sum([f.q for f in losses], axis=0)
     np.testing.assert_allclose(x, np.linalg.solve(M, b), atol=1e-7)
 
 
@@ -167,16 +172,26 @@ def test_offline_comparator_generic_mixture():
     assert ball.contains(x, tol=1e-9)
 
 
-def test_gen_regression_shapes_and_scales():
+def test_gen_regression_shapes_and_scales(monkeypatch):
+    drawn = []
+
+    def recording_sample_ball(*args):
+        drawn.append(sample_ball(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(harness, "sample_ball", recording_sample_ball)
     task = gen_regression(rounds=10, dim=4, batch=12, lam=0.01, noise_std=0.1, seed=42)
     assert len(task.losses) == 10
     assert np.linalg.norm(task.w_star) <= 0.5 + 1e-12
     assert task.params.dim == 4
     assert task.params.diameter == pytest.approx(1.0)
     assert task.sc_modulus == pytest.approx(0.02)
+    # The first draw is w_star; then one feature batch per round.
+    assert [X.shape for X in drawn[1:]] == [(12, 4)] * 10
+    for X in drawn[1:]:
+        assert np.all(np.linalg.norm(X, axis=1) <= 5.0 + 1e-12)
     for f in task.losses:
-        assert f.X.shape == (12, 4)
-        assert np.all(np.linalg.norm(f.X, axis=1) <= 5.0 + 1e-12)
+        assert f.M.shape == (4, 4)
     rng = np.random.default_rng(0)
     for f in task.losses[:3]:
         for w in sample_ball(rng, 50, 4, 0.5):
@@ -203,7 +218,8 @@ def test_gen_regression_deterministic():
     a = gen_regression(rounds=3, dim=2, batch=5, seed=9)
     b = gen_regression(rounds=3, dim=2, batch=5, seed=9)
     np.testing.assert_array_equal(a.w_star, b.w_star)
-    np.testing.assert_array_equal(a.losses[2].X, b.losses[2].X)
+    np.testing.assert_array_equal(a.losses[2].M, b.losses[2].M)
+    np.testing.assert_array_equal(a.losses[2].q, b.losses[2].q)
     c = gen_regression(rounds=3, dim=2, batch=5, seed=10)
     assert not np.array_equal(a.w_star, c.w_star)
 
@@ -260,17 +276,18 @@ def test_load_classification(tmp_path):
     assert task.params.diameter == pytest.approx(1.0)
     assert task.exp_concavity == pytest.approx(math.exp(-0.5))
     # Features scaled into the unit ball, with the max norm hitting 1.
-    all_X = np.concatenate([f.X for f in task.losses])
-    assert np.max(np.linalg.norm(all_X, axis=1)) <= 1.0 + 1e-12
+    # Rows z_i = y_i x_i with y_i = +-1, so ||z_i|| = ||x_i||.
+    all_Z = np.concatenate([f.Z for f in task.losses])
+    assert np.max(np.linalg.norm(all_Z, axis=1)) <= 1.0 + 1e-12
     # 4 rounds x 50 > 120 examples requires cycling: round 2 reuses row 0.
-    seen = {tuple(np.round(r, 12)) for r in task.losses[0].X}
-    reused = {tuple(np.round(r, 12)) for r in task.losses[2].X}
+    seen = {tuple(np.round(r, 12)) for r in task.losses[0].Z}
+    reused = {tuple(np.round(r, 12)) for r in task.losses[2].Z}
     assert seen & reused
     # Same seed, same stream; different seed, different order.
     again = load_classification(path, rounds=4, batch=50, radius=0.5, seed=1)
-    np.testing.assert_array_equal(task.losses[0].X, again.losses[0].X)
+    np.testing.assert_array_equal(task.losses[0].Z, again.losses[0].Z)
     other = load_classification(path, rounds=4, batch=50, radius=0.5, seed=2)
-    assert not np.array_equal(task.losses[0].X, other.losses[0].X)
+    assert not np.array_equal(task.losses[0].Z, other.losses[0].Z)
 
 
 def test_run_experiment_writes_everything(tmp_path):
@@ -326,11 +343,6 @@ def _full_trace(rounds):
     trace = run_stream(MalerLearner(task.params, task.dset), task.losses[:rounds])
     x, _ = offline_comparator(task.losses, task.dset)
     trace.with_comparator(x, np.array([f.value(x) for f in task.losses[:rounds]]))
-    if rounds == 0:
-        E = trace.grid.size
-        trace.expert_points = np.zeros((0, E, 2))
-        trace.surrogate_losses = trace.log_weights = np.zeros((0, E))
-        trace.log_phi = np.zeros(0)
     return trace
 
 
@@ -373,6 +385,17 @@ def test_experiment_rejects_bad_config(tmp_path):
         )
 
 
+def test_default_configs_run_their_tasks_default_algorithms(tmp_path):
+    assert ExperimentConfig().algos == ("maler", "metagrad", "ogd-convex", "ogd-sc", "ons")
+    path = tmp_path / "d.libsvm"
+    gen_classification_file(path, examples=60, dim=3, seed=1)
+    result = run_experiment(ExperimentConfig(task="classification", data=str(path), rounds=4,
+                                             batch=10))
+    assert result.config.algos == ("maler", "metagrad", "ogd-convex", "ons")
+    assert list(result.traces) == list(result.config.algos)
+    assert all(trace.rounds == 4 for trace in result.traces.values())
+
+
 def test_sample_ball_inside_and_deterministic():
     rng = np.random.default_rng(9)
     pts = sample_ball(rng, 500, 6, 0.8)
@@ -402,7 +425,6 @@ def test_cli_run_and_certify(tmp_path, capsys):
 SMALL_RUN = ["run", "--task", "regression", "--rounds", "6", "--dim", "2", "--batch", "5",
              "--seed", "4", "--algos", "maler"]
 LEGACY_TRACE = os.path.join(os.path.dirname(__file__), "data", "trace_v1_maler.json")
-ARRAY_KEYS = ("plays", "grads") + TRACE_ARRAYS
 
 
 def _encode(values) -> dict:
@@ -431,11 +453,11 @@ def _tampered_trace(tmp_path, edit):
     """The small run's trace with edit applied to its arrays as nested lists, saved as format 2."""
     def on_lists(obj):
         assert obj["format"] == 2
-        for name in ARRAY_KEYS:
+        for name in TRACE_ARRAYS:
             if obj[name] is not None:
                 obj[name] = _decode(obj[name]).tolist()
         replaced = edit(obj)
-        for name in ARRAY_KEYS:
+        for name in TRACE_ARRAYS:
             if isinstance(obj.get(name), list):
                 obj[name] = _encode(obj[name])
         return replaced
@@ -500,34 +522,60 @@ def _set(key, value):
     return edit
 
 
-@pytest.mark.parametrize("edit", [
-    _set("log_phi", lambda obj: obj["log_phi"][:-3]),
-    _drop_column("expert_points"),
-    _drop_column("surrogate_losses"),
-    _drop_column("log_weights"),
-    _set("params", lambda obj: {**obj["params"], "horizon": 200}),
-    _set("params", lambda obj: {**obj["params"], "horizon": 4}),
-    _set("plays", lambda obj: obj["plays"][:-1]),
-    _drop_column("grads"),
-    _set("loss_at_play", lambda obj: obj["loss_at_play"][1:]),
-    _set("comparator", lambda obj: obj["comparator"] + [0.0]),
-    lambda obj: [obj],
-    _set("params", lambda obj: {**obj["params"], "extra": 1}),
-    _set("params", lambda obj: {**obj["params"], "horizon": "6"}),
-    _set("dset", lambda obj: {**obj["dset"], "center": 0.0}),
-    _set("params", lambda obj: {**obj["params"], "horizon": 6.5}),
-    _set("params", lambda obj: {**obj["params"], "dim": 2.0}),
-    _set("params", lambda obj: {**obj["params"], "horizon": True}),
+def _null(*keys):
+    def edit(obj):
+        for key in keys:
+            obj[key] = None
+    return edit
+
+
+def _ungridded(obj):
+    obj["grid_style"] = None
+    for key in GRID_ARRAYS:
+        del obj[key]
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (_set("log_phi", lambda obj: obj["log_phi"][:-3]), "log_phi has shape (3,)"),
+    (_drop_column("expert_points"), "expert_points has shape (6, 6, 2)"),
+    (_drop_column("surrogate_losses"), "surrogate_losses has shape (6, 6)"),
+    (_drop_column("log_weights"), "log_weights has shape (6, 6)"),
+    (_set("params", lambda obj: {**obj["params"], "horizon": 200}),
+     "expert_points has shape (6, 7, 2), expected (6, 11, 2)"),
+    (_set("params", lambda obj: {**obj["params"], "horizon": 4}), "does not fit horizon 4"),
+    (_set("plays", lambda obj: obj["plays"][:-1]), "grads has shape (6, 2), expected (5, 2)"),
+    (_drop_column("grads"), "grads has shape (6, 1)"),
+    (_set("loss_at_play", lambda obj: obj["loss_at_play"][1:]), "loss_at_play has shape (5,)"),
+    (_set("comparator", lambda obj: obj["comparator"] + [0.0]), "comparator has shape (3,)"),
+    (lambda obj: [obj], "must be a JSON object"),
+    (_set("params", lambda obj: {**obj["params"], "extra": 1}),
+     "unexpected keyword argument 'extra'"),
+    (_set("params", lambda obj: {**obj["params"], "horizon": "6"}), "horizon must be an integer"),
+    (_set("dset", lambda obj: {**obj["dset"], "center": 0.0}), "center must be a vector"),
+    (_set("params", lambda obj: {**obj["params"], "horizon": 6.5}), "horizon must be an integer"),
+    (_set("params", lambda obj: {**obj["params"], "dim": 2.0}), "dim must be an integer"),
+    (_set("params", lambda obj: {**obj["params"], "horizon": True}), "horizon must be an integer"),
+    (_null("expert_points"), "must carry expert_points"),
+    (_null("log_phi"), "must carry log_phi"),
+    (_null("comparator", "loss_at_comparator"), "must carry loss_at_comparator"),
+    (_ungridded, "algo 'maler' runs on grid_style 'maler', not None"),
+    (_set("algo", lambda obj: "metagrad"),
+     "algo 'metagrad' runs on grid_style 'metagrad', not 'maler'"),
+    (lambda obj: obj.update(algo="ogd-convex", grid_style=None),
+     "a trace of algo 'ogd-convex' carries no expert_points"),
 ], ids=["log_phi-rows", "expert_points-experts", "surrogate_losses-experts",
         "log_weights-experts", "horizon-grid", "horizon-below-T", "plays-rows",
         "grads-dim", "loss_at_play-rows", "comparator-dim", "top-level-list",
         "params-extra-key", "horizon-string", "center-scalar", "horizon-fraction",
-        "dim-float", "horizon-bool"])
-def test_cli_certify_rejects_misshapen_traces(tmp_path, capsys, edit):
+        "dim-float", "horizon-bool", "expert_points-null", "log_phi-null",
+        "comparator-null", "grid_style-null", "algo-other-grid", "algo-without-grid"])
+def test_cli_certify_rejects_misshapen_traces(tmp_path, capsys, edit, reason):
     tpath = _tampered_trace(tmp_path, edit)
     capsys.readouterr()
     assert cli.main(["certify", "--trace", str(tpath)]) == 1
-    assert "error: cannot load trace" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load trace")
+    assert reason in err
 
 
 def _set_array(key, **fields):
@@ -577,7 +625,7 @@ def test_trace_arrays_round_trip_bit_exact(tmp_path, rounds):
     save_trace(trace, path)
     assert json.loads(path.read_text())["format"] == 2
     again = load_trace(path)
-    for name in ARRAY_KEYS:
+    for name in TRACE_ARRAYS:
         want, got = getattr(trace, name), getattr(again, name)
         assert got is not None, name
         assert got.dtype == np.float64 and got.flags.writeable and got.shape == want.shape, name
@@ -589,7 +637,7 @@ def test_legacy_trace_loads_like_its_format_2_run(tmp_path):
         assert "format" not in json.load(fh)
     legacy = load_trace(LEGACY_TRACE)
     current = load_trace(_small_run_trace(tmp_path))
-    for name in ARRAY_KEYS:
+    for name in TRACE_ARRAYS:
         assert getattr(legacy, name).tobytes() == getattr(current, name).tobytes(), name
     (legacy_reports, legacy_ok), (reports, ok) = certify_trace(legacy), certify_trace(current)
     assert legacy_ok and ok

@@ -29,36 +29,40 @@ def params_for(T, d=2, G=1.0, D=1.0):
 
 def test_grid_t200_shape():
     grid = build_grid(params_for(200))
-    assert grid.k == 4
     assert grid.size == 11
-    np.testing.assert_allclose(grid.etas, [0.2, 0.1, 0.05, 0.025, 0.0125])
+    # k = 4: rates 2^-i/(5DG), i = 0..4, once for the spherical and once for the quadratic experts.
+    rates = [0.2, 0.1, 0.05, 0.025, 0.0125]
+    np.testing.assert_allclose(grid.tilts[1:6], rates)
+    np.testing.assert_allclose(grid.tilts[6:], rates)
     assert grid.kinds.count(KIND_CONST) == 1
     assert grid.kinds.count(KIND_SPHERICAL) == 5
     assert grid.kinds.count(KIND_QUADRATIC) == 5
-    assert abs(grid.priors.sum() - 1.0) <= 1e-12
+    assert abs(np.exp(grid.log_priors).sum() - 1.0) <= 1e-12
 
 
 def test_grid_t4_priors():
     grid = build_grid(params_for(4))
     # k = 1, C = 1.5: prior 1/3 on the constant expert, then C/(3(i+1)(i+2)).
-    assert grid.k == 1
-    assert grid.priors[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert grid.priors[1] == pytest.approx(0.25, abs=1e-15)
-    assert grid.priors[2] == pytest.approx(1.0 / 12.0, abs=1e-15)
-    assert abs(grid.priors.sum() - 1.0) <= 1e-12
+    assert grid.size == 2 * 1 + 3
+    priors = np.exp(grid.log_priors)
+    assert priors[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert priors[1] == pytest.approx(0.25, abs=1e-15)
+    assert priors[2] == pytest.approx(1.0 / 12.0, abs=1e-15)
+    assert abs(priors.sum() - 1.0) <= 1e-12
 
 
 def test_grid_constant_rate():
     grid = build_grid(params_for(400))
-    assert grid.eta_c == pytest.approx(0.025, abs=1e-15)
-    assert grid.tilts[0] == grid.eta_c
+    # eta_c = 1/(2 G D sqrt(T)) = 1/40 is the constant expert's tilt.
+    assert grid.tilts[0] == pytest.approx(0.025, abs=1e-15)
 
 
 def test_grid_expert_ordering_and_labels():
     grid = build_grid(params_for(16))
     assert grid.labels[0] == "c"
     assert grid.kinds[0] == KIND_CONST
-    k = grid.k
+    k = 2  # ceil(log2(16)/2)
+    assert grid.size == 2 * k + 3
     assert all(kind == KIND_SPHERICAL for kind in grid.kinds[1 : k + 2])
     assert all(kind == KIND_QUADRATIC for kind in grid.kinds[k + 2 :])
 
@@ -68,12 +72,11 @@ def test_metagrad_grid():
     assert grid.style == "metagrad"
     assert grid.size == 5
     assert all(kind == KIND_QUADRATIC for kind in grid.kinds)
-    assert abs(grid.priors.sum() - 1.0) <= 1e-12
+    assert abs(np.exp(grid.log_priors).sum() - 1.0) <= 1e-12
     full = build_grid(params_for(200))
-    np.testing.assert_array_equal(grid.tilts, full.etas)
-    assert grid.eta_c == full.eta_c
+    np.testing.assert_array_equal(grid.tilts, full.tilts[full.kinds.index(KIND_QUADRATIC):])
     # C = 1 + 1/(1+k) = 1.2 at k = 4: priors C/((i+1)(i+2)).
-    assert grid.priors[0] == pytest.approx(0.6, abs=1e-15)
+    assert np.exp(grid.log_priors)[0] == pytest.approx(0.6, abs=1e-15)
     assert grid.labels == tuple(f"ell[{i}]" for i in range(5))
     with pytest.raises(ValueError):
         build_grid(params_for(200), "bogus")
@@ -102,7 +105,7 @@ def test_aggregate_play_hand_computed():
     num = np.zeros(2)
     den = 0.0
     for e in range(grid.size):
-        w = grid.priors[e] * grid.tilts[e]
+        w = np.exp(grid.log_priors)[e] * grid.tilts[e]
         num += w * pts[e]
         den += w
     np.testing.assert_allclose(x, num / den, atol=1e-14)
@@ -121,7 +124,7 @@ def test_update_weights_hand_computed():
     state = init_meta_state(grid)
     losses = np.array([0.1, 0.3])
     new = update_weights(state, grid, losses)
-    raw = grid.priors * np.exp(-losses)
+    raw = np.exp(grid.log_priors) * np.exp(-losses)
     z = raw.sum()
     np.testing.assert_allclose(np.exp(new.log_weights), raw / z, atol=1e-14)
     assert new.log_potential == pytest.approx(math.log(z), abs=1e-14)
@@ -160,7 +163,7 @@ def test_log_potential_matches_direct_formula():
         losses = rng.uniform(-0.1, 0.3, size=grid.size)
         cum += losses
         state = update_weights(state, grid, losses)
-        direct = math.log(float(np.sum(grid.priors * np.exp(-cum))))
+        direct = math.log(float(np.sum(np.exp(grid.log_priors) * np.exp(-cum))))
         assert state.log_potential == pytest.approx(direct, abs=1e-10)
 
 

@@ -283,7 +283,8 @@ def _snapshot(learner):
         "expert_points": trace.expert_points.copy(), "log_weights": trace.log_weights.copy(),
         "log_phi": trace.log_phi.copy(), "state": learner.state.log_weights.copy(),
         "rounds": learner.bank.round,
-        "iterates": np.array([ex.iterate for ex in learner.experts]),
+        "points": learner.bank.points.copy(), "sigma": learner.bank.sigma.copy(),
+        "sigma_inv": learner.bank.sigma_inv.copy(),
     }
 
 
