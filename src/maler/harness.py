@@ -16,6 +16,7 @@ import json
 import math
 import operator
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -330,9 +331,11 @@ def run_stream(learner: Learner, losses) -> RunTrace:
     return trace
 
 
-def certificates_for(trace: RunTrace, sc_modulus: Optional[float] = None,
-                     exp_concavity: Optional[float] = None) -> list:
-    """All certificate reports that apply to this trace."""
+def certificates_for(trace: RunTrace) -> list:
+    """All certificate reports that apply to this trace.
+
+    curvature-bounds has one row per curvature modulus the trace records.
+    """
     reports = []
     if trace.grid is not None:
         reports.append(potential_certificate(trace))
@@ -343,20 +346,22 @@ def certificates_for(trace: RunTrace, sc_modulus: Optional[float] = None,
             reports.append(regret_bound_certificate(trace))
             diag = regret_diagnostics(trace)
             extra = []
-            if sc_modulus:
+            if trace.sc_modulus is not None:
                 extra.append(
                     CertificateRow(
                         label="regret <= (10GD + 9G^2/(2 lam)) A",
                         measured=diag.regret,
-                        bound=universal.strongly_convex_regret_bound(trace.params, sc_modulus),
+                        bound=universal.strongly_convex_regret_bound(trace.params,
+                                                                       trace.sc_modulus),
                     )
                 )
-            if exp_concavity:
+            if trace.exp_concavity is not None:
                 extra.append(
                     CertificateRow(
                         label="regret <= (10GD + 9/(2 beta)) B",
                         measured=diag.regret,
-                        bound=universal.exp_concave_regret_bound(trace.params, exp_concavity),
+                        bound=universal.exp_concave_regret_bound(trace.params,
+                                                                    trace.exp_concavity),
                     )
                 )
             if extra:
@@ -386,6 +391,10 @@ GRID_ALGOS = ("maler", "metagrad")
 # Layout version save_trace writes; a trace without the key is the legacy
 # layout, every array a nested JSON list.
 TRACE_FORMAT = 2
+
+# The task's curvature moduli, top-level keys of a trace: a positive number,
+# or null (or absent, in traces written before they were recorded).
+TRACE_MODULI = ("sc_modulus", "exp_concavity")
 
 
 def _encode_array(arr) -> dict:
@@ -428,6 +437,8 @@ def save_trace(trace: RunTrace, path) -> None:
         "dset": _dset_to_json(trace.dset),
         "grid_style": trace.grid.style if trace.grid is not None else None,
     }
+    for name in TRACE_MODULI:
+        obj[name] = getattr(trace, name)
     for name in TRACE_ARRAYS:
         arr = getattr(trace, name)
         obj[name] = None if arr is None else _encode_array(arr)
@@ -440,8 +451,9 @@ def load_trace(path) -> RunTrace:
 
     The algo fixes the grid style, and the trace must carry exactly the
     arrays that learner records: every one of TRACE_ARRAYS for an ensemble,
-    all but GRID_ARRAYS otherwise. Raises ValueError if the file is
-    malformed or an array is missing.
+    all but GRID_ARRAYS otherwise. The TRACE_MODULI load as None when null
+    or absent. Raises ValueError if the file is malformed, an array is
+    missing, or a modulus is not a finite positive number.
     """
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
@@ -467,11 +479,23 @@ def load_trace(path) -> RunTrace:
                 raise ValueError(f"a trace of algo {algo!r} carries no {name}")
         trace = RunTrace(algo=algo, params=params, dset=_dset_from_json(obj["dset"]),
                          grid=None if style is None else meta.build_grid(params, style),
+                         **{name: _modulus(obj, name) for name in TRACE_MODULI},
                          **{name: array(obj[name]) for name in carried})
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed trace: {type(exc).__name__}: {exc}") from None
     _check_trace_shapes(trace)
     return trace
+
+
+def _modulus(obj: dict, name: str) -> Optional[float]:
+    """A recorded modulus: None if null or absent, else a finite positive non-bool number."""
+    value = obj.get(name)
+    if value is None:
+        return None
+    # The upper bound also refuses inf, NaN and ints too large for a float.
+    if type(value) not in (int, float) or not 0 < value <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite positive number or null, got {value!r}")
+    return float(value)
 
 
 def _check_trace_shapes(trace: RunTrace) -> None:
@@ -595,10 +619,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                                sc_modulus=sc_modulus, exp_concavity=exp_concavity)
         trace = run_stream(learner, task.losses)
         trace.with_comparator(x_star, at_comp)
+        trace.sc_modulus, trace.exp_concavity = sc_modulus, exp_concavity
         traces[name] = trace
         diags[name] = regret_diagnostics(trace)
-        certs[name] = certificates_for(trace, sc_modulus=sc_modulus,
-                                       exp_concavity=exp_concavity)
+        certs[name] = certificates_for(trace)
 
     result = ExperimentResult(
         config=cfg,

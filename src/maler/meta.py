@@ -156,6 +156,9 @@ class RunTrace:
     loss_at_play: Optional[np.ndarray] = None
     loss_at_comparator: Optional[np.ndarray] = None
     comparator: Optional[np.ndarray] = None
+    # The task's strong-convexity and exp-concavity moduli, None where it has none.
+    sc_modulus: Optional[float] = None
+    exp_concavity: Optional[float] = None
 
     @property
     def rounds(self) -> int:

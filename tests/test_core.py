@@ -116,8 +116,10 @@ def test_weighted_projection_properties():
         if ball.contains(y):
             assert np.array_equal(x, y)
             continue
-        # Boundary residual from the bisection.
         assert abs(np.linalg.norm(x - ball.center) - ball.radius) <= 1e-9
+        # Inside with no tolerance, so projecting again is a no-op bit for bit.
+        assert ball.contains(x, tol=0.0)
+        assert np.array_equal(ball.project_weighted(H, x), x)
         # Optimality against random feasible points.
         samples = np.array([ball.sample(rng) for _ in range(300)])
         d = samples - y
@@ -248,6 +250,9 @@ def test_quadratic_minimize_against_grid_search():
 def test_quadratic_minimize_is_exact_on_the_boundary():
     # With f = (u - v)^T H (u - v) for v outside the ball, the minimizer lies
     # on the sphere with the gradient pointing straight inwards (KKT).
+    # project_weighted(H, v) solves the same problem and must agree: bit for
+    # bit on minimize's own target x_hat = H^{-1} (H v), to the rounding of
+    # that solve on v itself, and inside the ball with no tolerance.
     rng = np.random.default_rng(15)
     ball = Ball(center=np.zeros(4), radius=0.5)
     for _ in range(20):
@@ -256,8 +261,73 @@ def test_quadratic_minimize_is_exact_on_the_boundary():
         v = rng.normal(size=4) * 3.0
         f = Quadratic(-2.0 * H @ v, r=float(v @ H @ v), M=H)
         u = f.minimize(ball)
-        assert abs(np.linalg.norm(u) - 0.5) <= 1e-14
-        g = f.gradient(u)
-        along = float(g @ u) / float(u @ u)
-        assert along < 0.0
-        assert np.linalg.norm(g - along * u) <= 1e-9 * np.linalg.norm(g)
+        w = ball.project_weighted(H, v)
+        assert np.array_equal(u, ball.project_weighted(H, np.linalg.solve(H, -0.5 * f.q)))
+        # v and x_hat differ by the rounding of the solve, at cond(H) < 200 here.
+        assert np.max(np.abs(u - w)) <= 1e-13
+        for x in (u, w):
+            assert ball.contains(x, tol=0.0)
+            assert abs(np.linalg.norm(x) - 0.5) <= 1e-14
+            g = f.gradient(x)
+            along = float(g @ x) / float(x @ x)
+            assert along < 0.0
+            assert np.linalg.norm(g - along * x) <= 1e-9 * np.linalg.norm(g)
+
+
+def _bisection_reference(ball, H, y):
+    """Bisection on the multiplier down to adjacent floats, in H's eigenbasis.
+
+    The feasible end is kept, and Ball.project settles the last ulps, so the
+    reference is a feasible point within rounding of the minimizer.
+    """
+    lam, V = np.linalg.eigh(H)
+    a = lam * (V.T @ (y - ball.center))
+    lo, hi = 0.0, float(np.linalg.norm(a)) / ball.radius  # ||a / (lam + hi)|| < r
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if np.linalg.norm(a / (lam + mid)) > ball.radius:
+            lo = mid
+        else:
+            hi = mid
+    return ball.project(ball.center + V @ (a / (lam + hi)))
+
+
+def test_weighted_projection_is_exact_on_wide_scales():
+    # SPD weights with condition numbers 1 to 1e12 at scales 1e-4 to 1e4, radii
+    # and centers 1e-4 to 1e4, targets just outside the ball and far away.
+    # Every case must converge to a point inside the ball with no tolerance
+    # that projects to itself and scores no worse than the bisection reference
+    # beyond a few ulps of the point; H = s I must reproduce Ball.project.
+    rng = np.random.default_rng(16)
+    eps = np.finfo(float).eps
+    for d in (1, 3, 8):
+        for cond in (1.0, 1e3, 1e6, 1e12):
+            for _ in range(6):
+                r = 10.0 ** rng.uniform(-4.0, 4.0)
+                unit = rng.normal(size=d)
+                center = r * rng.uniform() * unit / np.linalg.norm(unit)
+                ball = Ball(center=center, radius=r)
+                Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+                lam = 10.0 ** rng.uniform(-4.0, 4.0) * cond ** -np.linspace(0.0, 1.0, d)
+                H = (Q * lam) @ Q.T
+                H = 0.5 * (H + H.T)
+                s = float(lam[0])
+                for reach in (1.0 + 1e-12, 3.0, 1e6):
+                    u = rng.normal(size=d)
+                    y = center + reach * r * u / np.linalg.norm(u)
+                    assert not ball.contains(y, tol=0.0)
+                    for W in (H, s * np.eye(d)):
+                        x = ball.project_weighted(W, y)
+                        assert ball.contains(x, tol=0.0)
+                        assert np.array_equal(ball.project_weighted(W, x), x)
+                        ref = _bisection_reference(ball, W, y)
+                        # obj(x) - obj(ref) = (x - ref)^T W (x + ref - 2y), free of the
+                        # cancellation between two rounded objectives; a point a few ulps
+                        # of the ball from the minimizer loses at most that times |grad|.
+                        gain = float((x - ref) @ (W @ (x - y) + W @ (ref - y)))
+                        size = float(np.linalg.norm(center)) + r
+                        assert gain <= 32 * eps * size * float(np.linalg.norm(W @ (ref - y)))
+                    # The last x is the one for H = s I.
+                    assert np.max(np.abs(x - ball.project(y))) <= 4 * eps * size

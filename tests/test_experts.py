@@ -175,7 +175,7 @@ def test_expert_iterates_stay_feasible():
         play = ball.sample(rng)
         bank = bank.step(play, g)
         for x in bank.points:
-            assert ball.contains(x, tol=1e-9)
+            assert ball.contains(x, tol=0.0)
 
 
 def test_expert_values_match_scalar_surrogates():

@@ -420,6 +420,24 @@ def test_cli_run_and_certify(tmp_path, capsys):
     assert "certificates PASS" in capsys.readouterr().out
 
 
+def test_cli_certify_prints_the_curvature_bounds_of_the_run(tmp_path, capsys):
+    # The trace records the task's moduli, so certify rebuilds the
+    # curvature-bounds report that `maler run` wrote to report.txt.
+    out = tmp_path / "exp"
+    assert cli.main([*SMALL_RUN, "--out", str(out)]) == 0
+    obj = json.loads((out / "trace_maler.json").read_text())
+    assert obj["sc_modulus"] == 2e-3 and obj["exp_concavity"] > 0.0
+    capsys.readouterr()
+    assert cli.main(["certify", "--trace", str(out / "trace_maler.json")]) == 0
+    [certified] = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("[PASS] curvature-bounds: ")]
+    [reported] = [line for line in (out / "report.txt").read_text().splitlines()
+                  if line.startswith("[PASS] maler curvature-bounds (")]
+    assert certified.startswith("[PASS] curvature-bounds: 2 checks, min slack ")
+    assert certified[len("[PASS] curvature-bounds: "):] == reported[
+        len("[PASS] maler curvature-bounds ("):-1]
+
+
 # The run every tamper test edits; tests/data/trace_v1_maler.json is its
 # trace in the legacy nested-list layout.
 SMALL_RUN = ["run", "--task", "regression", "--rounds", "6", "--dim", "2", "--batch", "5",
@@ -563,12 +581,23 @@ def _ungridded(obj):
      "algo 'metagrad' runs on grid_style 'metagrad', not 'maler'"),
     (lambda obj: obj.update(algo="ogd-convex", grid_style=None),
      "a trace of algo 'ogd-convex' carries no expert_points"),
+    (_set("sc_modulus", lambda obj: 0.0), "sc_modulus must be a finite positive number"),
+    (_set("exp_concavity", lambda obj: -1.0), "exp_concavity must be a finite positive number"),
+    (_set("sc_modulus", lambda obj: True), "sc_modulus must be a finite positive number"),
+    (_set("exp_concavity", lambda obj: "0.5"), "exp_concavity must be a finite positive number"),
+    (_set("sc_modulus", lambda obj: float("nan")), "sc_modulus must be a finite positive number"),
+    (_set("exp_concavity", lambda obj: float("inf")),
+     "exp_concavity must be a finite positive number"),
+    (_set("sc_modulus", lambda obj: 10**400), "sc_modulus must be a finite positive number"),
+    (_set("exp_concavity", lambda obj: [0.5]), "exp_concavity must be a finite positive number"),
 ], ids=["log_phi-rows", "expert_points-experts", "surrogate_losses-experts",
         "log_weights-experts", "horizon-grid", "horizon-below-T", "plays-rows",
         "grads-dim", "loss_at_play-rows", "comparator-dim", "top-level-list",
         "params-extra-key", "horizon-string", "center-scalar", "horizon-fraction",
         "dim-float", "horizon-bool", "expert_points-null", "log_phi-null",
-        "comparator-null", "grid_style-null", "algo-other-grid", "algo-without-grid"])
+        "comparator-null", "grid_style-null", "algo-other-grid", "algo-without-grid",
+        "sc_modulus-zero", "exp_concavity-negative", "sc_modulus-bool", "exp_concavity-string",
+        "sc_modulus-nan", "exp_concavity-inf", "sc_modulus-huge-int", "exp_concavity-list"])
 def test_cli_certify_rejects_misshapen_traces(tmp_path, capsys, edit, reason):
     tpath = _tampered_trace(tmp_path, edit)
     capsys.readouterr()
@@ -637,6 +666,11 @@ def test_legacy_trace_loads_like_its_format_2_run(tmp_path):
         assert "format" not in json.load(fh)
     legacy = load_trace(LEGACY_TRACE)
     current = load_trace(_small_run_trace(tmp_path))
+    # The legacy layout predates the recorded moduli, so it certifies like
+    # its run without them (no curvature-bounds report).
+    assert legacy.sc_modulus is None and legacy.exp_concavity is None
+    assert current.sc_modulus == 2e-3 and current.exp_concavity > 0.0
+    current.sc_modulus = current.exp_concavity = None
     for name in TRACE_ARRAYS:
         assert getattr(legacy, name).tobytes() == getattr(current, name).tobytes(), name
     (legacy_reports, legacy_ok), (reports, ok) = certify_trace(legacy), certify_trace(current)
