@@ -65,21 +65,35 @@ def as_vector(x, dim: int) -> np.ndarray:
     return v
 
 
+def rowdot(a, b) -> np.ndarray:
+    """Dot products over the last axis, each through numpy's vector dot as in `u @ v`."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def _check_spd(H, dim: int) -> np.ndarray:
-    """Validate that H is symmetric positive definite, via attempted Cholesky."""
+    """Validate that H is symmetric positive definite, via attempted Cholesky.
+
+    Asymmetry up to 1e-8 max(max |H_ij|, 1) is accepted; the tolerance is
+    only computed for an H that is not exactly symmetric.
+    """
     M = np.asarray(H, dtype=float)
     if M.shape != (dim, dim):
         raise ValueError(f"expected matrix of shape ({dim},{dim}), got {M.shape}")
-    scale = np.max(np.abs(M))
+    scale = np.abs(M).max()
     if not np.isfinite(scale):
         raise ValueError("weight matrix has non-finite entries")
-    if np.max(np.abs(M - M.T)) > 1e-8 * max(scale, 1.0):
+    if not (M == M.T).all() and np.abs(M - M.T).max() > 1e-8 * max(scale, 1.0):
         raise ValueError("weight matrix is not symmetric")
     try:
         np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
         raise ValueError("weight matrix is not positive definite") from None
     return M
+
+
+def _require_finite(v: np.ndarray) -> None:
+    if not np.isfinite(v).all():
+        raise ValueError("cannot project a non-finite point")
 
 
 @dataclass(frozen=True)
@@ -102,17 +116,37 @@ class Ball:
             raise ValueError("decision set must contain the origin")
 
     def contains(self, x, tol: float = 1e-12) -> bool:
-        v = as_vector(x, self.dim)
-        return float(np.linalg.norm(v - self.center)) <= self.radius + tol
+        z = as_vector(x, self.dim) - self.center
+        return math.sqrt(z.dot(z)) <= self.radius + tol
 
     def project(self, y) -> np.ndarray:
-        """Euclidean projection of y onto the ball."""
-        v = as_vector(y, self.dim)
+        """Euclidean projection of y, one point or an (n, d) stack of rows, onto the ball.
+
+        A point outside the ball (by the tolerance-free test of contains)
+        is scaled onto the sphere by _shaved. A row of a stack goes through
+        the same float operations as the same point alone, so both return
+        it bit for bit. Raises ValueError for a non-finite point or row.
+        """
+        v = np.asarray(y, dtype=float)
+        if v.ndim > 2 or v.shape[-1:] != (self.dim,):
+            raise ValueError(f"expected shape ({self.dim},) or (n, {self.dim}), got {v.shape}")
         z = v - self.center
-        n = float(np.linalg.norm(z))
-        if n <= self.radius:
+        if v.ndim == 1:
+            n = math.sqrt(z.dot(z))
+            if n <= self.radius:
+                return v
+            _require_finite(v)
+            return self._shaved(z, self.radius / n)
+        n = np.sqrt(rowdot(z, z))
+        # ~(n <= r), not n > r: a NaN row counts as outside and is refused.
+        out = np.flatnonzero(~(n <= self.radius))
+        if out.size == 0:
             return v
-        return self._shaved(z, self.radius / n)
+        _require_finite(v[out])
+        p = v.copy()
+        for i in out:
+            p[i] = self._shaved(z[i], self.radius / n[i])
+        return p
 
     def _shaved(self, z: np.ndarray, scale: float) -> np.ndarray:
         """center + scale z, with scale shaved by ulps until that point passes contains(tol=0).
@@ -122,7 +156,8 @@ class Ball:
         """
         for _ in range(100):
             p = self.center + z * scale
-            if float(np.linalg.norm(p - self.center)) <= self.radius:
+            w = p - self.center
+            if math.sqrt(w.dot(w)) <= self.radius:
                 return p
             scale = np.nextafter(scale, 0.0)
         return p
@@ -138,7 +173,8 @@ class Ball:
         """
         M = _check_spd(H, self.dim)
         v = as_vector(y, self.dim)
-        if self.contains(v, tol=0.0):
+        z = v - self.center
+        if math.sqrt(z.dot(z)) <= self.radius:
             return v
         return self._weighted_boundary_point(M, v)
 
@@ -264,7 +300,8 @@ class Quadratic(LossOracle):
     def minimize(self, ball: Ball) -> np.ndarray:
         """Minimizer over the ball.
 
-        Closed forms: the boundary point against q for a linear form, the
+        Closed forms: the boundary point against q for a linear form,
+        shaved as in project so that it passes contains(u, tol=0.0), the
         projection of the unconstrained minimizer for an isotropic one, and
         for positive-definite H = M + iso I the H-weighted projection of the
         unconstrained minimizer x_hat, exact because f(u) = (u - x_hat)^T H
@@ -281,7 +318,7 @@ class Quadratic(LossOracle):
             n = float(np.linalg.norm(self.q))
             if n == 0.0:
                 return ball.center.copy()
-            return ball.center - ball.radius * self.q / n
+            return ball._shaved(-self.q, ball.radius / n)
         H = self.M + self.iso * np.eye(self.dim) if self.iso else self.M
         lam = np.linalg.eigvalsh(H)
         if lam[0] > self.dim * np.finfo(float).eps * lam[-1]:

@@ -10,9 +10,11 @@ Each expert runs its own first-order method on its own surrogate sequence:
                   (online Newton step on the exp-concave l_t)
 
 ExpertBank holds them all as arrays. The constant-rate and spherical rows
-step in one batched expression per round; every Newton row, and ONSLearner,
-goes through newton_expert_step, whose Sigma^{-1} is kept by rank-one
-updates and re-factorized periodically to stop drift.
+step in one batched expression per round, each family projected as one
+stack. The Newton rows' Sigma and Sigma^{-1} are updated together by one
+newton_metric_update per round (rank-one updates of Sigma^{-1}, re-factorized
+periodically to stop drift); then each row, and ONSLearner, takes its
+newton_expert_step with its own weighted projection.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import surrogates
-from .core import Ball, ProblemParams, Quadratic
+from .core import Ball, ProblemParams, Quadratic, rowdot
 from .meta import (
     KIND_CONST,
     KIND_QUADRATIC,
@@ -55,44 +57,46 @@ def newton_metric(beta: float, D: float, dim: int) -> tuple:
 
 
 def sherman_morrison_update(A_inv: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Inverse of (A + v v^T) given A_inv, via the rank-one identity."""
-    Av = A_inv @ v
-    return A_inv - Av[:, None] * Av / (1.0 + float(v @ Av))
+    """Inverse of (A + v v^T) given A_inv, via the rank-one identity.
+
+    A_inv is (..., d, d) and v is (..., d); a stack goes through the same
+    float operations per slice as each slice alone.
+    """
+    Av = (A_inv @ v[..., None])[..., 0]
+    return A_inv - Av[..., :, None] * Av[..., None, :] / (1.0 + rowdot(v, Av))[..., None, None]
 
 
-def _project_rows(dset: Ball, targets: np.ndarray) -> np.ndarray:
-    # reshape keeps a family with no rows at (0, d)
-    return np.array([dset.project(y) for y in targets]).reshape(targets.shape)
+def newton_metric_update(sigma: np.ndarray, sigma_inv: np.ndarray, updates: int,
+                         G: np.ndarray) -> tuple:
+    """(Sigma + g g^T, its inverse) for every row g of G at once; sigma is (..., d, d).
+
+    updates counts the rank-one updates already in sigma; every
+    REFACTOR_EVERY-th update re-inverts densely instead.
+    """
+    sigma = sigma + G[..., :, None] * G[..., None, :]
+    if (updates + 1) % REFACTOR_EVERY == 0:
+        return sigma, np.linalg.inv(sigma)
+    return sigma, sherman_morrison_update(sigma_inv, G)
 
 
 def convex_expert_step(points: np.ndarray, etas: np.ndarray, t: int, grad: np.ndarray,
                        G: float, D: float, dset: Ball) -> np.ndarray:
     """Descend the padded linear surrogates at round t with rates D/(eta G sqrt(t))."""
     step = D / (etas * G * math.sqrt(t))
-    return _project_rows(dset, points - step[:, None] * (etas[:, None] * grad))
+    return dset.project(points - step[:, None] * (etas[:, None] * grad))
 
 
 def spherical_expert_step(points: np.ndarray, etas: np.ndarray, sph: np.ndarray, t: int,
                           play: np.ndarray, grad: np.ndarray, dset: Ball) -> np.ndarray:
     """Descend the spherical surrogates at round t with rates 1/(2 sph t), sph = eta^2 G^2."""
     g = etas[:, None] * grad + (2.0 * sph)[:, None] * (points - play)
-    return _project_rows(dset, points - (1.0 / (2.0 * sph * t))[:, None] * g)
+    return dset.project(points - (1.0 / (2.0 * sph * t))[:, None] * g)
 
 
-def newton_expert_step(x: np.ndarray, sigma: np.ndarray, sigma_inv: np.ndarray, updates: int,
-                       g: np.ndarray, beta: float, dset: Ball) -> tuple:
-    """One online Newton step on gradient g; returns the next (x, Sigma, Sigma^{-1}).
-
-    updates counts the rank-one updates already in sigma; every
-    REFACTOR_EVERY-th update re-inverts densely instead.
-    """
-    sigma = sigma + g[:, None] * g
-    if (updates + 1) % REFACTOR_EVERY == 0:
-        sigma_inv = np.linalg.inv(sigma)
-    else:
-        sigma_inv = sherman_morrison_update(sigma_inv, g)
-    target = x - (1.0 / beta) * (sigma_inv @ g)
-    return dset.project_weighted(sigma, target), sigma, sigma_inv
+def newton_expert_step(x: np.ndarray, sigma: np.ndarray, sigma_inv: np.ndarray, g: np.ndarray,
+                       beta: float, dset: Ball) -> np.ndarray:
+    """One online Newton step on gradient g, given the already updated Sigma and Sigma^{-1}."""
+    return dset.project_weighted(sigma, x - (1.0 / beta) * (sigma_inv @ g))
 
 
 @dataclass(frozen=True)
@@ -152,7 +156,7 @@ class ExpertBank:
         conv, sph, ell = self.rows
         G, D, t, X = self.params.grad_bound, self.params.diameter, self.round, self.points
         # grad l_t(x) = (eta + 2 eta^2 (x - x_t)^T g_t) g_t, as surrogates.ell_grad.
-        ip = surrogates.rowdot(X[ell] - play, grad)
+        ip = rowdot(X[ell] - play, grad)
         ell_grads = (self.etas[ell] + self.ell_slope * ip)[:, None] * grad
         cap = ons_grad_bound(D)
         norms = np.linalg.norm(ell_grads, axis=1)
@@ -163,11 +167,10 @@ class ExpertBank:
         nxt[conv] = convex_expert_step(X[conv], self.etas[conv], t, grad, G, D, self.dset)
         nxt[sph] = spherical_expert_step(X[sph], self.etas[sph], self.constants[1, sph], t,
                                          play, grad, self.dset)
-        sigma, sigma_inv = np.empty_like(self.sigma), np.empty_like(self.sigma_inv)
+        sigma, sigma_inv = newton_metric_update(self.sigma, self.sigma_inv, t - 1, ell_grads)
         for j, e in enumerate(ell):
-            nxt[e], sigma[j], sigma_inv[j] = newton_expert_step(
-                X[e], self.sigma[j], self.sigma_inv[j], t - 1, ell_grads[j], self.beta, self.dset
-            )
+            nxt[e] = newton_expert_step(X[e], sigma[j], sigma_inv[j], ell_grads[j], self.beta,
+                                        self.dset)
         return replace(self, points=nxt, sigma=sigma, sigma_inv=sigma_inv, round=t + 1)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_vector
+from .core import as_vector, rowdot
 
 KIND_CONST = "c"
 KIND_SPHERICAL = "s"
@@ -107,11 +107,6 @@ def exp_inequality_check(ctx: SurrogateContext, x, slack: float = 1e-12) -> bool
     pad = float(np.exp(-c_value(ctx, x)))
     upper = 1.0 - ctx.eta * ip
     return lower <= mid + slack and mid <= upper + slack and pad <= upper + slack
-
-
-def rowdot(a, b) -> np.ndarray:
-    """Dot products over the last axis, each through numpy's vector dot as in `u @ v`."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def expert_constants(kinds, etas, G: float, D: float) -> np.ndarray:

@@ -175,9 +175,10 @@ class ONSLearner(Learner):
         return self._x
 
     def _observe(self, play: np.ndarray, grad: np.ndarray) -> None:
-        self._x, self._sigma, self._sigma_inv = experts.newton_expert_step(
-            self._x, self._sigma, self._sigma_inv, len(self._plays), grad, self.beta, self.dset
-        )
+        sigma, sigma_inv = experts.newton_metric_update(self._sigma, self._sigma_inv,
+                                                        len(self._plays), grad)
+        self._x = experts.newton_expert_step(self._x, sigma, sigma_inv, grad, self.beta, self.dset)
+        self._sigma, self._sigma_inv = sigma, sigma_inv
 
 
 def exp_concave_beta(params: ProblemParams, alpha: float) -> float:

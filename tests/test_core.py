@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,46 @@ def test_ball_membership_and_projection():
     np.testing.assert_allclose(ball.project([2.0, 0.0]), [1.0, 0.0])
     inside = np.array([0.2, -0.3])
     np.testing.assert_array_equal(ball.project(inside), inside)
+
+
+def test_projection_of_a_stack_matches_each_row_bit_for_bit():
+    # Rows inside, far outside, exactly on the sphere and one ulp past it.
+    rng = np.random.default_rng(17)
+    for d in (1, 3, 7):
+        for center in (np.zeros(d), rng.normal(size=d) * 0.1):
+            ball = Ball(center=center, radius=0.75)
+            on = list(center + 0.75 * np.eye(d)) if not center.any() else []
+            past = []
+            for u in rng.normal(size=(8, d)):
+                x = center + 0.75 * u / np.linalg.norm(u)
+                k = int(np.argmax(np.abs(x - center)))
+                outward = np.copysign(np.inf, x[k] - center[k])
+                while math.sqrt((x - center) @ (x - center)) <= 0.75:
+                    x[k] = np.nextafter(x[k], outward)
+                past.append(x)
+            Y = np.array(on + past + list(center + rng.normal(scale=0.3, size=(10, d)))
+                         + list(center + rng.normal(scale=3.0, size=(10, d))))
+            P = ball.project(Y)
+            assert P.shape == Y.shape
+            for y, p in zip(Y, P):
+                assert np.array_equal(p, ball.project(y))
+                assert ball.contains(p, tol=0.0)
+            for y in on:
+                assert math.sqrt((y - center) @ (y - center)) == 0.75
+                assert np.array_equal(ball.project(y), y)
+            assert not any(ball.contains(y, tol=0.0) for y in past)
+    assert ball.project(np.zeros((0, 7))).shape == (0, 7)
+    with pytest.raises(ValueError):
+        ball.project(np.zeros((2, 3, 7)))
+
+
+def test_projection_refuses_non_finite_points():
+    ball = Ball(center=np.zeros(2), radius=1.0)
+    for bad in ([np.nan, 0.0], [np.inf, 0.0], [-np.inf, np.inf], [np.nan, np.inf]):
+        with pytest.raises(ValueError, match="non-finite"):
+            ball.project(bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            ball.project(np.array([[0.1, 0.2], bad, [3.0, 0.0]]))
 
 
 def test_projection_idempotent_bitwise():
@@ -136,6 +178,16 @@ def test_weighted_projection_rejects_bad_weights():
         ball.project_weighted(np.array([[1.0, 0.0], [0.0, -2.0]]), [2.0, 0.0])
     with pytest.raises(ValueError):
         ball.project_weighted(np.zeros((2, 2)), [2.0, 0.0])
+    # Asymmetry is accepted up to 1e-8 times the largest entry (here 4), and not past it.
+    for y in ([2.0, 0.0], [0.1, 0.0]):
+        tol = 1e-8 * 4.0
+        ball.project_weighted(np.array([[4.0, 0.0], [tol, 4.0]]), y)
+        with pytest.raises(ValueError, match="symmetric"):
+            ball.project_weighted(np.array([[4.0, 0.0], [np.nextafter(tol, 1.0), 4.0]]), y)
+        for bad in (np.nan, np.inf, -np.inf):
+            for H in (np.array([[bad, 0.0], [0.0, 1.0]]), np.array([[1.0, bad], [bad, 1.0]])):
+                with pytest.raises(ValueError, match="non-finite"):
+                    ball.project_weighted(H, y)
 
 
 def test_sample_stays_inside():
@@ -245,6 +297,21 @@ def test_quadratic_minimize_against_grid_search():
         assert ball.contains(u, tol=1e-12)
         assert f.value(u) <= float(f.values(pts).min()) + 1e-9
     np.testing.assert_allclose(inside.minimize(ball), [0.025, -0.025], atol=1e-15)
+
+
+def test_linear_minimizer_lies_inside_the_ball_with_no_tolerance():
+    rng = np.random.default_rng(18)
+    for _ in range(2000):
+        d = int(rng.integers(1, 8))
+        r = 10.0 ** rng.uniform(-3.0, 3.0)
+        unit = rng.normal(size=d)
+        ball = Ball(center=r * rng.uniform() * unit / np.linalg.norm(unit), radius=r)
+        f = Quadratic(rng.normal(size=d) * 10.0 ** rng.uniform(-3.0, 3.0))
+        u = f.minimize(ball)
+        assert ball.contains(u, tol=0.0)
+        assert np.array_equal(ball.project(u), u)
+        unshaved = ball.center - r * f.q / np.linalg.norm(f.q)
+        assert np.max(np.abs(u - unshaved)) <= 8 * np.finfo(float).eps * r
 
 
 def test_quadratic_minimize_is_exact_on_the_boundary():

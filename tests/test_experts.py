@@ -15,6 +15,7 @@ from maler.experts import (
     expert_regret_s_bound,
     newton_expert_step,
     newton_metric,
+    newton_metric_update,
     ons_beta,
     ons_grad_bound,
     sherman_morrison_update,
@@ -85,10 +86,10 @@ def test_newton_expert_hand_step():
     expect = -(1.0 / beta) * 0.4 / (scale + 0.16)
     np.testing.assert_allclose(bank.points[0], [expect, 0.0], atol=1e-12)
     np.testing.assert_allclose(bank.sigma_inv[0], np.linalg.inv(bank.sigma[0]), atol=1e-12)
-    # The per-row kernel alone, on the surrogate gradient eta*g, gives the same step.
-    sigma, sigma_inv = newton_metric(ons_beta(0.5), 0.5, 2)
-    x, sigma, sigma_inv = newton_expert_step(np.zeros(2), sigma, sigma_inv, 0,
-                                             0.08 * np.array([5.0, 0.0]), ons_beta(0.5), ball)
+    # The kernels alone, on the surrogate gradient eta*g, give the same step.
+    g = 0.08 * np.array([5.0, 0.0])
+    sigma, sigma_inv = newton_metric_update(*newton_metric(ons_beta(0.5), 0.5, 2), 0, g)
+    x = newton_expert_step(np.zeros(2), sigma, sigma_inv, g, ons_beta(0.5), ball)
     np.testing.assert_array_equal(x, bank.points[0])
     np.testing.assert_array_equal(sigma, bank.sigma[0])
     np.testing.assert_array_equal(sigma_inv, bank.sigma_inv[0])
@@ -159,8 +160,36 @@ def test_refactor_cadence_resets_drift():
     sigma = np.eye(2)
     g = np.array([0.3, 0.1])
     for updates, fresh in ((REFACTOR_EVERY - 2, False), (REFACTOR_EVERY - 1, True)):
-        _, s, s_inv = newton_expert_step(np.zeros(2), sigma, np.zeros((2, 2)), updates, g, 0.5, ball)
+        s, s_inv = newton_metric_update(sigma, np.zeros((2, 2)), updates, g)
         assert np.array_equal(s_inv, np.linalg.inv(s)) == fresh
+
+
+def _one_row_sherman_morrison(A_inv, v):
+    Av = A_inv @ v
+    return A_inv - Av[:, None] * Av / (1.0 + float(v @ Av))
+
+
+def test_stacked_metric_update_matches_each_slice_bit_for_bit():
+    # One update of all L rows must give each row exactly what a 2-D update
+    # of that row alone gives, on Sherman-Morrison and on refactor rounds,
+    # and what the one-row formula above gives.
+    rng = np.random.default_rng(12)
+    for d in (1, 2, 10, 50):
+        for L in (1, 6):
+            A = rng.normal(size=(L, d, d))
+            sigma = A @ np.swapaxes(A, -1, -2) + np.eye(d)
+            sigma_inv = np.linalg.inv(sigma)
+            G = rng.normal(size=(L, d))
+            stacked = sherman_morrison_update(sigma_inv, G)
+            assert stacked.shape == (L, d, d)
+            for j in range(L):
+                assert np.array_equal(stacked[j], sherman_morrison_update(sigma_inv[j], G[j]))
+                assert np.array_equal(stacked[j], _one_row_sherman_morrison(sigma_inv[j], G[j]))
+            for updates in (0, REFACTOR_EVERY - 1):
+                S, S_inv = newton_metric_update(sigma, sigma_inv, updates, G)
+                for j in range(L):
+                    s, s_inv = newton_metric_update(sigma[j], sigma_inv[j], updates, G[j])
+                    assert np.array_equal(S[j], s) and np.array_equal(S_inv[j], s_inv)
 
 
 def test_expert_iterates_stay_feasible():
