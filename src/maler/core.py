@@ -168,14 +168,17 @@ class Ball:
         Exact: a y outside the ball (by the tolerance-free test of project)
         goes to _weighted_boundary_point, whose result passes
         contains(x, tol=0.0), so projecting it again returns it bit for bit.
-        Raises ValueError if H is not SPD and ProjectionError if the boundary
-        solve does not converge.
+        Raises ValueError if H is not SPD or y is not finite, and
+        ProjectionError if the boundary solve does not converge.
         """
         M = _check_spd(H, self.dim)
         v = as_vector(y, self.dim)
         z = v - self.center
-        if math.sqrt(z.dot(z)) <= self.radius:
+        n = math.sqrt(z.dot(z))
+        if n <= self.radius:
             return v
+        if not math.isfinite(n):
+            _require_finite(v)
         return self._weighted_boundary_point(M, v)
 
     def _weighted_boundary_point(self, M, v: np.ndarray) -> np.ndarray:

@@ -86,7 +86,8 @@ class LogisticBatchLoss(LossOracle):
 
     Z = diag(y) X is the batch with its rows pre-multiplied by their labels,
     and per_round the batch size, so f is the batch mean; stack(losses) is
-    the sum of same-size batches, one loss over all their rows.
+    the sum of same-size batches, one loss over all their rows. Z is only
+    read, so it may be a read-only view that other rounds' losses share.
     """
 
     def __init__(self, Z, per_round: int):
@@ -265,7 +266,13 @@ class ClassificationTask:
 def load_classification(path, rounds: int = 100, batch: int = 200,
                         radius: float = 0.5, seed: int = 0) -> ClassificationTask:
     """Build the classification stream: features scaled into the unit ball,
-    rows shuffled by seed, batches cycling through the file."""
+    rows shuffled by seed, batches cycling through the file.
+
+    Round t's batch is the examples t*batch .. (t+1)*batch - 1, modulo the
+    example count m. Every batch is a read-only view of one array, the
+    signed rows y_i x_i followed by the first batch - 1 of them again, so
+    the stream takes O((m + batch) d) memory for any number of rounds.
+    """
     if min(rounds, batch) < 1:
         raise ValueError(f"rounds and batch must be >= 1, got {rounds}, {batch}")
     rows = libsvm.parse_libsvm(path)
@@ -279,12 +286,15 @@ def load_classification(path, rounds: int = 100, batch: int = 200,
     order = rng.permutation(X.shape[0])
     X, y = X[order], y[order]
     m = X.shape[0]
+    Z = X * y[:, None]
+    base = Z[np.arange(m + batch - 1) % m]
+    base.flags.writeable = False
     losses = []
     g_bound = 0.0
     alpha = math.exp(-radius)
     for t in range(rounds):
-        idx = np.arange(t * batch, (t + 1) * batch) % m
-        f = LogisticBatchLoss(X[idx] * y[idx][:, None], batch)
+        lo = t * batch % m
+        f = LogisticBatchLoss(base[lo : lo + batch], batch)
         losses.append(f)
         g_bound = max(g_bound, f.grad_bound)
     dset = Ball(center=np.zeros(X.shape[1]), radius=radius)
@@ -397,14 +407,24 @@ TRACE_FORMAT = 2
 TRACE_MODULI = ("sc_modulus", "exp_concavity")
 
 
-def _encode_array(arr) -> dict:
-    """An array as its shape and its raw little-endian float64 bytes in base64."""
+# Raw bytes _write_array base64-encodes at a time. A multiple of 3, so the
+# pieces join, with no padding between them, into the one-shot encoding.
+TRACE_CHUNK = 3 * 2**16
+
+
+def _write_array(fh, arr) -> None:
+    """Write {"shape": ..., "f8": ...}: the array's raw little-endian float64 bytes
+    in base64, encoded TRACE_CHUNK bytes at a time."""
     a = np.ascontiguousarray(arr, dtype="<f8")
-    return {"shape": list(a.shape), "f8": base64.b64encode(a.tobytes()).decode("ascii")}
+    raw = a.reshape(-1).view(np.uint8)
+    fh.write(b'{"shape": %s, "f8": "' % json.dumps(list(a.shape)).encode("ascii"))
+    for lo in range(0, raw.size, TRACE_CHUNK):
+        fh.write(base64.b64encode(raw[lo : lo + TRACE_CHUNK]))
+    fh.write(b'"}')
 
 
 def _decode_array(obj) -> np.ndarray:
-    """Inverse of _encode_array, as a writable native float array; ValueError if malformed."""
+    """Inverse of _write_array, as a writable native float array; ValueError if malformed."""
     if not isinstance(obj, dict) or set(obj) != {"shape", "f8"}:
         raise ValueError("an array must be an object with exactly the keys 'shape' and 'f8'")
     shape, data = obj["shape"], obj["f8"]
@@ -424,7 +444,12 @@ def _decode_array(obj) -> np.ndarray:
 
 
 def save_trace(trace: RunTrace, path) -> None:
-    """Serialize a trace to JSON: problem data as JSON values, arrays as _encode_array."""
+    """Serialize a trace to one line of JSON: problem data as JSON values, then
+    each of TRACE_ARRAYS as _write_array or null.
+
+    The arrays are streamed to the file, so writing holds no copy of the
+    document, only one encoded chunk.
+    """
     obj = {
         "format": TRACE_FORMAT,
         "algo": trace.algo,
@@ -439,11 +464,19 @@ def save_trace(trace: RunTrace, path) -> None:
     }
     for name in TRACE_MODULI:
         obj[name] = getattr(trace, name)
-    for name in TRACE_ARRAYS:
-        arr = getattr(trace, name)
-        obj[name] = None if arr is None else _encode_array(arr)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(obj) + "\n")
+    # The metadata object, left open (no closing brace) for the array members.
+    # json.dumps escapes all non-ASCII, so the text is its own UTF-8 encoding.
+    head = json.dumps(obj)
+    with open(path, "wb") as fh:
+        fh.write(head[:-1].encode("ascii"))
+        for name in TRACE_ARRAYS:
+            fh.write(b", %s: " % json.dumps(name).encode("ascii"))
+            arr = getattr(trace, name)
+            if arr is None:
+                fh.write(b"null")
+            else:
+                _write_array(fh, arr)
+        fh.write(b"}\n")
 
 
 def load_trace(path) -> RunTrace:

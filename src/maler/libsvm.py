@@ -7,6 +7,7 @@ fails with its line number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +60,7 @@ def parse_libsvm(path) -> list:
                     val = float(val_s)
                 except ValueError:
                     raise LibsvmFormatError(line_no, f"non-numeric value {val_s!r}") from None
-                if not np.isfinite(val):
+                if not math.isfinite(val):
                     raise LibsvmFormatError(line_no, f"non-finite value {val_s!r}")
                 if idx in seen:
                     raise LibsvmFormatError(line_no, f"duplicate index {idx}")

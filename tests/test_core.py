@@ -86,6 +86,18 @@ def test_projection_refuses_non_finite_points():
             ball.project(np.array([[0.1, 0.2], bad, [3.0, 0.0]]))
 
 
+def test_weighted_projection_refuses_non_finite_points(monkeypatch):
+    def unreachable(self, M, v):
+        raise AssertionError("a non-finite target reached the boundary solve")
+
+    monkeypatch.setattr(Ball, "_weighted_boundary_point", unreachable)
+    ball = Ball(center=np.array([0.25, 0.0]), radius=1.0)
+    for H in (np.eye(2), np.array([[2.0, 0.5], [0.5, 1.0]])):
+        for bad in ([np.nan, 0.0], [np.inf, 0.0], [-np.inf, np.inf], [np.nan, np.inf]):
+            with pytest.raises(ValueError, match="non-finite"):
+                ball.project_weighted(H, bad)
+
+
 def test_projection_idempotent_bitwise():
     rng = np.random.default_rng(7)
     ball = Ball(center=np.array([0.1, -0.2, 0.0]), radius=0.8)

@@ -2,6 +2,7 @@ import base64
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,6 +250,9 @@ def test_libsvm_parse_errors(tmp_path):
         ("1 0:2.0", "1-based"),
         ("1 1:2.0 1:3.0", "duplicate index"),
         ("1 12", "expected index:value"),
+        ("1 1:nan", "non-finite value 'nan'"),
+        ("1 1:inf", "non-finite value 'inf'"),
+        ("1 1:-inf", "non-finite value '-inf'"),
     ]
     for i, (line, needle) in enumerate(cases):
         path = tmp_path / f"bad{i}.libsvm"
@@ -288,6 +292,63 @@ def test_load_classification(tmp_path):
     np.testing.assert_array_equal(task.losses[0].Z, again.losses[0].Z)
     other = load_classification(path, rounds=4, batch=50, radius=0.5, seed=2)
     assert not np.array_equal(task.losses[0].Z, other.losses[0].Z)
+
+
+def _batches_copied_per_round(path, rounds, batch, seed):
+    """Each round's signed batch X[idx] * y[idx][:, None] as a fresh array, the
+    construction load_classification used before its batches became views."""
+    X, y = to_dense(parse_libsvm(path))
+    scale = float(np.max(np.linalg.norm(X, axis=1)))
+    if scale > 0:
+        X = X / scale
+    order = np.random.default_rng(seed).permutation(X.shape[0])
+    X, y = X[order], y[order]
+    m = X.shape[0]
+    batches = []
+    for t in range(rounds):
+        idx = np.arange(t * batch, (t + 1) * batch) % m
+        batches.append(X[idx] * y[idx][:, None])
+    return batches
+
+
+@pytest.mark.parametrize("examples, batch, dim", [(120, 40, 5), (130, 50, 7), (37, 50, 3)],
+                         ids=["m-multiple-of-batch", "m-not-a-multiple", "m-below-batch"])
+def test_classification_batches_match_per_round_copies(tmp_path, examples, batch, dim):
+    path = tmp_path / "d.libsvm"
+    gen_classification_file(path, examples=examples, dim=dim, seed=3)
+    rounds = 11
+    task = load_classification(path, rounds=rounds, batch=batch, seed=4)
+    copies = [LogisticBatchLoss(Z, batch)
+              for Z in _batches_copied_per_round(path, rounds, batch, seed=4)]
+    assert len(task.losses) == len(copies) == rounds
+    x = np.random.default_rng(5).uniform(-0.3, 0.3, size=(3, dim))
+    shared = task.losses[0].Z.base
+    for f, ref in zip(task.losses, copies):
+        assert f.Z.shape == ref.Z.shape and f.Z.tobytes() == ref.Z.tobytes()
+        assert f.Z.base is shared and not f.Z.flags.writeable
+        assert f.grad_bound == ref.grad_bound
+        assert f.values(x).tobytes() == ref.values(x).tobytes()
+        for row in x:
+            assert f.value(row) == ref.value(row)
+            assert f.gradient(row).tobytes() == ref.gradient(row).tobytes()
+    assert task.params.grad_bound == max(ref.grad_bound for ref in copies)
+    (u, report), (u_ref, report_ref) = (offline_comparator(task.losses, task.dset),
+                                        offline_comparator(copies, task.dset))
+    assert u.tobytes() == u_ref.tobytes() and report == report_ref
+
+
+def test_classification_stream_memory_does_not_grow_with_rounds(tmp_path):
+    path = tmp_path / "d.libsvm"
+    gen_classification_file(path, examples=300, dim=10, seed=0)
+    tracemalloc.start()
+    try:
+        task = load_classification(path, rounds=1000, batch=200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(task.losses) == 1000
+    # A copy per round would be 1000 * 200 * 10 floats, over 15 MiB.
+    assert peak < 0.75 * 2**20
 
 
 def test_run_experiment_writes_everything(tmp_path):
@@ -659,6 +720,71 @@ def test_trace_arrays_round_trip_bit_exact(tmp_path, rounds):
         assert got is not None, name
         assert got.dtype == np.float64 and got.flags.writeable and got.shape == want.shape, name
         assert got.tobytes() == np.asarray(want, dtype=float).tobytes(), name
+
+
+def _one_shot_trace_bytes(trace) -> bytes:
+    """The file as save_trace wrote it from one json.dumps of the whole document,
+    each array one base64 string: the reference for the streamed writer."""
+    p = trace.params
+    obj = {
+        "format": 2,
+        "algo": trace.algo,
+        "params": {"horizon": p.horizon, "dim": p.dim, "grad_bound": p.grad_bound,
+                   "diameter": p.diameter},
+        "dset": {"kind": "ball", "center": trace.dset.center.tolist(),
+                 "radius": trace.dset.radius},
+        "grid_style": None if trace.grid is None else trace.grid.style,
+        "sc_modulus": trace.sc_modulus,
+        "exp_concavity": trace.exp_concavity,
+    }
+    for name in TRACE_ARRAYS:
+        arr = getattr(trace, name)
+        obj[name] = None if arr is None else _encode(arr)
+    return (json.dumps(obj) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("chunk", [3, 24, harness.TRACE_CHUNK])
+def test_saved_trace_bytes_match_the_one_shot_encoder(tmp_path, monkeypatch, chunk):
+    data = tmp_path / "d.libsvm"
+    gen_classification_file(data, examples=50, dim=3, seed=1)
+    traces = [*run_experiment(ExperimentConfig(rounds=7, dim=3, batch=5, seed=2)).traces.values(),
+              *run_experiment(ExperimentConfig(task="classification", data=str(data), rounds=5,
+                                               batch=20, algos=("maler", "ons"))).traces.values()]
+    assert {t.algo for t in traces} == {"maler", "metagrad", "ogd-convex", "ogd-sc", "ons"}
+    traces.append(_full_trace(0))
+    odd = _full_trace(6)
+    payload_nan = np.frombuffer(np.uint64(0x7FF8_0000_0000_0123).tobytes(), dtype=float)[0]
+    odd.log_phi = odd.log_phi.copy()
+    odd.log_phi[1:5] = [payload_nan, np.inf, -np.inf, -0.0]
+    # Longer than a default chunk, with byte lengths that are not multiples of 3.
+    rng = np.random.default_rng(3)
+    for name, n in (("loss_at_play", harness.TRACE_CHUNK // 8 + 1),
+                    ("loss_at_comparator", 2 * (harness.TRACE_CHUNK // 8) + 2)):
+        assert 8 * n > harness.TRACE_CHUNK and 8 * n % 3 != 0
+        setattr(odd, name, rng.standard_normal(n))
+    traces.append(odd)
+    monkeypatch.setattr(harness, "TRACE_CHUNK", chunk)
+    for i, trace in enumerate(traces):
+        path = tmp_path / f"t{i}.json"
+        save_trace(trace, path)
+        assert path.read_bytes() == _one_shot_trace_bytes(trace), trace.algo
+
+
+def test_save_trace_holds_a_chunk_not_the_document(tmp_path):
+    trace = _full_trace(6)
+    trace.expert_points = np.random.default_rng(0).standard_normal((5000, 17, 8))
+    path = tmp_path / "big.json"
+    tracemalloc.start()
+    try:
+        save_trace(trace, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size >= 5 * 10**6
+    # Encoding the whole document at once held several copies of it, over 30 MB.
+    # binascii allocates 2 output bytes per input byte before it trims.
+    assert peak < 3 * harness.TRACE_CHUNK
+    assert path.read_bytes() == _one_shot_trace_bytes(trace)
 
 
 def test_legacy_trace_loads_like_its_format_2_run(tmp_path):
