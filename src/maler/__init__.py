@@ -1,6 +1,6 @@
 """Universal online convex optimization with certified regret bounds."""
 
-from .core import Ball, LossOracle, ProblemParams, ProjectionError, Quadratic
+from .core import Ball, ProblemParams, ProjectionError, Quadratic
 from .experts import expert_regret_certificate
 from .meta import (
     CertificateReport,
@@ -40,7 +40,6 @@ __all__ = [
     "CertificateRow",
     "ExpertGrid",
     "Learner",
-    "LossOracle",
     "MalerLearner",
     "MetaState",
     "OGDLearner",

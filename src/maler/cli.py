@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import harness
@@ -15,49 +16,40 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run learners on one task and write results")
-    run.add_argument("--task", choices=("regression", "classification"),
-                     default="regression")
-    run.add_argument("--algos", default=None,
-                     help="comma-separated subset of "
+    run.add_argument("--task", choices=("regression", "classification"))
+    run.add_argument("--algos", help="comma-separated subset of "
                      + ",".join(harness.DEFAULT_ALGOS["regression"]))
-    run.add_argument("--rounds", type=int, default=200)
-    run.add_argument("--dim", type=int, default=50)
-    run.add_argument("--batch", type=int, default=200)
-    run.add_argument("--lambda", dest="ridge_lambda", type=float, default=1e-3)
-    run.add_argument("--noise-std", type=float, default=0.1)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--data", default=None, help="LIBSVM file (classification)")
-    run.add_argument("--radius", type=float, default=0.5,
-                     help="decision-ball radius (classification)")
-    run.add_argument("--out", default=None, help="output directory")
+    run.add_argument("--rounds", type=int)
+    run.add_argument("--dim", type=int)
+    run.add_argument("--batch", type=int)
+    run.add_argument("--lambda", dest="ridge_lambda", type=float)
+    run.add_argument("--noise-std", type=float)
+    run.add_argument("--seed", type=int)
+    run.add_argument("--data", help="LIBSVM file (classification)")
+    run.add_argument("--radius", type=float, help="decision-ball radius (classification)")
+    run.add_argument("--out", help="output directory")
     run.add_argument("--svg", action="store_true", help="also write a regret plot")
+    run.set_defaults(**{f.name: f.default for f in dataclasses.fields(harness.ExperimentConfig)})
 
     cert = sub.add_parser("certify", help="re-run all certificates on a saved trace")
     cert.add_argument("--trace", required=True, help="trace JSON written by `run`")
     return parser
 
 
+def run_config(args) -> harness.ExperimentConfig:
+    """The ExperimentConfig of a parsed `run` command line; --algos is split on commas."""
+    fields = {f.name: getattr(args, f.name) for f in dataclasses.fields(harness.ExperimentConfig)}
+    fields["algos"] = tuple(a for a in (args.algos or "").split(",") if a) or None
+    return harness.ExperimentConfig(**fields)
+
+
 def cmd_run(args) -> int:
-    algos = tuple(a for a in (args.algos or "").split(",") if a)
+    cfg = run_config(args)
     known = harness.DEFAULT_ALGOS["regression"]  # the regression task runs every algo
-    for a in algos:
+    for a in cfg.algos:
         if a not in known:
             print(f"unknown algo {a!r}; known: {', '.join(known)}", file=sys.stderr)
             return 2
-    cfg = harness.ExperimentConfig(
-        task=args.task,
-        algos=algos or None,
-        rounds=args.rounds,
-        dim=args.dim,
-        batch=args.batch,
-        ridge_lambda=args.ridge_lambda,
-        noise_std=args.noise_std,
-        seed=args.seed,
-        data=args.data,
-        radius=args.radius,
-        out=args.out,
-        svg=args.svg,
-    )
     try:
         result = harness.run_experiment(cfg)
     except (ValueError, AssumptionViolation, OSError) as exc:

@@ -122,31 +122,32 @@ class Ball:
     def project(self, y) -> np.ndarray:
         """Euclidean projection of y, one point or an (n, d) stack of rows, onto the ball.
 
-        A point outside the ball (by the tolerance-free test of contains)
-        is scaled onto the sphere by _shaved. A row of a stack goes through
-        the same float operations as the same point alone, so both return
-        it bit for bit. Raises ValueError for a non-finite point or row.
+        A point is projected as a one-row stack. A row outside the ball (by
+        the tolerance-free test of contains) is scaled onto the sphere by
+        _shaved; a finite row whose squared offset overflows is first
+        divided by its largest entry, which keeps its direction. Raises
+        ValueError for a non-finite point or row.
         """
         v = np.asarray(y, dtype=float)
         if v.ndim > 2 or v.shape[-1:] != (self.dim,):
             raise ValueError(f"expected shape ({self.dim},) or (n, {self.dim}), got {v.shape}")
-        z = v - self.center
-        if v.ndim == 1:
-            n = math.sqrt(z.dot(z))
-            if n <= self.radius:
-                return v
-            _require_finite(v)
-            return self._shaved(z, self.radius / n)
-        n = np.sqrt(rowdot(z, z))
+        rows = v.reshape(-1, self.dim)
+        z = rows - self.center
+        with np.errstate(over="ignore"):
+            n = np.sqrt(rowdot(z, z))
         # ~(n <= r), not n > r: a NaN row counts as outside and is refused.
         out = np.flatnonzero(~(n <= self.radius))
         if out.size == 0:
             return v
-        _require_finite(v[out])
-        p = v.copy()
+        _require_finite(rows[out])
+        p = rows.copy()
         for i in out:
-            p[i] = self._shaved(z[i], self.radius / n[i])
-        return p
+            zi, ni = z[i], n[i]
+            if ni == math.inf:
+                zi = zi / np.abs(zi).max()
+                ni = math.sqrt(zi.dot(zi))
+            p[i] = self._shaved(zi, self.radius / ni)
+        return p.reshape(v.shape)
 
     def _shaved(self, z: np.ndarray, scale: float) -> np.ndarray:
         """center + scale z, with scale shaved by ulps until that point passes contains(tol=0).
@@ -174,7 +175,10 @@ class Ball:
         M = _check_spd(H, self.dim)
         v = as_vector(y, self.dim)
         z = v - self.center
-        n = math.sqrt(z.dot(z))
+        # np.vdot equals z.dot(z) bit for bit but, unlike dot, gives an
+        # overflowing square as inf without a warning. This test runs on every
+        # call, where an np.errstate around dot would be a measurable cost.
+        n = math.sqrt(np.vdot(z, z))
         if n <= self.radius:
             return v
         if not math.isfinite(n):
@@ -193,14 +197,22 @@ class Ball:
         mu up by at least one ulp, and the first mu with ||q(mu)|| <= r ends
         the solve: the multiplier is pinned within a few ulps on the feasible
         side. The point is shaved as in project, so it passes
-        contains(x, tol=0.0). Raises ProjectionError after PROJECTION_ITERS
-        evaluations (non-finite input).
+        contains(x, tol=0.0). If a.a overflows, lam and a (and so mu) are
+        scaled by one power of two, which leaves q(mu) as it is. Raises
+        ProjectionError after PROJECTION_ITERS evaluations (non-finite input).
         """
         lam, V = np.linalg.eigh(M)
-        a = lam * (V.T @ (v - self.center))
+        w = V.T @ (v - self.center)
+        with np.errstate(over="ignore"):
+            a = lam * w
+            aa = a.dot(a)
+        if math.isinf(aa):
+            lam = np.ldexp(lam, -math.frexp(np.abs(w).max())[1] - math.frexp(lam[-1])[1])
+            a = lam * w
+            aa = a.dot(a)
         r = self.radius
         # ||q(mu)|| >= ||a|| / (lam_max + mu), so this mu is left of the root.
-        mu = max(0.0, math.sqrt(a.dot(a)) / r - float(lam[-1]))
+        mu = max(0.0, math.sqrt(aa) / r - float(lam[-1]))
         for _ in range(PROJECTION_ITERS):
             s = lam + mu
             q = a / s
@@ -229,23 +241,13 @@ class Ball:
         return self.center + z * (self.radius * u / n)
 
 
-class LossOracle:
-    """One round's convex loss: value and gradient queries at feasible points."""
-
-    def value(self, x) -> float:
-        raise NotImplementedError
-
-    def gradient(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-
 # Iteration cap and step tolerance of the projected-gradient fallback in
 # Quadratic.minimize.
 PGD_ITERS = 10000
 PGD_TOL = 1e-12
 
 
-class Quadratic(LossOracle):
+class Quadratic:
     """f(u) = iso ||u||^2 + u^T M u + q^T u + r, with M symmetric PSD or absent.
 
     Quadratic losses, the summed per-expert surrogates, and sums of either are

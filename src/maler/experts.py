@@ -45,9 +45,12 @@ def ons_grad_bound(D: float) -> float:
     return ONS_GRAD_SCALE / D
 
 
-def ons_beta(D: float) -> float:
-    """Newton-step parameter beta = min(1/(4 G_l D), 1) / 2."""
-    return 0.5 * min(1.0 / (4.0 * ons_grad_bound(D) * D), 1.0)
+def newton_beta(G: float, D: float, alpha: float) -> float:
+    """Online Newton step parameter beta = min(alpha, 1/(4 G D)) / 2 for alpha-exp-concave
+    losses with gradients bounded by G on a set of diameter D (Hazan, Agarwal & Kale, 2007)."""
+    if alpha <= 0:
+        raise ValueError("exp-concavity modulus must be positive")
+    return 0.5 * min(alpha, 1.0 / (4.0 * (G * D)))
 
 
 def newton_metric(beta: float, D: float, dim: int) -> tuple:
@@ -131,7 +134,7 @@ class ExpertBank:
         kinds = np.asarray(kinds)
         rows = tuple(np.flatnonzero(kinds == kind)
                      for kind in (KIND_CONST, KIND_SPHERICAL, KIND_QUADRATIC))
-        beta = ons_beta(D)
+        beta = newton_beta(ons_grad_bound(D), D, 1.0)
         sigma, sigma_inv = newton_metric(beta, D, params.dim)
         return cls(
             etas=etas,
@@ -189,31 +192,29 @@ def expert_regret_c_bound() -> float:
     return 0.75
 
 
-def summed_surrogate(kind: str, plays: np.ndarray, grads: np.ndarray, eta: float,
-                     G: float, D: float) -> Quadratic:
+def summed_surrogate(eta: float, pad: float, sph: float, quad: float, plays: np.ndarray,
+                     grads: np.ndarray) -> Quadratic:
     """One expert's surrogate summed over rounds, as a quadratic in u.
 
-    M is zero for the constant-pad surrogate, iso is zero except for the
-    spherical one, and M = sum_t eta^2 g_t g_t^T for the quadratic one.
+    The time-sum of surrogates.expert_values' eta ip + pad + sph ||u - x_t||^2
+    + quad (eta ip)^2, ip = (u - x_t)^T g_t, for the expert's column
+    (pad, sph, quad) of surrogates.expert_constants. A zero constant adds no
+    term: iso = T sph, and M = quad eta^2 sum_t g_t g_t^T is None if quad is 0.
     """
     rounds = plays.shape[0]
     xg = np.einsum("td,td->t", plays, grads)
-    sum_g = grads.sum(axis=0)
-    if kind == KIND_CONST:
-        return Quadratic(q=eta * sum_g, r=-eta * float(xg.sum()) + rounds * (eta * G * D) ** 2)
-    if kind == KIND_SPHERICAL:
-        return Quadratic(
-            q=eta * sum_g - 2.0 * eta**2 * G**2 * plays.sum(axis=0),
-            r=-eta * float(xg.sum()) + eta**2 * G**2 * float(np.einsum("td,td->", plays, plays)),
-            iso=eta**2 * G**2 * rounds,
-        )
-    if kind == KIND_QUADRATIC:
-        return Quadratic(
-            q=eta * sum_g - 2.0 * eta**2 * (xg @ grads),
-            r=-eta * float(xg.sum()) + eta**2 * float(xg @ xg),
-            M=eta**2 * np.einsum("ti,tj->ij", grads, grads),
-        )
-    raise ValueError(f"unknown surrogate kind {kind!r}")
+    q, r, M = eta * grads.sum(axis=0), -eta * float(xg.sum()), None
+    if pad:
+        r = r + rounds * pad
+    if sph:
+        q = q - 2.0 * sph * plays.sum(axis=0)
+        r = r + sph * float(np.einsum("td,td->", plays, plays))
+    if quad:
+        w = quad * eta**2
+        q = q - 2.0 * w * (xg @ grads)
+        r = r + w * float(xg @ xg)
+        M = w * np.einsum("ti,tj->ij", grads, grads)
+    return Quadratic(q=q, r=r, iso=sph * rounds, M=M)
 
 
 def expert_regret_certificate(trace: RunTrace) -> CertificateReport:
@@ -229,12 +230,12 @@ def expert_regret_certificate(trace: RunTrace) -> CertificateReport:
     p = trace.params
     T, d = trace.plays.shape
     own = recompute_surrogate_losses(trace).sum(axis=0)
+    constants = surrogates.expert_constants(grid.kinds, grid.tilts, p.grad_bound, p.diameter)
     bounds = {KIND_CONST: expert_regret_c_bound(), KIND_SPHERICAL: expert_regret_s_bound(T),
               KIND_QUADRATIC: expert_regret_ell_bound(T, d)}
     rows = []
     for e, kind in enumerate(grid.kinds):
-        obj = summed_surrogate(kind, trace.plays, trace.grads, float(grid.tilts[e]), p.grad_bound,
-                               p.diameter)
+        obj = summed_surrogate(float(grid.tilts[e]), *constants[:, e], trace.plays, trace.grads)
         rows.append(CertificateRow(label=f"expert-regret {grid.labels[e]}",
                                    measured=float(own[e]) - obj.value(obj.minimize(trace.dset)),
                                    bound=bounds[kind]))

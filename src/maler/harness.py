@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import libsvm, meta, svgplot, universal
-from .core import Ball, LossOracle, ProblemParams, Quadratic
+from .core import Ball, ProblemParams, Quadratic
 from .experts import expert_regret_certificate
 from .meta import (
     CertificateReport,
@@ -81,7 +81,7 @@ def _log1pexp(z: np.ndarray) -> np.ndarray:
     return out
 
 
-class LogisticBatchLoss(LossOracle):
+class LogisticBatchLoss:
     """f(w) = (1/per_round) sum_i log(1 + exp(-z_i^T w)) over the rows z_i = y_i x_i of Z.
 
     Z = diag(y) X is the batch with its rows pre-multiplied by their labels,
@@ -125,7 +125,7 @@ class LogisticBatchLoss(LossOracle):
         return float(np.sum(np.linalg.norm(self.Z, axis=1))) / self.per_round
 
 
-def _loss_sum(losses) -> LossOracle:
+def _loss_sum(losses):
     """The summed loss: one Quadratic or one stacked LogisticBatchLoss."""
     losses = list(losses)
     if losses and all(isinstance(f, Quadratic) for f in losses):
@@ -211,20 +211,22 @@ def sample_ball(rng: np.random.Generator, count: int, dim: int, radius: float) -
 
 
 @dataclass
-class RegressionTask:
-    """Synthetic mini-batch ridge regression stream."""
+class Task:
+    """One loss stream on its decision set, with the losses' curvature moduli.
 
-    w_star: np.ndarray
+    sc_modulus is None for a task whose losses are not strongly convex.
+    """
+
     losses: list
     dset: Ball
     params: ProblemParams
-    sc_modulus: float
+    sc_modulus: Optional[float]
     exp_concavity: float
 
 
 def gen_regression(rounds: int = 200, dim: int = 50, batch: int = 200,
                    lam: float = 1e-3, noise_std: float = 0.1,
-                   seed: int = 0) -> RegressionTask:
+                   seed: int = 0) -> Task:
     """Sample the regression stream: hidden w in a diameter-1 ball, features
     in a diameter-10 ball, Gaussian label noise, fresh batch per round."""
     if min(rounds, dim, batch) < 1:
@@ -242,29 +244,12 @@ def gen_regression(rounds: int = 200, dim: int = 50, batch: int = 200,
         losses.append(f)
         g_bound = max(g_bound, f.grad_bound)
     params = ProblemParams(horizon=rounds, dim=dim, grad_bound=g_bound, diameter=2 * r_w)
-    return RegressionTask(
-        w_star=w_star,
-        losses=losses,
-        dset=dset,
-        params=params,
-        sc_modulus=2.0 * lam,
-        exp_concavity=2.0 * lam / g_bound**2,
-    )
-
-
-@dataclass
-class ClassificationTask:
-    """Mini-batch logistic classification stream over LIBSVM data."""
-
-    losses: list
-    dset: Ball
-    params: ProblemParams
-    exp_concavity: float
-    examples: int
+    return Task(losses, dset, params, sc_modulus=2.0 * lam,
+                exp_concavity=2.0 * lam / g_bound**2)
 
 
 def load_classification(path, rounds: int = 100, batch: int = 200,
-                        radius: float = 0.5, seed: int = 0) -> ClassificationTask:
+                        radius: float = 0.5, seed: int = 0) -> Task:
     """Build the classification stream: features scaled into the unit ball,
     rows shuffled by seed, batches cycling through the file.
 
@@ -291,7 +276,6 @@ def load_classification(path, rounds: int = 100, batch: int = 200,
     base.flags.writeable = False
     losses = []
     g_bound = 0.0
-    alpha = math.exp(-radius)
     for t in range(rounds):
         lo = t * batch % m
         f = LogisticBatchLoss(base[lo : lo + batch], batch)
@@ -300,13 +284,7 @@ def load_classification(path, rounds: int = 100, batch: int = 200,
     dset = Ball(center=np.zeros(X.shape[1]), radius=radius)
     params = ProblemParams(horizon=rounds, dim=X.shape[1], grad_bound=g_bound,
                            diameter=2 * radius)
-    return ClassificationTask(
-        losses=losses,
-        dset=dset,
-        params=params,
-        exp_concavity=alpha,
-        examples=m,
-    )
+    return Task(losses, dset, params, sc_modulus=None, exp_concavity=math.exp(-radius))
 
 
 def gen_classification_file(path, examples: int = 4000, dim: int = 10, seed: int = 0) -> None:
@@ -585,8 +563,6 @@ class ExperimentResult:
 
     config: ExperimentConfig
     params: ProblemParams
-    dset: Ball
-    comparator: np.ndarray
     comparator_report: ComparatorReport
     traces: dict
     diagnostics: dict
@@ -628,19 +604,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if cfg.task == "regression":
         task = gen_regression(rounds=cfg.rounds, dim=cfg.dim, batch=cfg.batch,
                               lam=cfg.ridge_lambda, noise_std=cfg.noise_std, seed=cfg.seed)
-        sc_modulus: Optional[float] = task.sc_modulus
-        exp_concavity = task.exp_concavity
     elif cfg.task == "classification":
         if not cfg.data:
             raise ValueError("classification needs --data PATH (LIBSVM format)")
         task = load_classification(cfg.data, rounds=cfg.rounds, batch=cfg.batch,
                                    radius=cfg.radius, seed=cfg.seed)
-        sc_modulus = None
-        exp_concavity = task.exp_concavity
     else:
         raise ValueError(f"unknown task {cfg.task!r}")
 
-    if sc_modulus is None and "ogd-sc" in cfg.algos:
+    if task.sc_modulus is None and "ogd-sc" in cfg.algos:
         raise ValueError("ogd-sc needs a strongly convex task")
 
     x_star, comp_report = offline_comparator(task.losses, task.dset)
@@ -649,10 +621,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     traces, diags, certs = {}, {}, {}
     for name in cfg.algos:
         learner = make_learner(name, task.params, task.dset,
-                               sc_modulus=sc_modulus, exp_concavity=exp_concavity)
+                               sc_modulus=task.sc_modulus, exp_concavity=task.exp_concavity)
         trace = run_stream(learner, task.losses)
-        trace.with_comparator(x_star, at_comp)
-        trace.sc_modulus, trace.exp_concavity = sc_modulus, exp_concavity
+        trace.comparator, trace.loss_at_comparator = x_star, at_comp
+        trace.sc_modulus, trace.exp_concavity = task.sc_modulus, task.exp_concavity
         traces[name] = trace
         diags[name] = regret_diagnostics(trace)
         certs[name] = certificates_for(trace)
@@ -660,8 +632,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     result = ExperimentResult(
         config=cfg,
         params=task.params,
-        dset=task.dset,
-        comparator=x_star,
         comparator_report=comp_report,
         traces=traces,
         diagnostics=diags,

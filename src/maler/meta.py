@@ -70,9 +70,12 @@ def build_grid(params: ProblemParams, style: str = "maler") -> ExpertGrid:
     prior 1/3, plus a spherical and a quadratic expert per rate, each with
     prior C/(3 (i+1)(i+2)), C = 1 + 1/(1+k).
     style "metagrad": the baseline's quadratic experts only, with priors
-    C/((i+1)(i+2)).
+    C/((i+1)(i+2)). Raises ValueError for T < 2.
     """
     T, G, D = params.horizon, params.grad_bound, params.diameter
+    if T < 2:
+        raise ValueError(f"horizon T={T} is too short: the expert-regret bound 10 d ln T "
+                         "is 0 at T=1, so an expert grid needs T >= 2")
     k = grid_depth(T)
     etas = np.array([2.0**-i / (5.0 * D * G) for i in range(k + 1)])
     eta_c = 1.0 / (2.0 * G * D * math.sqrt(T))
@@ -163,11 +166,6 @@ class RunTrace:
     @property
     def rounds(self) -> int:
         return self.plays.shape[0]
-
-    def with_comparator(self, x_star, per_round_values) -> "RunTrace":
-        self.comparator = np.asarray(x_star, dtype=float)
-        self.loss_at_comparator = np.asarray(per_round_values, dtype=float)
-        return self
 
 
 def recompute_surrogate_losses(trace: RunTrace) -> np.ndarray:

@@ -167,7 +167,7 @@ class ONSLearner(Learner):
 
     def __init__(self, params: ProblemParams, dset: Ball, alpha: float):
         super().__init__(params, dset)
-        self.beta = exp_concave_beta(params, alpha)
+        self.beta = experts.newton_beta(params.grad_bound, params.diameter, alpha)
         self._x = np.zeros(params.dim)
         self._sigma, self._sigma_inv = experts.newton_metric(self.beta, params.diameter, params.dim)
 
@@ -179,14 +179,6 @@ class ONSLearner(Learner):
                                                         len(self._plays), grad)
         self._x = experts.newton_expert_step(self._x, sigma, sigma_inv, grad, self.beta, self.dset)
         self._sigma, self._sigma_inv = sigma, sigma_inv
-
-
-def exp_concave_beta(params: ProblemParams, alpha: float) -> float:
-    """ONS step parameter beta = min(alpha, 1/(4 G D)) / 2 for alpha-exp-concave losses."""
-    if alpha <= 0:
-        raise ValueError("exp-concavity modulus must be positive")
-    GD = params.grad_bound * params.diameter
-    return 0.5 * min(alpha, 1.0 / (4.0 * GD))
 
 
 def make_learner(name: str, params: ProblemParams, dset: Ball, *,
@@ -306,5 +298,5 @@ def strongly_convex_regret_bound(params: ProblemParams, lam: float) -> float:
 def exp_concave_regret_bound(params: ProblemParams, alpha: float) -> float:
     """Regret bound (10 G D + 9 / (2 beta)) B for alpha-exp-concave losses."""
     p = params
-    beta = exp_concave_beta(p, alpha)
+    beta = experts.newton_beta(p.grad_bound, p.diameter, alpha)
     return (10.0 * p.grad_bound * p.diameter + 9.0 / (2.0 * beta)) * bound_constant_b(p.horizon, p.dim)

@@ -224,7 +224,7 @@ def test_criterion_3_simultaneous_regret_bounds(fuzz):
         q = s["grads"].sum(axis=0)
         qn = float(np.linalg.norm(q))
         u = -0.5 * q / qn if qn > 0 else np.zeros_like(q)
-        trace.with_comparator(u, s["grads"] @ u)
+        trace.comparator, trace.loss_at_comparator = u, s["grads"] @ u
         rep = regret_bound_certificate(trace)
         checks += len(rep.rows)
         bad += sum(1 for r in rep.rows if not r.ok)

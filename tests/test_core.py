@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,29 @@ def test_projection_refuses_non_finite_points():
             ball.project(bad)
         with pytest.raises(ValueError, match="non-finite"):
             ball.project(np.array([[0.1, 0.2], bad, [3.0, 0.0]]))
+
+
+def test_projections_of_a_point_whose_squared_offset_overflows_reach_the_boundary():
+    # ||y - c||^2 overflows past ~1.3e154; the direction of y - c does not.
+    ball = Ball(center=np.zeros(2), radius=1.0)
+    H = np.array([[2.0, 0.5], [0.5, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(ball.project([1e200, 0.0]), [1.0, 0.0])
+        P = ball.project(np.array([[0.1, 0.2], [1e200, 0.0], [-1e300, 1e300], [3.0, 4.0]]))
+        assert np.array_equal(P[:2], [[0.1, 0.2], [1.0, 0.0]])
+        np.testing.assert_allclose(P[2], [-math.sqrt(0.5), math.sqrt(0.5)], rtol=1e-15)
+        assert ball.contains(P[2], tol=0.0)
+        assert np.array_equal(P[3], ball.project([3.0, 4.0]))
+        assert np.array_equal(ball.project_weighted(np.eye(2), [1e200, 0.0]), [1.0, 0.0])
+        # At 1e120 the target is far enough out to give the limit point, and
+        # its squared offset does not overflow.
+        limit = ball.project_weighted(H, np.array([1.0, -0.3]) * 1e120)
+        for scale in (1e160, 1e200, 1e300):
+            for W in (H, 1e200 * H):
+                x = ball.project_weighted(W, np.array([1.0, -0.3]) * scale)
+                assert ball.contains(x, tol=0.0)
+                np.testing.assert_allclose(x, limit, rtol=1e-14)
 
 
 def test_weighted_projection_refuses_non_finite_points(monkeypatch):

@@ -13,10 +13,10 @@ from maler.experts import (
     expert_regret_certificate,
     expert_regret_ell_bound,
     expert_regret_s_bound,
+    newton_beta,
     newton_expert_step,
     newton_metric,
     newton_metric_update,
-    ons_beta,
     ons_grad_bound,
     sherman_morrison_update,
     spherical_expert_step,
@@ -35,8 +35,23 @@ def test_ons_constants():
     # G_l = 7/(25 D) makes beta = 25/56 for every D.
     assert ons_grad_bound(1.0) == pytest.approx(7.0 / 25.0)
     assert ons_grad_bound(0.5) == pytest.approx(14.0 / 25.0)
-    assert ons_beta(1.0) == pytest.approx(25.0 / 56.0)
-    assert ons_beta(0.25) == pytest.approx(25.0 / 56.0)
+    for D in (1.0, 0.25):
+        assert newton_beta(ons_grad_bound(D), D, 1.0) == pytest.approx(25.0 / 56.0)
+    assert newton_beta(2.0, 0.5, 0.1) == 0.05
+    with pytest.raises(ValueError):
+        newton_beta(1.0, 1.0, 0.0)
+
+
+def _ons_beta_reference(D):
+    """The bank's beta as computed before newton_beta: min(1/(4 G_l D), 1) / 2."""
+    return 0.5 * min(1.0 / (4.0 * ons_grad_bound(D) * D), 1.0)
+
+
+def test_newton_beta_matches_the_bank_reference_bit_for_bit():
+    # 4 (G D) and (4 G) D round alike: scaling by 4 is exact.
+    rng = np.random.default_rng(31)
+    for D in np.exp(rng.uniform(-20.0, 20.0, size=2000)):
+        assert newton_beta(ons_grad_bound(D), D, 1.0) == _ons_beta_reference(D)
 
 
 def test_convex_expert_first_step():
@@ -88,8 +103,9 @@ def test_newton_expert_hand_step():
     np.testing.assert_allclose(bank.sigma_inv[0], np.linalg.inv(bank.sigma[0]), atol=1e-12)
     # The kernels alone, on the surrogate gradient eta*g, give the same step.
     g = 0.08 * np.array([5.0, 0.0])
-    sigma, sigma_inv = newton_metric_update(*newton_metric(ons_beta(0.5), 0.5, 2), 0, g)
-    x = newton_expert_step(np.zeros(2), sigma, sigma_inv, g, ons_beta(0.5), ball)
+    beta = newton_beta(ons_grad_bound(0.5), 0.5, 1.0)
+    sigma, sigma_inv = newton_metric_update(*newton_metric(beta, 0.5, 2), 0, g)
+    x = newton_expert_step(np.zeros(2), sigma, sigma_inv, g, beta, ball)
     np.testing.assert_array_equal(x, bank.points[0])
     np.testing.assert_array_equal(sigma, bank.sigma[0])
     np.testing.assert_array_equal(sigma_inv, bank.sigma_inv[0])
@@ -262,6 +278,43 @@ def _random_history(rng, T, d, G=1.0, radius=0.5):
     return plays, grads
 
 
+def _summed(kind, plays, grads, eta, G, D):
+    """summed_surrogate of one expert, with its column of expert_constants."""
+    pad, sph, quad = surrogates.expert_constants((kind,), [eta], G, D)[:, 0]
+    return summed_surrogate(eta, pad, sph, quad, plays, grads)
+
+
+def _summed_reference(kind, plays, grads, eta, G, D):
+    """The per-kind sums summed_surrogate replaced, as (q, r, iso, M)."""
+    rounds = plays.shape[0]
+    xg = np.einsum("td,td->t", plays, grads)
+    sum_g = grads.sum(axis=0)
+    if kind == KIND_CONST:
+        return eta * sum_g, -eta * float(xg.sum()) + rounds * (eta * G * D) ** 2, 0.0, None
+    if kind == KIND_SPHERICAL:
+        return (eta * sum_g - 2.0 * eta**2 * G**2 * plays.sum(axis=0),
+                -eta * float(xg.sum()) + eta**2 * G**2 * float(np.einsum("td,td->", plays, plays)),
+                eta**2 * G**2 * rounds, None)
+    return (eta * sum_g - 2.0 * eta**2 * (xg @ grads),
+            -eta * float(xg.sum()) + eta**2 * float(xg @ xg), 0.0,
+            eta**2 * np.einsum("ti,tj->ij", grads, grads))
+
+
+def test_summed_surrogate_matches_the_per_kind_reference_bit_for_bit():
+    rng = np.random.default_rng(29)
+    for case in range(1000):
+        G, D = np.exp(rng.uniform(math.log(1e-2), math.log(1e2), size=2))
+        d = int(rng.integers(2, 9))
+        T = int(rng.integers(1, d)) if case % 2 else int(rng.integers(d + 1, 40))
+        plays, grads = _random_history(rng, T, d, G=G, radius=D / 2)
+        for kind in (KIND_CONST, KIND_SPHERICAL, KIND_QUADRATIC):
+            eta = float(rng.uniform(0.01, 1.0)) * surrogates.eta_cap(G, D)
+            obj = _summed(kind, plays, grads, eta, G, D)
+            q, r, iso, M = _summed_reference(kind, plays, grads, eta, G, D)
+            assert np.array_equal(obj.q, q) and obj.r == r and obj.iso == iso
+            assert (obj.M is None) if M is None else np.array_equal(obj.M, M)
+
+
 def test_summed_surrogate_matches_per_round_sum():
     from maler import surrogates
 
@@ -275,7 +328,7 @@ def test_summed_surrogate_matches_per_round_sum():
         (KIND_QUADRATIC, surrogates.ell_value),
     ):
         eta = 0.1 if kind != KIND_CONST else 0.02
-        obj = summed_surrogate(kind, plays, grads, eta, G, D)
+        obj = _summed(kind, plays, grads, eta, G, D)
         direct = sum(
             fn(SurrogateContext(play=plays[t], grad=grads[t], eta=eta, G=G, D=D), u)
             for t in range(T)
@@ -294,7 +347,7 @@ def test_summed_surrogate_minimizer_beats_grid():
     pts = np.stack([X.ravel(), Y.ravel()], axis=1)
     pts = pts[np.einsum("nd,nd->n", pts, pts) <= 0.25]
     for kind, eta in ((KIND_CONST, 0.02), (KIND_SPHERICAL, 0.15), (KIND_QUADRATIC, 0.15)):
-        obj = summed_surrogate(kind, plays, grads, eta, 1.0, 1.0)
+        obj = _summed(kind, plays, grads, eta, 1.0, 1.0)
         u = obj.minimize(ball)
         assert ball.contains(u, tol=1e-9)
         assert obj.value(u) <= float(obj.values(pts).min()) + 1e-6

@@ -31,6 +31,7 @@ from maler.harness import (
     save_trace,
 )
 from maler.libsvm import LibsvmFormatError, LibsvmRow, parse_libsvm, to_dense, write_libsvm
+from maler.meta import build_grid
 from maler.universal import MalerLearner, regret_diagnostics
 
 
@@ -183,11 +184,11 @@ def test_gen_regression_shapes_and_scales(monkeypatch):
     monkeypatch.setattr(harness, "sample_ball", recording_sample_ball)
     task = gen_regression(rounds=10, dim=4, batch=12, lam=0.01, noise_std=0.1, seed=42)
     assert len(task.losses) == 10
-    assert np.linalg.norm(task.w_star) <= 0.5 + 1e-12
     assert task.params.dim == 4
     assert task.params.diameter == pytest.approx(1.0)
     assert task.sc_modulus == pytest.approx(0.02)
-    # The first draw is w_star; then one feature batch per round.
+    # The first draw is the hidden weight vector; then one feature batch per round.
+    assert drawn[0].shape == (1, 4) and np.linalg.norm(drawn[0]) <= 0.5 + 1e-12
     assert [X.shape for X in drawn[1:]] == [(12, 4)] * 10
     for X in drawn[1:]:
         assert np.all(np.linalg.norm(X, axis=1) <= 5.0 + 1e-12)
@@ -215,14 +216,25 @@ def test_task_builders_reject_non_positive_sizes(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_cli_run_refuses_a_horizon_the_expert_bounds_do_not_cover(tmp_path, capsys):
+    # 10 d ln T is 0 at T = 1, so no expert grid is built for one round.
+    path = tmp_path / "d.libsvm"
+    gen_classification_file(path, examples=20, dim=3, seed=1)
+    for task in (["--dim", "2"], ["--task", "classification", "--data", str(path)]):
+        capsys.readouterr()
+        assert cli.main(["run", "--rounds", "1", *task]) == 1
+        assert capsys.readouterr().err.startswith("error: horizon T=1 is too short")
+    with pytest.raises(ValueError, match="horizon T=1 is too short"):
+        build_grid(ProblemParams(horizon=1, dim=2, grad_bound=1.0, diameter=1.0), "metagrad")
+
+
 def test_gen_regression_deterministic():
     a = gen_regression(rounds=3, dim=2, batch=5, seed=9)
     b = gen_regression(rounds=3, dim=2, batch=5, seed=9)
-    np.testing.assert_array_equal(a.w_star, b.w_star)
     np.testing.assert_array_equal(a.losses[2].M, b.losses[2].M)
     np.testing.assert_array_equal(a.losses[2].q, b.losses[2].q)
     c = gen_regression(rounds=3, dim=2, batch=5, seed=10)
-    assert not np.array_equal(a.w_star, c.w_star)
+    assert not np.array_equal(a.losses[0].q, c.losses[0].q)
 
 
 def test_libsvm_round_trip(tmp_path):
@@ -275,7 +287,6 @@ def test_load_classification(tmp_path):
     path = tmp_path / "synth.libsvm"
     gen_classification_file(path, examples=120, dim=5, seed=0)
     task = load_classification(path, rounds=4, batch=50, radius=0.5, seed=1)
-    assert task.examples == 120
     assert task.params.dim == 5
     assert task.params.diameter == pytest.approx(1.0)
     assert task.exp_concavity == pytest.approx(math.exp(-0.5))
@@ -287,6 +298,7 @@ def test_load_classification(tmp_path):
     seen = {tuple(np.round(r, 12)) for r in task.losses[0].Z}
     reused = {tuple(np.round(r, 12)) for r in task.losses[2].Z}
     assert seen & reused
+    assert len({tuple(r) for f in task.losses for r in f.Z}) == 120
     # Same seed, same stream; different seed, different order.
     again = load_classification(path, rounds=4, batch=50, radius=0.5, seed=1)
     np.testing.assert_array_equal(task.losses[0].Z, again.losses[0].Z)
@@ -399,11 +411,14 @@ def test_csv_reproducible_from_saved_traces(tmp_path):
 
 
 def _full_trace(rounds):
-    """A maler trace with every array set; rounds=0 gives zero-row arrays."""
-    task = gen_regression(rounds=max(rounds, 1), dim=2, batch=5, seed=7)
+    """A maler trace with every array set; rounds=0 gives zero-row arrays.
+
+    The stream has at least 2 rounds, the shortest horizon of an expert grid."""
+    task = gen_regression(rounds=max(rounds, 2), dim=2, batch=5, seed=7)
     trace = run_stream(MalerLearner(task.params, task.dset), task.losses[:rounds])
     x, _ = offline_comparator(task.losses, task.dset)
-    trace.with_comparator(x, np.array([f.value(x) for f in task.losses[:rounds]]))
+    trace.comparator = x
+    trace.loss_at_comparator = np.array([f.value(x) for f in task.losses[:rounds]])
     return trace
 
 
@@ -608,6 +623,12 @@ def _null(*keys):
     return edit
 
 
+def _one_round(obj):
+    obj["params"]["horizon"] = 1
+    for name in ("plays", "grads", *GRID_ARRAYS, "loss_at_play", "loss_at_comparator"):
+        obj[name] = obj[name][:1]
+
+
 def _ungridded(obj):
     obj["grid_style"] = None
     for key in GRID_ARRAYS:
@@ -651,6 +672,7 @@ def _ungridded(obj):
      "exp_concavity must be a finite positive number"),
     (_set("sc_modulus", lambda obj: 10**400), "sc_modulus must be a finite positive number"),
     (_set("exp_concavity", lambda obj: [0.5]), "exp_concavity must be a finite positive number"),
+    (_one_round, "horizon T=1 is too short"),
 ], ids=["log_phi-rows", "expert_points-experts", "surrogate_losses-experts",
         "log_weights-experts", "horizon-grid", "horizon-below-T", "plays-rows",
         "grads-dim", "loss_at_play-rows", "comparator-dim", "top-level-list",
@@ -658,7 +680,8 @@ def _ungridded(obj):
         "dim-float", "horizon-bool", "expert_points-null", "log_phi-null",
         "comparator-null", "grid_style-null", "algo-other-grid", "algo-without-grid",
         "sc_modulus-zero", "exp_concavity-negative", "sc_modulus-bool", "exp_concavity-string",
-        "sc_modulus-nan", "exp_concavity-inf", "sc_modulus-huge-int", "exp_concavity-list"])
+        "sc_modulus-nan", "exp_concavity-inf", "sc_modulus-huge-int", "exp_concavity-list",
+        "horizon-one"])
 def test_cli_certify_rejects_misshapen_traces(tmp_path, capsys, edit, reason):
     tpath = _tampered_trace(tmp_path, edit)
     capsys.readouterr()
@@ -806,6 +829,15 @@ def test_legacy_trace_loads_like_its_format_2_run(tmp_path):
         return [(rep.name, row.label, row.measured, row.bound) for rep in reps for row in rep.rows]
 
     assert rows(legacy_reports) == rows(reports)
+
+
+def test_cli_run_defaults_are_the_config_defaults():
+    parser = cli.build_parser()
+    assert cli.run_config(parser.parse_args(["run"])) == ExperimentConfig()
+    args = parser.parse_args(["run", "--task", "classification", "--algos", "maler,,ons",
+                              "--lambda", "0.5", "--noise-std", "0.2", "--svg"])
+    assert cli.run_config(args) == ExperimentConfig(
+        task="classification", algos=("maler", "ons"), ridge_lambda=0.5, noise_std=0.2, svg=True)
 
 
 def test_cli_error_paths(tmp_path, capsys):

@@ -196,7 +196,7 @@ def test_regret_bound_certificate_on_linear_stream():
     # For linear losses the constrained comparator has a closed form.
     total = np.sum(grads, axis=0)
     u = -0.5 * total / np.linalg.norm(total)
-    trace.with_comparator(u, np.array([g @ u for g in grads]))
+    trace.comparator, trace.loss_at_comparator = u, np.array([g @ u for g in grads])
     report = regret_bound_certificate(trace)
     assert report.ok
     assert len(report.rows) == 3
@@ -223,7 +223,7 @@ def test_v_ell_never_exceeds_v_s():
     trace = learner.trace()
     trace.loss_at_play = np.array(values)
     u = ball.sample(rng)
-    trace.with_comparator(u, np.array([g @ u for g in trace.grads]))
+    trace.comparator, trace.loss_at_comparator = u, np.array([g @ u for g in trace.grads])
     diag = regret_diagnostics(trace)
     assert diag.v_ell <= diag.v_s + 1e-9
     assert diag.cum_regret.shape == (T,)
