@@ -115,18 +115,20 @@ class Ball:
         if float(np.linalg.norm(c)) > self.radius + 1e-12:
             raise ValueError("decision set must contain the origin")
 
-    def contains(self, x, tol: float = 1e-12) -> bool:
+    def contains(self, x) -> bool:
+        """||x - center|| <= radius, with no tolerance."""
         z = as_vector(x, self.dim) - self.center
-        return math.sqrt(z.dot(z)) <= self.radius + tol
+        # np.vdot equals z.dot(z) bit for bit but overflows to inf without a warning.
+        return math.sqrt(np.vdot(z, z)) <= self.radius
 
     def project(self, y) -> np.ndarray:
         """Euclidean projection of y, one point or an (n, d) stack of rows, onto the ball.
 
         A point is projected as a one-row stack. A row outside the ball (by
-        the tolerance-free test of contains) is scaled onto the sphere by
-        _shaved; a finite row whose squared offset overflows is first
-        divided by its largest entry, which keeps its direction. Raises
-        ValueError for a non-finite point or row.
+        the test of contains) is scaled onto the sphere by _shaved; a finite
+        row whose squared offset overflows is first divided by its largest
+        entry, which keeps its direction. Raises ValueError for a non-finite
+        point or row.
         """
         v = np.asarray(y, dtype=float)
         if v.ndim > 2 or v.shape[-1:] != (self.dim,):
@@ -150,7 +152,7 @@ class Ball:
         return p.reshape(v.shape)
 
     def _shaved(self, z: np.ndarray, scale: float) -> np.ndarray:
-        """center + scale z, with scale shaved by ulps until that point passes contains(tol=0).
+        """center + scale z, with scale shaved by ulps until that point passes contains.
 
         The feasibility test is the one project applies to its input, so
         projecting the result a second time is a no-op.
@@ -166,23 +168,17 @@ class Ball:
     def project_weighted(self, H, y) -> np.ndarray:
         """argmin_x (x-y)^T H (x-y) over the ball, H symmetric positive definite.
 
-        Exact: a y outside the ball (by the tolerance-free test of project)
-        goes to _weighted_boundary_point, whose result passes
-        contains(x, tol=0.0), so projecting it again returns it bit for bit.
-        Raises ValueError if H is not SPD or y is not finite, and
-        ProjectionError if the boundary solve does not converge.
+        Exact: a y outside the ball (by contains) goes to
+        _weighted_boundary_point, whose result passes contains, so projecting
+        it again returns it bit for bit. Raises ValueError if H is not SPD or
+        y is not finite, and ProjectionError if the boundary solve does not
+        converge.
         """
         M = _check_spd(H, self.dim)
         v = as_vector(y, self.dim)
-        z = v - self.center
-        # np.vdot equals z.dot(z) bit for bit but, unlike dot, gives an
-        # overflowing square as inf without a warning. This test runs on every
-        # call, where an np.errstate around dot would be a measurable cost.
-        n = math.sqrt(np.vdot(z, z))
-        if n <= self.radius:
+        if self.contains(v):
             return v
-        if not math.isfinite(n):
-            _require_finite(v)
+        _require_finite(v)
         return self._weighted_boundary_point(M, v)
 
     def _weighted_boundary_point(self, M, v: np.ndarray) -> np.ndarray:
@@ -196,10 +192,10 @@ class Ball:
         left of the root, climbs to it without overshooting. Each step moves
         mu up by at least one ulp, and the first mu with ||q(mu)|| <= r ends
         the solve: the multiplier is pinned within a few ulps on the feasible
-        side. The point is shaved as in project, so it passes
-        contains(x, tol=0.0). If a.a overflows, lam and a (and so mu) are
-        scaled by one power of two, which leaves q(mu) as it is. Raises
-        ProjectionError after PROJECTION_ITERS evaluations (non-finite input).
+        side. The point is shaved as in project, so it passes contains. If
+        a.a overflows, lam and a (and so mu) are scaled by one power of two,
+        which leaves q(mu) as it is. Raises ProjectionError after
+        PROJECTION_ITERS evaluations (non-finite input).
         """
         lam, V = np.linalg.eigh(M)
         w = V.T @ (v - self.center)
@@ -228,23 +224,29 @@ class Ball:
             f"weighted projection did not converge: |residual| = {abs(n - r):.3e}", abs(n - r)
         )
 
-    def diameter(self) -> float:
-        return 2.0 * self.radius
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """A uniform point: uniform direction times U^(1/d) radius."""
-        z = rng.standard_normal(self.dim)
-        n = float(np.linalg.norm(z))
-        if n == 0.0:
-            return self.center.copy()
-        u = rng.uniform() ** (1.0 / self.dim)
-        return self.center + z * (self.radius * u / n)
-
-
-# Iteration cap and step tolerance of the projected-gradient fallback in
-# Quadratic.minimize.
+# Step cap and move tolerance of projected_gradient.
 PGD_ITERS = 10000
 PGD_TOL = 1e-12
+
+
+def projected_gradient(f, ball: Ball, smoothness: float, u) -> tuple:
+    """Minimize an L-smooth convex f over the ball by projected gradient descent from u.
+
+    The step is the constant 1/L (Nesterov, Introductory Lectures on Convex
+    Optimization, 2004, section 2.2), with L = smoothness floored at 1e-12.
+    Stops after the first step that moves u by at most PGD_TOL, or after
+    PGD_ITERS steps. Returns (u, steps, residual), the residual being the
+    gradient-mapping norm of the last step: its move divided by the step.
+    """
+    step = 1.0 / max(smoothness, 1e-12)
+    for steps in range(1, PGD_ITERS + 1):
+        nxt = ball.project(u - step * f.gradient(u))
+        move = float(np.linalg.norm(nxt - u))
+        u = nxt
+        if move <= PGD_TOL:
+            break
+    return u, steps, move / step
 
 
 class Quadratic:
@@ -302,20 +304,23 @@ class Quadratic:
             g = g + (2.0 * self.iso) * u
         return g
 
+    @property
+    def smoothness(self) -> float:
+        """Lipschitz constant of the gradient, 2 (lambda_max(M) + iso)."""
+        top = 0.0 if self.M is None else float(np.linalg.eigvalsh(self.M)[-1])
+        return 2.0 * (top + self.iso)
+
     def minimize(self, ball: Ball) -> np.ndarray:
         """Minimizer over the ball.
 
         Closed forms: the boundary point against q for a linear form,
-        shaved as in project so that it passes contains(u, tol=0.0), the
-        projection of the unconstrained minimizer for an isotropic one, and
-        for positive-definite H = M + iso I the H-weighted projection of the
+        shaved as in project so that it passes contains, the projection of
+        the unconstrained minimizer for an isotropic one, and for
+        positive-definite H = M + iso I the H-weighted projection of the
         unconstrained minimizer x_hat, exact because f(u) = (u - x_hat)^T H
-        (u - x_hat) + const. That projection is the one project_weighted
-        makes (the same inside test and Ball._weighted_boundary_point), so the
-        two return the same point for the same H and target, and it passes
-        contains(u, tol=0.0). Singular H, or a boundary solve that raises
-        ProjectionError, falls back to projected gradient descent with step
-        1/(2 lambda_max(H)) from the origin.
+        (u - x_hat) + const. Singular H, or a weighted projection that
+        raises ProjectionError, falls back to projected_gradient with
+        L = 2 lambda_max(H) from the projection of the origin.
         """
         if self.M is None:
             if self.iso > 0.0:
@@ -327,18 +332,9 @@ class Quadratic:
         H = self.M + self.iso * np.eye(self.dim) if self.iso else self.M
         lam = np.linalg.eigvalsh(H)
         if lam[0] > self.dim * np.finfo(float).eps * lam[-1]:
-            x_hat = np.linalg.solve(H, -0.5 * self.q)
-            if ball.contains(x_hat, tol=0.0):
-                return x_hat
             try:
-                return ball._weighted_boundary_point(H, x_hat)
+                return ball.project_weighted(H, np.linalg.solve(H, -0.5 * self.q))
             except ProjectionError:
                 pass
-        step = 1.0 / max(2.0 * float(lam[-1]), 1e-12)
-        u = ball.project(np.zeros(self.dim))
-        for _ in range(PGD_ITERS):
-            nxt = ball.project(u - step * self.gradient(u))
-            if float(np.linalg.norm(nxt - u)) <= PGD_TOL:
-                return nxt
-            u = nxt
-        return u
+        return projected_gradient(self, ball, 2.0 * float(lam[-1]),
+                                  ball.project(np.zeros(self.dim)))[0]

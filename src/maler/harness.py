@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import libsvm, meta, svgplot, universal
-from .core import Ball, ProblemParams, Quadratic
+from .core import Ball, ProblemParams, Quadratic, projected_gradient
 from .experts import expert_regret_certificate
 from .meta import (
     CertificateReport,
@@ -124,6 +124,14 @@ class LogisticBatchLoss:
         """Analytic cap (1/per_round) sum_i ||z_i|| on the gradient norm."""
         return float(np.sum(np.linalg.norm(self.Z, axis=1))) / self.per_round
 
+    @property
+    def smoothness(self) -> float:
+        """Lipschitz constant of the gradient, lambda_max(Z^T Z) / (4 per_round).
+
+        The Hessian is (1/per_round) Z^T diag(s (1 - s)) Z with s (1 - s) <= 1/4.
+        """
+        return float(np.linalg.eigvalsh(self.Z.T @ self.Z)[-1]) / (4.0 * self.per_round)
+
 
 def _loss_sum(losses):
     """The summed loss: one Quadratic or one stacked LogisticBatchLoss."""
@@ -145,9 +153,7 @@ class ComparatorReport:
     grid_gap: Optional[float] = None
 
 
-# Comparator search: projected-gradient iteration cap, and the spacing of
-# the dense grid it is cross-checked against when dim <= 2.
-COMPARATOR_ITERS = 10000
+# Spacing of the dense grid the comparator is cross-checked against when dim <= 2.
 GRID_RESOLUTION = 1e-3
 
 
@@ -166,34 +172,17 @@ def offline_comparator(losses, dset: Ball):
 
     losses must be all quadratic or all logistic (TypeError otherwise).
     Quadratic sums start from their exact minimizer, logistic ones from the
-    origin's projection. Step size 1/(L_hat sqrt(k)) with L_hat estimated
-    from sampled gradient norms; stops early once the gradient-mapping
-    residual is negligible. For dim <= 2 the result is cross-checked
-    against a dense grid search. Returns (x_star, ComparatorReport).
+    origin's projection; core.projected_gradient then steps 1/L with the
+    sum's smoothness L until a step moves the point by at most PGD_TOL. For
+    dim <= 2 the result is cross-checked against a dense grid search.
+    Returns (x_star, ComparatorReport).
     """
     total = _loss_sum(losses)
-    rng = np.random.default_rng(0)
-    probes = [dset.sample(rng) for _ in range(15)]
-    probes.append(dset.project(np.zeros(dset.dim)))
-    l_hat = max(float(np.linalg.norm(total.gradient(p))) for p in probes)
-    l_hat = max(l_hat, 1e-12)
-    tol = 1e-10 * max(1.0, l_hat)
-
     if isinstance(total, Quadratic):
         u = total.minimize(dset)
     else:
         u = dset.project(np.zeros(dset.dim))
-    used = 0
-    residual = float("inf")
-    for k in range(1, COMPARATOR_ITERS + 1):
-        used = k
-        step = 1.0 / (l_hat * math.sqrt(k))
-        nxt = dset.project(u - step * total.gradient(u))
-        residual = float(np.linalg.norm(nxt - u)) / step
-        u = nxt
-        if residual <= tol:
-            break
-
+    u, used, residual = projected_gradient(total, dset, total.smoothness, u)
     report = ComparatorReport(iterations=used, residual=residual, value=total.value(u))
     if dset.dim <= 2:
         best = float(np.min(total.values(_grid_points(dset))))
@@ -714,7 +703,7 @@ def certify_trace(trace: RunTrace) -> tuple:
         CertificateRow(label="max play distance past the radius",
                        measured=float(np.max(past, initial=-ball.radius)), bound=1e-9),
         CertificateRow(label="set diameter matches D",
-                       measured=abs(ball.diameter() - p.diameter),
+                       measured=abs(2.0 * ball.radius - p.diameter),
                        bound=1e-9 * max(1.0, p.diameter)),
     ]
     reports = [CertificateReport(name="assumptions", rows=rows)]

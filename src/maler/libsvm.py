@@ -85,10 +85,9 @@ def write_libsvm(rows, path) -> None:
             fh.write(f"{label} {feats}\n" if feats else f"{label}\n")
 
 
-def to_dense(rows, dim: int = 0) -> tuple:
-    """Densify rows into (X, y); dim may widen beyond the max seen index."""
-    max_idx = max((r.indices[-1] for r in rows if r.indices), default=0)
-    d = max(dim, max_idx)
+def to_dense(rows) -> tuple:
+    """Densify rows into (X, y), one column per index up to the largest seen."""
+    d = max((r.indices[-1] for r in rows if r.indices), default=0)
     X = np.zeros((len(rows), d))
     y = np.empty(len(rows))
     for i, r in enumerate(rows):

@@ -85,6 +85,7 @@ class _TiltedEnsembleLearner(Learner):
 
     def __init__(self, params: ProblemParams, dset: Ball, grid: ExpertGrid):
         super().__init__(params, dset)
+        self.algo = grid.style
         self.grid = grid
         self.state = meta.init_meta_state(grid)
         self.bank = experts.ExpertBank.build(grid.kinds, grid.tilts, params, dset)
@@ -120,17 +121,13 @@ class _TiltedEnsembleLearner(Learner):
 class MalerLearner(_TiltedEnsembleLearner):
     """Universal learner: constant-rate, spherical, and quadratic experts."""
 
-    algo = "maler"
-
     def __init__(self, params: ProblemParams, dset: Ball):
         super().__init__(params, dset, meta.build_grid(params))
 
 
 def metagrad_baseline(params: ProblemParams, dset: Ball) -> Learner:
     """Baseline ensemble with quadratic-surrogate experts only."""
-    learner = _TiltedEnsembleLearner(params, dset, meta.build_grid(params, "metagrad"))
-    learner.algo = "metagrad"
-    return learner
+    return _TiltedEnsembleLearner(params, dset, meta.build_grid(params, "metagrad"))
 
 
 class OGDLearner(Learner):

@@ -1,4 +1,4 @@
-"""Shared helpers: an independent finite-difference gradient checker."""
+"""Shared helpers: an independent finite-difference gradient checker and a ball sampler."""
 
 import numpy as np
 
@@ -22,3 +22,13 @@ def fd_matches(fn, grad_fn, x, rtol: float = 1e-6) -> bool:
     g = np.asarray(grad_fn(x), dtype=float)
     fd = central_fd(fn, x)
     return float(np.linalg.norm(g - fd)) <= rtol * max(1.0, float(np.linalg.norm(g)))
+
+
+def sample_point(ball, rng: np.random.Generator) -> np.ndarray:
+    """A uniform point of the ball: uniform direction times U^(1/d) radius."""
+    z = rng.standard_normal(ball.dim)
+    n = float(np.linalg.norm(z))
+    if n == 0.0:
+        return ball.center.copy()
+    u = rng.uniform() ** (1.0 / ball.dim)
+    return ball.center + z * (ball.radius * u / n)

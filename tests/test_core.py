@@ -4,9 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import fd_matches
+from conftest import fd_matches, sample_point
 
-from maler.core import Ball, ProblemParams, Quadratic
+from maler.core import PGD_ITERS, PGD_TOL, Ball, ProblemParams, Quadratic, projected_gradient
 from maler.harness import certify_trace
 from maler.meta import RunTrace
 from maler.universal import AssumptionViolation, MalerLearner
@@ -40,7 +40,7 @@ def test_ball_membership_and_projection():
     ball = Ball(center=np.zeros(2), radius=1.0)
     assert ball.contains([0.8, 0.8]) is False
     assert ball.contains([1.0, 0.0])
-    assert ball.contains([1.0 + 5e-13, 0.0])
+    assert not ball.contains([1.0 + 5e-13, 0.0])
     assert not ball.contains([1.0 + 1e-10, 0.0])
     np.testing.assert_allclose(ball.project([2.0, 0.0]), [1.0, 0.0])
     inside = np.array([0.2, -0.3])
@@ -48,7 +48,8 @@ def test_ball_membership_and_projection():
 
 
 def test_projection_of_a_stack_matches_each_row_bit_for_bit():
-    # Rows inside, far outside, exactly on the sphere and one ulp past it.
+    # Rows inside, far outside, exactly on the sphere and one ulp past it;
+    # project_weighted must move the last ones too.
     rng = np.random.default_rng(17)
     for d in (1, 3, 7):
         for center in (np.zeros(d), rng.normal(size=d) * 0.1):
@@ -68,11 +69,15 @@ def test_projection_of_a_stack_matches_each_row_bit_for_bit():
             assert P.shape == Y.shape
             for y, p in zip(Y, P):
                 assert np.array_equal(p, ball.project(y))
-                assert ball.contains(p, tol=0.0)
+                assert ball.contains(p)
             for y in on:
                 assert math.sqrt((y - center) @ (y - center)) == 0.75
                 assert np.array_equal(ball.project(y), y)
-            assert not any(ball.contains(y, tol=0.0) for y in past)
+            assert not any(ball.contains(y) for y in past)
+            H = np.diag(np.arange(1.0, d + 1.0))
+            for y in past:
+                x = ball.project_weighted(H, y)
+                assert not np.array_equal(x, y) and ball.contains(x)
     assert ball.project(np.zeros((0, 7))).shape == (0, 7)
     with pytest.raises(ValueError):
         ball.project(np.zeros((2, 3, 7)))
@@ -97,7 +102,7 @@ def test_projections_of_a_point_whose_squared_offset_overflows_reach_the_boundar
         P = ball.project(np.array([[0.1, 0.2], [1e200, 0.0], [-1e300, 1e300], [3.0, 4.0]]))
         assert np.array_equal(P[:2], [[0.1, 0.2], [1.0, 0.0]])
         np.testing.assert_allclose(P[2], [-math.sqrt(0.5), math.sqrt(0.5)], rtol=1e-15)
-        assert ball.contains(P[2], tol=0.0)
+        assert ball.contains(P[2])
         assert np.array_equal(P[3], ball.project([3.0, 4.0]))
         assert np.array_equal(ball.project_weighted(np.eye(2), [1e200, 0.0]), [1.0, 0.0])
         # At 1e120 the target is far enough out to give the limit point, and
@@ -106,7 +111,7 @@ def test_projections_of_a_point_whose_squared_offset_overflows_reach_the_boundar
         for scale in (1e160, 1e200, 1e300):
             for W in (H, 1e200 * H):
                 x = ball.project_weighted(W, np.array([1.0, -0.3]) * scale)
-                assert ball.contains(x, tol=0.0)
+                assert ball.contains(x)
                 np.testing.assert_allclose(x, limit, rtol=1e-14)
 
 
@@ -130,7 +135,7 @@ def test_projection_idempotent_bitwise():
         p = ball.project(y)
         q = ball.project(p)
         assert np.array_equal(p, q)
-        assert ball.contains(p, tol=1e-9)
+        assert ball.contains(p)
 
 
 def test_projection_nonexpansive():
@@ -196,10 +201,10 @@ def test_weighted_projection_properties():
             continue
         assert abs(np.linalg.norm(x - ball.center) - ball.radius) <= 1e-9
         # Inside with no tolerance, so projecting again is a no-op bit for bit.
-        assert ball.contains(x, tol=0.0)
+        assert ball.contains(x)
         assert np.array_equal(ball.project_weighted(H, x), x)
         # Optimality against random feasible points.
-        samples = np.array([ball.sample(rng) for _ in range(300)])
+        samples = np.array([sample_point(ball, rng) for _ in range(300)])
         d = samples - y
         objs = np.einsum("nd,nd->n", d @ H, d)
         dx = x - y
@@ -224,13 +229,6 @@ def test_weighted_projection_rejects_bad_weights():
             for H in (np.array([[bad, 0.0], [0.0, 1.0]]), np.array([[1.0, bad], [bad, 1.0]])):
                 with pytest.raises(ValueError, match="non-finite"):
                     ball.project_weighted(H, y)
-
-
-def test_sample_stays_inside():
-    rng = np.random.default_rng(12)
-    ball = Ball(center=np.array([0.1, 0.0]), radius=0.6)
-    for _ in range(500):
-        assert ball.contains(ball.sample(rng))
 
 
 def _trace(plays, grads, params, ball):
@@ -330,9 +328,52 @@ def test_quadratic_minimize_against_grid_search():
                         for k in ("linear", "isotropic", "singular", "full") for _ in range(3)]
     for f in cases:
         u = f.minimize(ball)
-        assert ball.contains(u, tol=1e-12)
+        assert ball.contains(u)
         assert f.value(u) <= float(f.values(pts).min()) + 1e-9
     np.testing.assert_allclose(inside.minimize(ball), [0.025, -0.025], atol=1e-15)
+
+
+def _minimize_loop_reference(f, ball):
+    # Quadratic.minimize's projected-gradient loop before core.projected_gradient.
+    H = f.M + f.iso * np.eye(f.dim) if f.iso else f.M
+    step = 1.0 / max(2.0 * float(np.linalg.eigvalsh(H)[-1]), 1e-12)
+    u = ball.project(np.zeros(f.dim))
+    for _ in range(PGD_ITERS):
+        nxt = ball.project(u - step * f.gradient(u))
+        if float(np.linalg.norm(nxt - u)) <= PGD_TOL:
+            return nxt
+        u = nxt
+    return u
+
+
+def test_projected_gradient_repeats_the_minimize_loop_bit_for_bit():
+    rng = np.random.default_rng(19)
+    for _ in range(40):
+        d = int(rng.integers(2, 6))
+        A = rng.normal(size=(d, int(rng.integers(1, d))))
+        f = Quadratic(rng.normal(size=d) * 10.0 ** rng.uniform(-1.0, 1.0), M=A @ A.T)
+        lam = np.linalg.eigvalsh(f.M)
+        # Singular, so minimize takes the projected-gradient path.
+        assert lam[0] <= d * np.finfo(float).eps * lam[-1]
+        unit = rng.normal(size=d)
+        r = 10.0 ** rng.uniform(-1.0, 1.0)
+        ball = Ball(center=r * rng.uniform() * unit / np.linalg.norm(unit), radius=r)
+        ref = _minimize_loop_reference(f, ball)
+        L = 2.0 * float(lam[-1])
+        u, steps, residual = projected_gradient(f, ball, L, ball.project(np.zeros(d)))
+        assert np.array_equal(u, ref)
+        assert np.array_equal(f.minimize(ball), ref)
+        assert steps < PGD_ITERS
+        assert residual <= 2.0 * PGD_TOL * L
+
+
+def test_membership_has_no_tolerance_and_no_overflow_warning():
+    ball = Ball(center=np.zeros(2), radius=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ball.contains([1e200, 0.0]) is False
+        u = Quadratic(np.array([-1e200, 0.0]), M=np.eye(2)).minimize(ball)
+    assert np.array_equal(u, [1.0, 0.0])
 
 
 def test_linear_minimizer_lies_inside_the_ball_with_no_tolerance():
@@ -344,7 +385,7 @@ def test_linear_minimizer_lies_inside_the_ball_with_no_tolerance():
         ball = Ball(center=r * rng.uniform() * unit / np.linalg.norm(unit), radius=r)
         f = Quadratic(rng.normal(size=d) * 10.0 ** rng.uniform(-3.0, 3.0))
         u = f.minimize(ball)
-        assert ball.contains(u, tol=0.0)
+        assert ball.contains(u)
         assert np.array_equal(ball.project(u), u)
         unshaved = ball.center - r * f.q / np.linalg.norm(f.q)
         assert np.max(np.abs(u - unshaved)) <= 8 * np.finfo(float).eps * r
@@ -369,7 +410,7 @@ def test_quadratic_minimize_is_exact_on_the_boundary():
         # v and x_hat differ by the rounding of the solve, at cond(H) < 200 here.
         assert np.max(np.abs(u - w)) <= 1e-13
         for x in (u, w):
-            assert ball.contains(x, tol=0.0)
+            assert ball.contains(x)
             assert abs(np.linalg.norm(x) - 0.5) <= 1e-14
             g = f.gradient(x)
             along = float(g @ x) / float(x @ x)
@@ -420,10 +461,10 @@ def test_weighted_projection_is_exact_on_wide_scales():
                 for reach in (1.0 + 1e-12, 3.0, 1e6):
                     u = rng.normal(size=d)
                     y = center + reach * r * u / np.linalg.norm(u)
-                    assert not ball.contains(y, tol=0.0)
+                    assert not ball.contains(y)
                     for W in (H, s * np.eye(d)):
                         x = ball.project_weighted(W, y)
-                        assert ball.contains(x, tol=0.0)
+                        assert ball.contains(x)
                         assert np.array_equal(ball.project_weighted(W, x), x)
                         ref = _bisection_reference(ball, W, y)
                         # obj(x) - obj(ref) = (x - ref)^T W (x + ref - 2y), free of the

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import fd_matches
 from maler import cli, harness
-from maler.core import Ball, ProblemParams
+from maler.core import PGD_ITERS, Ball, ProblemParams
 from maler.harness import (
     CSV_HEADER,
     GRID_ARRAYS,
@@ -56,6 +56,10 @@ def test_loss_oracle_gradients_match_fd():
             np.testing.assert_allclose(
                 f.values(pts), [f.value(p) for p in pts], atol=1e-12
             )
+            # The gradient is smoothness-Lipschitz.
+            y = rng.normal(size=d) * 0.5
+            gap = np.linalg.norm(f.gradient(x) - f.gradient(y))
+            assert gap <= f.smoothness * np.linalg.norm(x - y) * (1 + 1e-12) + 1e-15
 
 
 def test_ridge_loss_matches_naive_formula():
@@ -171,7 +175,24 @@ def test_offline_comparator_generic_mixture():
     x, rep = offline_comparator(losses, ball)
     assert rep.grid_gap is not None
     assert rep.grid_gap <= 1e-5
-    assert ball.contains(x, tol=1e-9)
+    assert ball.contains(x)
+
+
+def test_offline_comparator_converges_on_a_wide_ball(tmp_path):
+    # A 1/(L_hat sqrt(k)) step, with L_hat a sampled gradient norm, stopped
+    # on this radius-20 stream at its 10,000-step cap with residual 0.21.
+    path = tmp_path / "small130.libsvm"
+    gen_classification_file(path, examples=130, dim=5)
+    task = load_classification(path, rounds=50, radius=20.0)
+    x, report = offline_comparator(task.losses, task.dset)
+    assert report.iterations < PGD_ITERS
+    Z = np.concatenate([f.Z for f in task.losses])
+    L = float(np.linalg.eigvalsh(Z.T @ Z)[-1]) / (4 * 200)
+    grad = -(Z.T @ (1.0 / (1.0 + np.exp(Z @ x)))) / 200
+    assert L * np.linalg.norm(x - task.dset.project(x - grad / L)) <= 1e-9
+    result = run_experiment(ExperimentConfig(task="classification", data=str(path), rounds=50,
+                                             radius=20.0, algos=("maler",)))
+    assert round(result.diagnostics["maler"].regret, 4) == 4.1131
 
 
 def test_gen_regression_shapes_and_scales(monkeypatch):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import sample_point
+
 from maler.core import Ball, ProblemParams, ProjectionError
 from maler.universal import (
     AssumptionViolation,
@@ -97,7 +99,7 @@ def test_plays_stay_feasible():
         g /= max(np.linalg.norm(g), 1.0)
         for learner in learners:
             x = learner.predict()
-            assert BALL.contains(x, tol=1e-9)
+            assert BALL.contains(x)
             learner.observe(g)
 
 
@@ -222,7 +224,7 @@ def test_v_ell_never_exceeds_v_s():
         learner.observe(g)
     trace = learner.trace()
     trace.loss_at_play = np.array(values)
-    u = ball.sample(rng)
+    u = sample_point(ball, rng)
     trace.comparator, trace.loss_at_comparator = u, np.array([g @ u for g in trace.grads])
     diag = regret_diagnostics(trace)
     assert diag.v_ell <= diag.v_s + 1e-9
