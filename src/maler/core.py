@@ -21,11 +21,7 @@ PROJECTION_ITERS = 100
 
 
 class ProjectionError(RuntimeError):
-    """Weighted projection failed to converge; carries the final residual."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
+    """Weighted projection failed to converge."""
 
 
 @dataclass(frozen=True)
@@ -108,6 +104,8 @@ class Ball:
         c = np.asarray(self.center, dtype=float)
         if c.ndim != 1:
             raise ValueError("center must be a vector")
+        if not np.isfinite(c).all():
+            raise ValueError("center must be finite")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "dim", c.shape[0])
         if not (np.isfinite(self.radius) and self.radius > 0):
@@ -220,9 +218,7 @@ class Ball:
             # n > r makes it positive; at the root's last ulps it may round
             # below one ulp of mu, hence the floor.
             mu = max(mu + (n - r) / r * qq / q.dot(q / s), math.nextafter(mu, math.inf))
-        raise ProjectionError(
-            f"weighted projection did not converge: |residual| = {abs(n - r):.3e}", abs(n - r)
-        )
+        raise ProjectionError(f"weighted projection did not converge: ||x - c|| - r = {n - r:.3e}")
 
 
 # Step cap and move tolerance of projected_gradient.
@@ -236,8 +232,10 @@ def projected_gradient(f, ball: Ball, smoothness: float, u) -> tuple:
     The step is the constant 1/L (Nesterov, Introductory Lectures on Convex
     Optimization, 2004, section 2.2), with L = smoothness floored at 1e-12.
     Stops after the first step that moves u by at most PGD_TOL, or after
-    PGD_ITERS steps. Returns (u, steps, residual), the residual being the
-    gradient-mapping norm of the last step: its move divided by the step.
+    PGD_ITERS steps. Returns (u, steps, gap), the gap being the Frank-Wolfe
+    duality gap at the returned u (Jaggi, ICML 2013): with g = f.gradient(u),
+    max over v in the ball of g^T (u - v) = g^T (u - c) + r ||g||, which
+    bounds f(u) - min f over the ball by convexity.
     """
     step = 1.0 / max(smoothness, 1e-12)
     for steps in range(1, PGD_ITERS + 1):
@@ -246,7 +244,8 @@ def projected_gradient(f, ball: Ball, smoothness: float, u) -> tuple:
         u = nxt
         if move <= PGD_TOL:
             break
-    return u, steps, move / step
+    g = f.gradient(u)
+    return u, steps, float(g @ (u - ball.center)) + ball.radius * float(np.linalg.norm(g))
 
 
 class Quadratic:
@@ -285,16 +284,6 @@ class Quadratic:
         out += self.r
         if self.iso:
             out += self.iso * float(u @ u)
-        return out
-
-    def values(self, U) -> np.ndarray:
-        U = np.asarray(U, dtype=float)
-        out = U @ self.q
-        if self.M is not None:
-            out = np.einsum("nd,nd->n", U, U @ self.M) + out
-        out = out + self.r
-        if self.iso:
-            out = out + self.iso * np.einsum("nd,nd->n", U, U)
         return out
 
     def gradient(self, u) -> np.ndarray:

@@ -110,15 +110,6 @@ class LogisticBatchLoss:
         s = 1.0 / (1.0 + np.exp(np.clip(self.Z @ np.asarray(x, dtype=float), -700, 700)))
         return -(self.Z.T @ s) / self.per_round
 
-    def values(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        out = np.empty(X.shape[0])
-        chunk = max(1, int(2**22 // max(self.Z.shape[0], 1)))
-        for lo in range(0, X.shape[0], chunk):
-            M = X[lo : lo + chunk] @ self.Z.T
-            out[lo : lo + chunk] = np.sum(_log1pexp(-M), axis=1) / self.per_round
-        return out
-
     @property
     def grad_bound(self) -> float:
         """Analytic cap (1/per_round) sum_i ||z_i|| on the gradient norm."""
@@ -145,26 +136,12 @@ def _loss_sum(losses):
 
 @dataclass
 class ComparatorReport:
-    """How the offline comparator was found and how good it is."""
+    """How the offline comparator was found and how good it is: gap bounds
+    its value minus the minimum of the summed loss over the ball."""
 
     iterations: int
-    residual: float
+    gap: float
     value: float
-    grid_gap: Optional[float] = None
-
-
-# Spacing of the dense grid the comparator is cross-checked against when dim <= 2.
-GRID_RESOLUTION = 1e-3
-
-
-def _grid_points(ball: Ball) -> np.ndarray:
-    lo = ball.center - ball.radius
-    hi = ball.center + ball.radius
-    axes = [np.arange(lo[i], hi[i] + GRID_RESOLUTION / 2, GRID_RESOLUTION) for i in range(ball.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    d = pts - ball.center
-    return pts[np.einsum("nd,nd->n", d, d) <= ball.radius**2]
 
 
 def offline_comparator(losses, dset: Ball):
@@ -173,8 +150,8 @@ def offline_comparator(losses, dset: Ball):
     losses must be all quadratic or all logistic (TypeError otherwise).
     Quadratic sums start from their exact minimizer, logistic ones from the
     origin's projection; core.projected_gradient then steps 1/L with the
-    sum's smoothness L until a step moves the point by at most PGD_TOL. For
-    dim <= 2 the result is cross-checked against a dense grid search.
+    sum's smoothness L until a step moves the point by at most PGD_TOL, and
+    returns the duality gap at the point it stops.
     Returns (x_star, ComparatorReport).
     """
     total = _loss_sum(losses)
@@ -182,12 +159,8 @@ def offline_comparator(losses, dset: Ball):
         u = total.minimize(dset)
     else:
         u = dset.project(np.zeros(dset.dim))
-    u, used, residual = projected_gradient(total, dset, total.smoothness, u)
-    report = ComparatorReport(iterations=used, residual=residual, value=total.value(u))
-    if dset.dim <= 2:
-        best = float(np.min(total.values(_grid_points(dset))))
-        report.grid_gap = report.value - best
-    return u, report
+    u, used, gap = projected_gradient(total, dset, total.smoothness, u)
+    return u, ComparatorReport(iterations=used, gap=gap, value=total.value(u))
 
 
 def sample_ball(rng: np.random.Generator, count: int, dim: int, radius: float) -> np.ndarray:
@@ -641,12 +614,10 @@ def _report_text(result: ExperimentResult) -> str:
         "rate grid: eta_i = 2^-i/(5DG), i = 0..ceil(log2(T)/2); eta_c = 1/(2GD sqrt(T))",
         (
             f"comparator: iterations={result.comparator_report.iterations} "
-            f"residual={result.comparator_report.residual:.3e} "
+            f"gap={result.comparator_report.gap:.3e} "
             f"value={result.comparator_report.value:.12g}"
         ),
     ]
-    if result.comparator_report.grid_gap is not None:
-        lines.append(f"comparator grid-search gap: {result.comparator_report.grid_gap:.3e}")
     for algo, diag in result.diagnostics.items():
         lines.append(f"{algo}: final regret {diag.regret:.6f}  V_s {diag.v_s:.6f}  V_ell {diag.v_ell:.6f}")
     for algo, reports in result.certificates.items():

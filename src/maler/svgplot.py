@@ -4,19 +4,22 @@ from __future__ import annotations
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
+# Canvas size in pixels, and the number of tick intervals on each axis.
+WIDTH, HEIGHT = 720, 440
+TICKS = 5
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list:
+
+def _ticks(lo: float, hi: float) -> list:
     if hi <= lo:
         hi = lo + 1.0
-    span = (hi - lo) / n
-    return [lo + span * i for i in range(n + 1)]
+    span = (hi - lo) / TICKS
+    return [lo + span * i for i in range(TICKS + 1)]
 
 
-def render_lines(series: dict, title: str, xlabel: str, ylabel: str,
-                 width: int = 720, height: int = 440) -> str:
+def render_lines(series: dict, title: str, xlabel: str, ylabel: str) -> str:
     """Render named float series as one SVG document string."""
     ml, mr, mt, mb = 64, 160, 40, 48
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = WIDTH - ml - mr, HEIGHT - mt - mb
     xmax = max((len(v) for v in series.values()), default=1)
     ymin = min((min(v) for v in series.values() if len(v)), default=0.0)
     ymax = max((max(v) for v in series.values() if len(v)), default=1.0)
@@ -31,9 +34,9 @@ def render_lines(series: dict, title: str, xlabel: str, ylabel: str,
         return mt + ph * (1.0 - (v - ymin) / (ymax - ymin))
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="monospace" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="monospace" font-size="12">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{ml}" y="{mt - 16}" font-size="14">{title}</text>',
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="#333"/>',
     ]
@@ -46,7 +49,7 @@ def render_lines(series: dict, title: str, xlabel: str, ylabel: str,
         out.append(f'<line x1="{x:.2f}" y1="{mt}" x2="{x:.2f}" y2="{mt + ph}" stroke="#eee"/>')
         out.append(f'<text x="{x:.2f}" y="{mt + ph + 18}" text-anchor="middle">{v:.4g}</text>')
     out.append(
-        f'<text x="{ml + pw / 2:.2f}" y="{height - 10}" text-anchor="middle">{xlabel}</text>'
+        f'<text x="{ml + pw / 2:.2f}" y="{HEIGHT - 10}" text-anchor="middle">{xlabel}</text>'
     )
     out.append(
         f'<text x="16" y="{mt + ph / 2:.2f}" text-anchor="middle" '

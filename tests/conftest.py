@@ -1,4 +1,5 @@
-"""Shared helpers: an independent finite-difference gradient checker and a ball sampler."""
+"""Shared helpers: an independent finite-difference gradient checker, a ball sampler and a
+vectorized quadratic evaluator for brute-force grid references."""
 
 import numpy as np
 
@@ -32,3 +33,12 @@ def sample_point(ball, rng: np.random.Generator) -> np.ndarray:
         return ball.center.copy()
     u = rng.uniform() ** (1.0 / ball.dim)
     return ball.center + z * (ball.radius * u / n)
+
+
+def quadratic_values(f, U) -> np.ndarray:
+    """iso ||u||^2 + u^T M u + q^T u + r of a core.Quadratic f at each row u of U."""
+    U = np.asarray(U, dtype=float)
+    out = U @ f.q + f.r + f.iso * np.einsum("nd,nd->n", U, U)
+    if f.M is not None:
+        out += np.einsum("nd,nd->n", U, U @ f.M)
+    return out

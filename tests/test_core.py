@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import fd_matches, sample_point
+from conftest import fd_matches, quadratic_values, sample_point
 
 from maler.core import PGD_ITERS, PGD_TOL, Ball, ProblemParams, Quadratic, projected_gradient
 from maler.harness import certify_trace
@@ -28,6 +28,12 @@ def test_problem_params_validation():
         with pytest.raises(ValueError):
             ProblemParams(**{"horizon": 6, "dim": 2, "grad_bound": 1.0, "diameter": 1.0, **bad})
     ProblemParams(horizon=np.int64(6), dim=np.int32(2), grad_bound=1.0, diameter=1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ball_refuses_a_non_finite_center(bad):
+    with pytest.raises(ValueError, match="center must be finite"):
+        Ball(center=np.array([bad, 0.0]), radius=1.0)
 
 
 def test_sets_must_contain_origin():
@@ -305,7 +311,7 @@ def test_quadratic_value_gradient_and_sum():
     for f in quads:
         for u in U:
             assert fd_matches(f.value, f.gradient, u)
-        np.testing.assert_allclose(f.values(U), [f.value(u) for u in U], atol=1e-12)
+        np.testing.assert_allclose(quadratic_values(f, U), [f.value(u) for u in U], atol=1e-12)
     total = quads[0] + quads[1] + quads[2] + quads[3]
     for u in U:
         assert total.value(u) == pytest.approx(sum(f.value(u) for f in quads), abs=1e-12)
@@ -329,7 +335,7 @@ def test_quadratic_minimize_against_grid_search():
     for f in cases:
         u = f.minimize(ball)
         assert ball.contains(u)
-        assert f.value(u) <= float(f.values(pts).min()) + 1e-9
+        assert f.value(u) <= float(quadratic_values(f, pts).min()) + 1e-9
     np.testing.assert_allclose(inside.minimize(ball), [0.025, -0.025], atol=1e-15)
 
 
@@ -360,11 +366,12 @@ def test_projected_gradient_repeats_the_minimize_loop_bit_for_bit():
         ball = Ball(center=r * rng.uniform() * unit / np.linalg.norm(unit), radius=r)
         ref = _minimize_loop_reference(f, ball)
         L = 2.0 * float(lam[-1])
-        u, steps, residual = projected_gradient(f, ball, L, ball.project(np.zeros(d)))
+        u, steps, gap = projected_gradient(f, ball, L, ball.project(np.zeros(d)))
         assert np.array_equal(u, ref)
         assert np.array_equal(f.minimize(ball), ref)
         assert steps < PGD_ITERS
-        assert residual <= 2.0 * PGD_TOL * L
+        # A last move m <= PGD_TOL puts g(u)^T (u - v) below 2 L m ||u - v|| <= 4 L r m.
+        assert gap <= 4.0 * L * r * PGD_TOL * (1.0 + 1e-6) + 1e-15
 
 
 def test_membership_has_no_tolerance_and_no_overflow_warning():

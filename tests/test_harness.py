@@ -9,7 +9,7 @@ import pytest
 
 from conftest import fd_matches
 from maler import cli, harness
-from maler.core import PGD_ITERS, Ball, ProblemParams
+from maler.core import PGD_ITERS, PGD_TOL, Ball, ProblemParams, Quadratic, projected_gradient
 from maler.harness import (
     CSV_HEADER,
     GRID_ARRAYS,
@@ -51,11 +51,6 @@ def test_loss_oracle_gradients_match_fd():
         for _ in range(10):
             x = rng.normal(size=d) * 0.5
             assert fd_matches(f.value, f.gradient, x)
-            # Batch evaluation agrees with scalar evaluation.
-            pts = rng.normal(size=(5, d)) * 0.5
-            np.testing.assert_allclose(
-                f.values(pts), [f.value(p) for p in pts], atol=1e-12
-            )
             # The gradient is smoothness-Lipschitz.
             y = rng.normal(size=d) * 0.5
             gap = np.linalg.norm(f.gradient(x) - f.gradient(y))
@@ -110,8 +105,6 @@ def test_logistic_stack_is_the_term_by_term_sum():
         assert total.value(x) == pytest.approx(sum(f.value(x) for f in losses), rel=1e-12)
         np.testing.assert_allclose(total.gradient(x), np.sum([f.gradient(x) for f in losses], axis=0),
                                    rtol=1e-12, atol=0)
-    np.testing.assert_allclose(total.values(pts), np.sum([f.values(pts) for f in losses], axis=0),
-                               rtol=1e-12, atol=0)
     with pytest.raises(ValueError):
         LogisticBatchLoss.stack([losses[0], LogisticBatchLoss(np.ones((3, 3)), 3)])
 
@@ -133,8 +126,8 @@ def test_offline_comparator_linear_ball_closed_form():
     total = np.sum([f.q for f in losses], axis=0)
     expect = -0.5 * total / np.linalg.norm(total)
     np.testing.assert_allclose(x, expect, atol=1e-8)
-    assert rep.residual <= 1e-6
-    assert rep.grid_gap is not None and rep.grid_gap <= 1e-6
+    # The gap of a linear loss at the boundary point -r g/||g|| is g^T x + r ||g|| = 0.
+    assert abs(rep.gap) <= 1e-15 * np.linalg.norm(total)
 
 
 def test_offline_comparator_quadratic_exact():
@@ -145,7 +138,7 @@ def test_offline_comparator_quadratic_exact():
     x, rep = offline_comparator(losses, ball)
     mean = np.mean(centers, axis=0)
     np.testing.assert_allclose(x, ball.project(mean), atol=1e-9)
-    assert rep.residual <= 1e-8
+    assert rep.gap <= 1e-12 * max(1.0, abs(rep.value))
 
 
 def test_offline_comparator_ridge_matches_unconstrained_solve():
@@ -173,8 +166,9 @@ def test_offline_comparator_generic_mixture():
         CenteredQuadraticLoss(0.5, np.array([-0.2, 0.4])),
     ]
     x, rep = offline_comparator(losses, ball)
-    assert rep.grid_gap is not None
-    assert rep.grid_gap <= 1e-5
+    # The sum is 0.75 ||x||^2 + q^T x + r, q = g - sum lam_i a_i, minimized inside the ball.
+    np.testing.assert_allclose(x, np.array([0.1, 0.5]) / 1.5, atol=1e-15)
+    assert rep.gap <= 1e-12 * max(1.0, abs(rep.value))
     assert ball.contains(x)
 
 
@@ -186,6 +180,7 @@ def test_offline_comparator_converges_on_a_wide_ball(tmp_path):
     task = load_classification(path, rounds=50, radius=20.0)
     x, report = offline_comparator(task.losses, task.dset)
     assert report.iterations < PGD_ITERS
+    assert report.gap <= 1e-12 * max(1.0, abs(report.value))
     Z = np.concatenate([f.Z for f in task.losses])
     L = float(np.linalg.eigvalsh(Z.T @ Z)[-1]) / (4 * 200)
     grad = -(Z.T @ (1.0 / (1.0 + np.exp(Z @ x)))) / 200
@@ -193,6 +188,42 @@ def test_offline_comparator_converges_on_a_wide_ball(tmp_path):
     result = run_experiment(ExperimentConfig(task="classification", data=str(path), rounds=50,
                                              radius=20.0, algos=("maler",)))
     assert round(result.diagnostics["maler"].regret, 4) == 4.1131
+
+
+def _loss_lists(rng, d):
+    """A seeded list of PSD quadratics and one of logistic batches, both in dimension d."""
+    quads = []
+    for _ in range(3):
+        A = rng.normal(size=(d, d))
+        quads.append(Quadratic(rng.normal(size=d), r=float(rng.normal()),
+                               iso=float(rng.uniform(0.0, 0.1)), M=A @ A.T))
+    logs = [LogisticBatchLoss(rng.normal(size=(8, d)), 8) for _ in range(4)]
+    return quads, logs
+
+
+def _off_center_ball(rng, d):
+    radius = 10.0 ** rng.uniform(-1.0, 1.0)
+    c = rng.normal(size=d)
+    return Ball(center=rng.uniform(0.2, 0.9) * radius * c / np.linalg.norm(c), radius=radius)
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_duality_gap_bounds_the_suboptimality_of_an_early_stop(d):
+    rng = np.random.default_rng(40 + d)
+    ball = _off_center_ball(rng, d)
+    quads, logs = _loss_lists(rng, d)
+    for losses, total in ((quads, quads[0] + quads[1] + quads[2]),
+                          (logs, LogisticBatchLoss.stack(logs))):
+        x_ref, rep = offline_comparator(losses, ball)
+        scale = max(1.0, abs(rep.value))
+        # A last move m <= PGD_TOL puts the gap below 4 L r m (as in test_core), up to rounding.
+        assert rep.gap <= 4.0 * total.smoothness * ball.radius * PGD_TOL + 1e-12 * scale
+        # Steps of 1e-6/L stop at the step cap, far from x_ref.
+        u, steps, gap = projected_gradient(total, ball, 1e6 * total.smoothness,
+                                           ball.project(np.zeros(d)))
+        assert steps == PGD_ITERS
+        assert total.value(u) - rep.value > 1e-6 * scale
+        assert total.value(u) - rep.value <= gap + 1e-12 * scale
 
 
 def test_gen_regression_shapes_and_scales(monkeypatch):
@@ -360,7 +391,6 @@ def test_classification_batches_match_per_round_copies(tmp_path, examples, batch
         assert f.Z.shape == ref.Z.shape and f.Z.tobytes() == ref.Z.tobytes()
         assert f.Z.base is shared and not f.Z.flags.writeable
         assert f.grad_bound == ref.grad_bound
-        assert f.values(x).tobytes() == ref.values(x).tobytes()
         for row in x:
             assert f.value(row) == ref.value(row)
             assert f.gradient(row).tobytes() == ref.gradient(row).tobytes()
@@ -673,6 +703,8 @@ def _ungridded(obj):
      "unexpected keyword argument 'extra'"),
     (_set("params", lambda obj: {**obj["params"], "horizon": "6"}), "horizon must be an integer"),
     (_set("dset", lambda obj: {**obj["dset"], "center": 0.0}), "center must be a vector"),
+    (_set("dset", lambda obj: {**obj["dset"], "center": [math.nan, 0.0]}), "center must be finite"),
+    (_set("dset", lambda obj: {**obj["dset"], "center": [0.0, math.inf]}), "center must be finite"),
     (_set("params", lambda obj: {**obj["params"], "horizon": 6.5}), "horizon must be an integer"),
     (_set("params", lambda obj: {**obj["params"], "dim": 2.0}), "dim must be an integer"),
     (_set("params", lambda obj: {**obj["params"], "horizon": True}), "horizon must be an integer"),
@@ -697,7 +729,8 @@ def _ungridded(obj):
 ], ids=["log_phi-rows", "expert_points-experts", "surrogate_losses-experts",
         "log_weights-experts", "horizon-grid", "horizon-below-T", "plays-rows",
         "grads-dim", "loss_at_play-rows", "comparator-dim", "top-level-list",
-        "params-extra-key", "horizon-string", "center-scalar", "horizon-fraction",
+        "params-extra-key", "horizon-string", "center-scalar", "center-nan", "center-inf",
+        "horizon-fraction",
         "dim-float", "horizon-bool", "expert_points-null", "log_phi-null",
         "comparator-null", "grid_style-null", "algo-other-grid", "algo-without-grid",
         "sc_modulus-zero", "exp_concavity-negative", "sc_modulus-bool", "exp_concavity-string",
