@@ -14,7 +14,6 @@ import base64
 import functools
 import json
 import math
-import operator
 import os
 import sys
 from dataclasses import dataclass, field
@@ -35,23 +34,6 @@ from .meta import (
 from .universal import Learner, make_learner, play_round, regret_diagnostics, regret_bound_certificate
 
 CSV_HEADER = "round,algo,cum_regret,V_s,V_ell,log_phi"
-
-
-class LinearLoss(Quadratic):
-    """f(x) = g^T x with a fixed gradient g, kept as q."""
-
-    def __init__(self, g):
-        super().__init__(q=g)
-
-
-class CenteredQuadraticLoss(Quadratic):
-    """f(x) = (lam/2) ||x - a||^2, lam-strongly convex."""
-
-    def __init__(self, lam: float, center):
-        if lam <= 0:
-            raise ValueError("lam must be positive")
-        a = np.asarray(center, dtype=float)
-        super().__init__(q=-lam * a, r=0.5 * lam * float(a @ a), iso=0.5 * lam)
 
 
 class RidgeBatchLoss(Quadratic):
@@ -82,56 +64,41 @@ def _log1pexp(z: np.ndarray) -> np.ndarray:
 
 
 class LogisticBatchLoss:
-    """f(w) = (1/per_round) sum_i log(1 + exp(-z_i^T w)) over the rows z_i = y_i x_i of Z.
+    """f(w) = (1/per_round) sum_i c_i log(1 + exp(-z_i^T w)) over the rows z_i = y_i x_i of Z.
 
     Z = diag(y) X is the batch with its rows pre-multiplied by their labels,
-    and per_round the batch size, so f is the batch mean; stack(losses) is
-    the sum of same-size batches, one loss over all their rows. Z is only
-    read, so it may be a read-only view that other rounds' losses share.
+    per_round the batch size and counts the weights c_i: 1 for a round's
+    batch mean, and for a summed stream how many of its batches hold row i.
+    Z is only read, so it may be a read-only view that other losses share.
     """
 
-    def __init__(self, Z, per_round: int):
+    def __init__(self, Z, per_round: int, counts=1.0):
         self.Z = np.asarray(Z, dtype=float)
         self.per_round = per_round
-
-    @classmethod
-    def stack(cls, losses) -> "LogisticBatchLoss":
-        """sum_t f_t for losses of one batch size, as a single loss."""
-        sizes = {f.per_round for f in losses}
-        if len(sizes) != 1:
-            raise ValueError(f"stacked losses need one batch size, got {sorted(sizes)}")
-        return cls(np.concatenate([f.Z for f in losses], axis=0), sizes.pop())
+        self.counts = np.asarray(counts, dtype=float)
 
     def value(self, x) -> float:
-        return float(np.sum(_log1pexp(-(self.Z @ np.asarray(x, dtype=float))))) / self.per_round
+        terms = _log1pexp(-(self.Z @ np.asarray(x, dtype=float)))
+        return float(np.sum(self.counts * terms)) / self.per_round
 
     def gradient(self, x) -> np.ndarray:
         # sigmoid(-m) = 1/(1+e^m) with margins m = Z x
         s = 1.0 / (1.0 + np.exp(np.clip(self.Z @ np.asarray(x, dtype=float), -700, 700)))
-        return -(self.Z.T @ s) / self.per_round
+        return -(self.Z.T @ (self.counts * s)) / self.per_round
 
     @property
     def grad_bound(self) -> float:
-        """Analytic cap (1/per_round) sum_i ||z_i|| on the gradient norm."""
-        return float(np.sum(np.linalg.norm(self.Z, axis=1))) / self.per_round
+        """Analytic cap (1/per_round) sum_i c_i ||z_i|| on the gradient norm."""
+        return float(np.sum(self.counts * np.linalg.norm(self.Z, axis=1))) / self.per_round
 
     @property
     def smoothness(self) -> float:
-        """Lipschitz constant of the gradient, lambda_max(Z^T Z) / (4 per_round).
+        """Lipschitz constant of the gradient, lambda_max(Z^T diag(c) Z) / (4 per_round).
 
-        The Hessian is (1/per_round) Z^T diag(s (1 - s)) Z with s (1 - s) <= 1/4.
+        The Hessian is (1/per_round) Z^T diag(c s (1 - s)) Z with s (1 - s) <= 1/4.
         """
-        return float(np.linalg.eigvalsh(self.Z.T @ self.Z)[-1]) / (4.0 * self.per_round)
-
-
-def _loss_sum(losses):
-    """The summed loss: one Quadratic or one stacked LogisticBatchLoss."""
-    losses = list(losses)
-    if losses and all(isinstance(f, Quadratic) for f in losses):
-        return functools.reduce(operator.add, losses)
-    if losses and all(type(f) is LogisticBatchLoss for f in losses):
-        return LogisticBatchLoss.stack(losses)
-    raise TypeError("offline_comparator sums quadratic-only or logistic-only loss lists")
+        H = (self.Z.T * self.counts) @ self.Z
+        return float(np.linalg.eigvalsh(H)[-1]) / (4.0 * self.per_round)
 
 
 @dataclass
@@ -144,17 +111,15 @@ class ComparatorReport:
     value: float
 
 
-def offline_comparator(losses, dset: Ball):
-    """Minimize the summed loss over the ball by projected gradient descent.
+def offline_comparator(total, dset: Ball):
+    """Minimize a stream's summed loss, such as Task.total, over the ball.
 
-    losses must be all quadratic or all logistic (TypeError otherwise).
-    Quadratic sums start from their exact minimizer, logistic ones from the
-    origin's projection; core.projected_gradient then steps 1/L with the
-    sum's smoothness L until a step moves the point by at most PGD_TOL, and
-    returns the duality gap at the point it stops.
+    A Quadratic starts from its exact minimizer, a LogisticBatchLoss from
+    the origin's projection; core.projected_gradient then steps 1/L with
+    the sum's smoothness L until a step moves the point by at most PGD_TOL,
+    and returns the duality gap at the point it stops.
     Returns (x_star, ComparatorReport).
     """
-    total = _loss_sum(losses)
     if isinstance(total, Quadratic):
         u = total.minimize(dset)
     else:
@@ -174,12 +139,14 @@ def sample_ball(rng: np.random.Generator, count: int, dim: int, radius: float) -
 
 @dataclass
 class Task:
-    """One loss stream on its decision set, with the losses' curvature moduli.
+    """One loss stream and its sum on the decision set, with the losses' curvature moduli.
 
-    sc_modulus is None for a task whose losses are not strongly convex.
+    total is sum_t f_t, the objective of the offline comparator; sc_modulus
+    is None for a task whose losses are not strongly convex.
     """
 
     losses: list
+    total: Quadratic | LogisticBatchLoss
     dset: Ball
     params: ProblemParams
     sc_modulus: Optional[float]
@@ -197,16 +164,17 @@ def gen_regression(rounds: int = 200, dim: int = 50, batch: int = 200,
     r_w, r_x = 0.5, 5.0
     w_star = sample_ball(rng, 1, dim, r_w)[0]
     dset = Ball(center=np.zeros(dim), radius=r_w)
-    losses = []
+    losses, total = [], None
     g_bound = 0.0
     for _ in range(rounds):
         X = sample_ball(rng, batch, dim, r_x)
         y = X @ w_star + noise_std * rng.standard_normal(batch)
         f = RidgeBatchLoss(X, y, lam, r_w)
         losses.append(f)
+        total = f if total is None else total + f
         g_bound = max(g_bound, f.grad_bound)
     params = ProblemParams(horizon=rounds, dim=dim, grad_bound=g_bound, diameter=2 * r_w)
-    return Task(losses, dset, params, sc_modulus=2.0 * lam,
+    return Task(losses, total, dset, params, sc_modulus=2.0 * lam,
                 exp_concavity=2.0 * lam / g_bound**2)
 
 
@@ -218,7 +186,9 @@ def load_classification(path, rounds: int = 100, batch: int = 200,
     Round t's batch is the examples t*batch .. (t+1)*batch - 1, modulo the
     example count m. Every batch is a read-only view of one array, the
     signed rows y_i x_i followed by the first batch - 1 of them again, so
-    the stream takes O((m + batch) d) memory for any number of rounds.
+    the stream takes O((m + batch) d) memory for any number of rounds. The
+    summed loss is one loss over the m distinct rows, row i weighted by how
+    often the batches hold it: stacked row n of the rounds is row n mod m.
     """
     if min(rounds, batch) < 1:
         raise ValueError(f"rounds and batch must be >= 1, got {rounds}, {batch}")
@@ -243,10 +213,12 @@ def load_classification(path, rounds: int = 100, batch: int = 200,
         f = LogisticBatchLoss(base[lo : lo + batch], batch)
         losses.append(f)
         g_bound = max(g_bound, f.grad_bound)
+    N = rounds * batch
+    total = LogisticBatchLoss(base[:m], batch, counts=N // m + (np.arange(m) < N % m))
     dset = Ball(center=np.zeros(X.shape[1]), radius=radius)
     params = ProblemParams(horizon=rounds, dim=X.shape[1], grad_bound=g_bound,
                            diameter=2 * radius)
-    return Task(losses, dset, params, sc_modulus=None, exp_concavity=math.exp(-radius))
+    return Task(losses, total, dset, params, sc_modulus=None, exp_concavity=math.exp(-radius))
 
 
 def gen_classification_file(path, examples: int = 4000, dim: int = 10, seed: int = 0) -> None:
@@ -577,7 +549,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if task.sc_modulus is None and "ogd-sc" in cfg.algos:
         raise ValueError("ogd-sc needs a strongly convex task")
 
-    x_star, comp_report = offline_comparator(task.losses, task.dset)
+    x_star, comp_report = offline_comparator(task.total, task.dset)
     at_comp = np.array([f.value(x_star) for f in task.losses])
 
     traces, diags, certs = {}, {}, {}

@@ -16,6 +16,7 @@ from maler import (
     Ball,
     MalerLearner,
     ProblemParams,
+    Quadratic,
     build_grid,
     expert_regret_certificate,
     meta_regret_certificate,
@@ -28,8 +29,6 @@ from maler.experts import (
     expert_regret_s_bound,
 )
 from maler.harness import (
-    CenteredQuadraticLoss,
-    LinearLoss,
     LogisticBatchLoss,
     RidgeBatchLoss,
     gen_classification_file,
@@ -78,7 +77,7 @@ def fuzz():
         grads = dirs * rng.uniform(0.2, 1.0, size=(T, 1))
         params = ProblemParams(horizon=T, dim=d, grad_bound=1.0, diameter=1.0)
         dset = Ball(center=np.zeros(d), radius=0.5)
-        trace = run_stream(MalerLearner(params, dset), [LinearLoss(g) for g in grads])
+        trace = run_stream(MalerLearner(params, dset), [Quadratic(q=g) for g in grads])
         streams.append({"trace": trace, "grads": grads, "params": params, "dset": dset})
     return streams, time.perf_counter() - start
 
@@ -256,7 +255,8 @@ def test_criterion_4_curvature_adaptive_bounds():
         for seed in range(3):
             rng = np.random.default_rng(seed)
             centers = np.array([0.35, 0.0, 0.0]) + sample_ball(rng, 256, 3, 0.05)
-            losses = [CenteredQuadraticLoss(lam, a) for a in centers]
+            losses = [Quadratic(q=-lam * a, r=0.5 * lam * float(a @ a), iso=0.5 * lam)
+                      for a in centers]
             u_half = centers[:128].mean(axis=0)
             u_full = centers.mean(axis=0)
             assert np.linalg.norm(u_full) < 0.5 and np.linalg.norm(u_half) < 0.5
@@ -284,8 +284,9 @@ def test_criterion_4_curvature_adaptive_bounds():
         bounds.append(losses[-1].grad_bound)
     dset = Ball(center=np.zeros(4), radius=0.5)
     alpha = math.exp(-0.5)
-    u_half, _ = offline_comparator(losses[:128], dset)
-    u_full, _ = offline_comparator(losses, dset)
+    Z = np.concatenate([f.Z for f in losses])
+    u_half, _ = offline_comparator(LogisticBatchLoss(Z[: 128 * 32], 32), dset)
+    u_full, _ = offline_comparator(LogisticBatchLoss(Z, 32), dset)
     r_half, _, _ = _final_regret(losses[:128], max(bounds[:128]), dset, u_half)
     r_full, trace, params = _final_regret(losses, max(bounds), dset, u_full)
     EXTRA_TRACES.append(trace)
@@ -307,7 +308,7 @@ def test_criterion_5_potential_monotonicity(fuzz):
     traces = [s["trace"] for s in streams] + list(EXTRA_TRACES)
     for s in streams[:5]:
         learner = metagrad_baseline(s["params"], s["dset"])
-        traces.append(run_stream(learner, [LinearLoss(g) for g in s["grads"]]))
+        traces.append(run_stream(learner, [Quadratic(q=g) for g in s["grads"]]))
     bad = 0
     for trace in traces:
         phi = np.asarray(trace.log_phi, dtype=float)
@@ -339,9 +340,11 @@ def test_criterion_6_gradient_checks():
         X = rng.standard_normal((6, d))
         y = rng.standard_normal(6)
         labels = np.where(rng.uniform(size=6) < 0.5, -1.0, 1.0)
+        g, lam = rng.standard_normal(d), float(rng.uniform(0.1, 2.0))
+        a = rng.standard_normal(d) * 0.3
         oracles = [
-            LinearLoss(rng.standard_normal(d)),
-            CenteredQuadraticLoss(float(rng.uniform(0.1, 2.0)), rng.standard_normal(d) * 0.3),
+            Quadratic(q=g),
+            Quadratic(q=-lam * a, r=0.5 * lam * float(a @ a), iso=0.5 * lam),
             RidgeBatchLoss(X, y, lam=float(rng.uniform(1e-4, 0.1)), radius=0.5),
             LogisticBatchLoss(X * labels[:, None], 6),
         ]
@@ -458,7 +461,7 @@ def test_criterion_8_benchmark_ordering(tmp_path):
     for seed in range(10):
         task = gen_regression(rounds=200, dim=50, batch=200, lam=1e-3,
                               noise_std=0.1, seed=seed)
-        x_star, _ = offline_comparator(task.losses, task.dset)
+        x_star, _ = offline_comparator(task.total, task.dset)
         base = float(np.sum([f.value(x_star) for f in task.losses]))
         for name, store in (("maler", reg_m), ("metagrad", reg_g)):
             learner = (MalerLearner(task.params, task.dset) if name == "maler"
@@ -471,7 +474,7 @@ def test_criterion_8_benchmark_ordering(tmp_path):
     cls_m, cls_g = [], []
     for seed in range(5):
         task = load_classification(data, rounds=100, batch=200, radius=0.5, seed=seed)
-        x_star, _ = offline_comparator(task.losses, task.dset)
+        x_star, _ = offline_comparator(task.total, task.dset)
         base = float(np.sum([f.value(x_star) for f in task.losses]))
         for name, store in (("maler", cls_m), ("metagrad", cls_g)):
             learner = (MalerLearner(task.params, task.dset) if name == "maler"

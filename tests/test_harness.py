@@ -14,9 +14,7 @@ from maler.harness import (
     CSV_HEADER,
     GRID_ARRAYS,
     TRACE_ARRAYS,
-    CenteredQuadraticLoss,
     ExperimentConfig,
-    LinearLoss,
     LogisticBatchLoss,
     RidgeBatchLoss,
     certify_trace,
@@ -41,9 +39,10 @@ def test_loss_oracle_gradients_match_fd():
     X = rng.normal(size=(6, d))
     y = rng.normal(size=6)
     labels = np.sign(y) + (np.sign(y) == 0)
+    g, a = rng.normal(size=d), rng.normal(size=d) * 0.2
     oracles = [
-        LinearLoss(rng.normal(size=d)),
-        CenteredQuadraticLoss(0.7, rng.normal(size=d) * 0.2),
+        Quadratic(q=g),
+        Quadratic(q=-0.7 * a, r=0.35 * float(a @ a), iso=0.35),
         RidgeBatchLoss(X, y, lam=0.01, radius=0.5),
         LogisticBatchLoss(X * labels[:, None], 6),
     ]
@@ -92,38 +91,24 @@ def test_logistic_loss_is_stable_and_bounded():
 
 
 def test_logistic_stack_is_the_term_by_term_sum():
+    # Weighting row i by counts[i] is the loss over the rows repeated that often.
     rng = np.random.default_rng(11)
-    losses = []
-    for _ in range(4):
-        X = rng.normal(size=(7, 3))
-        y = np.where(rng.uniform(size=7) < 0.5, -1.0, 1.0)
-        losses.append(LogisticBatchLoss(X * y[:, None], 7))
-    total = LogisticBatchLoss.stack(losses)
-    assert total.per_round == 7
-    pts = rng.normal(size=(5, 3)) * 0.5
-    for x in pts:
-        assert total.value(x) == pytest.approx(sum(f.value(x) for f in losses), rel=1e-12)
-        np.testing.assert_allclose(total.gradient(x), np.sum([f.gradient(x) for f in losses], axis=0),
-                                   rtol=1e-12, atol=0)
-    with pytest.raises(ValueError):
-        LogisticBatchLoss.stack([losses[0], LogisticBatchLoss(np.ones((3, 3)), 3)])
-
-
-def test_offline_comparator_rejects_mixed_loss_lists():
-    rng = np.random.default_rng(12)
-    ball = Ball(center=np.zeros(2), radius=0.5)
-    X = rng.normal(size=(6, 2))
-    mixed = [LinearLoss(np.array([0.3, -0.1])), LogisticBatchLoss(X * np.sign(X[:, :1]), 6)]
-    with pytest.raises(TypeError):
-        offline_comparator(mixed, ball)
+    Z = rng.normal(size=(6, 3))
+    counts = np.array([3, 0, 1, 2, 0, 5])
+    total = LogisticBatchLoss(Z, 7, counts)
+    stacked = LogisticBatchLoss(np.repeat(Z, counts, axis=0), 7)
+    assert total.grad_bound == pytest.approx(stacked.grad_bound, rel=1e-12)
+    assert total.smoothness == pytest.approx(stacked.smoothness, rel=1e-12)
+    for x in rng.normal(size=(5, 3)) * 0.5:
+        assert total.value(x) == pytest.approx(stacked.value(x), rel=1e-12)
+        np.testing.assert_allclose(total.gradient(x), stacked.gradient(x), rtol=1e-12, atol=0)
 
 
 def test_offline_comparator_linear_ball_closed_form():
     rng = np.random.default_rng(4)
     ball = Ball(center=np.zeros(2), radius=0.5)
-    losses = [LinearLoss(rng.normal(size=2)) for _ in range(20)]
-    x, rep = offline_comparator(losses, ball)
-    total = np.sum([f.q for f in losses], axis=0)
+    total = np.sum(rng.normal(size=(20, 2)), axis=0)
+    x, rep = offline_comparator(Quadratic(q=total), ball)
     expect = -0.5 * total / np.linalg.norm(total)
     np.testing.assert_allclose(x, expect, atol=1e-8)
     # The gap of a linear loss at the boundary point -r g/||g|| is g^T x + r ||g|| = 0.
@@ -134,8 +119,8 @@ def test_offline_comparator_quadratic_exact():
     rng = np.random.default_rng(5)
     ball = Ball(center=np.zeros(3), radius=0.5)
     centers = sample_ball(rng, 15, 3, 0.4)
-    losses = [CenteredQuadraticLoss(0.5, a) for a in centers]
-    x, rep = offline_comparator(losses, ball)
+    losses = [Quadratic(q=-0.5 * a, r=0.25 * float(a @ a), iso=0.25) for a in centers]
+    x, rep = offline_comparator(sum(losses[1:], losses[0]), ball)
     mean = np.mean(centers, axis=0)
     np.testing.assert_allclose(x, ball.project(mean), atol=1e-9)
     assert rep.gap <= 1e-12 * max(1.0, abs(rep.value))
@@ -150,7 +135,7 @@ def test_offline_comparator_ridge_matches_unconstrained_solve():
         X = rng.normal(size=(20, d))
         y = rng.normal(size=20)
         losses.append(RidgeBatchLoss(X, y, lam=0.1, radius=10.0))
-    x, rep = offline_comparator(losses, ball)
+    x, rep = offline_comparator(sum(losses[1:], losses[0]), ball)
     # Each loss is w^T A w - 2 b^T w + c + lam w^T w, kept as M = A and q = -2 b.
     M = np.sum([f.M for f in losses], axis=0) + 0.5 * np.eye(d)
     b = -0.5 * np.sum([f.q for f in losses], axis=0)
@@ -160,12 +145,11 @@ def test_offline_comparator_ridge_matches_unconstrained_solve():
 def test_offline_comparator_generic_mixture():
     rng = np.random.default_rng(7)
     ball = Ball(center=np.zeros(2), radius=1.0)
-    losses = [
-        LinearLoss(np.array([0.3, -0.1])),
-        CenteredQuadraticLoss(1.0, np.array([0.5, 0.2])),
-        CenteredQuadraticLoss(0.5, np.array([-0.2, 0.4])),
-    ]
-    x, rep = offline_comparator(losses, ball)
+    # g = (0.3, -0.1), then (lam/2) ||x - a||^2 for lam, a = 1, (0.5, 0.2) and 0.5, (-0.2, 0.4).
+    total = (Quadratic(q=np.array([0.3, -0.1]))
+             + Quadratic(q=-np.array([0.5, 0.2]), r=0.145, iso=0.5)
+             + Quadratic(q=-0.5 * np.array([-0.2, 0.4]), r=0.05, iso=0.25))
+    x, rep = offline_comparator(total, ball)
     # The sum is 0.75 ||x||^2 + q^T x + r, q = g - sum lam_i a_i, minimized inside the ball.
     np.testing.assert_allclose(x, np.array([0.1, 0.5]) / 1.5, atol=1e-15)
     assert rep.gap <= 1e-12 * max(1.0, abs(rep.value))
@@ -178,7 +162,7 @@ def test_offline_comparator_converges_on_a_wide_ball(tmp_path):
     path = tmp_path / "small130.libsvm"
     gen_classification_file(path, examples=130, dim=5)
     task = load_classification(path, rounds=50, radius=20.0)
-    x, report = offline_comparator(task.losses, task.dset)
+    x, report = offline_comparator(task.total, task.dset)
     assert report.iterations < PGD_ITERS
     assert report.gap <= 1e-12 * max(1.0, abs(report.value))
     Z = np.concatenate([f.Z for f in task.losses])
@@ -190,15 +174,14 @@ def test_offline_comparator_converges_on_a_wide_ball(tmp_path):
     assert round(result.diagnostics["maler"].regret, 4) == 4.1131
 
 
-def _loss_lists(rng, d):
-    """A seeded list of PSD quadratics and one of logistic batches, both in dimension d."""
+def _summed_losses(rng, d):
+    """A seeded sum of three PSD quadratics and one of four logistic batches, both in dimension d."""
     quads = []
     for _ in range(3):
         A = rng.normal(size=(d, d))
         quads.append(Quadratic(rng.normal(size=d), r=float(rng.normal()),
                                iso=float(rng.uniform(0.0, 0.1)), M=A @ A.T))
-    logs = [LogisticBatchLoss(rng.normal(size=(8, d)), 8) for _ in range(4)]
-    return quads, logs
+    return quads[0] + quads[1] + quads[2], LogisticBatchLoss(rng.normal(size=(32, d)), 8)
 
 
 def _off_center_ball(rng, d):
@@ -211,10 +194,8 @@ def _off_center_ball(rng, d):
 def test_duality_gap_bounds_the_suboptimality_of_an_early_stop(d):
     rng = np.random.default_rng(40 + d)
     ball = _off_center_ball(rng, d)
-    quads, logs = _loss_lists(rng, d)
-    for losses, total in ((quads, quads[0] + quads[1] + quads[2]),
-                          (logs, LogisticBatchLoss.stack(logs))):
-        x_ref, rep = offline_comparator(losses, ball)
+    for total in _summed_losses(rng, d):
+        x_ref, rep = offline_comparator(total, ball)
         scale = max(1.0, abs(rep.value))
         # A last move m <= PGD_TOL puts the gap below 4 L r m (as in test_core), up to rounding.
         assert rep.gap <= 4.0 * total.smoothness * ball.radius * PGD_TOL + 1e-12 * scale
@@ -395,9 +376,17 @@ def test_classification_batches_match_per_round_copies(tmp_path, examples, batch
             assert f.value(row) == ref.value(row)
             assert f.gradient(row).tobytes() == ref.gradient(row).tobytes()
     assert task.params.grad_bound == max(ref.grad_bound for ref in copies)
-    (u, report), (u_ref, report_ref) = (offline_comparator(task.losses, task.dset),
-                                        offline_comparator(copies, task.dset))
-    assert u.tobytes() == u_ref.tobytes() and report == report_ref
+    # The summed loss weights the file's distinct rows; the reference stacks every copy.
+    assert task.total.counts.sum() == rounds * batch
+    stacked = LogisticBatchLoss(np.concatenate([ref.Z for ref in copies]), batch)
+    assert task.total.smoothness == pytest.approx(stacked.smoothness, rel=1e-12)
+    for row in x:
+        assert task.total.value(row) == pytest.approx(stacked.value(row), rel=1e-12)
+        np.testing.assert_allclose(task.total.gradient(row), stacked.gradient(row),
+                                   rtol=1e-12, atol=0)
+    u, _ = offline_comparator(task.total, task.dset)
+    _, best = offline_comparator(stacked, task.dset)
+    assert abs(stacked.value(u) - best.value) <= best.gap + 1e-12 * abs(best.value)
 
 
 def test_classification_stream_memory_does_not_grow_with_rounds(tmp_path):
@@ -406,11 +395,12 @@ def test_classification_stream_memory_does_not_grow_with_rounds(tmp_path):
     tracemalloc.start()
     try:
         task = load_classification(path, rounds=1000, batch=200)
+        offline_comparator(task.total, task.dset)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(task.losses) == 1000
-    # A copy per round would be 1000 * 200 * 10 floats, over 15 MiB.
+    # A copy per round, or a stacked summed loss, would be 1000 * 200 * 10 floats, over 15 MiB.
     assert peak < 0.75 * 2**20
 
 
@@ -467,7 +457,7 @@ def _full_trace(rounds):
     The stream has at least 2 rounds, the shortest horizon of an expert grid."""
     task = gen_regression(rounds=max(rounds, 2), dim=2, batch=5, seed=7)
     trace = run_stream(MalerLearner(task.params, task.dset), task.losses[:rounds])
-    x, _ = offline_comparator(task.losses, task.dset)
+    x, _ = offline_comparator(task.total, task.dset)
     trace.comparator = x
     trace.loss_at_comparator = np.array([f.value(x) for f in task.losses[:rounds]])
     return trace
