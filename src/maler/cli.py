@@ -72,17 +72,7 @@ def cmd_certify(args) -> int:
         print(f"error: cannot load trace: {exc}", file=sys.stderr)
         return 1
     reports, ok = harness.certify_trace(trace)
-    for rep in reports:
-        status = "PASS" if rep.ok else "FAIL"
-        worst = rep.worst()
-        print(f"[{status}] {rep.name}: {len(rep.rows)} checks, "
-              f"min slack {worst.slack:.6g} at {worst.label!r}")
-        if not rep.ok:
-            for row in rep.rows:
-                if not row.ok:
-                    print(f"    violated: {row.label} measured={row.measured:.12g} "
-                          f"bound={row.bound:.12g}")
-    print("certificates " + ("PASS" if ok else "FAIL") + f" for algo={trace.algo!r}")
+    print("\n".join(harness.certify_lines(trace.algo, reports)))
     return 0 if ok else 2
 
 

@@ -221,8 +221,9 @@ def expert_regret_certificate(trace: RunTrace) -> CertificateReport:
     """Check each expert's regret on its own surrogate sum against its fixed per-expert cap.
 
     The comparator is the constrained minimizer of the summed surrogate,
-    realizing the worst u in the bound's quantifier. Grid and losses both
-    come from the trace.
+    realizing the worst u in the bound's quantifier. The caps 1 + ln T and
+    10 d ln T take T to be the played rounds. Grid and losses both come
+    from the trace.
     """
     grid = trace.grid
     if grid is None or trace.expert_points is None:

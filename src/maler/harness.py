@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import libsvm, meta, svgplot, universal
+from . import libsvm, meta, svgplot
 from .core import Ball, ProblemParams, Quadratic, projected_gradient
 from .experts import expert_regret_certificate
 from .meta import (
@@ -254,10 +254,7 @@ def run_stream(learner: Learner, losses) -> RunTrace:
 
 
 def certificates_for(trace: RunTrace) -> list:
-    """All certificate reports that apply to this trace.
-
-    curvature-bounds has one row per curvature modulus the trace records.
-    """
+    """The certificate reports of this trace's learner and comparator, the assumptions aside."""
     reports = []
     if trace.grid is not None:
         reports.append(potential_certificate(trace))
@@ -266,28 +263,6 @@ def certificates_for(trace: RunTrace) -> list:
         reports.append(expert_regret_certificate(trace))
         if trace.comparator is not None:
             reports.append(regret_bound_certificate(trace))
-            diag = regret_diagnostics(trace)
-            extra = []
-            if trace.sc_modulus is not None:
-                extra.append(
-                    CertificateRow(
-                        label="regret <= (10GD + 9G^2/(2 lam)) A",
-                        measured=diag.regret,
-                        bound=universal.strongly_convex_regret_bound(trace.params,
-                                                                       trace.sc_modulus),
-                    )
-                )
-            if trace.exp_concavity is not None:
-                extra.append(
-                    CertificateRow(
-                        label="regret <= (10GD + 9/(2 beta)) B",
-                        measured=diag.regret,
-                        bound=universal.exp_concave_regret_bound(trace.params,
-                                                                    trace.exp_concavity),
-                    )
-                )
-            if extra:
-                reports.append(CertificateReport(name="curvature-bounds", rows=extra))
     return reports
 
 
@@ -444,9 +419,12 @@ def _modulus(obj: dict, name: str) -> Optional[float]:
 
 
 def _check_trace_shapes(trace: RunTrace) -> None:
-    """Raise ValueError unless every array has the shape T, d and the rebuilt grid imply."""
+    """Raise ValueError unless the trace has T >= 2 rounds, as build_grid requires of the
+    horizon, and every array has the shape T, d and the rebuilt grid imply."""
     p = trace.params
     T = trace.plays.shape[0] if trace.plays.ndim else 0
+    if T < 2:
+        raise ValueError(f"trace of {T} rounds is too short: its regret bounds need T >= 2")
     if T > p.horizon or trace.dset.dim != p.dim:
         raise ValueError(f"trace of {T} rounds on a {trace.dset.dim}-dimensional set does not "
                          f"fit horizon {p.horizon}, dimension {p.dim}")
@@ -561,7 +539,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         trace.sc_modulus, trace.exp_concavity = task.sc_modulus, task.exp_concavity
         traces[name] = trace
         diags[name] = regret_diagnostics(trace)
-        certs[name] = certificates_for(trace)
+        certs[name] = certify_trace(trace)[0]
 
     result = ExperimentResult(
         config=cfg,
@@ -593,13 +571,7 @@ def _report_text(result: ExperimentResult) -> str:
     for algo, diag in result.diagnostics.items():
         lines.append(f"{algo}: final regret {diag.regret:.6f}  V_s {diag.v_s:.6f}  V_ell {diag.v_ell:.6f}")
     for algo, reports in result.certificates.items():
-        for rep in reports:
-            status = "PASS" if rep.ok else "FAIL"
-            worst = rep.worst()
-            lines.append(
-                f"[{status}] {algo} {rep.name} ({len(rep.rows)} checks, "
-                f"min slack {worst.slack:.6g} at {worst.label!r})"
-            )
+        lines += certify_lines(algo, reports)
     return "\n".join(lines) + "\n"
 
 
@@ -627,7 +599,7 @@ def _write_outputs(result: ExperimentResult) -> None:
 
 
 def certify_trace(trace: RunTrace) -> tuple:
-    """Re-run every applicable certificate on a saved trace.
+    """Run every applicable certificate on a trace, as `maler run` and `maler certify` do.
 
     Returns (reports, ok). The first report checks the recorded data
     against the problem's assumptions: gradients finite and within G,
@@ -653,3 +625,18 @@ def certify_trace(trace: RunTrace) -> tuple:
     if finite.all() and np.isfinite(trace.plays).all():
         reports += certificates_for(trace)
     return reports, all(r.ok for r in reports)
+
+
+def certify_lines(algo: str, reports: list) -> list:
+    """How `maler certify` and report.txt print one algo's reports: a line per report,
+    a `violated:` line per failing row, then the verdict."""
+    lines = []
+    for rep in reports:
+        worst = rep.worst()
+        lines.append(f"[{'PASS' if rep.ok else 'FAIL'}] {rep.name}: {len(rep.rows)} checks, "
+                     f"min slack {worst.slack:.6g} at {worst.label!r}")
+        lines += [f"    violated: {row.label} measured={row.measured:.12g} bound={row.bound:.12g}"
+                  for row in rep.rows if not row.ok]
+    ok = all(rep.ok for rep in reports)
+    lines.append(f"certificates {'PASS' if ok else 'FAIL'} for algo={algo!r}")
+    return lines

@@ -215,7 +215,9 @@ def meta_regret_certificate(trace: RunTrace) -> CertificateReport:
     e's surrogate. At x = x_t the spherical and quadratic surrogates vanish
     and the constant-pad surrogate equals (eta_c G D)^2, so the first term
     is recomputed directly; the second is re-evaluated from the trace.
-    Grid and losses both come from the trace.
+    The measured side sums the played rounds; the cap of a spherical or
+    quadratic expert takes T to be the grid's horizon. Grid and losses
+    both come from the trace.
     """
     grid = trace.grid
     if grid is None or trace.expert_points is None:

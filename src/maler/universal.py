@@ -250,11 +250,14 @@ def regret_diagnostics(trace: RunTrace) -> RegretDiagnostics:
 
 
 def regret_bound_certificate(trace: RunTrace) -> CertificateReport:
-    """Check measured regret against the three simultaneous regret bounds.
+    """Check measured regret against the simultaneous regret bounds.
 
     The worst-case bound 2(1+ln3) G D sqrt(T) and the two adaptive bounds
     3 sqrt(V B) + 10 G D B must all hold at once, with V the spherical or
-    quadratic cumulative deviation and B the matching constant.
+    quadratic cumulative deviation and B the matching constant; these three
+    rows take T to be the played rounds. A curvature modulus the trace
+    records adds its cap, (10GD + 9G^2/(2 lam)) A for sc_modulus and
+    (10GD + 9/(2 beta)) B for exp_concavity, with T the horizon.
     """
     diag = regret_diagnostics(trace)
     p = trace.params
@@ -262,23 +265,19 @@ def regret_bound_certificate(trace: RunTrace) -> CertificateReport:
     GD = p.grad_bound * p.diameter
     a = bound_constant_a(T)
     b = bound_constant_b(T, d)
-    rows = [
-        CertificateRow(
-            label="regret <= 2(1+ln3) G D sqrt(T)",
-            measured=diag.regret,
-            bound=2.0 * (1.0 + math.log(3.0)) * GD * math.sqrt(T),
-        ),
-        CertificateRow(
-            label="regret <= 3 sqrt(V_ell B) + 10 G D B",
-            measured=diag.regret,
-            bound=3.0 * math.sqrt(diag.v_ell * b) + 10.0 * GD * b,
-        ),
-        CertificateRow(
-            label="regret <= 3 sqrt(V_s A) + 10 G D A",
-            measured=diag.regret,
-            bound=3.0 * math.sqrt(diag.v_s * a) + 10.0 * GD * a,
-        ),
+    bounds = [
+        ("regret <= 2(1+ln3) G D sqrt(T)", 2.0 * (1.0 + math.log(3.0)) * GD * math.sqrt(T)),
+        ("regret <= 3 sqrt(V_ell B) + 10 G D B", 3.0 * math.sqrt(diag.v_ell * b) + 10.0 * GD * b),
+        ("regret <= 3 sqrt(V_s A) + 10 G D A", 3.0 * math.sqrt(diag.v_s * a) + 10.0 * GD * a),
     ]
+    if trace.sc_modulus is not None:
+        bounds.append(("regret <= (10GD + 9G^2/(2 lam)) A",
+                       strongly_convex_regret_bound(p, trace.sc_modulus)))
+    if trace.exp_concavity is not None:
+        bounds.append(("regret <= (10GD + 9/(2 beta)) B",
+                       exp_concave_regret_bound(p, trace.exp_concavity)))
+    rows = [CertificateRow(label=label, measured=diag.regret, bound=bound)
+            for label, bound in bounds]
     return CertificateReport(name="regret-bounds", rows=rows)
 
 

@@ -451,11 +451,12 @@ def test_csv_reproducible_from_saved_traces(tmp_path):
                 assert float(parts[5]) == pytest.approx(trace.log_phi[t], abs=1e-12)
 
 
-def _full_trace(rounds):
+def _full_trace(rounds, horizon=2):
     """A maler trace with every array set; rounds=0 gives zero-row arrays.
 
-    The stream has at least 2 rounds, the shortest horizon of an expert grid."""
-    task = gen_regression(rounds=max(rounds, 2), dim=2, batch=5, seed=7)
+    The task has max(rounds, horizon) rounds; the default horizon 2 is the
+    shortest of an expert grid."""
+    task = gen_regression(rounds=max(rounds, horizon), dim=2, batch=5, seed=7)
     trace = run_stream(MalerLearner(task.params, task.dset), task.losses[:rounds])
     x, _ = offline_comparator(task.total, task.dset)
     trace.comparator = x
@@ -537,22 +538,31 @@ def test_cli_run_and_certify(tmp_path, capsys):
     assert "certificates PASS" in capsys.readouterr().out
 
 
-def test_cli_certify_prints_the_curvature_bounds_of_the_run(tmp_path, capsys):
-    # The trace records the task's moduli, so certify rebuilds the
-    # curvature-bounds report that `maler run` wrote to report.txt.
-    out = tmp_path / "exp"
-    assert cli.main([*SMALL_RUN, "--out", str(out)]) == 0
-    obj = json.loads((out / "trace_maler.json").read_text())
-    assert obj["sc_modulus"] == 2e-3 and obj["exp_concavity"] > 0.0
+def test_report_holds_what_certify_prints_for_every_trace(tmp_path, capsys):
+    # `maler run` certifies each algo's run through certify_trace and prints
+    # it with certify_lines, so report.txt holds `maler certify`'s stdout.
+    data = tmp_path / "train.libsvm"
+    gen_classification_file(data, examples=60, dim=3, seed=2)
+    runs = {"reg": SMALL_RUN, "cls": ["run", "--task", "classification", "--data", str(data),
+                                      "--rounds", "6", "--batch", "10"]}
+    for name, argv in runs.items():
+        assert cli.main([*argv, "--out", str(tmp_path / name)]) == 0
     capsys.readouterr()
-    assert cli.main(["certify", "--trace", str(out / "trace_maler.json")]) == 0
-    [certified] = [line for line in capsys.readouterr().out.splitlines()
-                   if line.startswith("[PASS] curvature-bounds: ")]
-    [reported] = [line for line in (out / "report.txt").read_text().splitlines()
-                  if line.startswith("[PASS] maler curvature-bounds (")]
-    assert certified.startswith("[PASS] curvature-bounds: 2 checks, min slack ")
-    assert certified[len("[PASS] curvature-bounds: "):] == reported[
-        len("[PASS] maler curvature-bounds ("):-1]
+    algos = {}
+    for name in runs:
+        report = (tmp_path / name / "report.txt").read_text()
+        for tpath in sorted((tmp_path / name).glob("trace_*.json")):
+            assert cli.main(["certify", "--trace", str(tpath)]) == 0
+            printed = capsys.readouterr().out
+            assert printed.startswith("[PASS] assumptions: 4 checks, ") and printed in report
+            algos.setdefault(name, []).append(load_trace(tpath).algo)
+    assert algos == {"reg": ["maler"], "cls": ["maler", "metagrad", "ogd-convex", "ons"]}
+    # The run's curvature moduli add their caps to regret-bounds.
+    reports, _ = certify_trace(load_trace(tmp_path / "reg" / "trace_maler.json"))
+    [bounds] = [rep for rep in reports if rep.name == "regret-bounds"]
+    assert [row.label for row in bounds.rows[3:]] == ["regret <= (10GD + 9G^2/(2 lam)) A",
+                                                     "regret <= (10GD + 9/(2 beta)) B"]
+    assert len(bounds.rows) == 5 and all(row.ok for row in bounds.rows)
 
 
 # The run every tamper test edits; tests/data/trace_v1_maler.json is its
@@ -780,13 +790,32 @@ def test_trace_arrays_round_trip_bit_exact(tmp_path, rounds):
         trace.expert_points[2, 0, 1] = -0.0
     path = tmp_path / "t.json"
     save_trace(trace, path)
-    assert json.loads(path.read_text())["format"] == 2
-    again = load_trace(path)
+    obj = json.loads(path.read_text())
+    assert obj["format"] == 2
+    if rounds:
+        again = load_trace(path)
+        arrays = {name: getattr(again, name) for name in TRACE_ARRAYS}
+    else:
+        # load_trace refuses a trace of fewer than 2 rounds; its zero-row arrays still decode.
+        arrays = {name: harness._decode_array(obj[name]) for name in TRACE_ARRAYS}
     for name in TRACE_ARRAYS:
-        want, got = getattr(trace, name), getattr(again, name)
+        want, got = getattr(trace, name), arrays[name]
         assert got is not None, name
         assert got.dtype == np.float64 and got.flags.writeable and got.shape == want.shape, name
         assert got.tobytes() == np.asarray(want, dtype=float).tobytes(), name
+
+
+@pytest.mark.parametrize("rounds", [0, 1])
+def test_load_trace_refuses_a_trace_of_fewer_than_two_rounds(tmp_path, capsys, rounds):
+    # Every bound takes ln T of the played rounds: at 0 rounds that was a math
+    # domain error, and at 1 round the expert cap 10 d ln 1 = 0 failed an honest run.
+    path = tmp_path / "t.json"
+    save_trace(_full_trace(rounds, horizon=10), path)
+    with pytest.raises(ValueError, match="too short"):
+        load_trace(path)
+    capsys.readouterr()
+    assert cli.main(["certify", "--trace", str(path)]) == 1
+    assert "error: cannot load trace" in capsys.readouterr().err
 
 
 def _one_shot_trace_bytes(trace) -> bytes:
@@ -860,7 +889,7 @@ def test_legacy_trace_loads_like_its_format_2_run(tmp_path):
     legacy = load_trace(LEGACY_TRACE)
     current = load_trace(_small_run_trace(tmp_path))
     # The legacy layout predates the recorded moduli, so it certifies like
-    # its run without them (no curvature-bounds report).
+    # its run without them (no curvature caps in regret-bounds).
     assert legacy.sc_modulus is None and legacy.exp_concavity is None
     assert current.sc_modulus == 2e-3 and current.exp_concavity > 0.0
     current.sc_modulus = current.exp_concavity = None
