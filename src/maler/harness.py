@@ -17,6 +17,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Optional
 
 import numpy as np
@@ -223,22 +224,21 @@ def load_classification(path, rounds: int = 100, batch: int = 200,
 
 def gen_classification_file(path, examples: int = 4000, dim: int = 10, seed: int = 0) -> None:
     """Write a synthetic linearly-separable-with-noise LIBSVM file."""
+    if min(examples, dim) < 1:
+        raise ValueError(f"examples and dim must be >= 1, got {examples}, {dim}")
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(dim)
     w /= np.linalg.norm(w)
     X = rng.standard_normal((examples, dim))
     margins = X @ w + 0.3 * rng.standard_normal(examples)
     y = np.where(margins >= 0, 1.0, -1.0)
+    cols = range(1, dim + 1)
     rows = []
-    for i in range(examples):
-        nz = np.nonzero(X[i])[0]
-        rows.append(
-            libsvm.LibsvmRow(
-                label=float(y[i]),
-                indices=tuple(int(j) + 1 for j in nz),
-                values=tuple(float(v) for v in X[i, nz]),
-            )
-        )
+    for label, x in zip(y.tolist(), X):
+        x = x.tolist()
+        # compress keeps the nonzero entries, as np.nonzero does.
+        rows.append(libsvm.LibsvmRow(label=label, indices=tuple(compress(cols, x)),
+                                     values=tuple(compress(x, x))))
     libsvm.write_libsvm(rows, path)
 
 

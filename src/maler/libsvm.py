@@ -1,7 +1,7 @@
 """Reader and writer for the sparse LIBSVM text format.
 
-Each line is `<label> <index>:<value> ...` with 1-based, strictly unique
-indices and a label in {-1, +1}. Parsing is strict: any malformed line
+Each line is `<label> <index>:<value> ...` with 1-based, unique indices in
+any order and a label in {-1, +1}. Parsing is strict: any malformed line
 fails with its line number.
 """
 
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -65,33 +66,62 @@ def parse_libsvm(path) -> list:
                 if idx in seen:
                     raise LibsvmFormatError(line_no, f"duplicate index {idx}")
                 seen[idx] = val
-            items = sorted(seen.items())
-            rows.append(
-                LibsvmRow(
-                    label=label,
-                    indices=tuple(i for i, _ in items),
-                    values=tuple(v for _, v in items),
-                )
-            )
+            keys = sorted(seen)
+            rows.append(LibsvmRow(label=label, indices=tuple(keys),
+                                  values=tuple(map(seen.__getitem__, keys))))
     return rows
 
 
 def write_libsvm(rows, path) -> None:
-    """Serialize rows in canonical form: sorted indices, %.17g values."""
+    """Serialize rows in canonical form: `+1` or `-1`, then each index:value
+    pair in the row's order (sorted, for rows from `parse_libsvm`), values as
+    %.17g, one LF-ended line per row.
+
+    A row whose label is not exactly -1 or +1, or whose indices and values
+    differ in length, raises ValueError naming its position in `rows`; the
+    file then holds the rows before it.
+    """
+    templates = {}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in rows:
-            label = "+1" if row.label > 0 else "-1"
-            feats = " ".join(f"{i}:{v:.17g}" for i, v in zip(row.indices, row.values))
-            fh.write(f"{label} {feats}\n" if feats else f"{label}\n")
+        for pos, row in enumerate(rows):
+            indices, values = row.indices, row.values
+            n = len(indices)
+            if len(values) != n:
+                raise ValueError(f"rows[{pos}]: {n} indices but {len(values)} values")
+            if row.label == 1.0:
+                label = "+1"
+            elif row.label == -1.0:
+                label = "-1"
+            else:
+                raise ValueError(f"rows[{pos}]: label must be -1 or +1, got {row.label!r}")
+            fmt = templates.get(n)
+            if fmt is None:
+                # %s, as f"{i}" would print any index type.
+                fmt = templates[n] = "%s" + " %s:%.17g" * n + "\n"
+            fields = [label] * (2 * n + 1)
+            fields[1::2] = indices
+            fields[2::2] = values
+            fh.write(fmt % tuple(fields))
 
 
 def to_dense(rows) -> tuple:
-    """Densify rows into (X, y), one column per index up to the largest seen."""
-    d = max((r.indices[-1] for r in rows if r.indices), default=0)
+    """Densify rows into (X, y), one column per index up to the largest seen.
+
+    A row with an index below 1, or with more or fewer values than indices,
+    raises ValueError: the one scatter would put its values into other rows.
+    """
+    lens = [len(r.indices) for r in rows]
+    if lens != [len(r.values) for r in rows]:
+        raise ValueError("every row needs as many values as indices")
+    flat = np.fromiter(chain.from_iterable(r.indices for r in rows), dtype=np.intp,
+                       count=sum(lens))
+    if flat.min(initial=1) < 1:
+        raise ValueError(f"indices are 1-based, got {flat.min()}")
+    d = int(flat.max(initial=0))
     X = np.zeros((len(rows), d))
-    y = np.empty(len(rows))
-    for i, r in enumerate(rows):
-        y[i] = r.label
-        if r.indices:
-            X[i, np.array(r.indices) - 1] = r.values
+    # Row i's index j lands at flat position i*d + j - 1.
+    flat += np.repeat(np.arange(len(rows)) * d - 1, lens)
+    X.put(flat, np.fromiter(chain.from_iterable(r.values for r in rows), dtype=float,
+                            count=flat.size))
+    y = np.array([r.label for r in rows], dtype=float)
     return X, y

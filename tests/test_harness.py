@@ -238,6 +238,10 @@ def test_task_builders_reject_non_positive_sizes(tmp_path, capsys):
         with pytest.raises(ValueError):
             gen_regression(**{"rounds": 3, "dim": 2, "batch": 4, **sizes})
     path = tmp_path / "d.libsvm"
+    for sizes in ({"examples": 0}, {"examples": -3}, {"dim": 0}):
+        with pytest.raises(ValueError, match="examples and dim must be >= 1"):
+            gen_classification_file(path, **{"examples": 5, "dim": 2, **sizes})
+        assert not path.exists()
     gen_classification_file(path, examples=20, dim=3, seed=1)
     for sizes in ({"rounds": 0}, {"batch": 0}):
         with pytest.raises(ValueError):
@@ -314,6 +318,99 @@ def test_libsvm_skips_blank_and_comment_lines(tmp_path):
     rows = parse_libsvm(path)
     assert len(rows) == 2
     assert rows[1].indices == (2,)
+
+
+def test_libsvm_parses_crlf_tabs_indented_comments_and_unsorted_indices(tmp_path):
+    path = tmp_path / "messy.libsvm"
+    path.write_bytes(b"# header\r\n+1\t3:0.5 1:-2\r\n   # indented\r\n"
+                     b"\t-1 5:4\t\t2:1e-3 \r\n\r\n+1\r\n")
+    assert parse_libsvm(path) == [
+        LibsvmRow(label=1.0, indices=(1, 3), values=(-2.0, 0.5)),
+        LibsvmRow(label=-1.0, indices=(2, 5), values=(1e-3, 4.0)),
+        LibsvmRow(label=1.0, indices=(), values=()),
+    ]
+
+
+def _per_value_line(row) -> str:
+    """One row as the writer printed it with one f-string per value."""
+    feats = " ".join(f"{i}:{v:.17g}" for i, v in zip(row.indices, row.values))
+    label = "+1" if row.label > 0 else "-1"
+    return f"{label} {feats}\n" if feats else f"{label}\n"
+
+
+@pytest.mark.parametrize("examples, dim, seed", [(4000, 10, 0), (130, 5, 7)])
+def test_generated_file_matches_a_per_value_writer(tmp_path, examples, dim, seed):
+    # gen_classification_file's draws, turned into rows with np.nonzero.
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(dim)
+    w /= np.linalg.norm(w)
+    X = rng.standard_normal((examples, dim))
+    y = np.where(X @ w + 0.3 * rng.standard_normal(examples) >= 0, 1.0, -1.0)
+    rows = []
+    for x, label in zip(X, y):
+        nz = np.nonzero(x)[0]
+        rows.append(LibsvmRow(label=float(label), indices=tuple(int(j) + 1 for j in nz),
+                              values=tuple(float(v) for v in x[nz])))
+    path = tmp_path / "d.libsvm"
+    gen_classification_file(path, examples=examples, dim=dim, seed=seed)
+    assert path.read_bytes() == "".join(map(_per_value_line, rows)).encode()
+
+
+def test_write_libsvm_matches_a_per_value_writer_on_any_number_types(tmp_path):
+    rows = [
+        LibsvmRow(label=1.0, indices=(np.int64(2), 7), values=(np.float64(-0.0), 3)),
+        LibsvmRow(label=np.float64(-1.0), indices=(), values=()),
+        LibsvmRow(label=True, indices=(1, 2, 40), values=(5e-324, 1e308, 0.1)),
+        LibsvmRow(label=-1, indices=(3,), values=(np.float32(0.1),)),
+        LibsvmRow(label=1.0, indices=(1, 2), values=(1 / 3, -2.5e-17)),
+    ]
+    path = tmp_path / "d.libsvm"
+    write_libsvm(rows, path)
+    assert path.read_bytes() == "".join(map(_per_value_line, rows)).encode()
+
+
+@pytest.mark.parametrize("bad, reason", [
+    (LibsvmRow(label=0.0, indices=(1,), values=(1.0,)), "label must be -1 or +1, got 0.0"),
+    (LibsvmRow(label=math.nan, indices=(1,), values=(1.0,)), "label must be -1 or +1, got nan"),
+    (LibsvmRow(label=2.0, indices=(1,), values=(1.0,)), "label must be -1 or +1, got 2.0"),
+    (LibsvmRow(label=1.0, indices=(1, 2), values=(1.0,)), "2 indices but 1 values"),
+    (LibsvmRow(label=-1.0, indices=(), values=(1.0,)), "0 indices but 1 values"),
+], ids=["zero", "nan", "two", "short-values", "long-values"])
+def test_write_libsvm_refuses_rows_it_cannot_write_faithfully(tmp_path, bad, reason):
+    rows = [LibsvmRow(label=1.0, indices=(1,), values=(0.5,)),
+            LibsvmRow(label=-1.0, indices=(), values=()), bad]
+    with pytest.raises(ValueError) as err:
+        write_libsvm(rows, tmp_path / "d.libsvm")
+    assert str(err.value) == f"rows[2]: {reason}"
+
+
+def test_to_dense_matches_a_per_row_fill():
+    rng = np.random.default_rng(11)
+    rows = [LibsvmRow(label=1.0, indices=(), values=())]
+    for _ in range(200):
+        # Empty rows, one-feature rows and rows with gaps, up to 12 columns.
+        k = int(rng.choice([0, 1, int(rng.integers(2, 12))]))
+        idx = np.sort(rng.choice(12, size=k, replace=False)) + 1
+        rows.append(LibsvmRow(label=float(rng.choice([-1.0, 1.0])), indices=tuple(idx.tolist()),
+                              values=tuple(rng.standard_normal(k).tolist())))
+    for batch in (rows, rows[:1], []):
+        d = max((r.indices[-1] for r in batch if r.indices), default=0)
+        X_ref, y_ref = np.zeros((len(batch), d)), np.empty(len(batch))
+        for i, r in enumerate(batch):
+            y_ref[i] = r.label
+            if r.indices:
+                X_ref[i, np.array(r.indices) - 1] = r.values
+        X, y = to_dense(batch)
+        assert X.shape == X_ref.shape and X.dtype == X_ref.dtype and y.dtype == y_ref.dtype
+        np.testing.assert_array_equal(X, X_ref)
+        np.testing.assert_array_equal(y, y_ref)
+    # Rows the one scatter would spill into their neighbours.
+    good = LibsvmRow(label=1.0, indices=(1, 2), values=(1.0, 2.0))
+    for indices, values, reason in [((0,), (5.0,), "1-based, got 0"),
+                                    ((1, 3), (5.0,), "as many values as indices"),
+                                    ((1,), (5.0, 6.0), "as many values as indices")]:
+        with pytest.raises(ValueError, match=reason):
+            to_dense([good, LibsvmRow(label=-1.0, indices=indices, values=values), good])
 
 
 def test_load_classification(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from conftest import sample_point
 
 from maler.core import Ball, ProblemParams, ProjectionError
+from maler.meta import POTENTIAL_SLACK, logsumexp
 from maler.universal import (
     AssumptionViolation,
     MalerLearner,
@@ -26,6 +27,38 @@ from maler.universal import (
 
 PARAMS = ProblemParams(horizon=16, dim=2, grad_bound=1.0, diameter=1.0)
 BALL = Ball(center=np.zeros(2), radius=0.5)
+
+
+@pytest.mark.parametrize("T", [2, 7, 60])
+@pytest.mark.parametrize("d", [1, 3, 10])
+def test_learner_invariants_hold_across_scales(d, T):
+    # Seven (G, D) draws, log-uniform over eight decades, and three learners
+    # each: every play and expert point lies in the ball, the log-weights stay
+    # normalized and log Phi never rises by more than the certificate's slack.
+    # A failure here is a program bug, not a tolerance to widen.
+    rng = np.random.default_rng(1000 * d + T)
+    for _ in range(7):
+        G, D = 10.0 ** rng.uniform(-4.0, 4.0, size=2)
+        params = ProblemParams(horizon=T, dim=d, grad_bound=G, diameter=D)
+        ball = Ball(center=np.zeros(d), radius=D / 2)
+        learners = [MalerLearner(params, ball), metagrad_baseline(params, ball),
+                    ONSLearner(params, ball, alpha=float(10.0 ** rng.uniform(-3.0, 0.0)))]
+        for _ in range(T):
+            g = rng.standard_normal(d)
+            # About a third of the rounds at the full norm G.
+            g *= G * min(1.0, rng.uniform(0.0, 1.5)) / np.linalg.norm(g)
+            for learner in learners:
+                learner.predict()
+                learner.observe(g)
+        for learner in learners:
+            trace = learner.trace()
+            assert all(ball.contains(x) for x in trace.plays), (learner.algo, G, D)
+            if trace.grid is None:
+                continue
+            assert all(ball.contains(x) for x in trace.expert_points.reshape(-1, d)), (G, D)
+            assert max(abs(logsumexp(w)) for w in trace.log_weights) <= 1e-12, (G, D)
+            steps = np.diff(np.concatenate([[0.0], trace.log_phi]))
+            assert steps.max() <= POTENTIAL_SLACK, (learner.algo, G, D)
 
 
 def test_protocol_observe_before_predict():
