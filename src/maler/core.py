@@ -46,6 +46,15 @@ class ProblemParams:
             raise ValueError(f"grad_bound must be finite and > 0, got {self.grad_bound}")
         if not (np.isfinite(self.diameter) and self.diameter > 0):
             raise ValueError(f"diameter must be finite and > 0, got {self.diameter}")
+        # The learners' step sizes divide by D^2 and by 4 G D (experts.newton_beta);
+        # Python floats overflow to inf and underflow to 0 here without a warning.
+        G, D = float(self.grad_bound), float(self.diameter)
+        if not 0.0 < D * D < math.inf:
+            raise ValueError(f"diameter {D:g} is out of range: D^2 = {D * D:g} must be "
+                             "finite and > 0")
+        if not 0.0 < 4.0 * (G * D) < math.inf:
+            raise ValueError(f"diameter {D:g} is out of range for grad_bound {G:g}: "
+                             f"4 G D = {4.0 * (G * D):g} must be finite and > 0")
 
     @property
     def grad_cap(self) -> float:

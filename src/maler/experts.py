@@ -54,8 +54,15 @@ def newton_beta(G: float, D: float, alpha: float) -> float:
 
 
 def newton_metric(beta: float, D: float, dim: int) -> tuple:
-    """Initial (Sigma, Sigma^{-1}) of an online Newton step: Sigma = I / (beta D)^2."""
-    scale = 1.0 / (beta**2 * D**2)
+    """Initial (Sigma, Sigma^{-1}) of an online Newton step: Sigma = I / (beta D)^2.
+
+    Raises ValueError if (beta D)^2 underflows to 0 or its inverse overflows.
+    """
+    squared = beta**2 * D**2
+    scale = 1.0 / squared if squared > 0.0 else math.inf
+    if scale == math.inf:
+        raise ValueError(f"the online Newton metric I/(beta D)^2 overflows at beta = {beta:g}, "
+                         f"D = {D:g}")
     return scale * np.eye(dim), (1.0 / scale) * np.eye(dim)
 
 
@@ -192,38 +199,67 @@ def expert_regret_c_bound() -> float:
     return 0.75
 
 
-def summed_surrogate(eta: float, pad: float, sph: float, quad: float, plays: np.ndarray,
-                     grads: np.ndarray) -> Quadratic:
+@dataclass(frozen=True)
+class SurrogateSums:
+    """The time-sums over one trace that every expert's summed surrogate is built from.
+
+    With ip_t = x_t^T g_t: sum_g = sum_t g_t, sum_xg = sum_t ip_t, sum_x =
+    sum_t x_t, sum_xx = sum_t ||x_t||^2, sum_ipg = sum_t ip_t g_t, sum_ipip =
+    sum_t ip_t^2 and sum_gg = sum_t g_t g_t^T.
+    """
+
+    rounds: int
+    sum_g: np.ndarray
+    sum_xg: float
+    sum_x: np.ndarray
+    sum_xx: float
+    sum_ipg: np.ndarray
+    sum_ipip: float
+    sum_gg: np.ndarray
+
+    @classmethod
+    def of(cls, plays: np.ndarray, grads: np.ndarray) -> "SurrogateSums":
+        """The sums of a T x d history of plays and gradients."""
+        xg = np.einsum("td,td->t", plays, grads)
+        return cls(rounds=plays.shape[0], sum_g=grads.sum(axis=0), sum_xg=float(xg.sum()),
+                   sum_x=plays.sum(axis=0), sum_xx=float(np.einsum("td,td->", plays, plays)),
+                   sum_ipg=xg @ grads, sum_ipip=float(xg @ xg),
+                   sum_gg=np.einsum("ti,tj->ij", grads, grads))
+
+
+def summed_surrogate(eta: float, pad: float, sph: float, quad: float,
+                     sums: SurrogateSums) -> Quadratic:
     """One expert's surrogate summed over rounds, as a quadratic in u.
 
     The time-sum of surrogates.expert_values' eta ip + pad + sph ||u - x_t||^2
     + quad (eta ip)^2, ip = (u - x_t)^T g_t, for the expert's column
-    (pad, sph, quad) of surrogates.expert_constants. A zero constant adds no
-    term: iso = T sph, and M = quad eta^2 sum_t g_t g_t^T is None if quad is 0.
+    (pad, sph, quad) of surrogates.expert_constants. The sums over rounds
+    are taken once per trace, in sums, and shared by every expert; each
+    expert only scales them. A zero constant adds no term: iso = T sph, and
+    M = quad eta^2 sum_t g_t g_t^T is None if quad is 0.
     """
-    rounds = plays.shape[0]
-    xg = np.einsum("td,td->t", plays, grads)
-    q, r, M = eta * grads.sum(axis=0), -eta * float(xg.sum()), None
+    q, r, M = eta * sums.sum_g, -eta * sums.sum_xg, None
     if pad:
-        r = r + rounds * pad
+        r = r + sums.rounds * pad
     if sph:
-        q = q - 2.0 * sph * plays.sum(axis=0)
-        r = r + sph * float(np.einsum("td,td->", plays, plays))
+        q = q - 2.0 * sph * sums.sum_x
+        r = r + sph * sums.sum_xx
     if quad:
         w = quad * eta**2
-        q = q - 2.0 * w * (xg @ grads)
-        r = r + w * float(xg @ xg)
-        M = w * np.einsum("ti,tj->ij", grads, grads)
-    return Quadratic(q=q, r=r, iso=sph * rounds, M=M)
+        q = q - 2.0 * w * sums.sum_ipg
+        r = r + w * sums.sum_ipip
+        M = w * sums.sum_gg
+    return Quadratic(q=q, r=r, iso=sph * sums.rounds, M=M)
 
 
 def expert_regret_certificate(trace: RunTrace) -> CertificateReport:
     """Check each expert's regret on its own surrogate sum against its fixed per-expert cap.
 
     The comparator is the constrained minimizer of the summed surrogate,
-    realizing the worst u in the bound's quantifier. The caps 1 + ln T and
-    10 d ln T take T to be the played rounds. Grid and losses both come
-    from the trace.
+    realizing the worst u in the bound's quantifier. The sums over rounds
+    behind every expert's surrogate sum are taken once per trace
+    (SurrogateSums.of), not once per expert. The caps 1 + ln T and 10 d ln T
+    take T to be the played rounds. Grid and losses both come from the trace.
     """
     grid = trace.grid
     if grid is None or trace.expert_points is None:
@@ -234,9 +270,10 @@ def expert_regret_certificate(trace: RunTrace) -> CertificateReport:
     constants = surrogates.expert_constants(grid.kinds, grid.tilts, p.grad_bound, p.diameter)
     bounds = {KIND_CONST: expert_regret_c_bound(), KIND_SPHERICAL: expert_regret_s_bound(T),
               KIND_QUADRATIC: expert_regret_ell_bound(T, d)}
+    sums = SurrogateSums.of(trace.plays, trace.grads)
     rows = []
     for e, kind in enumerate(grid.kinds):
-        obj = summed_surrogate(float(grid.tilts[e]), *constants[:, e], trace.plays, trace.grads)
+        obj = summed_surrogate(float(grid.tilts[e]), *constants[:, e], sums)
         rows.append(CertificateRow(label=f"expert-regret {grid.labels[e]}",
                                    measured=float(own[e]) - obj.value(obj.minimize(trace.dset)),
                                    bound=bounds[kind]))

@@ -158,25 +158,44 @@ def gen_regression(rounds: int = 200, dim: int = 50, batch: int = 200,
                    lam: float = 1e-3, noise_std: float = 0.1,
                    seed: int = 0) -> Task:
     """Sample the regression stream: hidden w in a diameter-1 ball, features
-    in a diameter-10 ball, Gaussian label noise, fresh batch per round."""
+    in a diameter-10 ball, Gaussian label noise, fresh batch per round.
+
+    Raises ValueError unless lam is finite and > 0, noise_std finite and
+    >= 0, and the stream's gradient bound G and exp-concavity 2 lam / G^2
+    are finite and > 0; a stream whose arithmetic overflows is refused too.
+    """
     if min(rounds, dim, batch) < 1:
         raise ValueError(f"rounds, dim and batch must be >= 1, got {rounds}, {dim}, {batch}")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"lam (--lambda) must be finite and > 0, got {lam}")
+    if not (math.isfinite(noise_std) and noise_std >= 0):
+        raise ValueError(f"noise_std (--noise-std) must be finite and >= 0, got {noise_std}")
     rng = np.random.default_rng(seed)
     r_w, r_x = 0.5, 5.0
     w_star = sample_ball(rng, 1, dim, r_w)[0]
     dset = Ball(center=np.zeros(dim), radius=r_w)
     losses, total = [], None
     g_bound = 0.0
-    for _ in range(rounds):
-        X = sample_ball(rng, batch, dim, r_x)
-        y = X @ w_star + noise_std * rng.standard_normal(batch)
-        f = RidgeBatchLoss(X, y, lam, r_w)
-        losses.append(f)
-        total = f if total is None else total + f
-        g_bound = max(g_bound, f.grad_bound)
+    inputs = f"lam (--lambda) {lam:g} and noise_std (--noise-std) {noise_std:g}"
+    try:
+        # numpy raises on overflow here, as g_bound**2 does, so no inf is summed.
+        with np.errstate(over="raise"):
+            for _ in range(rounds):
+                X = sample_ball(rng, batch, dim, r_x)
+                y = X @ w_star + noise_std * rng.standard_normal(batch)
+                f = RidgeBatchLoss(X, y, lam, r_w)
+                losses.append(f)
+                total = f if total is None else total + f
+                g_bound = max(g_bound, f.grad_bound)
+            exp_concavity = 2.0 * lam / g_bound**2
+    except (FloatingPointError, OverflowError):
+        raise ValueError(f"{inputs} overflow the losses or their exp-concavity 2 lam / G^2") \
+            from None
+    if not (0 < g_bound < math.inf and 0 < exp_concavity < math.inf):
+        raise ValueError(f"{inputs} give gradient bound G = {g_bound:g} and exp-concavity "
+                         f"2 lam / G^2 = {exp_concavity:g}; both must be finite and > 0")
     params = ProblemParams(horizon=rounds, dim=dim, grad_bound=g_bound, diameter=2 * r_w)
-    return Task(losses, total, dset, params, sc_modulus=2.0 * lam,
-                exp_concavity=2.0 * lam / g_bound**2)
+    return Task(losses, total, dset, params, sc_modulus=2.0 * lam, exp_concavity=exp_concavity)
 
 
 def load_classification(path, rounds: int = 100, batch: int = 200,
@@ -219,7 +238,11 @@ def load_classification(path, rounds: int = 100, batch: int = 200,
     dset = Ball(center=np.zeros(X.shape[1]), radius=radius)
     params = ProblemParams(horizon=rounds, dim=X.shape[1], grad_bound=g_bound,
                            diameter=2 * radius)
-    return Task(losses, total, dset, params, sc_modulus=None, exp_concavity=math.exp(-radius))
+    exp_concavity = math.exp(-radius)
+    if exp_concavity == 0.0:
+        raise ValueError(f"radius (--radius) {radius:g} is too large: the exp-concavity "
+                         "exp(-radius) of the logistic losses underflows to 0")
+    return Task(losses, total, dset, params, sc_modulus=None, exp_concavity=exp_concavity)
 
 
 def gen_classification_file(path, examples: int = 4000, dim: int = 10, seed: int = 0) -> None:
@@ -375,8 +398,10 @@ def load_trace(path) -> RunTrace:
     or absent. Raises ValueError if the file is malformed, an array is
     missing, or a modulus is not a finite positive number.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    # One byte read and one UTF-8 decode; a text-mode reader would also
+    # translate newlines, which costs time and JSON does not need.
+    with open(path, "rb") as fh:
+        obj = json.loads(fh.read().decode("utf-8"))
     if not isinstance(obj, dict):
         raise ValueError(f"trace must be a JSON object, not {type(obj).__name__}")
     if "format" not in obj:
@@ -630,13 +655,15 @@ def certify_trace(trace: RunTrace) -> tuple:
 def certify_lines(algo: str, reports: list) -> list:
     """How `maler certify` and report.txt print one algo's reports: a line per report,
     a `violated:` line per failing row, then the verdict."""
-    lines = []
+    lines, ok = [], True
     for rep in reports:
+        # A report passes exactly when it has no violated row.
+        violated = [row for row in rep.rows if not row.ok]
+        ok = ok and not violated
         worst = rep.worst()
-        lines.append(f"[{'PASS' if rep.ok else 'FAIL'}] {rep.name}: {len(rep.rows)} checks, "
+        lines.append(f"[{'FAIL' if violated else 'PASS'}] {rep.name}: {len(rep.rows)} checks, "
                      f"min slack {worst.slack:.6g} at {worst.label!r}")
         lines += [f"    violated: {row.label} measured={row.measured:.12g} bound={row.bound:.12g}"
-                  for row in rep.rows if not row.ok]
-    ok = all(rep.ok for rep in reports)
+                  for row in violated]
     lines.append(f"certificates {'PASS' if ok else 'FAIL'} for algo={algo!r}")
     return lines

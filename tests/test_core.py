@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -28,6 +29,11 @@ def test_problem_params_validation():
         with pytest.raises(ValueError):
             ProblemParams(**{"horizon": 6, "dim": 2, "grad_bound": 1.0, "diameter": 1.0, **bad})
     ProblemParams(horizon=np.int64(6), dim=np.int32(2), grad_bound=1.0, diameter=1.0)
+    # The learners divide by D^2 and 4 G D, so neither may overflow or underflow.
+    for G, D, reason in ((1.0, 1e-300, "D^2 = 0"), (1.0, 1e160, "D^2 = inf"),
+                         (1e300, 1e10, "4 G D = inf"), (1e-200, 1e-150, "4 G D = 0")):
+        with pytest.raises(ValueError, match=r"diameter .* out of range.*" + re.escape(reason)):
+            ProblemParams(horizon=2, dim=1, grad_bound=G, diameter=D)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -10,6 +10,7 @@ from maler.core import Ball, ProblemParams
 from maler.experts import (
     REFACTOR_EVERY,
     ExpertBank,
+    SurrogateSums,
     convex_expert_step,
     expert_regret_c_bound,
     expert_regret_certificate,
@@ -42,6 +43,12 @@ def test_ons_constants():
     assert newton_beta(2.0, 0.5, 0.1) == 0.05
     with pytest.raises(ValueError):
         newton_beta(1.0, 1.0, 0.0)
+
+
+def test_newton_metric_refuses_a_scale_that_overflows():
+    for beta, D in ((1e-200, 1.0), (0.45, 2e-155), (5e-324, 1.0)):
+        with pytest.raises(ValueError, match="online Newton metric"):
+            newton_metric(beta, D, 2)
 
 
 def _ons_beta_reference(D):
@@ -281,9 +288,10 @@ def _random_history(rng, T, d, G=1.0, radius=0.5):
 
 
 def _summed(kind, plays, grads, eta, G, D):
-    """summed_surrogate of one expert, with its column of expert_constants."""
+    """summed_surrogate of one expert, with its column of expert_constants and the
+    history's SurrogateSums."""
     pad, sph, quad = surrogates.expert_constants((kind,), [eta], G, D)[:, 0]
-    return summed_surrogate(eta, pad, sph, quad, plays, grads)
+    return summed_surrogate(eta, pad, sph, quad, SurrogateSums.of(plays, grads))
 
 
 def _summed_reference(kind, plays, grads, eta, G, D):

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -1026,3 +1027,101 @@ def test_cli_classification_run(tmp_path):
     ])
     assert rc == 0
     assert (out / "trace_ons.json").exists()
+
+
+# `maler certify`'s stdout for the small run's trace, pinned byte for byte so
+# that a faster certificate path must print exactly what the per-expert sums
+# printed; the legacy fixture predates the curvature moduli, so its
+# regret-bounds has 3 rows.
+SMALL_RUN_CERTIFIED = """\
+[PASS] assumptions: 4 checks, min slack 0 at 'gradients finite'
+[PASS] potential: 7 checks, min slack 0.0121912 at 'log-potential step t=6'
+[PASS] meta-regret: 7 checks, min slack 1.09356 at 'meta-regret c'
+[PASS] expert-regret: 7 checks, min slack 0.709792 at 'expert-regret c'
+[PASS] regret-bounds: 5 checks, min slack 314.256 at 'regret <= 2(1+ln3) G D sqrt(T)'
+certificates PASS for algo='maler'
+"""
+
+
+def _phi_raised(obj):
+    obj["log_phi"][3] = obj["log_phi"][2] + 0.5
+
+
+def _grad_poisoned(obj):
+    obj["grads"][3][0] = float("nan")
+
+
+@pytest.mark.parametrize("edit, rc, printed", [
+    (None, 0, SMALL_RUN_CERTIFIED),
+    ("legacy", 0, SMALL_RUN_CERTIFIED.replace("regret-bounds: 5 checks", "regret-bounds: 3 checks")),
+    (_phi_raised, 2, SMALL_RUN_CERTIFIED.replace(
+        "[PASS] potential: 7 checks, min slack 0.0121912 at 'log-potential step t=6'\n",
+        "[FAIL] potential: 7 checks, min slack -0.5 at 'log-potential step t=4'\n"
+        "    violated: log-potential step t=4 measured=0.5 bound=1e-09\n").replace(
+        "certificates PASS", "certificates FAIL")),
+    (_grad_poisoned, 2, """\
+[FAIL] assumptions: 4 checks, min slack nan at 'max ||g_t|| <= G'
+    violated: max ||g_t|| <= G measured=nan bound=30.8987314419
+    violated: gradients finite measured=1 bound=0
+certificates FAIL for algo='maler'
+"""),
+], ids=["small-run", "legacy", "phi-raised", "grad-nan"])
+def test_cli_certify_prints_the_pinned_report(tmp_path, capsys, edit, rc, printed):
+    if edit == "legacy":
+        tpath = LEGACY_TRACE
+    elif edit is None:
+        tpath = _small_run_trace(tmp_path)
+    else:
+        tpath = _tampered_trace(tmp_path, edit)
+    capsys.readouterr()
+    assert cli.main(["certify", "--trace", str(tpath)]) == rc
+    assert capsys.readouterr().out == printed
+
+
+def _refused(capsys, argv, name):
+    """cli.main(argv) exits 1 with one `error:` line naming name, no traceback and no
+    RuntimeWarning (turned into an error here, as pyproject.toml does for the suite)."""
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert name in captured.err and "Traceback" not in captured.err
+    return captured.err
+
+
+@pytest.mark.parametrize("flags, name", [
+    (["--lambda", "1e300"], "--lambda"),
+    (["--noise-std", "1e300"], "--noise-std"),
+    (["--lambda", "nan"], "--lambda"),
+    (["--lambda", "0"], "--lambda"),
+    (["--lambda", "5e-324"], "--lambda"),
+    (["--noise-std", "-1"], "--noise-std"),
+    (["--noise-std", "nan"], "--noise-std"),
+    # ONS's beta = min(alpha, 1/(4GD))/2 is ~1e-202 here, so (beta D)^2 underflows to 0.
+    (["--lambda", "1e-200"], "the online Newton metric I/(beta D)^2 overflows"),
+], ids=["lambda-huge", "noise-huge", "lambda-nan", "lambda-zero", "lambda-tiny", "noise-negative",
+        "noise-nan", "lambda-ons-metric"])
+def test_cli_run_refuses_regression_inputs_out_of_range(capsys, flags, name):
+    _refused(capsys, ["run", "--rounds", "3", "--dim", "2", "--batch", "4", *flags], name)
+
+
+@pytest.mark.parametrize("radius, name", [
+    ("1e-300", "diameter 2e-300 is out of range: D^2 = 0"),
+    ("1e160", "diameter 2e+160 is out of range: D^2 = inf"),
+    ("1e150", "radius (--radius) 1e+150 is too large"),
+    ("400", "the online Newton metric I/(beta D)^2 overflows"),
+])
+def test_cli_run_refuses_a_radius_out_of_range(tmp_path, capsys, radius, name):
+    data = tmp_path / "d.libsvm"
+    gen_classification_file(data, examples=20, dim=3, seed=1)
+    _refused(capsys, ["run", "--task", "classification", "--data", str(data), "--rounds", "3",
+                      "--batch", "4", "--radius", radius], name)
+
+
+def test_cli_certify_refuses_a_diameter_out_of_range(tmp_path, capsys):
+    tpath = _rewritten(_small_run_trace(tmp_path),
+                       _set("params", lambda obj: {**obj["params"], "diameter": 1e308}))
+    err = _refused(capsys, ["certify", "--trace", str(tpath)], "diameter")
+    assert err.startswith("error: cannot load trace: diameter 1e+308 is out of range")
