@@ -6,11 +6,9 @@ from .meta import (
     CertificateReport,
     CertificateRow,
     ExpertGrid,
-    MetaState,
     RunTrace,
     aggregate_play,
     build_grid,
-    init_meta_state,
     meta_regret_bound,
     meta_regret_certificate,
     potential_certificate,
@@ -41,7 +39,6 @@ __all__ = [
     "ExpertGrid",
     "Learner",
     "MalerLearner",
-    "MetaState",
     "OGDLearner",
     "ONSLearner",
     "ProblemParams",
@@ -52,7 +49,6 @@ __all__ = [
     "aggregate_play",
     "build_grid",
     "expert_regret_certificate",
-    "init_meta_state",
     "make_learner",
     "meta_regret_bound",
     "meta_regret_certificate",

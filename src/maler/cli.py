@@ -77,7 +77,10 @@ def cmd_certify(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its usage error or --help
+        return exc.code
     if args.command == "run":
         return cmd_run(args)
     return cmd_certify(args)

@@ -46,8 +46,10 @@ class ProblemParams:
             raise ValueError(f"grad_bound must be finite and > 0, got {self.grad_bound}")
         if not (np.isfinite(self.diameter) and self.diameter > 0):
             raise ValueError(f"diameter must be finite and > 0, got {self.diameter}")
-        # The learners' step sizes divide by D^2 and by 4 G D (experts.newton_beta);
-        # Python floats overflow to inf and underflow to 0 here without a warning.
+        # The learners' step sizes divide by D^2 and by 4 G D (experts.newton_beta),
+        # the surrogates and certificates square G and the top rate 1/(5 D G)
+        # (meta.build_grid); Python floats overflow to inf and underflow to 0 here
+        # without a warning.
         G, D = float(self.grad_bound), float(self.diameter)
         if not 0.0 < D * D < math.inf:
             raise ValueError(f"diameter {D:g} is out of range: D^2 = {D * D:g} must be "
@@ -55,6 +57,13 @@ class ProblemParams:
         if not 0.0 < 4.0 * (G * D) < math.inf:
             raise ValueError(f"diameter {D:g} is out of range for grad_bound {G:g}: "
                              f"4 G D = {4.0 * (G * D):g} must be finite and > 0")
+        if not 0.0 < G * G < math.inf:
+            raise ValueError(f"grad_bound {G:g} is out of range: G^2 = {G * G:g} must be "
+                             "finite and > 0")
+        rate = 1.0 / (5.0 * D * G)
+        if not 0.0 < rate * rate < math.inf:
+            raise ValueError(f"diameter {D:g} is out of range for grad_bound {G:g}: the top "
+                             f"rate 1/(5 D G) = {rate:g} squared must be finite and > 0")
 
     @property
     def grad_cap(self) -> float:
@@ -119,7 +128,8 @@ class Ball:
         object.__setattr__(self, "dim", c.shape[0])
         if not (np.isfinite(self.radius) and self.radius > 0):
             raise ValueError(f"radius must be finite and > 0, got {self.radius}")
-        if float(np.linalg.norm(c)) > self.radius + 1e-12:
+        # np.vdot overflows to inf, refusing the set, without the warning of np.linalg.norm.
+        if math.sqrt(np.vdot(c, c)) > self.radius + 1e-12:
             raise ValueError("decision set must contain the origin")
 
     def contains(self, x) -> bool:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import libsvm, meta, svgplot
 from .core import Ball, ProblemParams, Quadratic, projected_gradient
-from .experts import expert_regret_certificate
+from .experts import expert_regret_certificate, newton_beta, newton_metric
 from .meta import (
     CertificateReport,
     CertificateRow,
@@ -32,7 +32,15 @@ from .meta import (
     meta_regret_certificate,
     potential_certificate,
 )
-from .universal import Learner, make_learner, play_round, regret_diagnostics, regret_bound_certificate
+from .universal import (
+    Learner,
+    exp_concave_regret_bound,
+    make_learner,
+    play_round,
+    regret_bound_certificate,
+    regret_diagnostics,
+    strongly_convex_regret_bound,
+)
 
 CSV_HEADER = "round,algo,cum_regret,V_s,V_ell,log_phi"
 
@@ -162,7 +170,8 @@ def gen_regression(rounds: int = 200, dim: int = 50, batch: int = 200,
 
     Raises ValueError unless lam is finite and > 0, noise_std finite and
     >= 0, and the stream's gradient bound G and exp-concavity 2 lam / G^2
-    are finite and > 0; a stream whose arithmetic overflows is refused too.
+    are finite and > 0 and pass check_moduli; a stream whose arithmetic
+    overflows is refused too.
     """
     if min(rounds, dim, batch) < 1:
         raise ValueError(f"rounds, dim and batch must be >= 1, got {rounds}, {dim}, {batch}")
@@ -195,6 +204,7 @@ def gen_regression(rounds: int = 200, dim: int = 50, batch: int = 200,
         raise ValueError(f"{inputs} give gradient bound G = {g_bound:g} and exp-concavity "
                          f"2 lam / G^2 = {exp_concavity:g}; both must be finite and > 0")
     params = ProblemParams(horizon=rounds, dim=dim, grad_bound=g_bound, diameter=2 * r_w)
+    check_moduli(params, 2.0 * lam, exp_concavity, inputs)
     return Task(losses, total, dset, params, sc_modulus=2.0 * lam, exp_concavity=exp_concavity)
 
 
@@ -242,7 +252,22 @@ def load_classification(path, rounds: int = 100, batch: int = 200,
     if exp_concavity == 0.0:
         raise ValueError(f"radius (--radius) {radius:g} is too large: the exp-concavity "
                          "exp(-radius) of the logistic losses underflows to 0")
+    check_moduli(params, None, exp_concavity, f"radius (--radius) {radius:g}")
     return Task(losses, total, dset, params, sc_modulus=None, exp_concavity=exp_concavity)
+
+
+def check_moduli(params: ProblemParams, sc_modulus: Optional[float], exp_concavity: float,
+                 inputs: str) -> None:
+    """Raise ValueError, naming the inputs that set the moduli, unless each curvature
+    cap of regret-bounds is finite and ONSLearner's metric I/(beta D)^2 exists."""
+    try:
+        if sc_modulus is not None:
+            strongly_convex_regret_bound(params, sc_modulus)
+        exp_concave_regret_bound(params, exp_concavity)
+        newton_metric(newton_beta(params.grad_bound, params.diameter, exp_concavity),
+                      params.diameter, 1)
+    except ValueError as exc:
+        raise ValueError(f"{inputs} set the curvature moduli out of range: {exc}") from None
 
 
 def gen_classification_file(path, examples: int = 4000, dim: int = 10, seed: int = 0) -> None:
@@ -313,8 +338,10 @@ GRID_ALGOS = ("maler", "metagrad")
 TRACE_FORMAT = 2
 
 # The task's curvature moduli, top-level keys of a trace: a positive number,
-# or null (or absent, in traces written before they were recorded).
-TRACE_MODULI = ("sc_modulus", "exp_concavity")
+# or null (or absent, in traces written before they were recorded); each
+# maps to the regret-bounds cap it adds, which must be finite.
+TRACE_MODULI = {"sc_modulus": strongly_convex_regret_bound,
+                "exp_concavity": exp_concave_regret_bound}
 
 
 # Raw bytes _write_array base64-encodes at a time. A multiple of 3, so the
@@ -396,7 +423,8 @@ def load_trace(path) -> RunTrace:
     arrays that learner records: every one of TRACE_ARRAYS for an ensemble,
     all but GRID_ARRAYS otherwise. The TRACE_MODULI load as None when null
     or absent. Raises ValueError if the file is malformed, an array is
-    missing, or a modulus is not a finite positive number.
+    missing, a modulus is not a finite positive number or gives an infinite
+    regret cap, or the comparator lies outside the decision set.
     """
     # One byte read and one UTF-8 decode; a text-mode reader would also
     # translate newlines, which costs time and JSON does not need.
@@ -424,22 +452,30 @@ def load_trace(path) -> RunTrace:
                 raise ValueError(f"a trace of algo {algo!r} carries no {name}")
         trace = RunTrace(algo=algo, params=params, dset=_dset_from_json(obj["dset"]),
                          grid=None if style is None else meta.build_grid(params, style),
-                         **{name: _modulus(obj, name) for name in TRACE_MODULI},
+                         **{name: _modulus(obj, name, params) for name in TRACE_MODULI},
                          **{name: array(obj[name]) for name in carried})
-    except (KeyError, TypeError) as exc:
+    # OverflowError: a JSON integer too large for a float.
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed trace: {type(exc).__name__}: {exc}") from None
     _check_trace_shapes(trace)
+    if trace.comparator is not None and not trace.dset.contains(trace.comparator):
+        raise ValueError("comparator lies outside the decision set")
     return trace
 
 
-def _modulus(obj: dict, name: str) -> Optional[float]:
-    """A recorded modulus: None if null or absent, else a finite positive non-bool number."""
+def _modulus(obj: dict, name: str, params: ProblemParams) -> Optional[float]:
+    """A recorded modulus: None if null or absent, else a finite positive non-bool number
+    whose regret cap is finite."""
     value = obj.get(name)
     if value is None:
         return None
     # The upper bound also refuses inf, NaN and ints too large for a float.
     if type(value) not in (int, float) or not 0 < value <= sys.float_info.max:
         raise ValueError(f"{name} must be a finite positive number or null, got {value!r}")
+    try:
+        TRACE_MODULI[name](params, float(value))
+    except ValueError as exc:
+        raise ValueError(f"{name} {value!r} is out of range: {exc}") from None
     return float(value)
 
 
@@ -629,15 +665,17 @@ def certify_trace(trace: RunTrace) -> tuple:
     Returns (reports, ok). The first report checks the recorded data
     against the problem's assumptions: gradients finite and within G,
     plays inside the ball, and the ball's diameter equal to D. The other
-    certificates are computed only on finite data.
+    certificates are computed only if every assumption holds, since their
+    proofs take them for granted.
     """
     p, ball = trace.params, trace.dset
     finite = np.isfinite(trace.grads)
-    past = np.linalg.norm(trace.plays - ball.center, axis=1) - ball.radius
+    # A norm that overflows reads as inf and fails its row.
+    with np.errstate(over="ignore"):
+        past = np.linalg.norm(trace.plays - ball.center, axis=1) - ball.radius
+        g_max = float(np.max(np.linalg.norm(trace.grads, axis=1), initial=0.0))
     rows = [
-        CertificateRow(label="max ||g_t|| <= G",
-                       measured=float(np.max(np.linalg.norm(trace.grads, axis=1), initial=0.0)),
-                       bound=p.grad_cap),
+        CertificateRow(label="max ||g_t|| <= G", measured=g_max, bound=p.grad_cap),
         CertificateRow(label="gradients finite",
                        measured=float(np.count_nonzero(~finite)), bound=0.0),
         CertificateRow(label="max play distance past the radius",
@@ -647,7 +685,7 @@ def certify_trace(trace: RunTrace) -> tuple:
                        bound=1e-9 * max(1.0, p.diameter)),
     ]
     reports = [CertificateReport(name="assumptions", rows=rows)]
-    if finite.all() and np.isfinite(trace.plays).all():
+    if reports[0].ok:
         reports += certificates_for(trace)
     return reports, all(r.ok for r in reports)
 

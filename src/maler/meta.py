@@ -6,8 +6,9 @@ tilt-weighted average of the expert predictions,
     x_t = sum_e pi_t^e eta_e x_t^e / sum_e pi_t^e eta_e,
 
 then updates pi multiplicatively with each expert's own surrogate loss
-evaluated at its own prediction. Weights live in log space; the running
-log-potential log Phi_t = sum_tau log Z_tau is kept as a monotonicity
+evaluated at its own prediction. Weights live in log space as one array,
+which is the meta layer's whole state; the learner keeps it, and with it
+the running log-potential log Phi_t = sum_tau log Z_tau, a monotonicity
 diagnostic (Phi never increases).
 """
 
@@ -52,7 +53,6 @@ class ExpertGrid:
     """Immutable roster of experts: kind, tilt (its learning rate), log prior and label."""
 
     style: str
-    horizon: int
     kinds: tuple
     tilts: np.ndarray
     log_priors: np.ndarray
@@ -99,7 +99,6 @@ def build_grid(params: ProblemParams, style: str = "maler") -> ExpertGrid:
         raise AssertionError(f"expert priors sum to {total!r}, not 1")
     return ExpertGrid(
         style=style,
-        horizon=T,
         kinds=tuple(kinds),
         tilts=tilts,
         log_priors=np.log(priors),
@@ -107,39 +106,31 @@ def build_grid(params: ProblemParams, style: str = "maler") -> ExpertGrid:
     )
 
 
-@dataclass(frozen=True)
-class MetaState:
-    """Normalized log weights plus the running log potential."""
-
-    log_weights: np.ndarray
-    log_potential: float
-
-
-def init_meta_state(grid: ExpertGrid) -> MetaState:
-    return MetaState(log_weights=grid.log_priors.copy(), log_potential=0.0)
-
-
-def aggregate_play(state: MetaState, grid: ExpertGrid, points: np.ndarray) -> np.ndarray:
-    """Tilt-weighted average of expert points, computed with a max shift."""
+def aggregate_play(log_weights: np.ndarray, grid: ExpertGrid, points: np.ndarray) -> np.ndarray:
+    """Tilt-weighted average of expert points under the given log weights, with a max shift."""
     pts = np.asarray(points, dtype=float)
     if pts.shape[0] != grid.size:
         raise ValueError(f"expected {grid.size} expert points, got {pts.shape[0]}")
-    m = float(np.max(state.log_weights))
-    w = np.exp(state.log_weights - m) * grid.tilts
+    m = float(np.max(log_weights))
+    w = np.exp(log_weights - m) * grid.tilts
     den = float(np.sum(w))
     return (w @ pts) / den
 
 
-def update_weights(state: MetaState, grid: ExpertGrid, losses: np.ndarray) -> MetaState:
-    """Multiplicative update pi <- pi exp(-loss) / Z, tracked in log space."""
+def update_weights(log_weights: np.ndarray, grid: ExpertGrid, losses: np.ndarray) -> tuple:
+    """Multiplicative update pi <- pi exp(-loss) / Z, in log space.
+
+    Returns (new normalized log weights, log Z); the caller adds log Z to
+    its running log-potential.
+    """
     lv = np.asarray(losses, dtype=float)
     if lv.shape != (grid.size,):
         raise ValueError(f"expected {grid.size} losses, got shape {lv.shape}")
     if not np.all(np.isfinite(lv)):
         raise ValueError("surrogate losses must be finite")
-    shifted = state.log_weights - lv
+    shifted = log_weights - lv
     z = logsumexp(shifted)
-    return MetaState(log_weights=shifted - z, log_potential=state.log_potential + z)
+    return shifted - z, z
 
 
 @dataclass
@@ -169,11 +160,16 @@ class RunTrace:
 
 
 def recompute_surrogate_losses(trace: RunTrace) -> np.ndarray:
-    """Re-evaluate every expert's surrogate loss at its own point, for all rounds at once."""
+    """Re-evaluate every expert's surrogate loss at its own point, for all rounds at once.
+
+    A recorded expert point far outside the ball gives an inf or NaN loss,
+    without a warning, and so fails its certificate rows.
+    """
     grid, p = trace.grid, trace.params
     constants = surrogates.expert_constants(grid.kinds, grid.tilts, p.grad_bound, p.diameter)
-    return surrogates.expert_values(grid.tilts, constants, trace.expert_points, trace.plays,
-                                    trace.grads)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return surrogates.expert_values(grid.tilts, constants, trace.expert_points,
+                                        trace.plays, trace.grads)
 
 
 @dataclass
@@ -205,7 +201,8 @@ class CertificateReport:
         return all(r.ok for r in self.rows)
 
     def worst(self) -> CertificateRow:
-        return min(self.rows, key=lambda r: r.slack)
+        """The row of least slack, a violated one first: a NaN slack compares as no less."""
+        return min(self.rows, key=lambda r: (r.ok, r.slack))
 
 
 def meta_regret_certificate(trace: RunTrace) -> CertificateReport:
@@ -216,7 +213,7 @@ def meta_regret_certificate(trace: RunTrace) -> CertificateReport:
     and the constant-pad surrogate equals (eta_c G D)^2, so the first term
     is recomputed directly; the second is re-evaluated from the trace.
     The measured side sums the played rounds; the cap of a spherical or
-    quadratic expert takes T to be the grid's horizon. Grid and losses
+    quadratic expert takes T to be the problem's horizon. Grid and losses
     both come from the trace.
     """
     grid = trace.grid
@@ -228,7 +225,7 @@ def meta_regret_certificate(trace: RunTrace) -> CertificateReport:
     G, D = trace.params.grad_bound, trace.params.diameter
     own = recompute_surrogate_losses(trace).sum(axis=0)
     pad = surrogates.expert_constants(grid.kinds, grid.tilts, G, D)[0]
-    bound_sl = meta_regret_bound(grid.horizon)
+    bound_sl = meta_regret_bound(trace.params.horizon)
     rows = [
         CertificateRow(
             label=f"meta-regret {grid.labels[e]}",

@@ -87,7 +87,8 @@ class _TiltedEnsembleLearner(Learner):
         super().__init__(params, dset)
         self.algo = grid.style
         self.grid = grid
-        self.state = meta.init_meta_state(grid)
+        self.log_weights = grid.log_priors.copy()
+        self.log_phi = 0.0
         self.bank = experts.ExpertBank.build(grid.kinds, grid.tilts, params, dset)
         self._expert_points: list = []
         self._losses: list = []
@@ -95,17 +96,18 @@ class _TiltedEnsembleLearner(Learner):
         self._log_phi: list = []
 
     def _predict(self) -> np.ndarray:
-        return meta.aggregate_play(self.state, self.grid, self.bank.points)
+        return meta.aggregate_play(self.log_weights, self.grid, self.bank.points)
 
     def _observe(self, play: np.ndarray, grad: np.ndarray) -> None:
         losses = self.bank.losses(play, grad)
-        state = meta.update_weights(self.state, self.grid, losses)
+        log_weights, log_z = meta.update_weights(self.log_weights, self.grid, losses)
         bank = self.bank.step(play, grad)
         self._expert_points.append(self.bank.points)
-        self.state, self.bank = state, bank
+        # update_weights returns a fresh array, so the record may hold it as is.
+        self.log_weights, self.log_phi, self.bank = log_weights, self.log_phi + log_z, bank
         self._losses.append(losses)
-        self._log_weights.append(self.state.log_weights.copy())
-        self._log_phi.append(self.state.log_potential)
+        self._log_weights.append(log_weights)
+        self._log_phi.append(self.log_phi)
 
     def trace(self) -> RunTrace:
         t = super().trace()
@@ -282,17 +284,36 @@ def regret_bound_certificate(trace: RunTrace) -> CertificateReport:
 
 
 def strongly_convex_regret_bound(params: ProblemParams, lam: float) -> float:
-    """Regret bound (10 G D + 9 G^2 / (2 lam)) A for lam-strongly-convex losses."""
+    """Regret bound (10 G D + 9 G^2 / (2 lam)) A for lam-strongly-convex losses.
+
+    Raises ValueError unless lam > 0 and the bound is finite.
+    """
     if lam <= 0:
         raise ValueError("modulus must be positive")
     p = params
-    return (10.0 * p.grad_bound * p.diameter + 9.0 * p.grad_bound**2 / (2.0 * lam)) * bound_constant_a(
-        p.horizon
-    )
+    return _finite_cap(
+        "(10GD + 9G^2/(2 lam)) A", lam,
+        (10.0 * p.grad_bound * p.diameter + 9.0 * p.grad_bound**2 / (2.0 * lam))
+        * bound_constant_a(p.horizon))
 
 
 def exp_concave_regret_bound(params: ProblemParams, alpha: float) -> float:
-    """Regret bound (10 G D + 9 / (2 beta)) B for alpha-exp-concave losses."""
+    """Regret bound (10 G D + 9 / (2 beta)) B for alpha-exp-concave losses.
+
+    Raises ValueError unless alpha > 0 and the bound is finite.
+    """
     p = params
     beta = experts.newton_beta(p.grad_bound, p.diameter, alpha)
-    return (10.0 * p.grad_bound * p.diameter + 9.0 / (2.0 * beta)) * bound_constant_b(p.horizon, p.dim)
+    # beta underflows to 0 at the smallest alpha; the bound is then inf.
+    tail = 9.0 / (2.0 * beta) if beta > 0.0 else math.inf
+    return _finite_cap("(10GD + 9/(2 beta)) B", alpha,
+                       (10.0 * p.grad_bound * p.diameter + tail)
+                       * bound_constant_b(p.horizon, p.dim))
+
+
+def _finite_cap(name: str, modulus: float, cap: float) -> float:
+    """cap, if finite: a curvature cap of inf would pass any regret."""
+    if not cap < math.inf:
+        raise ValueError(f"the regret cap {name} is {cap:g} at modulus {modulus:g}; "
+                         "it must be finite")
+    return cap

@@ -34,6 +34,11 @@ def test_problem_params_validation():
                          (1e300, 1e10, "4 G D = inf"), (1e-200, 1e-150, "4 G D = 0")):
         with pytest.raises(ValueError, match=r"diameter .* out of range.*" + re.escape(reason)):
             ProblemParams(horizon=2, dim=1, grad_bound=G, diameter=D)
+    # The surrogates and certificates square G and the top rate 1/(5 D G).
+    for G, D, reason in ((1e300, 1e-150, "G^2 = inf"), (1e-300, 1.0, "G^2 = 0"),
+                         (1e-160, 1e-10, "1/(5 D G) = 2e+169 squared")):
+        with pytest.raises(ValueError, match=r"out of range.*" + re.escape(reason)):
+            ProblemParams(horizon=2, dim=1, grad_bound=G, diameter=D)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

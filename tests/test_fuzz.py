@@ -1,0 +1,135 @@
+"""Seeded fuzzing of the command line: one-field mutations of saved traces fed to
+`maler certify`, and out-of-range numbers fed to `maler run`.
+
+Every case must end in an exit code of 0, 1 or 2 from cli.main, with no
+exception escaping it and no RuntimeWarning (raised as an error here, as
+pyproject.toml does for the whole suite).
+"""
+
+import base64
+import copy
+import json
+import warnings
+
+import numpy as np
+
+from maler import cli
+from maler.harness import TRACE_ARRAYS, gen_classification_file
+
+# The run whose maler and ons traces are mutated; its maler trace is the
+# tamper tests' SMALL_RUN trace in tests/test_harness.py.
+RUN = ["run", "--task", "regression", "--rounds", "6", "--dim", "2", "--batch", "5",
+       "--seed", "4", "--algos", "maler,ons"]
+
+# Values a scalar field of the trace is set to, one at a time.
+SCALARS = [0, -1, 1, 2, 1.5, 1e-300, 5e-324, 1e300, 1e308, 10**400, float("inf"),
+           float("-inf"), float("nan"), True, None, "x", [], {}]
+
+# Values one array entry is set to, one at a time.
+ENTRIES = [1e200, -1e200, 1e308, -1e308, float("inf"), float("-inf"), float("nan"), 0.0]
+
+LABELS = ["maler", "metagrad", "ons", "ogd-sc", "ogd-convex", "bogus", None, 3]
+
+# The numbers each `maler run` flag is given, one at a time.
+RUN_VALUES = ["0", "-1", "1e-300", "1e300", "nan", "inf"]
+
+
+def _show(value) -> str:
+    """A short repr for a case id; 10**400 has 401 digits."""
+    text = repr(value)
+    return text if len(text) <= 12 else text[:9] + "..."
+
+
+def _entry_set(name, index, value):
+    def edit(obj):
+        a = np.frombuffer(base64.b64decode(obj[name]["f8"]), dtype="<f8").copy()
+        a[index % a.size] = value
+        obj[name]["f8"] = base64.b64encode(a.tobytes()).decode()
+    return edit
+
+
+def _field_set(section, key, value):
+    def edit(obj):
+        if section is None:
+            obj[key] = value
+        else:
+            obj[section][key] = value
+    return edit
+
+
+def _center_entry_set(index, value):
+    def edit(obj):
+        center = obj["dset"]["center"]
+        center[index % len(center)] = value
+    return edit
+
+
+def _dropped(key):
+    def edit(obj):
+        del obj[key]
+    return edit
+
+
+def _trace_edits(obj, rng):
+    """(case id, edit) for every one-field mutation of the trace obj; array indices
+    and center entries are drawn from rng."""
+    edits = []
+    for section in ("params", "dset"):
+        for key in obj[section]:
+            edits += [(f"{section}.{key}={_show(v)}", _field_set(section, key, v))
+                      for v in SCALARS]
+    edits += [(f"dset.center[i]={_show(v)}", _center_entry_set(int(rng.integers(1 << 30)), v))
+              for v in SCALARS[:13]]
+    edits += [(f"{key}={_show(v)}", _field_set(None, key, v))
+              for key in ("sc_modulus", "exp_concavity", "format") for v in SCALARS]
+    edits += [(f"{key}={_show(v)}", _field_set(None, key, v))
+              for key in ("algo", "grid_style") for v in LABELS]
+    edits += [(f"drop {key}", _dropped(key)) for key in obj]
+    for name in TRACE_ARRAYS:
+        if obj[name] is not None:
+            edits += [(f"{name}[i]={_show(v)}",
+                       _entry_set(name, int(rng.integers(1 << 30)), v)) for v in ENTRIES]
+    return edits
+
+
+def _outcome(argv):
+    """cli.main(argv)'s exit code, or the exception that escaped it."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return cli.main(argv)
+    except BaseException as exc:  # noqa: BLE001 - any escape is what this test reports
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_cli_survives_seeded_one_field_mutations(tmp_path, capsys):
+    rng = np.random.default_rng(17)
+    out = tmp_path / "run"
+    assert cli.main([*RUN, "--out", str(out)]) == 0
+    bad = []
+    for algo in ("maler", "ons"):
+        original = json.loads((out / f"trace_{algo}.json").read_text())
+        for case, edit in _trace_edits(original, rng):
+            obj = copy.deepcopy(original)
+            edit(obj)
+            path = tmp_path / "mutated.json"
+            path.write_text(json.dumps(obj))
+            rc = _outcome(["certify", "--trace", str(path)])
+            if rc not in (0, 1, 2):
+                bad.append(f"certify {algo} {case}: {rc}")
+
+    data = tmp_path / "d.libsvm"
+    gen_classification_file(data, examples=20, dim=3, seed=1)
+    regression = ["run", "--rounds", "3", "--dim", "2", "--batch", "4"]
+    classification = ["run", "--task", "classification", "--data", str(data), "--rounds", "3",
+                      "--batch", "4"]
+    runs = [(base, flag) for base in (regression, classification)
+            for flag in ("--batch", "--rounds")]
+    runs += [(regression, "--lambda"), (regression, "--noise-std"), (classification, "--radius")]
+    for base, flag in runs:
+        for value in RUN_VALUES:
+            rc = _outcome([*base, flag, value])
+            if rc not in (0, 1, 2):
+                bad.append(f"run {base[1:3]} {flag} {value}: {rc}")
+    capsys.readouterr()
+    assert not bad, "\n".join(bad)

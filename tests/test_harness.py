@@ -1125,3 +1125,108 @@ def test_cli_certify_refuses_a_diameter_out_of_range(tmp_path, capsys):
                        _set("params", lambda obj: {**obj["params"], "diameter": 1e308}))
     err = _refused(capsys, ["certify", "--trace", str(tpath)], "diameter")
     assert err.startswith("error: cannot load trace: diameter 1e+308 is out of range")
+
+
+def _twenty_round_trace(tmp_path):
+    out = tmp_path / "t20"
+    assert cli.main(["run", "--rounds", "20", "--dim", "5", "--algos", "maler",
+                     "--out", str(out)]) == 0
+    return out / "trace_maler.json"
+
+
+def _edited(tpath, edit):
+    """tpath rewritten through load_trace/save_trace after edit(trace)."""
+    trace = load_trace(tpath)
+    edit(trace)
+    save_trace(trace, tpath)
+    return tpath
+
+
+def _certified(capsys, tpath):
+    """(exit code, stdout, stderr) of `maler certify`, with RuntimeWarnings as errors."""
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = cli.main(["certify", "--trace", str(tpath)])
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    return rc, out, err
+
+
+def _failed_once(rc, out):
+    """A FAIL verdict: exit code 2 and one verdict line, the last."""
+    assert rc == 2
+    assert out.count("certificates ") == 1 and out.endswith("certificates FAIL for algo='maler'\n")
+
+
+def _entry(name, index, value):
+    def edit(trace):
+        getattr(trace, name)[index] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, failed", [
+    (_entry("grads", (3, 0), 1e200), "violated: max ||g_t|| <= G measured=inf"),
+    (_entry("plays", (3, 0), 1e200), "violated: max play distance past the radius measured=inf"),
+], ids=["grad-1e200", "play-1e200"])
+def test_certify_runs_no_bound_certificate_on_a_failed_assumption(tmp_path, capsys, edit,
+                                                                  failed):
+    # Run on the entry, the expert-regret certificate would project a non-finite point.
+    rc, out, _ = _certified(capsys, _edited(_twenty_round_trace(tmp_path), edit))
+    _failed_once(rc, out)
+    assert out.startswith("[FAIL] assumptions: 4 checks, min slack -inf") and failed in out
+    assert out.count("\n") == 3
+
+
+@pytest.mark.parametrize("value", [1e300, -1e300, math.inf], ids=["1e300", "-1e300", "inf"])
+def test_certify_fails_an_expert_point_far_outside_the_ball(tmp_path, capsys, value):
+    rc, out, _ = _certified(capsys, _edited(_twenty_round_trace(tmp_path),
+                                            _entry("expert_points", (3, 2, 0), value)))
+    _failed_once(rc, out)
+    assert out.startswith("[PASS] assumptions: 4 checks")
+    # The report's headline names its violated row.
+    assert "[FAIL] meta-regret: 9 checks, min slack nan at 'meta-regret s[1]'" in out
+    assert "[FAIL] expert-regret: 9 checks, min slack nan at 'expert-regret s[1]'" in out
+
+
+def test_certify_refuses_a_set_whose_center_norm_overflows(tmp_path, capsys):
+    # ||c|| = 1e200 <= 2e200, but ||c||^2 overflows; the set is refused, not warned about.
+    def far_ball(obj):
+        obj["dset"] = {"kind": "ball", "center": [1e200] + [0.0] * 4, "radius": 2e200}
+
+    rc, out, err = _certified(capsys, _rewritten(_twenty_round_trace(tmp_path), far_ball))
+    assert rc == 1 and out == ""
+    assert err == "error: cannot load trace: decision set must contain the origin\n"
+
+
+@pytest.mark.parametrize("name, value", [
+    ("exp_concavity", 5e-324), ("exp_concavity", 1e-310), ("sc_modulus", 5e-324),
+])
+def test_certify_refuses_a_modulus_whose_cap_is_infinite(tmp_path, capsys, name, value):
+    def tiny(trace):
+        setattr(trace, name, value)
+
+    rc, out, err = _certified(capsys, _edited(_twenty_round_trace(tmp_path), tiny))
+    assert rc == 1 and out == ""
+    assert err.startswith(f"error: cannot load trace: {name} {value!r} is out of range: "
+                          "the regret cap ") and err.endswith("it must be finite\n")
+
+
+def test_certify_refuses_a_comparator_outside_the_ball(tmp_path, capsys):
+    rc, out, err = _certified(capsys, _edited(_twenty_round_trace(tmp_path),
+                                              _entry("comparator", 0, 1e200)))
+    assert rc == 1 and out == ""
+    assert err == "error: cannot load trace: comparator lies outside the decision set\n"
+
+
+@pytest.mark.parametrize("flags, name", [
+    (["--lambda", "1e-200"], "--lambda"),
+    (["--noise-std", "1e100"], "--noise-std"),
+    (["--task", "classification", "--radius", "400"], "--radius"),
+], ids=["lambda", "noise-std", "radius"])
+def test_cli_run_names_the_flag_behind_an_unusable_exp_concavity(tmp_path, capsys, flags, name):
+    data = tmp_path / "d.libsvm"
+    gen_classification_file(data, examples=20, dim=3, seed=1)
+    err = _refused(capsys, ["run", "--rounds", "3", "--dim", "2", "--batch", "4",
+                            "--data", str(data), *flags], name)
+    assert "set the curvature moduli out of range: the online Newton metric" in err

@@ -11,7 +11,6 @@ from maler.meta import (
     RunTrace,
     aggregate_play,
     build_grid,
-    init_meta_state,
     meta_regret_bound,
     meta_regret_c_bound,
     logsumexp,
@@ -97,10 +96,9 @@ def test_logsumexp_matches_naive():
 
 def test_aggregate_play_hand_computed():
     grid = build_grid(params_for(4))
-    state = init_meta_state(grid)
     pts = np.zeros((grid.size, 2))
     pts[0] = [1.0, 0.0]
-    x = aggregate_play(state, grid, pts)
+    x = aggregate_play(grid.log_priors, grid, pts)
     # Tilted average with prior weights, computed independently.
     num = np.zeros(2)
     den = 0.0
@@ -113,43 +111,40 @@ def test_aggregate_play_hand_computed():
 
 def test_aggregate_play_fixed_point():
     grid = build_grid(params_for(16))
-    state = init_meta_state(grid)
     p = np.array([0.3, -0.2])
     pts = np.tile(p, (grid.size, 1))
-    np.testing.assert_allclose(aggregate_play(state, grid, pts), p, atol=1e-15)
+    np.testing.assert_allclose(aggregate_play(grid.log_priors, grid, pts), p, atol=1e-15)
 
 
 def test_update_weights_hand_computed():
     grid = build_grid(params_for(4), "metagrad")
-    state = init_meta_state(grid)
     losses = np.array([0.1, 0.3])
-    new = update_weights(state, grid, losses)
+    log_weights, log_z = update_weights(grid.log_priors, grid, losses)
     raw = np.exp(grid.log_priors) * np.exp(-losses)
     z = raw.sum()
-    np.testing.assert_allclose(np.exp(new.log_weights), raw / z, atol=1e-14)
-    assert new.log_potential == pytest.approx(math.log(z), abs=1e-14)
+    np.testing.assert_allclose(np.exp(log_weights), raw / z, atol=1e-14)
+    assert log_z == pytest.approx(math.log(z), abs=1e-14)
 
 
 def test_update_weights_rejects_bad_losses():
     grid = build_grid(params_for(4), "metagrad")
-    state = init_meta_state(grid)
     with pytest.raises(ValueError):
-        update_weights(state, grid, np.array([0.1, np.nan]))
+        update_weights(grid.log_priors, grid, np.array([0.1, np.nan]))
     with pytest.raises(ValueError):
-        update_weights(state, grid, np.array([0.1]))
+        update_weights(grid.log_priors, grid, np.array([0.1]))
 
 
 def test_weight_normalization_drift_is_negligible():
     rng = np.random.default_rng(1)
     grid = build_grid(params_for(256))
-    state = init_meta_state(grid)
+    log_weights = grid.log_priors
     worst = 0.0
     for t in range(100000):
         losses = rng.uniform(-0.2, 0.4, size=grid.size)
-        state = update_weights(state, grid, losses)
+        log_weights, _ = update_weights(log_weights, grid, losses)
         if t % 5000 == 0:
-            worst = max(worst, abs(logsumexp(state.log_weights)))
-    worst = max(worst, abs(logsumexp(state.log_weights)))
+            worst = max(worst, abs(logsumexp(log_weights)))
+    worst = max(worst, abs(logsumexp(log_weights)))
     assert worst <= 1e-9
 
 
@@ -157,14 +152,15 @@ def test_log_potential_matches_direct_formula():
     # Phi_t = sum_e pi_1^e exp(-cumulative loss_e), computed two ways.
     rng = np.random.default_rng(2)
     grid = build_grid(params_for(16))
-    state = init_meta_state(grid)
+    log_weights, log_phi = grid.log_priors, 0.0
     cum = np.zeros(grid.size)
     for _ in range(25):
         losses = rng.uniform(-0.1, 0.3, size=grid.size)
         cum += losses
-        state = update_weights(state, grid, losses)
+        log_weights, log_z = update_weights(log_weights, grid, losses)
+        log_phi += log_z
         direct = math.log(float(np.sum(np.exp(grid.log_priors) * np.exp(-cum))))
-        assert state.log_potential == pytest.approx(direct, abs=1e-10)
+        assert log_phi == pytest.approx(direct, abs=1e-10)
 
 
 def _run_maler(T=32, d=2, seed=3):

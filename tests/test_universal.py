@@ -277,6 +277,17 @@ def test_curvature_bound_formulas():
         exp_concave_regret_bound(params, -1.0)
 
 
+@pytest.mark.parametrize("bound, modulus", [
+    (strongly_convex_regret_bound, 5e-324), (strongly_convex_regret_bound, 1e-306),
+    (exp_concave_regret_bound, 5e-324), (exp_concave_regret_bound, 1e-310),
+])
+def test_curvature_bounds_refuse_an_infinite_cap(bound, modulus):
+    # A cap of inf would pass any regret; at 5e-324 exp-concavity, beta underflows to 0.
+    params = ProblemParams(horizon=20, dim=5, grad_bound=25.0, diameter=1.0)
+    with pytest.raises(ValueError, match="must be finite"):
+        bound(params, modulus)
+
+
 def test_play_round_contract():
     class Quad:
         def value(self, x):
@@ -316,7 +327,7 @@ def _snapshot(learner):
     return {
         "plays": trace.plays.copy(), "grads": trace.grads.copy(),
         "expert_points": trace.expert_points.copy(), "log_weights": trace.log_weights.copy(),
-        "log_phi": trace.log_phi.copy(), "state": learner.state.log_weights.copy(),
+        "log_phi": trace.log_phi.copy(), "state": learner.log_weights.copy(),
         "rounds": learner.bank.round,
         "points": learner.bank.points.copy(), "sigma": learner.bank.sigma.copy(),
         "sigma_inv": learner.bank.sigma_inv.copy(),
