@@ -48,8 +48,8 @@ def cmd_run(args) -> int:
     known = harness.DEFAULT_ALGOS["regression"]  # the regression task runs every algo
     for a in cfg.algos:
         if a not in known:
-            print(f"unknown algo {a!r}; known: {', '.join(known)}", file=sys.stderr)
-            return 2
+            print(f"error: unknown algo {a!r}; known: {', '.join(known)}", file=sys.stderr)
+            return 1
     try:
         result = harness.run_experiment(cfg)
     except (ValueError, AssumptionViolation, OSError) as exc:
@@ -80,7 +80,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed its usage error or --help
-        return exc.code
+        return 1 if exc.code else 0  # exit status 2 is kept for a failed certificate
     if args.command == "run":
         return cmd_run(args)
     return cmd_certify(args)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,19 @@ PROJECTION_ITERS = 100
 
 class ProjectionError(RuntimeError):
     """Weighted projection failed to converge."""
+
+
+def positive_float(name: str, value) -> float:
+    """value as a float if it is a real number in (0, float max], else ValueError naming name.
+
+    The comparison is exact, so an int too large for a float is refused by
+    name instead of raising OverflowError in float() or TypeError in numpy.
+    """
+    if isinstance(value, numbers.Real) and 0 < value <= sys.float_info.max:
+        return float(value)
+    if isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max:
+        value = "an integer too large for a float"
+    raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -42,15 +56,14 @@ class ProblemParams:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if not (np.isfinite(self.grad_bound) and self.grad_bound > 0):
-            raise ValueError(f"grad_bound must be finite and > 0, got {self.grad_bound}")
-        if not (np.isfinite(self.diameter) and self.diameter > 0):
-            raise ValueError(f"diameter must be finite and > 0, got {self.diameter}")
+        if self.dim > sys.float_info.max:  # the regret caps take d as a float
+            raise ValueError("dim must fit in a float, got an integer too large for a float")
         # The learners' step sizes divide by D^2 and by 4 G D (experts.newton_beta),
         # the surrogates and certificates square G and the top rate 1/(5 D G)
         # (meta.build_grid); Python floats overflow to inf and underflow to 0 here
         # without a warning.
-        G, D = float(self.grad_bound), float(self.diameter)
+        G = positive_float("grad_bound", self.grad_bound)
+        D = positive_float("diameter", self.diameter)
         if not 0.0 < D * D < math.inf:
             raise ValueError(f"diameter {D:g} is out of range: D^2 = {D * D:g} must be "
                              "finite and > 0")
@@ -126,8 +139,7 @@ class Ball:
             raise ValueError("center must be finite")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "dim", c.shape[0])
-        if not (np.isfinite(self.radius) and self.radius > 0):
-            raise ValueError(f"radius must be finite and > 0, got {self.radius}")
+        positive_float("radius", self.radius)
         # np.vdot overflows to inf, refusing the set, without the warning of np.linalg.norm.
         if math.sqrt(np.vdot(c, c)) > self.radius + 1e-12:
             raise ValueError("decision set must contain the origin")

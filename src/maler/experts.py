@@ -11,10 +11,11 @@ Each expert runs its own first-order method on its own surrogate sequence:
 
 ExpertBank holds them all as arrays. The constant-rate and spherical rows
 step in one batched expression per round, each family projected as one
-stack. The Newton rows' Sigma and Sigma^{-1} are updated together by one
-newton_metric_update per round (rank-one updates of Sigma^{-1}, re-factorized
-periodically to stop drift); then each row, and ONSLearner, takes its
-newton_expert_step with its own weighted projection.
+stack; a family the grid holds no row of (a metagrad grid holds only
+quadratic rows) is not stepped. The Newton rows' Sigma and Sigma^{-1} are
+updated together by one newton_metric_update per round (rank-one updates of
+Sigma^{-1}, re-factorized periodically to stop drift); then each row, and
+ONSLearner, takes its newton_expert_step with its own weighted projection.
 """
 
 from __future__ import annotations
@@ -174,9 +175,11 @@ class ExpertBank:
             raise ValueError(f"surrogate gradient norm {norms.max():.6g} exceeds the proved "
                              f"cap {cap:.6g}")
         nxt = np.empty_like(X)
-        nxt[conv] = convex_expert_step(X[conv], self.etas[conv], t, grad, G, D, self.dset)
-        nxt[sph] = spherical_expert_step(X[sph], self.etas[sph], self.constants[1, sph], t,
-                                         play, grad, self.dset)
+        if conv.size:
+            nxt[conv] = convex_expert_step(X[conv], self.etas[conv], t, grad, G, D, self.dset)
+        if sph.size:
+            nxt[sph] = spherical_expert_step(X[sph], self.etas[sph], self.constants[1, sph], t,
+                                             play, grad, self.dset)
         sigma, sigma_inv = newton_metric_update(self.sigma, self.sigma_inv, t - 1, ell_grads)
         for j, e in enumerate(ell):
             nxt[e] = newton_expert_step(X[e], sigma[j], sigma_inv[j], ell_grads[j], self.beta,

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import libsvm, meta, svgplot
-from .core import Ball, ProblemParams, Quadratic, projected_gradient
+from .core import Ball, ProblemParams, Quadratic, positive_float, projected_gradient
 from .experts import expert_regret_certificate, newton_beta, newton_metric
 from .meta import (
     CertificateReport,
@@ -64,12 +64,11 @@ class RidgeBatchLoss(Quadratic):
 
 
 def _log1pexp(z: np.ndarray) -> np.ndarray:
-    # log(1 + e^z) without overflow for large positive z.
-    out = np.empty_like(z)
-    pos = z > 0
-    out[pos] = z[pos] + np.log1p(np.exp(-z[pos]))
-    out[~pos] = np.log1p(np.exp(z[~pos]))
-    return out
+    # log(1 + e^z) = max(z, 0) + log1p(e^-|z|), which never overflows. It gives
+    # the same floats as splitting on z > 0: there the two terms are those of
+    # z + log1p(e^-z), and float addition commutes; for z <= 0, max(z, 0) is a
+    # zero, and adding a zero to log1p(e^z) >= 0 changes no bit; a NaN stays NaN.
+    return np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)
 
 
 class LogisticBatchLoss:
@@ -321,7 +320,7 @@ def _dset_to_json(ball: Ball) -> dict:
 def _dset_from_json(obj: dict) -> Ball:
     if obj["kind"] != "ball":
         raise ValueError(f"unknown decision set kind {obj['kind']!r}")
-    return Ball(center=np.array(obj["center"]), radius=float(obj["radius"]))
+    return Ball(center=np.array(obj["center"]), radius=positive_float("radius", obj["radius"]))
 
 
 # Every array of a RunTrace, in the order save_trace writes them; the four

@@ -25,7 +25,8 @@ def test_problem_params_validation():
         ProblemParams(horizon=1, dim=1, grad_bound=1.0, diameter=-1.0)
     with pytest.raises(ValueError):
         ProblemParams(horizon=1, dim=1, grad_bound=float("inf"), diameter=1.0)
-    for bad in ({"horizon": 6.5}, {"dim": 2.0}, {"horizon": True}, {"dim": "3"}):
+    for bad in ({"horizon": 6.5}, {"dim": 2.0}, {"horizon": True}, {"dim": "3"},
+                {"dim": 10**400}, {"grad_bound": 10**400}, {"diameter": -(10**400)}):
         with pytest.raises(ValueError):
             ProblemParams(**{"horizon": 6, "dim": 2, "grad_bound": 1.0, "diameter": 1.0, **bad})
     ProblemParams(horizon=np.int64(6), dim=np.int32(2), grad_bound=1.0, diameter=1.0)

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import quadratic_values, sample_point
 
-from maler import surrogates
+from maler import experts, surrogates
 from maler.core import Ball, ProblemParams
 from maler.experts import (
     REFACTOR_EVERY,
@@ -83,6 +83,22 @@ def test_convex_expert_step_decays_like_inverse_sqrt():
     b2 = b1.step(np.zeros(2), g)
     move2 = b2.points[0, 0] - b1.points[0, 0]
     assert move2 / move1 == pytest.approx(1.0 / math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("style, calls", [("metagrad", 0), ("maler", 1)])
+def test_bank_steps_only_the_families_its_grid_holds(monkeypatch, style, calls):
+    counts = {"convex_expert_step": 0, "spherical_expert_step": 0}
+    for name in counts:
+        def counted(*args, _name=name, _step=getattr(experts, name)):
+            counts[_name] += 1
+            return _step(*args)
+        monkeypatch.setattr(experts, name, counted)
+    grid = build_grid(PARAMS2, style)
+    bank = ExpertBank.build(grid.kinds, grid.tilts, PARAMS2, BALL2)
+    for t, grad in enumerate(([0.6, 0.0], [0.0, -0.8], [0.3, 0.4]), start=1):
+        bank = bank.step(np.array([0.1, -0.2]), np.array(grad))
+        assert counts == {"convex_expert_step": calls * t, "spherical_expert_step": calls * t}
+    assert bank.round == 4
 
 
 def test_spherical_expert_first_step():
@@ -326,7 +342,7 @@ def test_summed_surrogate_matches_the_per_kind_reference_bit_for_bit():
 
 
 def test_summed_surrogate_matches_per_round_sum():
-    from maler import surrogates
+    from maler import experts, surrogates
 
     rng = np.random.default_rng(7)
     T, d, G, D = 12, 3, 1.0, 1.0

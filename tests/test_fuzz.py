@@ -1,9 +1,10 @@
 """Seeded fuzzing of the command line: one-field mutations of saved traces fed to
 `maler certify`, and out-of-range numbers fed to `maler run`.
 
-Every case must end in an exit code of 0, 1 or 2 from cli.main, with no
-exception escaping it and no RuntimeWarning (raised as an error here, as
-pyproject.toml does for the whole suite).
+Every case must end in an exit code from cli.main, 0, 1 or 2 for certify and
+0 or 1 for run (whose refusals exit 1), with no exception escaping it and no
+RuntimeWarning (raised as an error here, as pyproject.toml does for the
+whole suite).
 """
 
 import base64
@@ -129,7 +130,7 @@ def test_cli_survives_seeded_one_field_mutations(tmp_path, capsys):
     for base, flag in runs:
         for value in RUN_VALUES:
             rc = _outcome([*base, flag, value])
-            if rc not in (0, 1, 2):
+            if rc not in (0, 1):  # 2 means a failed certificate, not a refused flag
                 bad.append(f"run {base[1:3]} {flag} {value}: {rc}")
     capsys.readouterr()
     assert not bad, "\n".join(bad)

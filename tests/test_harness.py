@@ -91,6 +91,24 @@ def test_logistic_loss_is_stable_and_bounded():
         assert np.linalg.norm(f.gradient(w)) <= cap * (1 + 1e-12)
 
 
+def _log1pexp_masked(z):
+    """log(1 + e^z) split on z > 0 by masks, the formula _log1pexp replaced."""
+    out = np.empty_like(z)
+    pos = z > 0
+    out[pos] = z[pos] + np.log1p(np.exp(-z[pos]))
+    out[~pos] = np.log1p(np.exp(z[~pos]))
+    return out
+
+
+def test_log1pexp_matches_the_masked_formula_bit_for_bit():
+    rng = np.random.default_rng(19)
+    z = np.concatenate([scale * rng.standard_normal(500) for scale in (0.1, 1, 10, 100, 800)]
+                       + [[0.0, -0.0, 1e-300, -1e-300, 700.0, -700.0, math.inf, -math.inf,
+                           math.nan, -math.nan]])
+    got, want = harness._log1pexp(z), _log1pexp_masked(z)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_logistic_stack_is_the_term_by_term_sum():
     # Weighting row i by counts[i] is the loss over the rows repeated that often.
     rng = np.random.default_rng(11)
@@ -824,6 +842,14 @@ def _ungridded(obj):
     (_set("sc_modulus", lambda obj: 10**400), "sc_modulus must be a finite positive number"),
     (_set("exp_concavity", lambda obj: [0.5]), "exp_concavity must be a finite positive number"),
     (_one_round, "horizon T=1 is too short"),
+    (_set("params", lambda obj: {**obj["params"], "dim": 10**400}),
+     "dim must fit in a float, got an integer too large for a float"),
+    (_set("params", lambda obj: {**obj["params"], "grad_bound": 10**400}),
+     "grad_bound must be finite and > 0, got an integer too large for a float"),
+    (_set("params", lambda obj: {**obj["params"], "diameter": 10**400}),
+     "diameter must be finite and > 0, got an integer too large for a float"),
+    (_set("dset", lambda obj: {**obj["dset"], "radius": 10**400}),
+     "radius must be finite and > 0, got an integer too large for a float"),
 ], ids=["log_phi-rows", "expert_points-experts", "surrogate_losses-experts",
         "log_weights-experts", "horizon-grid", "horizon-below-T", "plays-rows",
         "grads-dim", "loss_at_play-rows", "comparator-dim", "top-level-list",
@@ -833,7 +859,8 @@ def _ungridded(obj):
         "comparator-null", "grid_style-null", "algo-other-grid", "algo-without-grid",
         "sc_modulus-zero", "exp_concavity-negative", "sc_modulus-bool", "exp_concavity-string",
         "sc_modulus-nan", "exp_concavity-inf", "sc_modulus-huge-int", "exp_concavity-list",
-        "horizon-one"])
+        "horizon-one", "dim-huge-int", "grad_bound-huge-int", "diameter-huge-int",
+        "radius-huge-int"])
 def test_cli_certify_rejects_misshapen_traces(tmp_path, capsys, edit, reason):
     tpath = _tampered_trace(tmp_path, edit)
     capsys.readouterr()
@@ -1013,8 +1040,13 @@ def test_cli_run_defaults_are_the_config_defaults():
 
 def test_cli_error_paths(tmp_path, capsys):
     assert cli.main(["run", "--task", "classification"]) == 1
-    assert cli.main(["run", "--algos", "bogus"]) == 2
+    assert cli.main(["run", "--algos", "bogus"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: unknown algo 'bogus'")
+    assert cli.main(["run", "--rounds", "nan"]) == 1
+    assert "invalid int value: 'nan'" in capsys.readouterr().err
     assert cli.main(["certify", "--trace", str(tmp_path / "missing.json")]) == 1
+    assert cli.main(["run", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: maler run")
 
 
 def test_cli_classification_run(tmp_path):
