@@ -97,19 +97,49 @@ def rowdot(a, b) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _check_spd(H, dim: int) -> np.ndarray:
-    """Validate that H is symmetric positive definite, via attempted Cholesky.
+# Unit roundoff of float64, and the smallest diagonal entry the dominance test
+# of _check_spd takes: 2^53 times the smallest normal, so that an underflow in
+# a Cholesky factorization of the matrix errs by under u^2 times its diagonal.
+_U = 2.0**-53
+_DIAG_FLOOR = 2.0**-969
 
-    Asymmetry up to 1e-8 max(max |H_ij|, 1) is accepted; the tolerance is
-    only computed for an H that is not exactly symmetric.
+
+def _check_spd(H, dim: int) -> np.ndarray:
+    """Validate that H is symmetric positive definite, in two steps.
+
+    First, an exactly symmetric H whose rows are strictly diagonally dominant
+    by a margin that covers rounding is accepted with no factorization.
+    Any other H must be finite, symmetric up to 1e-8 max(max |H_ij|, 1), a
+    tolerance only computed for an H that is not exactly symmetric, and have
+    a Cholesky factor.
     """
     M = np.asarray(H, dtype=float)
     if M.shape != (dim, dim):
         raise ValueError(f"expected matrix of shape ({dim},{dim}), got {M.shape}")
-    scale = np.abs(M).max()
+    A = np.abs(M)
+    scale = A.max()
+    symmetric = (M == M.T).all()
+    diag = M.diagonal()
+    # Row i passes if S_i = fl(sum_j |M_ij|) < fl(t M_ii), t = 2 - 4 (d+1)^2 u
+    # (exact in floating point). Summed in any order, S_i >= (1 - g_{d-1}) s_i
+    # for the exact sum s_i, with g_k = k u / (1 - k u) (Higham, Accuracy and
+    # Stability of Numerical Algorithms, 2nd ed., section 4.2), and the
+    # product errs by a factor of at most 1 + u. As t (1 + u) / (1 - g_{d-1})
+    # <= 2 - m, m = d g_{d+1} / (1 - d g_{d+1}) ~ d^2 u, for every d with
+    # t > 1, a passing row's exact off-diagonal sum is below (1 - m) M_ii.
+    # By Gershgorin's theorem the symmetric M scaled to a unit diagonal then
+    # has every eigenvalue above m, which is Demmel's condition for the
+    # Cholesky factorization to succeed in floating point (ibid., Theorem
+    # 10.7): the first step accepts only what the second would. The bound on
+    # scale keeps every sum and product finite, the floor on the diagonal
+    # keeps underflow out of these bounds, and a NaN fails every comparison,
+    # so the first step raises no warning.
+    if (scale <= sys.float_info.max / (2 * dim) and symmetric and diag.min() >= _DIAG_FLOOR
+            and (A.sum(axis=1) < (2.0 - 4.0 * (dim + 1) ** 2 * _U) * diag).all()):
+        return M
     if not np.isfinite(scale):
         raise ValueError("weight matrix has non-finite entries")
-    if not (M == M.T).all() and np.abs(M - M.T).max() > 1e-8 * max(scale, 1.0):
+    if not symmetric and np.abs(M - M.T).max() > 1e-8 * max(scale, 1.0):
         raise ValueError("weight matrix is not symmetric")
     try:
         np.linalg.cholesky(M)

@@ -11,7 +11,6 @@ optional SVG regret plot.
 from __future__ import annotations
 
 import base64
-import functools
 import json
 import math
 import os
@@ -320,7 +319,16 @@ def _dset_to_json(ball: Ball) -> dict:
 def _dset_from_json(obj: dict) -> Ball:
     if obj["kind"] != "ball":
         raise ValueError(f"unknown decision set kind {obj['kind']!r}")
-    return Ball(center=np.array(obj["center"]), radius=positive_float("radius", obj["radius"]))
+    return Ball(center=_float_array("dset.center", obj["center"]),
+                radius=positive_float("radius", obj["radius"]))
+
+
+def _float_array(name: str, value) -> np.ndarray:
+    """value as a float array; ValueError naming name for a JSON integer too large for a float."""
+    try:
+        return np.array(value, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{name} holds an integer too large for a float") from None
 
 
 # Every array of a RunTrace, in the order save_trace writes them; the four
@@ -431,11 +439,8 @@ def load_trace(path) -> RunTrace:
         obj = json.loads(fh.read().decode("utf-8"))
     if not isinstance(obj, dict):
         raise ValueError(f"trace must be a JSON object, not {type(obj).__name__}")
-    if "format" not in obj:
-        array = functools.partial(np.array, dtype=float)
-    elif type(obj["format"]) is int and obj["format"] == TRACE_FORMAT:
-        array = _decode_array
-    else:
+    legacy = "format" not in obj
+    if not (legacy or type(obj["format"]) is int and obj["format"] == TRACE_FORMAT):
         raise ValueError(f"unknown trace format {obj['format']!r}")
     try:
         params = ProblemParams(**obj["params"])
@@ -452,7 +457,8 @@ def load_trace(path) -> RunTrace:
         trace = RunTrace(algo=algo, params=params, dset=_dset_from_json(obj["dset"]),
                          grid=None if style is None else meta.build_grid(params, style),
                          **{name: _modulus(obj, name, params) for name in TRACE_MODULI},
-                         **{name: array(obj[name]) for name in carried})
+                         **{name: _float_array(name, obj[name]) if legacy
+                            else _decode_array(obj[name]) for name in carried})
     # OverflowError: a JSON integer too large for a float.
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed trace: {type(exc).__name__}: {exc}") from None
@@ -573,6 +579,8 @@ def csv_lines(result: ExperimentResult) -> list:
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run all requested learners on one stream and certify the results."""
+    if cfg.seed < 0:
+        raise ValueError(f"seed (--seed) must be >= 0, got {cfg.seed}")
     if cfg.task == "regression":
         task = gen_regression(rounds=cfg.rounds, dim=cfg.dim, batch=cfg.batch,
                               lam=cfg.ridge_lambda, noise_std=cfg.noise_std, seed=cfg.seed)

@@ -42,3 +42,21 @@ def quadratic_values(f, U) -> np.ndarray:
     if f.M is not None:
         out += np.einsum("nd,nd->n", U, U @ f.M)
     return out
+
+
+def reference_check_spd(H, dim: int) -> np.ndarray:
+    """The SPD check by attempted Cholesky alone, as core._check_spd made it before its
+    diagonal-dominance test: every verdict and message of _check_spd must match it."""
+    M = np.asarray(H, dtype=float)
+    if M.shape != (dim, dim):
+        raise ValueError(f"expected matrix of shape ({dim},{dim}), got {M.shape}")
+    scale = np.abs(M).max()
+    if not np.isfinite(scale):
+        raise ValueError("weight matrix has non-finite entries")
+    if not (M == M.T).all() and np.abs(M - M.T).max() > 1e-8 * max(scale, 1.0):
+        raise ValueError("weight matrix is not symmetric")
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        raise ValueError("weight matrix is not positive definite") from None
+    return M

@@ -1,11 +1,15 @@
 import math
 import re
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import fd_matches, quadratic_values, sample_point
+from conftest import fd_matches, quadratic_values, reference_check_spd, sample_point
+
+from maler import core
 
 from maler.core import PGD_ITERS, PGD_TOL, Ball, ProblemParams, Quadratic, projected_gradient
 from maler.harness import certify_trace
@@ -247,6 +251,125 @@ def test_weighted_projection_rejects_bad_weights():
             for H in (np.array([[bad, 0.0], [0.0, 1.0]]), np.array([[1.0, bad], [bad, 1.0]])):
                 with pytest.raises(ValueError, match="non-finite"):
                     ball.project_weighted(H, y)
+
+
+def _spd_case(rng, kind: str) -> np.ndarray:
+    """A seeded matrix of one kind for the SPD-check property test."""
+    d = int(rng.integers(1, 61))
+    scale = 10.0 ** rng.uniform(-300.0, 300.0)
+    if kind == "huge":  # row sums on both sides of the first test's overflow bound
+        scale = sys.float_info.max / d**2 * rng.uniform(0.01, 1.0)
+    W = rng.standard_normal((d, d))
+    if kind == "subnormal":  # small integer multiples of the smallest subnormal
+        W = rng.integers(-3, 4, size=(d, d)).astype(float)
+        scale = 5e-324
+    W = np.triu(W, 1)
+    W = (W + W.T) * scale
+    off = np.abs(W).sum(axis=1)
+    if kind == "gram":
+        B = rng.standard_normal((d, int(rng.integers(1, d + 2))))
+        return (B @ B.T) * scale
+    if kind in ("threshold", "boundary"):
+        # Every row a few ulps to one side of the diagonal equal to the
+        # off-diagonal sum, or of the test's own threshold S_i = t M_ii,
+        # which rounding in S_i blurs by up to about d ulps.
+        k = int(rng.integers(-6, 7))
+        if kind == "threshold":
+            off, k = off / (1.0 - 4.0 * (d + 1) ** 2 * 2.0**-53), k * d
+        diag = off * (1.0 + k * 2.0**-53)
+    elif kind == "subnormal":
+        diag = off + rng.integers(-1, 3, size=d) * 5e-324
+    else:
+        diag = off * (1.0 + 10.0 ** rng.uniform(-12.0, 1.0, size=d))
+    diag = np.where(diag > 0.0, diag, scale)
+    M = W + np.diag(diag)
+    i, j = rng.integers(0, d, size=2)
+    if kind == "indefinite":
+        M[i, i] = -M[i, i] if rng.uniform() < 0.5 else 0.0
+    elif kind == "nonfinite":
+        M[i, j] = rng.choice([math.nan, math.inf, -math.inf])
+        if rng.uniform() < 0.5:
+            M[j, i] = M[i, j]
+    elif kind == "asymmetric" and i != j:
+        # Just inside or just outside the 1e-8 max(max |M_ij|, 1) tolerance.
+        tol = 1e-8 * max(np.abs(M).max(), 1.0)
+        M[i, j] += tol * rng.choice([0.5, 0.999, 1.001, 2.0])
+    return M
+
+
+def _spd_verdict(check, M) -> str:
+    try:
+        check(M, M.shape[0])
+    except ValueError as exc:
+        return str(exc)
+    return "accepted"
+
+
+def test_dominance_test_keeps_every_verdict_of_the_cholesky_check(monkeypatch):
+    # core._check_spd first accepts an exactly symmetric, strictly diagonally
+    # dominant matrix without factorizing it. Every verdict and message must
+    # be the Cholesky-only reference's, every matrix that the first test
+    # accepts must have a Cholesky factor, and no input may raise a warning.
+    factored = []
+    real_cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(1) or real_cholesky(a))
+    rng = np.random.default_rng(20)
+    kinds = ("dominant", "threshold", "boundary", "gram", "indefinite", "nonfinite",
+             "asymmetric", "subnormal", "huge")
+    first = dict.fromkeys(kinds, 0)
+    for n in range(2700):
+        kind = kinds[n % len(kinds)]
+        with np.errstate(all="ignore"):
+            M = _spd_case(rng, kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = _spd_verdict(reference_check_spd, M)
+            before = len(factored)
+            got = _spd_verdict(core._check_spd, M)
+        assert got == want, (kind, M)
+        if got == "accepted" and len(factored) == before:
+            real_cholesky(M)
+            first[kind] += M.shape[0] > 1
+    # Past d = 1 the first test takes the dominant matrices, those on one
+    # side of its own threshold, and no boundary, indefinite, non-finite or
+    # subnormal one.
+    assert first["dominant"] > 250 and 50 < first["threshold"] < 250 and first["huge"] > 20
+    assert first["boundary"] + first["indefinite"] + first["nonfinite"] + first["subnormal"] == 0
+
+
+def test_weighted_projection_factorizes_a_metric_that_is_not_dominant(monkeypatch):
+    factored = []
+    real_cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(1) or real_cholesky(a))
+    ball = Ball(center=np.array([0.1, -0.2, 0.0]), radius=0.5)
+    S = np.full((3, 3), 0.9) + 0.1 * np.eye(3)  # eigenvalues 2.8, 0.1, 0.1
+    y = np.array([1.5, -0.4, 0.3])
+    got = ball.project_weighted(S, y)
+    assert len(factored) == 1
+    want = ball._weighted_boundary_point(reference_check_spd(S, 3), y)
+    assert got.tobytes() == want.tobytes()
+    # A dominant metric takes the first test and no factorization.
+    ball.project_weighted(S + 2.0 * np.eye(3), y)
+    assert len(factored) == 2
+
+
+def test_dominance_margin_covers_summation_and_cholesky_rounding():
+    # Exact rational check of the margin derived in core._check_spd: with
+    # t = 2 - 4 (d+1)^2 u as computed there, t (1 + u) / (1 - g_{d-1}) is at
+    # most 2 - m, m = d g_{d+1} / (1 - d g_{d+1}), for every d with t > 1.
+    u = Fraction(1, 2**53)
+
+    def g(k):
+        return k * u / (1 - k * u)
+
+    top = math.isqrt(2**51) - 1  # the largest d with t > 1
+    for d in [*range(1, 200), *np.unique(np.geomspace(200, top, 400).astype(int)), top]:
+        d = int(d)
+        t = Fraction(2.0 - 4.0 * (d + 1) ** 2 * 2.0**-53)
+        assert t == 2 - 4 * (d + 1) ** 2 * u and t > 1
+        m = d * g(d + 1) / (1 - d * g(d + 1))
+        assert 0 < m and t * (1 + u) / (1 - g(d - 1)) <= 2 - m, d
+    assert 2.0 - 4.0 * (top + 2) ** 2 * 2.0**-53 <= 1.0
 
 
 def _trace(plays, grads, params, ball):

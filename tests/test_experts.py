@@ -5,7 +5,7 @@ import pytest
 
 from conftest import quadratic_values, sample_point
 
-from maler import experts, surrogates
+from maler import core, experts, surrogates
 from maler.core import Ball, ProblemParams
 from maler.experts import (
     REFACTOR_EVERY,
@@ -25,9 +25,15 @@ from maler.experts import (
     spherical_expert_step,
     summed_surrogate,
 )
+from maler.harness import (
+    gen_classification_file,
+    gen_regression,
+    load_classification,
+    run_stream,
+)
 from maler.meta import KIND_CONST, KIND_QUADRATIC, KIND_SPHERICAL, build_grid
 from maler.surrogates import SurrogateContext
-from maler.universal import MalerLearner, ONSLearner, metagrad_baseline
+from maler.universal import MalerLearner, ONSLearner, make_learner, metagrad_baseline
 
 
 BALL2 = Ball(center=np.zeros(2), radius=0.5)
@@ -294,6 +300,27 @@ def test_newton_sigma_stays_exactly_symmetric_and_positive_definite():
             for S in [*ensembles[0].bank.sigma, *ensembles[1].bank.sigma, ons._sigma]:
                 assert np.array_equal(S, S.T), (G, D)
                 np.linalg.cholesky(S)
+
+
+def test_learners_prove_their_newton_metrics_spd_without_factorizing(tmp_path, monkeypatch):
+    # Sigma_0 = I / (beta D)^2 dominates the rank-one updates, so every
+    # weighted projection of maler, metagrad and ONS takes the diagonal
+    # dominance test of core._check_spd and no Cholesky factorization.
+    checks, factored = [], []
+    real_check, real_cholesky = core._check_spd, np.linalg.cholesky
+    monkeypatch.setattr(core, "_check_spd", lambda H, d: checks.append(d) or real_check(H, d))
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(1) or real_cholesky(a))
+    data = tmp_path / "train.libsvm"
+    gen_classification_file(data, examples=150, dim=4, seed=3)
+    for task in (gen_regression(rounds=40, dim=6, batch=20, seed=5),
+                 load_classification(data, rounds=40, batch=20, seed=5)):
+        for algo in ("maler", "metagrad", "ons"):
+            before = len(checks)
+            learner = make_learner(algo, task.params, task.dset, sc_modulus=task.sc_modulus,
+                                   exp_concavity=task.exp_concavity)
+            run_stream(learner, task.losses)
+            assert len(checks) >= before + 40, algo  # one per round at least
+    assert not factored
 
 
 def _random_history(rng, T, d, G=1.0, radius=0.5):

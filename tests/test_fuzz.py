@@ -126,7 +126,8 @@ def test_cli_survives_seeded_one_field_mutations(tmp_path, capsys):
                       "--batch", "4"]
     runs = [(base, flag) for base in (regression, classification)
             for flag in ("--batch", "--rounds")]
-    runs += [(regression, "--lambda"), (regression, "--noise-std"), (classification, "--radius")]
+    runs += [(regression, "--lambda"), (regression, "--noise-std"), (classification, "--radius"),
+             (regression, "--seed"), (classification, "--seed"), (regression, "--dim")]
     for base, flag in runs:
         for value in RUN_VALUES:
             rc = _outcome([*base, flag, value])

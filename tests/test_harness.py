@@ -850,6 +850,8 @@ def _ungridded(obj):
      "diameter must be finite and > 0, got an integer too large for a float"),
     (_set("dset", lambda obj: {**obj["dset"], "radius": 10**400}),
      "radius must be finite and > 0, got an integer too large for a float"),
+    (_set("dset", lambda obj: {**obj["dset"], "center": [10**400, 0.0]}),
+     "dset.center holds an integer too large for a float"),
 ], ids=["log_phi-rows", "expert_points-experts", "surrogate_losses-experts",
         "log_weights-experts", "horizon-grid", "horizon-below-T", "plays-rows",
         "grads-dim", "loss_at_play-rows", "comparator-dim", "top-level-list",
@@ -860,7 +862,7 @@ def _ungridded(obj):
         "sc_modulus-zero", "exp_concavity-negative", "sc_modulus-bool", "exp_concavity-string",
         "sc_modulus-nan", "exp_concavity-inf", "sc_modulus-huge-int", "exp_concavity-list",
         "horizon-one", "dim-huge-int", "grad_bound-huge-int", "diameter-huge-int",
-        "radius-huge-int"])
+        "radius-huge-int", "center-huge-int"])
 def test_cli_certify_rejects_misshapen_traces(tmp_path, capsys, edit, reason):
     tpath = _tampered_trace(tmp_path, edit)
     capsys.readouterr()
@@ -868,6 +870,19 @@ def test_cli_certify_rejects_misshapen_traces(tmp_path, capsys, edit, reason):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot load trace")
     assert reason in err
+
+
+def test_certify_names_a_legacy_array_entry_too_large_for_a_float(tmp_path, capsys):
+    def huge_play(obj):
+        obj["plays"][0][0] = 10**400
+
+    tpath = tmp_path / "legacy.json"
+    with open(LEGACY_TRACE, encoding="utf-8") as fh:
+        tpath.write_text(fh.read())
+    capsys.readouterr()
+    assert cli.main(["certify", "--trace", str(_rewritten(tpath, huge_play))]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: cannot load trace: plays holds an integer too large for a float\n"
 
 
 def _set_array(key, **fields):
@@ -1137,6 +1152,15 @@ def _refused(capsys, argv, name):
         "noise-nan", "lambda-ons-metric"])
 def test_cli_run_refuses_regression_inputs_out_of_range(capsys, flags, name):
     _refused(capsys, ["run", "--rounds", "3", "--dim", "2", "--batch", "4", *flags], name)
+
+
+def test_cli_run_refuses_a_negative_seed_by_name(tmp_path, capsys):
+    data = tmp_path / "d.libsvm"
+    gen_classification_file(data, examples=20, dim=3, seed=1)
+    for task in (["--dim", "2"], ["--task", "classification", "--data", str(data)]):
+        err = _refused(capsys, ["run", "--rounds", "3", "--batch", "4", *task, "--seed", "-1"],
+                       "--seed")
+        assert err == "error: seed (--seed) must be >= 0, got -1\n"
 
 
 @pytest.mark.parametrize("radius, name", [
