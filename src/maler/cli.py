@@ -37,18 +37,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_config(args) -> harness.ExperimentConfig:
-    """The ExperimentConfig of a parsed `run` command line; --algos is split on commas."""
+    """The ExperimentConfig of a parsed `run` command line; --algos is split on commas,
+    dropping empty entries, so a value of only commas names no algo."""
     fields = {f.name: getattr(args, f.name) for f in dataclasses.fields(harness.ExperimentConfig)}
-    fields["algos"] = tuple(a for a in (args.algos or "").split(",") if a) or None
+    if args.algos is not None:
+        fields["algos"] = tuple(a for a in args.algos.split(",") if a)
     return harness.ExperimentConfig(**fields)
 
 
 def cmd_run(args) -> int:
     cfg = run_config(args)
     known = harness.DEFAULT_ALGOS["regression"]  # the regression task runs every algo
-    for a in cfg.algos:
+    if not cfg.algos:
+        print(f"error: --algos {args.algos!r} names no algo; known: {', '.join(known)}",
+              file=sys.stderr)
+        return 1
+    for i, a in enumerate(cfg.algos):
         if a not in known:
             print(f"error: unknown algo {a!r}; known: {', '.join(known)}", file=sys.stderr)
+            return 1
+        if a in cfg.algos[:i]:  # each algo's trace is written to one file, trace_<algo>.json
+            print(f"error: --algos names {a!r} more than once", file=sys.stderr)
             return 1
     try:
         result = harness.run_experiment(cfg)

@@ -16,6 +16,13 @@ quadratic rows) is not stepped. The Newton rows' Sigma and Sigma^{-1} are
 updated together by one newton_metric_update per round (rank-one updates of
 Sigma^{-1}, re-factorized periodically to stop drift); then each row, and
 ONSLearner, takes its newton_expert_step with its own weighted projection.
+
+The metric update works in the buffers of its two outer products, with one
+multiply, add, divide and subtract per entry. From d = EINSUM_MIN_DIM up it
+takes its products from einsum, which adds each to +0.0, so an exactly zero
+product is +0.0 where a broadcast multiply can give -0.0.
+Sigma never holds -0.0, so only a -0.0 that a refactor's inv put into
+Sigma^{-1} can change sign.
 """
 
 from __future__ import annotations
@@ -39,6 +46,10 @@ from .meta import (
 
 ONS_GRAD_SCALE = 7.0 / 25.0
 REFACTOR_EVERY = 512
+# From this d up, a bank's 6 outer products are faster from einsum than by a
+# broadcast multiply (measured crossover d = 22; d = 45 for one row). The choice
+# depends on d alone, so a stack and each of its slices take one path.
+EINSUM_MIN_DIM = 24
 
 
 def ons_grad_bound(D: float) -> float:
@@ -67,14 +78,24 @@ def newton_metric(beta: float, D: float, dim: int) -> tuple:
     return scale * np.eye(dim), (1.0 / scale) * np.eye(dim)
 
 
+def _outer(v: np.ndarray) -> np.ndarray:
+    """v v^T for every row of the (..., d) stack v, in a new (..., d, d) array."""
+    if v.shape[-1] < EINSUM_MIN_DIM:
+        return v[..., :, None] * v[..., None, :]
+    return np.einsum("...i,...j->...ij", v, v)
+
+
 def sherman_morrison_update(A_inv: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Inverse of (A + v v^T) given A_inv, via the rank-one identity.
 
     A_inv is (..., d, d) and v is (..., d); a stack goes through the same
-    float operations per slice as each slice alone.
+    float operations per slice as each slice alone. The division and the
+    subtraction are done in the outer product's buffer.
     """
     Av = (A_inv @ v[..., None])[..., 0]
-    return A_inv - Av[..., :, None] * Av[..., None, :] / (1.0 + rowdot(v, Av))[..., None, None]
+    out = _outer(Av)
+    out /= (1.0 + rowdot(v, Av))[..., None, None]
+    return np.subtract(A_inv, out, out=out)
 
 
 def newton_metric_update(sigma: np.ndarray, sigma_inv: np.ndarray, updates: int,
@@ -84,10 +105,11 @@ def newton_metric_update(sigma: np.ndarray, sigma_inv: np.ndarray, updates: int,
     updates counts the rank-one updates already in sigma; every
     REFACTOR_EVERY-th update re-inverts densely instead.
     """
-    sigma = sigma + G[..., :, None] * G[..., None, :]
+    sigma_next = _outer(G)
+    sigma_next += sigma
     if (updates + 1) % REFACTOR_EVERY == 0:
-        return sigma, np.linalg.inv(sigma)
-    return sigma, sherman_morrison_update(sigma_inv, G)
+        return sigma_next, np.linalg.inv(sigma_next)
+    return sigma_next, sherman_morrison_update(sigma_inv, G)
 
 
 def convex_expert_step(points: np.ndarray, etas: np.ndarray, t: int, grad: np.ndarray,

@@ -224,7 +224,17 @@ def load_classification(path, rounds: int = 100, batch: int = 200,
     if not rows:
         raise ValueError(f"no examples in {path}")
     X, y = libsvm.to_dense(rows)
-    scale = float(np.max(np.linalg.norm(X, axis=1)))
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(X, axis=1)
+    # A finite row whose squared norm overflows is divided by its largest entry
+    # first, as Ball.project does; Python's float product overflows to inf quietly.
+    for i in np.flatnonzero(norms == math.inf):
+        top = float(np.abs(X[i]).max())
+        norms[i] = top * float(np.linalg.norm(X[i] / top))
+    scale = float(np.max(norms))
+    if scale == math.inf:
+        raise ValueError(f"example {int(np.argmax(norms)) + 1} of {path} has a feature norm "
+                         "past the float range")
     if scale > 0:
         X = X / scale
     rng = np.random.default_rng(seed)

@@ -1,7 +1,10 @@
-"""Shared helpers: an independent finite-difference gradient checker, a ball sampler and a
-vectorized quadratic evaluator for brute-force grid references."""
+"""Shared helpers: an independent finite-difference gradient checker, a ball sampler, a
+vectorized quadratic evaluator for brute-force grid references, the SPD check's reference
+and a LIBSVM file one of whose squared row norms overflows."""
 
 import numpy as np
+
+from maler.harness import gen_classification_file
 
 
 def central_fd(fn, x, h: float = 1e-6) -> np.ndarray:
@@ -60,3 +63,17 @@ def reference_check_spd(H, dim: int) -> np.ndarray:
     except np.linalg.LinAlgError:
         raise ValueError("weight matrix is not positive definite") from None
     return M
+
+
+def write_e278_file(path) -> None:
+    """The 20-example, 3-feature generated LIBSVM file (seed 0) with line 16's first
+    value set to 5.937480717858E278: finite, but its square, and so that row's
+    squared norm, overflows."""
+    gen_classification_file(path, examples=20, dim=3, seed=0)
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    fields = lines[15].split(" ")
+    fields[1] = "1:5.937480717858E278"
+    lines[15] = " ".join(fields)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ import pytest
 from conftest import quadratic_values, sample_point
 
 from maler import core, experts, surrogates
-from maler.core import Ball, ProblemParams
+from maler.core import Ball, ProblemParams, rowdot
 from maler.experts import (
+    EINSUM_MIN_DIM,
     REFACTOR_EVERY,
     ExpertBank,
     SurrogateSums,
@@ -237,6 +239,145 @@ def test_stacked_metric_update_matches_each_slice_bit_for_bit():
                 for j in range(L):
                     s, s_inv = newton_metric_update(sigma[j], sigma_inv[j], updates, G[j])
                     assert np.array_equal(S[j], s) and np.array_equal(S_inv[j], s_inv)
+
+
+def _broadcast_sherman_morrison(A_inv, v):
+    # The reference update: a broadcast outer product, each step in a fresh array.
+    Av = (A_inv @ v[..., None])[..., 0]
+    return A_inv - Av[..., :, None] * Av[..., None, :] / (1.0 + rowdot(v, Av))[..., None, None]
+
+
+def _broadcast_metric_update(sigma, sigma_inv, updates, G):
+    sigma = sigma + G[..., :, None] * G[..., None, :]
+    if (updates + 1) % REFACTOR_EVERY == 0:
+        return sigma, np.linalg.inv(sigma)
+    return sigma, _broadcast_sherman_morrison(sigma_inv, G)
+
+
+def _bits(a):
+    # Bit patterns, so that +0.0 and -0.0 differ (np.array_equal takes them as equal).
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def test_metric_update_repeats_the_broadcast_formulas_bit_for_bit():
+    # Seeded dense SPD Sigma and Sigma^{-1}, drawn apart and scaled by s^2 and
+    # 1/s^2 as the metric of gradients of size s is, and gradients of size s
+    # from 1e-100 to 1e100, on Sherman-Morrison and refactor rounds, with d on
+    # both sides of EINSUM_MIN_DIM: the products and the in-place division and
+    # subtraction give the reference's bits, with no warning.
+    rng = np.random.default_rng(21)
+
+    def spd(L, d):
+        A = rng.normal(size=(L, d, d))
+        return A @ np.swapaxes(A, -1, -2) / d + np.eye(d)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d in (1, 2, 10, 50, 200):
+            for L in (1, 6):
+                for s in (1e-100, 1e-30, 1.0, 1e30, 1e100):
+                    sigma, sigma_inv = s**2 * spd(L, d), spd(L, d) / s**2
+                    G = s * rng.normal(size=(L, d))
+                    assert np.array_equal(_bits(sherman_morrison_update(sigma_inv, G)),
+                                          _bits(_broadcast_sherman_morrison(sigma_inv, G)))
+                    for updates in (0, REFACTOR_EVERY - 2, REFACTOR_EVERY - 1):
+                        new = newton_metric_update(sigma, sigma_inv, updates, G)
+                        ref = _broadcast_metric_update(sigma, sigma_inv, updates, G)
+                        for a, b in zip(new, ref):
+                            assert np.array_equal(_bits(a), _bits(b))
+
+
+def test_metric_update_signed_zero_rule():
+    # From d = EINSUM_MIN_DIM up, einsum adds each product to +0.0, so a product
+    # that is exactly zero comes out +0.0 where the broadcast multiply gives
+    # -0.0 (here -5 * 0). Below it the products are broadcast.
+    d = EINSUM_MIN_DIM
+    g = np.zeros(d)
+    g[0] = -5.0
+    sigma, sigma_inv = newton_metric(newton_beta(1.0, 1.0, 1.0), 1.0, d)
+    # Sigma never holds -0.0: Sigma_0's off-diagonals are +0.0, and +0.0 + -0.0
+    # = +0.0. Nor does Sigma^{-1} between refactors. So both agree in every bit.
+    for updates in range(3):
+        new = newton_metric_update(sigma, sigma_inv, updates, g)
+        ref = _broadcast_metric_update(sigma, sigma_inv, updates, g)
+        for a, b in zip(new, ref):
+            assert np.array_equal(_bits(a), _bits(b))
+        sigma, sigma_inv = new
+    assert not np.signbit(sigma).any() and not np.signbit(sigma_inv).any()
+    # Only a -0.0 that a refactor's inv put into Sigma^{-1} tells them apart:
+    # Av = A_inv g is +0.0 past its first entry, the products Av_0 Av_j are
+    # -0.0 in the reference, and -0.0 - (-0.0) = +0.0 but -0.0 - (+0.0) = -0.0.
+    # The values are equal.
+    A_inv = np.diag(np.arange(1.0, d + 1.0))
+    A_inv[A_inv == 0.0] = -0.0
+    new, ref = sherman_morrison_update(A_inv, g), _broadcast_sherman_morrison(A_inv, g)
+    assert np.array_equal(new, ref)
+    differ = np.zeros((d, d), dtype=bool)
+    differ[0, 1:] = differ[1:, 0] = True
+    assert np.array_equal(_bits(new) != _bits(ref), differ)
+    assert np.signbit(new[0, 1]) and not np.signbit(ref[0, 1])
+    # Below EINSUM_MIN_DIM every bit is the reference's, zeros' signs included.
+    small = slice(0, EINSUM_MIN_DIM - 1)
+    assert np.array_equal(_bits(sherman_morrison_update(A_inv[small, small], g[small])),
+                          _bits(_broadcast_sherman_morrison(A_inv[small, small], g[small])))
+
+
+def test_newton_metric_inverse_drift_is_bounded_and_reset_by_the_refactor():
+    # Newton metrics I/(beta D)^2 + sum g g^T with G and D log-uniform in
+    # [1e-4, 1e4] and gradient norms up to G, 6 rows. The drift max|S^-1 S - I|
+    # after the 511th Sherman-Morrison update measured at most 5.2e-15 = 23.5 eps
+    # (d = 50), and after the 512th update, a dense inverse, at most 1.4e-15;
+    # the bounds below leave a margin of about 2.5x.
+    rng = np.random.default_rng(22)
+    eps = np.finfo(float).eps
+    for d in (1, 2, 10, 50):
+        for _ in range(6):
+            G, D = 10.0 ** rng.uniform(-4.0, 4.0, size=2)
+            sigma, sigma_inv = newton_metric(newton_beta(G, D, 1.0), D, d)
+            sigma, sigma_inv = np.repeat(sigma[None], 6, axis=0), np.repeat(sigma_inv[None], 6, axis=0)
+            for updates in range(REFACTOR_EVERY):
+                g = rng.normal(size=(6, d))
+                g *= G * rng.uniform(size=(6, 1)) / np.linalg.norm(g, axis=1, keepdims=True)
+                sigma, sigma_inv = newton_metric_update(sigma, sigma_inv, updates, g)
+                if updates == REFACTOR_EVERY - 2:
+                    before = np.abs(sigma_inv @ sigma - np.eye(d)).max()
+            after = np.abs(sigma_inv @ sigma - np.eye(d)).max()
+            assert before <= 64 * eps
+            assert after <= 16 * eps and after < before
+
+
+def test_projections_of_newton_targets_are_idempotent_bitwise():
+    # G and D log-uniform in [1e-4, 1e4]: a ball of diameter D with a seeded
+    # center, the ONS metric of gradients up to G, and its Newton targets from
+    # points of the ball, plus points just outside and far outside it.
+    # Projecting a projection returns it bit for bit, Euclidean or weighted.
+    rng = np.random.default_rng(23)
+    for d in (1, 2, 10, 50):
+        for _ in range(8):
+            G, D = 10.0 ** rng.uniform(-4.0, 4.0, size=2)
+            r = D / 2.0
+            u = rng.normal(size=d)
+            ball = Ball(center=r * rng.uniform() * u / np.linalg.norm(u), radius=r)
+            beta = newton_beta(G, D, 1.0)
+            sigma, sigma_inv = newton_metric(beta, D, d)
+            targets = []
+            for updates in range(8):
+                g = rng.normal(size=d)
+                g *= G * rng.uniform() / np.linalg.norm(g)
+                sigma, sigma_inv = newton_metric_update(sigma, sigma_inv, updates, g)
+                x = sample_point(ball, rng)
+                targets.append(x - (1.0 / beta) * (sigma_inv @ g))
+            for reach in (1.0 + 1e-12, 3.0, 1e6):
+                v = rng.normal(size=d)
+                targets.append(ball.center + reach * r * v / np.linalg.norm(v))
+            Y = np.array(targets)
+            P = ball.project(Y)
+            assert np.array_equal(_bits(ball.project(P)), _bits(P))
+            for y in Y:
+                p = ball.project(y)
+                assert np.array_equal(_bits(ball.project(p)), _bits(p))
+                w = ball.project_weighted(sigma, y)
+                assert np.array_equal(_bits(ball.project_weighted(sigma, w)), _bits(w))
 
 
 def test_expert_iterates_stay_feasible():

@@ -1,5 +1,6 @@
-"""Seeded fuzzing of the command line: one-field mutations of saved traces fed to
-`maler certify`, and out-of-range numbers fed to `maler run`.
+"""Seeded fuzzing of the command line: one- and two-field mutations of saved traces
+fed to `maler certify`, and out-of-range numbers, byte-edited LIBSVM files and
+`--algos` values fed to `maler run`.
 
 Every case must end in an exit code from cli.main, 0, 1 or 2 for certify and
 0 or 1 for run (whose refusals exit 1), with no exception escaping it and no
@@ -13,7 +14,9 @@ import json
 import warnings
 
 import numpy as np
+import pytest
 
+from conftest import write_e278_file
 from maler import cli
 from maler.harness import TRACE_ARRAYS, gen_classification_file
 
@@ -33,6 +36,15 @@ LABELS = ["maler", "metagrad", "ons", "ogd-sc", "ogd-convex", "bogus", None, 3]
 
 # The numbers each `maler run` flag is given, one at a time.
 RUN_VALUES = ["0", "-1", "1e-300", "1e300", "nan", "inf"]
+
+# The bytes a LIBSVM byte edit inserts or writes.
+LIBSVM_BYTES = b"0123456789+-.:eE \t\n#naifINF,x"
+
+# --algos values and the exit code each must give: empty, only commas, repeated,
+# unknown, and with whitespace, which is part of the name.
+ALGOS_VALUES = {"": 1, ",": 1, ",,": 1, "maler,maler": 1, "ons,maler,ons": 1, "bogus": 1,
+                "maler,bogus": 1, "MALER": 1, " maler": 1, "maler ": 1, "maler, ons": 1,
+                "\tmaler": 1, "maler;ons": 1, "maler,,ons": 0, ",ons,": 0}
 
 
 def _show(value) -> str:
@@ -103,21 +115,56 @@ def _outcome(argv):
         return f"{type(exc).__name__}: {exc}"
 
 
-def test_cli_survives_seeded_one_field_mutations(tmp_path, capsys):
-    rng = np.random.default_rng(17)
-    out = tmp_path / "run"
+def _byte_edited(blob: bytes, rng) -> bytes:
+    """blob after 1 to 3 seeded insertions, deletions or replacements of one byte."""
+    b = bytearray(blob)
+    for _ in range(int(rng.integers(1, 4))):
+        op = int(rng.integers(3))
+        pos = int(rng.integers(len(b) + (op == 0)))
+        byte = LIBSVM_BYTES[int(rng.integers(len(LIBSVM_BYTES)))]
+        if op == 0:
+            b.insert(pos, byte)
+        elif op == 1:
+            del b[pos]
+        else:
+            b[pos] = byte
+    return bytes(b)
+
+
+@pytest.fixture(scope="module")
+def traces(tmp_path_factory):
+    """The maler and ons traces of RUN, parsed from their JSON files."""
+    out = tmp_path_factory.mktemp("fuzz") / "run"
     assert cli.main([*RUN, "--out", str(out)]) == 0
+    return {algo: json.loads((out / f"trace_{algo}.json").read_text())
+            for algo in ("maler", "ons")}
+
+
+def _certify_mutants(tmp_path, algo, mutants) -> list:
+    """certify each (case id, trace JSON) of mutants; the cases that went wrong."""
     bad = []
-    for algo in ("maler", "ons"):
-        original = json.loads((out / f"trace_{algo}.json").read_text())
-        for case, edit in _trace_edits(original, rng):
-            obj = copy.deepcopy(original)
-            edit(obj)
-            path = tmp_path / "mutated.json"
-            path.write_text(json.dumps(obj))
-            rc = _outcome(["certify", "--trace", str(path)])
-            if rc not in (0, 1, 2):
-                bad.append(f"certify {algo} {case}: {rc}")
+    for case, obj in mutants:
+        path = tmp_path / "mutated.json"
+        path.write_text(json.dumps(obj))
+        rc = _outcome(["certify", "--trace", str(path)])
+        if rc not in (0, 1, 2):
+            bad.append(f"certify {algo} {case}: {rc}")
+    return bad
+
+
+def _edited(original, edits):
+    """(case id, copy of original under edit) for each (case id, edit) of edits."""
+    for case, edit in edits:
+        obj = copy.deepcopy(original)
+        edit(obj)
+        yield case, obj
+
+
+def test_cli_survives_seeded_one_field_mutations(tmp_path, capsys, traces):
+    rng = np.random.default_rng(17)
+    bad = []
+    for algo, original in traces.items():
+        bad += _certify_mutants(tmp_path, algo, _edited(original, _trace_edits(original, rng)))
 
     data = tmp_path / "d.libsvm"
     gen_classification_file(data, examples=20, dim=3, seed=1)
@@ -135,3 +182,59 @@ def test_cli_survives_seeded_one_field_mutations(tmp_path, capsys):
                 bad.append(f"run {base[1:3]} {flag} {value}: {rc}")
     capsys.readouterr()
     assert not bad, "\n".join(bad)
+
+
+def test_cli_survives_seeded_two_field_mutations(tmp_path, capsys, traces):
+    # Seeded pairs of the one-field edits above, applied in turn. A pair whose
+    # second edit cannot apply, as its field was dropped or replaced by the
+    # first, is skipped.
+    rng = np.random.default_rng(18)
+    bad, tried = [], 0
+    for algo, original in traces.items():
+        edits = _trace_edits(original, rng)
+        mutants = []
+        for i, j in rng.integers(len(edits), size=(300, 2)):
+            (a, first), (b, second) = edits[i], edits[j]
+            obj = copy.deepcopy(original)
+            try:
+                first(obj)
+                second(obj)
+            except (KeyError, TypeError, IndexError, ZeroDivisionError):
+                continue
+            mutants.append((f"{a} & {b}", obj))
+        tried += len(mutants)
+        bad += _certify_mutants(tmp_path, algo, mutants)
+    capsys.readouterr()
+    assert tried >= 500
+    assert not bad, "\n".join(bad)
+
+
+def test_cli_survives_seeded_libsvm_byte_edits(tmp_path, capsys):
+    rng = np.random.default_rng(19)
+    path = tmp_path / "d.libsvm"
+    write_e278_file(path)
+    cases = [("E278", path.read_bytes())]
+    gen_classification_file(path, examples=20, dim=3, seed=0)
+    original = path.read_bytes()
+    cases += [(f"edit {k}", _byte_edited(original, rng)) for k in range(200)]
+    # 3 batches of 8 hold every one of the 20 rows.
+    run = ["run", "--task", "classification", "--data", str(path), "--rounds", "3",
+           "--batch", "8"]
+    bad, codes = [], {}
+    for case, blob in cases:
+        path.write_bytes(blob)
+        rc = codes[case] = _outcome(run)
+        if rc not in (0, 1):
+            bad.append(f"run {case}: {rc}")
+    capsys.readouterr()
+    assert not bad, "\n".join(bad)
+    # The E278 file's squared row norm overflows; it runs (a mended defect).
+    assert codes["E278"] == 0
+    assert {0, 1} <= set(codes.values())
+
+
+def test_cli_algos_values_are_run_or_refused(capsys):
+    run = ["run", "--rounds", "3", "--dim", "2", "--batch", "4"]
+    got = {value: _outcome([*run, "--algos", value]) for value in ALGOS_VALUES}
+    capsys.readouterr()
+    assert got == ALGOS_VALUES

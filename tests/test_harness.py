@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import fd_matches
+from conftest import fd_matches, write_e278_file
 from maler import cli, harness
 from maler.core import PGD_ITERS, PGD_TOL, Ball, ProblemParams, Quadratic, projected_gradient
 from maler.harness import (
@@ -453,6 +453,41 @@ def test_load_classification(tmp_path):
     np.testing.assert_array_equal(task.losses[0].Z, again.losses[0].Z)
     other = load_classification(path, rounds=4, batch=50, radius=0.5, seed=2)
     assert not np.array_equal(task.losses[0].Z, other.losses[0].Z)
+
+
+def test_classification_scales_a_row_whose_squared_norm_overflows(tmp_path, capsys):
+    # Row 16's norm is 5.9e278, but its square overflows: np.linalg.norm read inf
+    # (with a RuntimeWarning), every feature was divided by it and the run was
+    # refused with grad_bound 0. The row is now divided by its largest entry first.
+    path = tmp_path / "e278.libsvm"
+    write_e278_file(path)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", "--task", "classification", "--data", str(path),
+                         "--rounds", "20", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        for algo in ("maler", "metagrad", "ogd-convex", "ons"):
+            assert cli.main(["certify", "--trace", str(out / f"trace_{algo}.json")]) == 0
+        task = load_classification(path, rounds=20)
+    # The long row has norm 1; the others are scaled by 1/5.9e278 but stay nonzero.
+    assert np.linalg.norm(task.total.Z, axis=1).max() == pytest.approx(1.0, rel=1e-15)
+    assert np.all(np.any(task.total.Z != 0.0, axis=1))
+    # A file whose row norms all fit keeps the floats of one division by the largest.
+    plain = tmp_path / "plain.libsvm"
+    gen_classification_file(plain, examples=20, dim=3, seed=0)
+    X, y = to_dense(parse_libsvm(plain))
+    X = X / np.max(np.linalg.norm(X, axis=1))
+    Z = (X * y[:, None])[np.random.default_rng(0).permutation(20)]
+    assert np.array_equal(load_classification(plain, rounds=20).total.Z, Z)
+
+
+def test_classification_refuses_a_row_norm_past_the_float_range(tmp_path, capsys):
+    path = tmp_path / "huge.libsvm"
+    path.write_text("-1 1:1 2:1\n+1 1:1.5e308 2:1.5e308\n")
+    assert cli.main(["run", "--task", "classification", "--data", str(path)]) == 1
+    assert capsys.readouterr().err == (f"error: example 2 of {path} has a feature norm past "
+                                       "the float range\n")
 
 
 def _batches_copied_per_round(path, rounds, batch, seed):
@@ -1062,6 +1097,19 @@ def test_cli_error_paths(tmp_path, capsys):
     assert cli.main(["certify", "--trace", str(tmp_path / "missing.json")]) == 1
     assert cli.main(["run", "--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: maler run")
+
+
+def test_cli_refuses_an_algo_named_twice(capsys):
+    # Each algo's trace goes to trace_<algo>.json, so a repeat would run twice and keep one.
+    assert cli.main(["run", "--rounds", "3", "--dim", "2", "--algos", "maler,ons,maler"]) == 1
+    assert capsys.readouterr().err == "error: --algos names 'maler' more than once\n"
+
+
+@pytest.mark.parametrize("value", ["", ",", ",,"])
+def test_cli_refuses_an_algos_value_naming_no_algo(capsys, value):
+    assert cli.main(["run", "--rounds", "3", "--dim", "2", "--algos", value]) == 1
+    assert capsys.readouterr().err == (f"error: --algos {value!r} names no algo; known: "
+                                       "maler, metagrad, ogd-convex, ogd-sc, ons\n")
 
 
 def test_cli_classification_run(tmp_path):
