@@ -20,9 +20,8 @@ ONSLearner, takes its newton_expert_step with its own weighted projection.
 The metric update works in the buffers of its two outer products, with one
 multiply, add, divide and subtract per entry. From d = EINSUM_MIN_DIM up it
 takes its products from einsum, which adds each to +0.0, so an exactly zero
-product is +0.0 where a broadcast multiply can give -0.0.
-Sigma never holds -0.0, so only a -0.0 that a refactor's inv put into
-Sigma^{-1} can change sign.
+product is +0.0 where a broadcast multiply can give -0.0. Sigma never holds
+-0.0, so only a -0.0 that a refactor's inv put into Sigma^{-1} can change sign.
 """
 
 from __future__ import annotations
