@@ -40,43 +40,46 @@ def positive_float(name: str, value) -> float:
 
 @dataclass(frozen=True)
 class ProblemParams:
-    """Static description of one online learning problem."""
+    """Static description of one online learning problem: T, d, G, D, the losses'
+    strong-convexity and exp-concavity moduli, None where they have none, and the
+    expert grid's largest rate 1/(5 D G) derived from them (meta.build_grid)."""
 
     horizon: int
     dim: int
     grad_bound: float
     diameter: float
+    sc_modulus: float | None = None
+    exp_concavity: float | None = None
+    top_rate: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("horizon", "dim"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if self.dim > sys.float_info.max:  # the regret caps take d as a float
             raise ValueError("dim must fit in a float, got an integer too large for a float")
-        # The learners' step sizes divide by D^2 and by 4 G D (experts.newton_beta),
-        # the surrogates and certificates square G and the top rate 1/(5 D G)
-        # (meta.build_grid); Python floats overflow to inf and underflow to 0 here
-        # without a warning.
         G = positive_float("grad_bound", self.grad_bound)
         D = positive_float("diameter", self.diameter)
-        if not 0.0 < D * D < math.inf:
-            raise ValueError(f"diameter {D:g} is out of range: D^2 = {D * D:g} must be "
-                             "finite and > 0")
-        if not 0.0 < 4.0 * (G * D) < math.inf:
-            raise ValueError(f"diameter {D:g} is out of range for grad_bound {G:g}: "
-                             f"4 G D = {4.0 * (G * D):g} must be finite and > 0")
-        if not 0.0 < G * G < math.inf:
-            raise ValueError(f"grad_bound {G:g} is out of range: G^2 = {G * G:g} must be "
-                             "finite and > 0")
-        rate = 1.0 / (5.0 * D * G)
+        for name in ("sc_modulus", "exp_concavity"):
+            if getattr(self, name) is not None:
+                positive_float(name, getattr(self, name))
+        # The learners' step sizes divide by D^2 and by 4 G D (experts.newton_beta),
+        # the surrogates and certificates square G and the top rate; Python floats
+        # overflow to inf and underflow to 0 here without a warning.
+        for who, what, value in ((f"diameter {D:g} is out of range", "D^2", D * D),
+                                 (f"diameter {D:g} is out of range for grad_bound {G:g}",
+                                  "4 G D", 4.0 * (G * D)),
+                                 (f"grad_bound {G:g} is out of range", "G^2", G * G)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{who}: {what} = {value:g} must be finite and > 0")
+        rate = 1.0 / (5.0 * D * G)  # 4 G D > 0, so 5 D G > 0
         if not 0.0 < rate * rate < math.inf:
             raise ValueError(f"diameter {D:g} is out of range for grad_bound {G:g}: the top "
                              f"rate 1/(5 D G) = {rate:g} squared must be finite and > 0")
+        object.__setattr__(self, "top_rate", rate)
 
     @property
     def grad_cap(self) -> float:

@@ -59,8 +59,6 @@ def ons_grad_bound(D: float) -> float:
 def newton_beta(G: float, D: float, alpha: float) -> float:
     """Online Newton step parameter beta = min(alpha, 1/(4 G D)) / 2 for alpha-exp-concave
     losses with gradients bounded by G on a set of diameter D (Hazan, Agarwal & Kale, 2007)."""
-    if alpha <= 0:
-        raise ValueError("exp-concavity modulus must be positive")
     return 0.5 * min(alpha, 1.0 / (4.0 * (G * D)))
 
 

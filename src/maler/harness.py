@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import compress
 from typing import Optional
 
@@ -33,12 +33,11 @@ from .meta import (
 )
 from .universal import (
     Learner,
-    exp_concave_regret_bound,
+    curvature_caps,
     make_learner,
     play_round,
     regret_bound_certificate,
     regret_diagnostics,
-    strongly_convex_regret_bound,
 )
 
 CSV_HEADER = "round,algo,cum_regret,V_s,V_ell,log_phi"
@@ -70,6 +69,17 @@ def _log1pexp(z: np.ndarray) -> np.ndarray:
     return np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)
 
 
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """Each row's Euclidean norm; a row whose squared norm overflows, or a nonzero one
+    whose squared norm underflows to 0, is divided by its largest entry first."""
+    norms = np.linalg.norm(X, axis=1)
+    for i in np.flatnonzero((norms == math.inf) | (norms == 0.0)):
+        top = float(np.abs(X[i]).max())
+        if top > 0.0:
+            norms[i] = top * float(np.linalg.norm(X[i] / top))
+    return norms
+
+
 class LogisticBatchLoss:
     """f(w) = (1/per_round) sum_i c_i log(1 + exp(-z_i^T w)) over the rows z_i = y_i x_i of Z.
 
@@ -96,7 +106,7 @@ class LogisticBatchLoss:
     @property
     def grad_bound(self) -> float:
         """Analytic cap (1/per_round) sum_i c_i ||z_i|| on the gradient norm."""
-        return float(np.sum(self.counts * np.linalg.norm(self.Z, axis=1))) / self.per_round
+        return float(np.sum(self.counts * _row_norms(self.Z))) / self.per_round
 
     @property
     def smoothness(self) -> float:
@@ -146,18 +156,13 @@ def sample_ball(rng: np.random.Generator, count: int, dim: int, radius: float) -
 
 @dataclass
 class Task:
-    """One loss stream and its sum on the decision set, with the losses' curvature moduli.
-
-    total is sum_t f_t, the objective of the offline comparator; sc_modulus
-    is None for a task whose losses are not strongly convex.
-    """
+    """One loss stream, its sum total (the offline comparator's objective), the decision
+    set and the problem, the losses' curvature moduli included."""
 
     losses: list
     total: Quadratic | LogisticBatchLoss
     dset: Ball
     params: ProblemParams
-    sc_modulus: Optional[float]
-    exp_concavity: float
 
 
 def gen_regression(rounds: int = 200, dim: int = 50, batch: int = 200,
@@ -173,8 +178,7 @@ def gen_regression(rounds: int = 200, dim: int = 50, batch: int = 200,
     """
     if min(rounds, dim, batch) < 1:
         raise ValueError(f"rounds, dim and batch must be >= 1, got {rounds}, {dim}, {batch}")
-    if not (math.isfinite(lam) and lam > 0):
-        raise ValueError(f"lam (--lambda) must be finite and > 0, got {lam}")
+    positive_float("lam (--lambda)", lam)
     if not (math.isfinite(noise_std) and noise_std >= 0):
         raise ValueError(f"noise_std (--noise-std) must be finite and >= 0, got {noise_std}")
     rng = np.random.default_rng(seed)
@@ -201,9 +205,10 @@ def gen_regression(rounds: int = 200, dim: int = 50, batch: int = 200,
     if not (0 < g_bound < math.inf and 0 < exp_concavity < math.inf):
         raise ValueError(f"{inputs} give gradient bound G = {g_bound:g} and exp-concavity "
                          f"2 lam / G^2 = {exp_concavity:g}; both must be finite and > 0")
-    params = ProblemParams(horizon=rounds, dim=dim, grad_bound=g_bound, diameter=2 * r_w)
-    check_moduli(params, 2.0 * lam, exp_concavity, inputs)
-    return Task(losses, total, dset, params, sc_modulus=2.0 * lam, exp_concavity=exp_concavity)
+    params = ProblemParams(horizon=rounds, dim=dim, grad_bound=g_bound, diameter=2 * r_w,
+                           sc_modulus=2.0 * lam, exp_concavity=exp_concavity)
+    check_moduli(params, inputs)
+    return Task(losses, total, dset, params)
 
 
 def load_classification(path, rounds: int = 100, batch: int = 200,
@@ -224,13 +229,8 @@ def load_classification(path, rounds: int = 100, batch: int = 200,
     if not rows:
         raise ValueError(f"no examples in {path}")
     X, y = libsvm.to_dense(rows)
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(X, axis=1)
-    # A finite row whose squared norm overflows is divided by its largest entry
-    # first, as Ball.project does; Python's float product overflows to inf quietly.
-    for i in np.flatnonzero(norms == math.inf):
-        top = float(np.abs(X[i]).max())
-        norms[i] = top * float(np.linalg.norm(X[i] / top))
+    with np.errstate(over="ignore"):  # a squared norm that overflows is taken again
+        norms = _row_norms(X)
     scale = float(np.max(norms))
     if scale == math.inf:
         raise ValueError(f"example {int(np.argmax(norms)) + 1} of {path} has a feature norm "
@@ -254,25 +254,30 @@ def load_classification(path, rounds: int = 100, batch: int = 200,
     N = rounds * batch
     total = LogisticBatchLoss(base[:m], batch, counts=N // m + (np.arange(m) < N % m))
     dset = Ball(center=np.zeros(X.shape[1]), radius=radius)
-    params = ProblemParams(horizon=rounds, dim=X.shape[1], grad_bound=g_bound,
-                           diameter=2 * radius)
+    # D is checked at G = 1, the largest G of rows scaled into the unit ball, so
+    # a G refused after it is too small for the floats.
+    params = ProblemParams(horizon=rounds, dim=X.shape[1], grad_bound=1.0, diameter=2 * radius)
     exp_concavity = math.exp(-radius)
     if exp_concavity == 0.0:
         raise ValueError(f"radius (--radius) {radius:g} is too large: the exp-concavity "
                          "exp(-radius) of the logistic losses underflows to 0")
-    check_moduli(params, None, exp_concavity, f"radius (--radius) {radius:g}")
-    return Task(losses, total, dset, params, sc_modulus=None, exp_concavity=exp_concavity)
+    try:
+        params = replace(params, grad_bound=g_bound, exp_concavity=exp_concavity)
+    except ValueError as exc:
+        if not Z[:N].any():  # every row the rounds use is zero, and so is G
+            raise
+        raise ValueError(f"the gradient bound G = {g_bound:g} of the --data file {path} "
+                         f"underflows: {exc}") from None
+    check_moduli(params, f"radius (--radius) {radius:g}")
+    return Task(losses, total, dset, params)
 
 
-def check_moduli(params: ProblemParams, sc_modulus: Optional[float], exp_concavity: float,
-                 inputs: str) -> None:
+def check_moduli(params: ProblemParams, inputs: str) -> None:
     """Raise ValueError, naming the inputs that set the moduli, unless each curvature
     cap of regret-bounds is finite and ONSLearner's metric I/(beta D)^2 exists."""
     try:
-        if sc_modulus is not None:
-            strongly_convex_regret_bound(params, sc_modulus)
-        exp_concave_regret_bound(params, exp_concavity)
-        newton_metric(newton_beta(params.grad_bound, params.diameter, exp_concavity),
+        curvature_caps(params)
+        newton_metric(newton_beta(params.grad_bound, params.diameter, params.exp_concavity),
                       params.diameter, 1)
     except ValueError as exc:
         raise ValueError(f"{inputs} set the curvature moduli out of range: {exc}") from None
@@ -354,11 +359,9 @@ GRID_ALGOS = ("maler", "metagrad")
 # layout, every array a nested JSON list.
 TRACE_FORMAT = 2
 
-# The task's curvature moduli, top-level keys of a trace: a positive number,
-# or null (or absent, in traces written before they were recorded); each
-# maps to the regret-bounds cap it adds, which must be finite.
-TRACE_MODULI = {"sc_modulus": strongly_convex_regret_bound,
-                "exp_concavity": exp_concave_regret_bound}
+# The problem's curvature moduli, top-level keys of a trace: a positive number,
+# or null (or absent, in traces written before they were recorded).
+TRACE_MODULI = ("sc_modulus", "exp_concavity")
 
 
 # Raw bytes _write_array base64-encodes at a time. A multiple of 3, so the
@@ -417,7 +420,7 @@ def save_trace(trace: RunTrace, path) -> None:
         "grid_style": trace.grid.style if trace.grid is not None else None,
     }
     for name in TRACE_MODULI:
-        obj[name] = getattr(trace, name)
+        obj[name] = getattr(trace.params, name)
     # The metadata object, left open (no closing brace) for the array members.
     # json.dumps escapes all non-ASCII, so the text is its own UTF-8 encoding.
     head = json.dumps(obj)
@@ -438,10 +441,10 @@ def load_trace(path) -> RunTrace:
 
     The algo fixes the grid style, and the trace must carry exactly the
     arrays that learner records: every one of TRACE_ARRAYS for an ensemble,
-    all but GRID_ARRAYS otherwise. The TRACE_MODULI load as None when null
-    or absent. Raises ValueError if the file is malformed, an array is
-    missing, a modulus is not a finite positive number or gives an infinite
-    regret cap, or the comparator lies outside the decision set.
+    all but GRID_ARRAYS otherwise. The TRACE_MODULI load into the params, as
+    None when null or absent. Raises ValueError if the file is malformed, an
+    array is missing, a modulus is not a finite positive number or gives an
+    infinite regret cap, or the comparator lies outside the decision set.
     """
     # One byte read and one UTF-8 decode; a text-mode reader would also
     # translate newlines, which costs time and JSON does not need.
@@ -453,7 +456,9 @@ def load_trace(path) -> RunTrace:
     if not (legacy or type(obj["format"]) is int and obj["format"] == TRACE_FORMAT):
         raise ValueError(f"unknown trace format {obj['format']!r}")
     try:
-        params = ProblemParams(**obj["params"])
+        params = ProblemParams(**obj["params"], **{name: _modulus(obj, name)
+                                                   for name in TRACE_MODULI})
+        curvature_caps(params)
         algo, style = obj["algo"], obj.get("grid_style")
         expected = algo if algo in GRID_ALGOS else None
         if style != expected:
@@ -466,7 +471,6 @@ def load_trace(path) -> RunTrace:
                 raise ValueError(f"a trace of algo {algo!r} carries no {name}")
         trace = RunTrace(algo=algo, params=params, dset=_dset_from_json(obj["dset"]),
                          grid=None if style is None else meta.build_grid(params, style),
-                         **{name: _modulus(obj, name, params) for name in TRACE_MODULI},
                          **{name: _float_array(name, obj[name]) if legacy
                             else _decode_array(obj[name]) for name in carried})
     # OverflowError: a JSON integer too large for a float.
@@ -478,19 +482,14 @@ def load_trace(path) -> RunTrace:
     return trace
 
 
-def _modulus(obj: dict, name: str, params: ProblemParams) -> Optional[float]:
-    """A recorded modulus: None if null or absent, else a finite positive non-bool number
-    whose regret cap is finite."""
+def _modulus(obj: dict, name: str) -> Optional[float]:
+    """A recorded modulus: None if null or absent, else a finite positive non-bool number."""
     value = obj.get(name)
     if value is None:
         return None
     # The upper bound also refuses inf, NaN and ints too large for a float.
     if type(value) not in (int, float) or not 0 < value <= sys.float_info.max:
         raise ValueError(f"{name} must be a finite positive number or null, got {value!r}")
-    try:
-        TRACE_MODULI[name](params, float(value))
-    except ValueError as exc:
-        raise ValueError(f"{name} {value!r} is out of range: {exc}") from None
     return float(value)
 
 
@@ -602,7 +601,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     else:
         raise ValueError(f"unknown task {cfg.task!r}")
 
-    if task.sc_modulus is None and "ogd-sc" in cfg.algos:
+    if task.params.sc_modulus is None and "ogd-sc" in cfg.algos:
         raise ValueError("ogd-sc needs a strongly convex task")
 
     x_star, comp_report = offline_comparator(task.total, task.dset)
@@ -610,11 +609,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     traces, diags, certs = {}, {}, {}
     for name in cfg.algos:
-        learner = make_learner(name, task.params, task.dset,
-                               sc_modulus=task.sc_modulus, exp_concavity=task.exp_concavity)
-        trace = run_stream(learner, task.losses)
+        trace = run_stream(make_learner(name, task.params, task.dset), task.losses)
         trace.comparator, trace.loss_at_comparator = x_star, at_comp
-        trace.sc_modulus, trace.exp_concavity = task.sc_modulus, task.exp_concavity
         traces[name] = trace
         diags[name] = regret_diagnostics(trace)
         certs[name] = certify_trace(trace)[0]

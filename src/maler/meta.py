@@ -77,7 +77,7 @@ def build_grid(params: ProblemParams, style: str = "maler") -> ExpertGrid:
         raise ValueError(f"horizon T={T} is too short: the expert-regret bound 10 d ln T "
                          "is 0 at T=1, so an expert grid needs T >= 2")
     k = grid_depth(T)
-    etas = np.array([2.0**-i / (5.0 * D * G) for i in range(k + 1)])
+    etas = np.array([2.0**-i * params.top_rate for i in range(k + 1)])
     eta_c = 1.0 / (2.0 * G * D * math.sqrt(T))
     C = 1.0 + 1.0 / (1.0 + k)
     ell_labels = [f"ell[{i}]" for i in range(k + 1)]
@@ -133,9 +133,10 @@ def update_weights(log_weights: np.ndarray, grid: ExpertGrid, losses: np.ndarray
     return shifted - z, z
 
 
-@dataclass
+@dataclass(slots=True)
 class RunTrace:
-    """Complete per-round record of one learner run on one gradient stream."""
+    """Complete per-round record of one learner run on one gradient stream. Slotted:
+    assigning a field it does not have, such as a modulus (params holds those), raises."""
 
     algo: str
     params: ProblemParams
@@ -150,9 +151,6 @@ class RunTrace:
     loss_at_play: Optional[np.ndarray] = None
     loss_at_comparator: Optional[np.ndarray] = None
     comparator: Optional[np.ndarray] = None
-    # The task's strong-convexity and exp-concavity moduli, None where it has none.
-    sc_modulus: Optional[float] = None
-    exp_concavity: Optional[float] = None
 
     @property
     def rounds(self) -> int:

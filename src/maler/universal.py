@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -39,7 +38,7 @@ class Learner:
             raise ValueError("decision set dimension does not match the problem")
         self.params = params
         self.dset = dset
-        self._pending: Optional[np.ndarray] = None
+        self._pending: np.ndarray | None = None
         self._plays: list = []
         self._grads: list = []
 
@@ -133,18 +132,15 @@ def metagrad_baseline(params: ProblemParams, dset: Ball) -> Learner:
 
 
 class OGDLearner(Learner):
-    """Projected online gradient descent on the true gradients.
+    """Projected online gradient descent on the true gradients: "ogd-convex" on the
+    D/(G sqrt(t)) schedule, and "ogd-sc", for a problem with a strong-convexity
+    modulus lam, on the 1/(lam t) schedule."""
 
-    With no modulus it is "ogd-convex", on the D/(G sqrt(t)) schedule; with a
-    strong-convexity modulus lam > 0 it is "ogd-sc", on the 1/(lam t) schedule.
-    """
-
-    def __init__(self, params: ProblemParams, dset: Ball, sc_modulus: Optional[float] = None):
+    def __init__(self, params: ProblemParams, dset: Ball, strongly_convex: bool = False):
         super().__init__(params, dset)
-        if sc_modulus is not None and not sc_modulus > 0:
-            raise ValueError(f"strong-convexity modulus must be positive, got {sc_modulus}")
-        self.sc_modulus = sc_modulus
-        self.algo = "ogd-convex" if sc_modulus is None else "ogd-sc"
+        if strongly_convex and params.sc_modulus is None:
+            raise ValueError("ogd-sc baseline needs the strong-convexity modulus")
+        self.algo = "ogd-sc" if strongly_convex else "ogd-convex"
         self._x = np.zeros(params.dim)
 
     def _predict(self) -> np.ndarray:
@@ -152,21 +148,23 @@ class OGDLearner(Learner):
 
     def _observe(self, play: np.ndarray, grad: np.ndarray) -> None:
         t = len(self._plays) + 1
-        if self.sc_modulus is None:
+        if self.algo == "ogd-convex":
             step = self.params.diameter / (self.params.grad_bound * math.sqrt(t))
         else:
-            step = 1.0 / (self.sc_modulus * t)
+            step = 1.0 / (self.params.sc_modulus * t)
         self._x = self.dset.project(self._x - step * grad)
 
 
 class ONSLearner(Learner):
-    """Online Newton step on the true gradients of exp-concave losses."""
+    """Online Newton step on the true gradients of losses exp-concave by params.exp_concavity."""
 
     algo = "ons"
 
-    def __init__(self, params: ProblemParams, dset: Ball, alpha: float):
+    def __init__(self, params: ProblemParams, dset: Ball):
         super().__init__(params, dset)
-        self.beta = experts.newton_beta(params.grad_bound, params.diameter, alpha)
+        if params.exp_concavity is None:
+            raise ValueError("ons baseline needs the exp-concavity modulus")
+        self.beta = experts.newton_beta(params.grad_bound, params.diameter, params.exp_concavity)
         self._x = np.zeros(params.dim)
         self._sigma, self._sigma_inv = experts.newton_metric(self.beta, params.diameter, params.dim)
 
@@ -180,25 +178,14 @@ class ONSLearner(Learner):
         self._sigma, self._sigma_inv = sigma, sigma_inv
 
 
-def make_learner(name: str, params: ProblemParams, dset: Ball, *,
-                 sc_modulus: Optional[float] = None,
-                 exp_concavity: Optional[float] = None) -> Learner:
+def make_learner(name: str, params: ProblemParams, dset: Ball) -> Learner:
     """Construct a learner by CLI name."""
-    if name == "maler":
-        return MalerLearner(params, dset)
-    if name == "metagrad":
-        return metagrad_baseline(params, dset)
-    if name == "ogd-convex":
-        return OGDLearner(params, dset)
-    if name == "ogd-sc":
-        if sc_modulus is None:
-            raise ValueError("ogd-sc baseline needs the strong-convexity modulus")
-        return OGDLearner(params, dset, sc_modulus=sc_modulus)
-    if name == "ons":
-        if exp_concavity is None:
-            raise ValueError("ons baseline needs the exp-concavity modulus")
-        return ONSLearner(params, dset, alpha=exp_concavity)
-    raise ValueError(f"unknown learner {name!r}")
+    if name in ("ogd-convex", "ogd-sc"):
+        return OGDLearner(params, dset, strongly_convex=name == "ogd-sc")
+    learners = {"maler": MalerLearner, "metagrad": metagrad_baseline, "ons": ONSLearner}
+    if name not in learners:
+        raise ValueError(f"unknown learner {name!r}")
+    return learners[name](params, dset)
 
 
 def play_round(learner: Learner, oracle) -> tuple:
@@ -257,9 +244,8 @@ def regret_bound_certificate(trace: RunTrace) -> CertificateReport:
     The worst-case bound 2(1+ln3) G D sqrt(T) and the two adaptive bounds
     3 sqrt(V B) + 10 G D B must all hold at once, with V the spherical or
     quadratic cumulative deviation and B the matching constant; these three
-    rows take T to be the played rounds. A curvature modulus the trace
-    records adds its cap, (10GD + 9G^2/(2 lam)) A for sc_modulus and
-    (10GD + 9/(2 beta)) B for exp_concavity, with T the horizon.
+    rows take T to be the played rounds. Each curvature modulus the trace's
+    params record adds its cap from curvature_caps.
     """
     diag = regret_diagnostics(trace)
     p = trace.params
@@ -272,48 +258,32 @@ def regret_bound_certificate(trace: RunTrace) -> CertificateReport:
         ("regret <= 3 sqrt(V_ell B) + 10 G D B", 3.0 * math.sqrt(diag.v_ell * b) + 10.0 * GD * b),
         ("regret <= 3 sqrt(V_s A) + 10 G D A", 3.0 * math.sqrt(diag.v_s * a) + 10.0 * GD * a),
     ]
-    if trace.sc_modulus is not None:
-        bounds.append(("regret <= (10GD + 9G^2/(2 lam)) A",
-                       strongly_convex_regret_bound(p, trace.sc_modulus)))
-    if trace.exp_concavity is not None:
-        bounds.append(("regret <= (10GD + 9/(2 beta)) B",
-                       exp_concave_regret_bound(p, trace.exp_concavity)))
+    bounds += curvature_caps(p)
     rows = [CertificateRow(label=label, measured=diag.regret, bound=bound)
             for label, bound in bounds]
     return CertificateReport(name="regret-bounds", rows=rows)
 
 
-def strongly_convex_regret_bound(params: ProblemParams, lam: float) -> float:
-    """Regret bound (10 G D + 9 G^2 / (2 lam)) A for lam-strongly-convex losses.
-
-    Raises ValueError unless lam > 0 and the bound is finite.
-    """
-    if lam <= 0:
-        raise ValueError("modulus must be positive")
+def curvature_caps(params: ProblemParams) -> list:
+    """(label, cap) of regret-bounds for each curvature modulus params records, with T the
+    horizon: (10GD + 9G^2/(2 lam)) A for sc_modulus lam, (10GD + 9/(2 beta)) B for
+    exp_concavity alpha, beta = experts.newton_beta(G, D, alpha). Raises ValueError
+    naming the modulus if its cap is not finite: a cap of inf would pass any regret."""
     p = params
-    return _finite_cap(
-        "(10GD + 9G^2/(2 lam)) A", lam,
-        (10.0 * p.grad_bound * p.diameter + 9.0 * p.grad_bound**2 / (2.0 * lam))
-        * bound_constant_a(p.horizon))
-
-
-def exp_concave_regret_bound(params: ProblemParams, alpha: float) -> float:
-    """Regret bound (10 G D + 9 / (2 beta)) B for alpha-exp-concave losses.
-
-    Raises ValueError unless alpha > 0 and the bound is finite.
-    """
-    p = params
-    beta = experts.newton_beta(p.grad_bound, p.diameter, alpha)
-    # beta underflows to 0 at the smallest alpha; the bound is then inf.
-    tail = 9.0 / (2.0 * beta) if beta > 0.0 else math.inf
-    return _finite_cap("(10GD + 9/(2 beta)) B", alpha,
-                       (10.0 * p.grad_bound * p.diameter + tail)
-                       * bound_constant_b(p.horizon, p.dim))
-
-
-def _finite_cap(name: str, modulus: float, cap: float) -> float:
-    """cap, if finite: a curvature cap of inf would pass any regret."""
-    if not cap < math.inf:
-        raise ValueError(f"the regret cap {name} is {cap:g} at modulus {modulus:g}; "
-                         "it must be finite")
-    return cap
+    G, D = p.grad_bound, p.diameter
+    caps = []
+    if p.sc_modulus is not None:
+        tail = 9.0 * G**2 / (2.0 * p.sc_modulus)
+        caps.append(("sc_modulus", "(10GD + 9G^2/(2 lam)) A",
+                     (10.0 * G * D + tail) * bound_constant_a(p.horizon)))
+    if p.exp_concavity is not None:
+        beta = experts.newton_beta(G, D, p.exp_concavity)
+        # beta underflows to 0 at the smallest alpha; the cap is then inf.
+        tail = 9.0 / (2.0 * beta) if beta > 0.0 else math.inf
+        caps.append(("exp_concavity", "(10GD + 9/(2 beta)) B",
+                     (10.0 * G * D + tail) * bound_constant_b(p.horizon, p.dim)))
+    for name, label, cap in caps:
+        if not cap < math.inf:
+            raise ValueError(f"{name} {getattr(p, name)!r} is out of range: the regret cap "
+                             f"{label} is {cap:g}; it must be finite")
+    return [(f"regret <= {label}", cap) for _, label, cap in caps]

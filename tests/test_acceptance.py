@@ -7,6 +7,7 @@ battery of 100 fuzzed linear-loss streams built once per module.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,10 +48,7 @@ from maler.surrogates import (
     s_grad,
     s_value,
 )
-from maler.universal import (
-    exp_concave_regret_bound,
-    strongly_convex_regret_bound,
-)
+from maler.universal import curvature_caps
 
 DIMS = (1, 2, 5, 20)
 HORIZONS = (16, 64, 256)
@@ -263,7 +261,7 @@ def test_criterion_4_curvature_adaptive_bounds():
             r_half, _, _ = _final_regret(losses[:128], lam * 0.9, dset, u_half)
             r_full, trace, params = _final_regret(losses, lam * 0.9, dset, u_full)
             EXTRA_TRACES.append(trace)
-            cap = strongly_convex_regret_bound(params, lam)
+            [(_, cap)] = curvature_caps(replace(params, sc_modulus=lam))
             bad += int(r_full > cap)
             assert r_half > 0
             ratio = r_full / r_half
@@ -290,7 +288,7 @@ def test_criterion_4_curvature_adaptive_bounds():
     r_half, _, _ = _final_regret(losses[:128], max(bounds[:128]), dset, u_half)
     r_full, trace, params = _final_regret(losses, max(bounds), dset, u_full)
     EXTRA_TRACES.append(trace)
-    cap = exp_concave_regret_bound(params, alpha)
+    [(_, cap)] = curvature_caps(replace(params, exp_concavity=alpha))
     bad += int(r_full > cap)
     assert r_half > 0
     ratio = r_full / r_half

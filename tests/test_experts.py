@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,8 +50,9 @@ def test_ons_constants():
     for D in (1.0, 0.25):
         assert newton_beta(ons_grad_bound(D), D, 1.0) == pytest.approx(25.0 / 56.0)
     assert newton_beta(2.0, 0.5, 0.1) == 0.05
-    with pytest.raises(ValueError):
-        newton_beta(1.0, 1.0, 0.0)
+    # The problem checks alpha > 0 once, where it is recorded.
+    with pytest.raises(ValueError, match="exp_concavity must be finite and > 0"):
+        ProblemParams(horizon=2, dim=1, grad_bound=1.0, diameter=1.0, exp_concavity=0.0)
 
 
 def test_newton_metric_refuses_a_scale_that_overflows():
@@ -427,7 +429,7 @@ def test_newton_sigma_stays_exactly_symmetric_and_positive_definite():
         params = ProblemParams(horizon=T, dim=d, grad_bound=G, diameter=D)
         ball = Ball(center=np.zeros(d), radius=D / 2)
         ensembles = [MalerLearner(params, ball), metagrad_baseline(params, ball)]
-        ons = ONSLearner(params, ball, alpha=float(10.0 ** rng.uniform(-3.0, 0.0)))
+        ons = ONSLearner(replace(params, exp_concavity=float(10.0 ** rng.uniform(-3.0, 0.0))), ball)
         for learner in ensembles:
             ell = [e for e, kind in enumerate(learner.grid.kinds) if kind == KIND_QUADRATIC]
             np.testing.assert_array_equal(learner.bank.rows[2], ell)
@@ -457,8 +459,7 @@ def test_learners_prove_their_newton_metrics_spd_without_factorizing(tmp_path, m
                  load_classification(data, rounds=40, batch=20, seed=5)):
         for algo in ("maler", "metagrad", "ons"):
             before = len(checks)
-            learner = make_learner(algo, task.params, task.dset, sc_modulus=task.sc_modulus,
-                                   exp_concavity=task.exp_concavity)
+            learner = make_learner(algo, task.params, task.dset)
             run_stream(learner, task.losses)
             assert len(checks) >= before + 40, algo  # one per round at least
     assert not factored

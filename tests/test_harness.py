@@ -4,6 +4,7 @@ import math
 import os
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -238,7 +239,7 @@ def test_gen_regression_shapes_and_scales(monkeypatch):
     assert len(task.losses) == 10
     assert task.params.dim == 4
     assert task.params.diameter == pytest.approx(1.0)
-    assert task.sc_modulus == pytest.approx(0.02)
+    assert task.params.sc_modulus == pytest.approx(0.02)
     # The first draw is the hidden weight vector; then one feature batch per round.
     assert drawn[0].shape == (1, 4) and np.linalg.norm(drawn[0]) <= 0.5 + 1e-12
     assert [X.shape for X in drawn[1:]] == [(12, 4)] * 10
@@ -438,7 +439,7 @@ def test_load_classification(tmp_path):
     task = load_classification(path, rounds=4, batch=50, radius=0.5, seed=1)
     assert task.params.dim == 5
     assert task.params.diameter == pytest.approx(1.0)
-    assert task.exp_concavity == pytest.approx(math.exp(-0.5))
+    assert task.params.exp_concavity == pytest.approx(math.exp(-0.5))
     # Features scaled into the unit ball, with the max norm hitting 1.
     # Rows z_i = y_i x_i with y_i = +-1, so ||z_i|| = ||x_i||.
     all_Z = np.concatenate([f.Z for f in task.losses])
@@ -480,6 +481,26 @@ def test_classification_scales_a_row_whose_squared_norm_overflows(tmp_path, caps
     X = X / np.max(np.linalg.norm(X, axis=1))
     Z = (X * y[:, None])[np.random.default_rng(0).permutation(20)]
     assert np.array_equal(load_classification(plain, rounds=20).total.Z, Z)
+
+
+def test_classification_names_the_data_file_whose_gradient_bound_underflows(tmp_path, capsys):
+    # At --rounds 3 --batch 4 no batch holds the E278 file's long row. The other
+    # rows, scaled by 1/5.9e278, have squared norms that underflow: np.linalg.norm
+    # read G = 0 and the refusal blamed grad_bound. Such a row is now divided by
+    # its largest entry first, and the refusal names the --data file.
+    path = tmp_path / "e278.libsvm"
+    write_e278_file(path)
+    err = _refused(capsys, ["run", "--task", "classification", "--data", str(path),
+                            "--rounds", "3", "--batch", "4"], f"of the --data file {path} underflows")
+    assert err.startswith("error: the gradient bound G = 2.79141e-279 ")
+    assert err.endswith("underflows: grad_bound 2.79141e-279 is out of range: G^2 = 0 must be "
+                        "finite and > 0\n")
+    # Only a nonzero row whose norm reads 0 takes the scaled path: a zero row
+    # stays 0 and every other norm is np.linalg.norm's, bit for bit.
+    X = np.array([[3e-200, 4e-200], [0.0, 0.0], [0.3, 0.4], [1e-3, 2.5]])
+    norms = harness._row_norms(X)
+    assert norms[0] == pytest.approx(5e-200, rel=1e-15) and norms[1] == 0.0
+    assert norms[2:].tobytes() == np.linalg.norm(X[2:], axis=1).tobytes()
 
 
 def test_classification_refuses_a_row_norm_past_the_float_range(tmp_path, capsys):
@@ -1005,8 +1026,8 @@ def _one_shot_trace_bytes(trace) -> bytes:
         "dset": {"kind": "ball", "center": trace.dset.center.tolist(),
                  "radius": trace.dset.radius},
         "grid_style": None if trace.grid is None else trace.grid.style,
-        "sc_modulus": trace.sc_modulus,
-        "exp_concavity": trace.exp_concavity,
+        "sc_modulus": p.sc_modulus,
+        "exp_concavity": p.exp_concavity,
     }
     for name in TRACE_ARRAYS:
         arr = getattr(trace, name)
@@ -1065,9 +1086,9 @@ def test_legacy_trace_loads_like_its_format_2_run(tmp_path):
     current = load_trace(_small_run_trace(tmp_path))
     # The legacy layout predates the recorded moduli, so it certifies like
     # its run without them (no curvature caps in regret-bounds).
-    assert legacy.sc_modulus is None and legacy.exp_concavity is None
-    assert current.sc_modulus == 2e-3 and current.exp_concavity > 0.0
-    current.sc_modulus = current.exp_concavity = None
+    assert legacy.params.sc_modulus is None and legacy.params.exp_concavity is None
+    assert current.params.sc_modulus == 2e-3 and current.params.exp_concavity > 0.0
+    current.params = replace(current.params, sc_modulus=None, exp_concavity=None)
     for name in TRACE_ARRAYS:
         assert getattr(legacy, name).tobytes() == getattr(current, name).tobytes(), name
     (legacy_reports, legacy_ok), (reports, ok) = certify_trace(legacy), certify_trace(current)
@@ -1308,7 +1329,7 @@ def test_certify_refuses_a_set_whose_center_norm_overflows(tmp_path, capsys):
 ])
 def test_certify_refuses_a_modulus_whose_cap_is_infinite(tmp_path, capsys, name, value):
     def tiny(trace):
-        setattr(trace, name, value)
+        trace.params = replace(trace.params, **{name: value})
 
     rc, out, err = _certified(capsys, _edited(_twenty_round_trace(tmp_path), tiny))
     assert rc == 1 and out == ""

@@ -39,6 +39,30 @@ def test_grid_t200_shape():
     assert abs(np.exp(grid.log_priors).sum() - 1.0) <= 1e-12
 
 
+def test_grid_rates_scale_the_problems_top_rate_bit_for_bit():
+    # build_grid reads 1/(5 D G) from ProblemParams; 2^-i times it is 2^-i/(5 D G)
+    # rounded once, as the grid computed it before.
+    rng = np.random.default_rng(22)
+    for G, D in 10.0 ** rng.uniform(-8.0, 8.0, size=(50, 2)):
+        params = params_for(1000, G=float(G), D=float(D))
+        assert params.top_rate == 1.0 / (5.0 * D * G)
+        want = [2.0**-i / (5.0 * D * G) for i in range(6)]
+        assert build_grid(params).tilts[1:7].tolist() == want
+        assert build_grid(params, "metagrad").tilts.tolist() == want
+
+
+def test_run_trace_refuses_a_field_it_does_not_have():
+    # The moduli live on the trace's params. Assigning one to the trace, as
+    # `trace.exp_concavity = ...` did before, raises instead of being dropped.
+    trace = RunTrace(algo="maler", params=params_for(4), dset=Ball(np.zeros(2), 0.5),
+                     plays=np.zeros((1, 2)), grads=np.zeros((1, 2)))
+    for name in ("exp_concavity", "sc_modulus", "comparators"):
+        with pytest.raises(AttributeError):
+            setattr(trace, name, 5e-324)
+        assert not hasattr(trace, name)
+    trace.comparator = np.zeros(2)  # a field is assigned as before
+
+
 def test_grid_t4_priors():
     grid = build_grid(params_for(4))
     # k = 1, C = 1.5: prior 1/3 on the constant expert, then C/(3(i+1)(i+2)).

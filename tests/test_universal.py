@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,12 +14,11 @@ from maler.universal import (
     OGDLearner,
     ONSLearner,
     ProtocolError,
-    exp_concave_regret_bound,
+    curvature_caps,
     make_learner,
     metagrad_baseline,
     play_round,
     regret_diagnostics,
-    strongly_convex_regret_bound,
     regret_bound_certificate,
     bound_constant_a,
     bound_constant_b,
@@ -42,7 +42,8 @@ def test_learner_invariants_hold_across_scales(d, T):
         params = ProblemParams(horizon=T, dim=d, grad_bound=G, diameter=D)
         ball = Ball(center=np.zeros(d), radius=D / 2)
         learners = [MalerLearner(params, ball), metagrad_baseline(params, ball),
-                    ONSLearner(params, ball, alpha=float(10.0 ** rng.uniform(-3.0, 0.0)))]
+                    ONSLearner(replace(params, exp_concavity=float(10.0 ** rng.uniform(-3.0, 0.0))),
+                               ball)]
         for _ in range(T):
             g = rng.standard_normal(d)
             # About a third of the rounds at the full norm G.
@@ -112,7 +113,7 @@ def test_first_play_is_origin_and_feasible():
         MalerLearner(PARAMS, BALL),
         metagrad_baseline(PARAMS, BALL),
         OGDLearner(PARAMS, BALL),
-        ONSLearner(PARAMS, BALL, alpha=0.5),
+        ONSLearner(replace(PARAMS, exp_concavity=0.5), BALL),
     ):
         x = learner.predict()
         np.testing.assert_allclose(x, np.zeros(2), atol=1e-15)
@@ -124,8 +125,8 @@ def test_plays_stay_feasible():
         MalerLearner(PARAMS, BALL),
         metagrad_baseline(PARAMS, BALL),
         OGDLearner(PARAMS, BALL),
-        OGDLearner(PARAMS, BALL, sc_modulus=0.5),
-        ONSLearner(PARAMS, BALL, alpha=0.5),
+        OGDLearner(replace(PARAMS, sc_modulus=0.5), BALL, strongly_convex=True),
+        ONSLearner(replace(PARAMS, exp_concavity=0.5), BALL),
     ]
     for _ in range(16):
         g = rng.normal(size=2)
@@ -151,8 +152,8 @@ def test_ogd_convex_step_schedule():
 
 def test_ogd_sc_step_schedule():
     ball = Ball(center=np.zeros(1), radius=50.0)
-    params = ProblemParams(horizon=8, dim=1, grad_bound=1.0, diameter=100.0)
-    learner = OGDLearner(params, ball, sc_modulus=0.1)
+    params = ProblemParams(horizon=8, dim=1, grad_bound=1.0, diameter=100.0, sc_modulus=0.1)
+    learner = OGDLearner(params, ball, strongly_convex=True)
     learner.predict()
     learner.observe(np.array([1.0]))
     np.testing.assert_allclose(learner.predict(), [-10.0], atol=1e-12)
@@ -161,45 +162,51 @@ def test_ogd_sc_step_schedule():
 
 
 def test_ogd_requires_modulus():
-    # The schedule follows the modulus: none is convex, a positive one is
-    # strongly convex, and anything else is rejected.
+    # The schedule follows the choice: convex by default, strongly convex only
+    # for a problem with a modulus, and the problem refuses any modulus that is
+    # not finite and positive.
     assert OGDLearner(PARAMS, BALL).algo == "ogd-convex"
-    assert OGDLearner(PARAMS, BALL, sc_modulus=0.5).algo == "ogd-sc"
+    assert OGDLearner(replace(PARAMS, sc_modulus=0.5), BALL, strongly_convex=True).algo == "ogd-sc"
+    with pytest.raises(ValueError, match="ogd-sc baseline needs the strong-convexity modulus"):
+        OGDLearner(PARAMS, BALL, strongly_convex=True)
     for bad in (0.0, -0.5, float("nan")):
-        with pytest.raises(ValueError):
-            OGDLearner(PARAMS, BALL, sc_modulus=bad)
+        with pytest.raises(ValueError, match="sc_modulus must be finite and > 0"):
+            replace(PARAMS, sc_modulus=bad)
 
 
 def test_ogd_baselines_factory():
-    convex = make_learner("ogd-convex", PARAMS, BALL, sc_modulus=0.2)
+    params = replace(PARAMS, sc_modulus=0.2)
+    convex = make_learner("ogd-convex", params, BALL)
     assert isinstance(convex, OGDLearner) and convex.algo == "ogd-convex"
-    assert convex.sc_modulus is None
-    sc = make_learner("ogd-sc", PARAMS, BALL, sc_modulus=0.2)
+    sc = make_learner("ogd-sc", params, BALL)
     assert isinstance(sc, OGDLearner) and sc.algo == "ogd-sc"
-    assert sc.sc_modulus == 0.2
-    for bad in (0.0, -0.2):
-        with pytest.raises(ValueError):
-            make_learner("ogd-sc", PARAMS, BALL, sc_modulus=bad)
+    # The convex schedule ignores the modulus: its first step is D/G = 1, the
+    # strongly convex one's 1/lam = 5.
+    for learner in (convex, sc):
+        learner.predict()
+        learner.observe(np.array([0.05, 0.0]))
+    np.testing.assert_allclose(convex.predict(), [-0.05, 0.0], rtol=1e-15)
+    np.testing.assert_allclose(sc.predict(), [-0.25, 0.0], rtol=1e-15)
     # The strongly convex baseline exists only with a declared modulus.
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ogd-sc baseline needs the strong-convexity modulus"):
         make_learner("ogd-sc", PARAMS, BALL)
 
 
 def test_ons_beta_choice():
-    learner = ONSLearner(PARAMS, BALL, alpha=10.0)
+    learner = ONSLearner(replace(PARAMS, exp_concavity=10.0), BALL)
     assert learner.beta == pytest.approx(0.5 * 0.25)
-    learner = ONSLearner(PARAMS, BALL, alpha=0.1)
+    learner = ONSLearner(replace(PARAMS, exp_concavity=0.1), BALL)
     assert learner.beta == pytest.approx(0.05)
-    with pytest.raises(ValueError):
-        ONSLearner(PARAMS, BALL, alpha=0.0)
+    with pytest.raises(ValueError, match="exp_concavity must be finite and > 0"):
+        replace(PARAMS, exp_concavity=0.0)
 
 
 def test_make_learner_names():
     for name in ("maler", "metagrad", "ogd-convex"):
         assert make_learner(name, PARAMS, BALL).algo == name
-    assert make_learner("ogd-sc", PARAMS, BALL, sc_modulus=0.1).algo == "ogd-sc"
-    assert make_learner("ons", PARAMS, BALL, exp_concavity=0.5).algo == "ons"
-    with pytest.raises(ValueError):
+    assert make_learner("ogd-sc", replace(PARAMS, sc_modulus=0.1), BALL).algo == "ogd-sc"
+    assert make_learner("ons", replace(PARAMS, exp_concavity=0.5), BALL).algo == "ons"
+    with pytest.raises(ValueError, match="ons baseline needs the exp-concavity modulus"):
         make_learner("ons", PARAMS, BALL)
     with pytest.raises(ValueError):
         make_learner("nope", PARAMS, BALL)
@@ -268,24 +275,27 @@ def test_curvature_bound_formulas():
     params = ProblemParams(horizon=16, dim=2, grad_bound=1.0, diameter=1.0)
     a = bound_constant_a(16)
     b = bound_constant_b(16, 2)
-    assert strongly_convex_regret_bound(params, 1.0) == pytest.approx((10.0 + 4.5) * a)
+    assert curvature_caps(params) == []
     # alpha = 1 exceeds 1/(4GD) = 0.25, so beta = 0.125.
-    assert exp_concave_regret_bound(params, 1.0) == pytest.approx((10.0 + 36.0) * b)
-    with pytest.raises(ValueError):
-        strongly_convex_regret_bound(params, 0.0)
-    with pytest.raises(ValueError):
-        exp_concave_regret_bound(params, -1.0)
+    assert curvature_caps(replace(params, sc_modulus=1.0, exp_concavity=1.0)) == [
+        ("regret <= (10GD + 9G^2/(2 lam)) A", pytest.approx((10.0 + 4.5) * a)),
+        ("regret <= (10GD + 9/(2 beta)) B", pytest.approx((10.0 + 36.0) * b)),
+    ]
+    with pytest.raises(ValueError, match="sc_modulus must be finite and > 0"):
+        replace(params, sc_modulus=0.0)
+    with pytest.raises(ValueError, match="exp_concavity must be finite and > 0"):
+        replace(params, exp_concavity=-1.0)
 
 
-@pytest.mark.parametrize("bound, modulus", [
-    (strongly_convex_regret_bound, 5e-324), (strongly_convex_regret_bound, 1e-306),
-    (exp_concave_regret_bound, 5e-324), (exp_concave_regret_bound, 1e-310),
+@pytest.mark.parametrize("name, modulus", [
+    ("sc_modulus", 5e-324), ("sc_modulus", 1e-306),
+    ("exp_concavity", 5e-324), ("exp_concavity", 1e-310),
 ])
-def test_curvature_bounds_refuse_an_infinite_cap(bound, modulus):
+def test_curvature_bounds_refuse_an_infinite_cap(name, modulus):
     # A cap of inf would pass any regret; at 5e-324 exp-concavity, beta underflows to 0.
     params = ProblemParams(horizon=20, dim=5, grad_bound=25.0, diameter=1.0)
-    with pytest.raises(ValueError, match="must be finite"):
-        bound(params, modulus)
+    with pytest.raises(ValueError, match=rf"^{name} {modulus!r} is out of range: .*must be finite"):
+        curvature_caps(replace(params, **{name: modulus}))
 
 
 def test_play_round_contract():
@@ -307,7 +317,7 @@ def test_play_round_contract():
 def test_protocol_horizon_enforced():
     params = ProblemParams(horizon=8, dim=2, grad_bound=1.0, diameter=1.0)
     for learner in (MalerLearner(params, BALL), OGDLearner(params, BALL),
-                    ONSLearner(params, BALL, alpha=0.5)):
+                    ONSLearner(replace(params, exp_concavity=0.5), BALL)):
         for _ in range(8):
             learner.predict()
             learner.observe(np.array([0.1, -0.2]))
@@ -368,7 +378,7 @@ def test_observe_is_atomic_on_projection_failure(monkeypatch):
 
 
 def test_ons_observe_is_atomic_on_projection_failure(monkeypatch):
-    learner = ONSLearner(PARAMS, BALL, alpha=0.5)
+    learner = ONSLearner(replace(PARAMS, exp_concavity=0.5), BALL)
     learner.predict()
     learner.observe(np.array([0.9, 0.1]))
     learner.predict()
