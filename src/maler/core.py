@@ -26,23 +26,25 @@ class ProjectionError(RuntimeError):
 
 
 def positive_float(name: str, value) -> float:
-    """value as a float if it is a real number in (0, float max], else ValueError naming name.
+    """value as a float if it is a real number, not a bool, in (0, float max], else
+    ValueError naming name, with a value that is not a real number shown by repr.
 
     The comparison is exact, so an int too large for a float is refused by
     name instead of raising OverflowError in float() or TypeError in numpy.
     """
-    if isinstance(value, numbers.Real) and 0 < value <= sys.float_info.max:
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if real and 0 < value <= sys.float_info.max:
         return float(value)
-    if isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max:
+    if real and isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max:
         value = "an integer too large for a float"
-    raise ValueError(f"{name} must be finite and > 0, got {value}")
+    raise ValueError(f"{name} must be finite and > 0, got {value if real else repr(value)}")
 
 
 @dataclass(frozen=True)
 class ProblemParams:
-    """Static description of one online learning problem: T, d, G, D, the losses'
-    strong-convexity and exp-concavity moduli, None where they have none, and the
-    expert grid's largest rate 1/(5 D G) derived from them (meta.build_grid)."""
+    """Static description of one online learning problem: T, d, then G, D and the losses'
+    strong-convexity and exp-concavity moduli as floats (a modulus None where there is
+    none), and the expert grid's largest rate 1/(5 D G) derived from them (meta.build_grid)."""
 
     horizon: int
     dim: int
@@ -61,11 +63,11 @@ class ProblemParams:
                 raise ValueError(f"{name} must be >= 1, got {value}")
         if self.dim > sys.float_info.max:  # the regret caps take d as a float
             raise ValueError("dim must fit in a float, got an integer too large for a float")
-        G = positive_float("grad_bound", self.grad_bound)
-        D = positive_float("diameter", self.diameter)
-        for name in ("sc_modulus", "exp_concavity"):
-            if getattr(self, name) is not None:
-                positive_float(name, getattr(self, name))
+        for name in ("grad_bound", "diameter", "sc_modulus", "exp_concavity"):
+            value = getattr(self, name)
+            if value is not None or name in ("grad_bound", "diameter"):
+                object.__setattr__(self, name, positive_float(name, value))
+        G, D = self.grad_bound, self.diameter
         # The learners' step sizes divide by D^2 and by 4 G D (experts.newton_beta),
         # the surrogates and certificates square G and the top rate; Python floats
         # overflow to inf and underflow to 0 here without a warning.
@@ -172,7 +174,7 @@ class Ball:
             raise ValueError("center must be finite")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "dim", c.shape[0])
-        positive_float("radius", self.radius)
+        object.__setattr__(self, "radius", positive_float("radius", self.radius))
         # np.vdot overflows to inf, refusing the set, without the warning of np.linalg.norm.
         if math.sqrt(np.vdot(c, c)) > self.radius + 1e-12:
             raise ValueError("decision set must contain the origin")

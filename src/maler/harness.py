@@ -14,7 +14,6 @@ import base64
 import json
 import math
 import os
-import sys
 from dataclasses import dataclass, field, replace
 from itertools import compress
 from typing import Optional
@@ -23,7 +22,7 @@ import numpy as np
 
 from . import libsvm, meta, svgplot
 from .core import Ball, ProblemParams, Quadratic, positive_float, projected_gradient
-from .experts import expert_regret_certificate, newton_beta, newton_metric
+from .experts import expert_regret_certificate
 from .meta import (
     CertificateReport,
     CertificateRow,
@@ -273,12 +272,9 @@ def load_classification(path, rounds: int = 100, batch: int = 200,
 
 
 def check_moduli(params: ProblemParams, inputs: str) -> None:
-    """Raise ValueError, naming the inputs that set the moduli, unless each curvature
-    cap of regret-bounds is finite and ONSLearner's metric I/(beta D)^2 exists."""
+    """curvature_caps(params), its ValueError naming the inputs that set the moduli."""
     try:
         curvature_caps(params)
-        newton_metric(newton_beta(params.grad_bound, params.diameter, params.exp_concavity),
-                      params.diameter, 1)
     except ValueError as exc:
         raise ValueError(f"{inputs} set the curvature moduli out of range: {exc}") from None
 
@@ -334,8 +330,7 @@ def _dset_to_json(ball: Ball) -> dict:
 def _dset_from_json(obj: dict) -> Ball:
     if obj["kind"] != "ball":
         raise ValueError(f"unknown decision set kind {obj['kind']!r}")
-    return Ball(center=_float_array("dset.center", obj["center"]),
-                radius=positive_float("radius", obj["radius"]))
+    return Ball(center=_float_array("dset.center", obj["center"]), radius=obj["radius"])
 
 
 def _float_array(name: str, value) -> np.ndarray:
@@ -443,8 +438,9 @@ def load_trace(path) -> RunTrace:
     arrays that learner records: every one of TRACE_ARRAYS for an ensemble,
     all but GRID_ARRAYS otherwise. The TRACE_MODULI load into the params, as
     None when null or absent. Raises ValueError if the file is malformed, an
-    array is missing, a modulus is not a finite positive number or gives an
-    infinite regret cap, or the comparator lies outside the decision set.
+    array is missing, G, D, the radius or a modulus is not a finite positive
+    number, a modulus fails curvature_caps (as in `maler run`), or the
+    comparator lies outside the decision set.
     """
     # One byte read and one UTF-8 decode; a text-mode reader would also
     # translate newlines, which costs time and JSON does not need.
@@ -456,8 +452,7 @@ def load_trace(path) -> RunTrace:
     if not (legacy or type(obj["format"]) is int and obj["format"] == TRACE_FORMAT):
         raise ValueError(f"unknown trace format {obj['format']!r}")
     try:
-        params = ProblemParams(**obj["params"], **{name: _modulus(obj, name)
-                                                   for name in TRACE_MODULI})
+        params = ProblemParams(**obj["params"], **{name: obj.get(name) for name in TRACE_MODULI})
         curvature_caps(params)
         algo, style = obj["algo"], obj.get("grid_style")
         expected = algo if algo in GRID_ALGOS else None
@@ -480,17 +475,6 @@ def load_trace(path) -> RunTrace:
     if trace.comparator is not None and not trace.dset.contains(trace.comparator):
         raise ValueError("comparator lies outside the decision set")
     return trace
-
-
-def _modulus(obj: dict, name: str) -> Optional[float]:
-    """A recorded modulus: None if null or absent, else a finite positive non-bool number."""
-    value = obj.get(name)
-    if value is None:
-        return None
-    # The upper bound also refuses inf, NaN and ints too large for a float.
-    if type(value) not in (int, float) or not 0 < value <= sys.float_info.max:
-        raise ValueError(f"{name} must be a finite positive number or null, got {value!r}")
-    return float(value)
 
 
 def _check_trace_shapes(trace: RunTrace) -> None:
@@ -601,15 +585,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     else:
         raise ValueError(f"unknown task {cfg.task!r}")
 
-    if task.params.sc_modulus is None and "ogd-sc" in cfg.algos:
-        raise ValueError("ogd-sc needs a strongly convex task")
-
+    # Refuse a learner before the comparator runs; free each learner once it has run.
+    learners = {name: make_learner(name, task.params, task.dset) for name in cfg.algos}
     x_star, comp_report = offline_comparator(task.total, task.dset)
     at_comp = np.array([f.value(x_star) for f in task.losses])
 
     traces, diags, certs = {}, {}, {}
-    for name in cfg.algos:
-        trace = run_stream(make_learner(name, task.params, task.dset), task.losses)
+    for name in list(learners):
+        trace = run_stream(learners.pop(name), task.losses)
         trace.comparator, trace.loss_at_comparator = x_star, at_comp
         traces[name] = trace
         diags[name] = regret_diagnostics(trace)

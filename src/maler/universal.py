@@ -268,7 +268,8 @@ def curvature_caps(params: ProblemParams) -> list:
     """(label, cap) of regret-bounds for each curvature modulus params records, with T the
     horizon: (10GD + 9G^2/(2 lam)) A for sc_modulus lam, (10GD + 9/(2 beta)) B for
     exp_concavity alpha, beta = experts.newton_beta(G, D, alpha). Raises ValueError
-    naming the modulus if its cap is not finite: a cap of inf would pass any regret."""
+    naming the modulus if its cap is not finite, since a cap of inf would pass any
+    regret, or if ONSLearner's metric I/(beta D)^2 overflows at that beta."""
     p = params
     G, D = p.grad_bound, p.diameter
     caps = []
@@ -286,4 +287,9 @@ def curvature_caps(params: ProblemParams) -> list:
         if not cap < math.inf:
             raise ValueError(f"{name} {getattr(p, name)!r} is out of range: the regret cap "
                              f"{label} is {cap:g}; it must be finite")
+    if p.exp_concavity is not None:
+        try:
+            experts.newton_metric(beta, D, 1)
+        except ValueError as exc:
+            raise ValueError(f"{exc}, from exp_concavity {p.exp_concavity!r}") from None
     return [(f"regret <= {label}", cap) for _, label, cap in caps]

@@ -4,6 +4,7 @@ import math
 import os
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -32,7 +33,7 @@ from maler.harness import (
 )
 from maler.libsvm import LibsvmFormatError, LibsvmRow, parse_libsvm, to_dense, write_libsvm
 from maler.meta import build_grid
-from maler.universal import MalerLearner, regret_diagnostics
+from maler.universal import MalerLearner, make_learner, regret_diagnostics
 
 
 def test_loss_oracle_gradients_match_fd():
@@ -623,6 +624,43 @@ def test_csv_reproducible_from_saved_traces(tmp_path):
                 assert float(parts[5]) == pytest.approx(trace.log_phi[t], abs=1e-12)
 
 
+def test_run_experiment_refuses_ogd_sc_on_classification_before_the_comparator(tmp_path,
+                                                                               monkeypatch):
+    def no_comparator(*args):
+        raise AssertionError("the comparator ran before the learners were refused")
+
+    monkeypatch.setattr(harness, "offline_comparator", no_comparator)
+    data = tmp_path / "d.libsvm"
+    gen_classification_file(data, examples=20, dim=3, seed=1)
+    cfg = ExperimentConfig(task="classification", algos=("maler", "ogd-sc"), data=str(data),
+                           rounds=3, batch=4)
+    with pytest.raises(ValueError, match="^ogd-sc baseline needs the strong-convexity modulus$"):
+        run_experiment(cfg)
+
+
+def test_run_experiment_frees_each_learner_before_the_next_runs(monkeypatch):
+    built, ran = [], []
+
+    def recording_make_learner(*args):
+        learner = make_learner(*args)
+        built.append(weakref.ref(learner))
+        return learner
+
+    def checking_run_stream(learner, losses):
+        # Every learner is built before the first runs; all that ran before are freed.
+        assert len(built) == 4
+        assert all(ref() is None for ref in ran)
+        ran.append(weakref.ref(learner))
+        return run_stream(learner, losses)
+
+    monkeypatch.setattr(harness, "make_learner", recording_make_learner)
+    monkeypatch.setattr(harness, "run_stream", checking_run_stream)
+    result = run_experiment(ExperimentConfig(algos=("maler", "metagrad", "ogd-convex", "ons"),
+                                             rounds=6, dim=2, batch=5, seed=3))
+    assert list(result.traces) == ["maler", "metagrad", "ogd-convex", "ons"]
+    assert len(ran) == 4 and all(ref() is None for ref in ran)
+
+
 def _full_trace(rounds, horizon=2):
     """A maler trace with every array set; rounds=0 gives zero-row arrays.
 
@@ -888,15 +926,14 @@ def _ungridded(obj):
      "algo 'metagrad' runs on grid_style 'metagrad', not 'maler'"),
     (lambda obj: obj.update(algo="ogd-convex", grid_style=None),
      "a trace of algo 'ogd-convex' carries no expert_points"),
-    (_set("sc_modulus", lambda obj: 0.0), "sc_modulus must be a finite positive number"),
-    (_set("exp_concavity", lambda obj: -1.0), "exp_concavity must be a finite positive number"),
-    (_set("sc_modulus", lambda obj: True), "sc_modulus must be a finite positive number"),
-    (_set("exp_concavity", lambda obj: "0.5"), "exp_concavity must be a finite positive number"),
-    (_set("sc_modulus", lambda obj: float("nan")), "sc_modulus must be a finite positive number"),
-    (_set("exp_concavity", lambda obj: float("inf")),
-     "exp_concavity must be a finite positive number"),
-    (_set("sc_modulus", lambda obj: 10**400), "sc_modulus must be a finite positive number"),
-    (_set("exp_concavity", lambda obj: [0.5]), "exp_concavity must be a finite positive number"),
+    (_set("sc_modulus", lambda obj: 0.0), "sc_modulus must be finite and > 0"),
+    (_set("exp_concavity", lambda obj: -1.0), "exp_concavity must be finite and > 0"),
+    (_set("sc_modulus", lambda obj: True), "sc_modulus must be finite and > 0, got True"),
+    (_set("exp_concavity", lambda obj: "0.5"), "exp_concavity must be finite and > 0, got '0.5'"),
+    (_set("sc_modulus", lambda obj: float("nan")), "sc_modulus must be finite and > 0"),
+    (_set("exp_concavity", lambda obj: float("inf")), "exp_concavity must be finite and > 0"),
+    (_set("sc_modulus", lambda obj: 10**400), "sc_modulus must be finite and > 0"),
+    (_set("exp_concavity", lambda obj: [0.5]), "exp_concavity must be finite and > 0, got [0.5]"),
     (_one_round, "horizon T=1 is too short"),
     (_set("params", lambda obj: {**obj["params"], "dim": 10**400}),
      "dim must fit in a float, got an integer too large for a float"),
@@ -908,6 +945,12 @@ def _ungridded(obj):
      "radius must be finite and > 0, got an integer too large for a float"),
     (_set("dset", lambda obj: {**obj["dset"], "center": [10**400, 0.0]}),
      "dset.center holds an integer too large for a float"),
+    (_set("params", lambda obj: {**obj["params"], "grad_bound": True}),
+     "grad_bound must be finite and > 0, got True"),
+    (_set("params", lambda obj: {**obj["params"], "diameter": True}),
+     "diameter must be finite and > 0, got True"),
+    (_set("dset", lambda obj: {**obj["dset"], "radius": True}),
+     "radius must be finite and > 0, got True"),
 ], ids=["log_phi-rows", "expert_points-experts", "surrogate_losses-experts",
         "log_weights-experts", "horizon-grid", "horizon-below-T", "plays-rows",
         "grads-dim", "loss_at_play-rows", "comparator-dim", "top-level-list",
@@ -918,7 +961,7 @@ def _ungridded(obj):
         "sc_modulus-zero", "exp_concavity-negative", "sc_modulus-bool", "exp_concavity-string",
         "sc_modulus-nan", "exp_concavity-inf", "sc_modulus-huge-int", "exp_concavity-list",
         "horizon-one", "dim-huge-int", "grad_bound-huge-int", "diameter-huge-int",
-        "radius-huge-int", "center-huge-int"])
+        "radius-huge-int", "center-huge-int", "grad_bound-bool", "diameter-bool", "radius-bool"])
 def test_cli_certify_rejects_misshapen_traces(tmp_path, capsys, edit, reason):
     tpath = _tampered_trace(tmp_path, edit)
     capsys.readouterr()
@@ -1335,6 +1378,21 @@ def test_certify_refuses_a_modulus_whose_cap_is_infinite(tmp_path, capsys, name,
     assert rc == 1 and out == ""
     assert err.startswith(f"error: cannot load trace: {name} {value!r} is out of range: "
                           "the regret cap ") and err.endswith("it must be finite\n")
+
+
+@pytest.mark.parametrize("algo", ["maler", "ons"])
+def test_certify_refuses_an_exp_concavity_that_run_refuses(tmp_path, capsys, algo):
+    # As at `maler run --lambda 1e-200`: the regret cap is finite, but ONS's beta is
+    # ~5e-201, so its metric I/(beta D)^2 overflows.
+    out = tmp_path / "run"
+    assert cli.main(["run", "--rounds", "20", "--dim", "5", "--algos", algo,
+                     "--out", str(out)]) == 0
+    tpath = _rewritten(out / f"trace_{algo}.json", _set("exp_concavity", lambda obj: 1e-200))
+    rc, out, err = _certified(capsys, tpath)
+    assert rc == 1 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: cannot load trace: the online Newton metric I/(beta D)^2 "
+                          "overflows at beta = 5e-201, D = 1")
+    assert err.endswith(", from exp_concavity 1e-200\n")
 
 
 def test_certify_refuses_a_comparator_outside_the_ball(tmp_path, capsys):

@@ -89,6 +89,10 @@ def steps() -> list:
              _set("params", "grad_bound", 10**400)),
             ("edit", "tiny/trace_ons.json", "edited/trace_huge-center.json",
              _set_center(10**400)),
+            ("edit", "tiny/trace_ons.json", "edited/trace_ons-alpha.json",
+             _set(None, "exp_concavity", 1e-200)),
+            ("edit", "tiny/trace_ons.json", "edited/trace_true-g.json",
+             _set("params", "grad_bound", True)),
             ("libsvm", "train.libsvm", {}),
             ("maler", ["run", "--task", "classification", "--data", "train.libsvm", "--rounds", "20",
                        "--out", "cls"]),
