@@ -10,12 +10,14 @@ Each expert runs its own first-order method on its own surrogate sequence:
                   (online Newton step on the exp-concave l_t)
 
 ExpertBank holds them all as arrays. The constant-rate and spherical rows
-step in one batched expression per round, each family projected as one
-stack; a family the grid holds no row of (a metagrad grid holds only
-quadratic rows) is not stepped. The Newton rows' Sigma and Sigma^{-1} are
-updated together by one newton_metric_update per round (rank-one updates of
-Sigma^{-1}, re-factorized periodically to stop drift); then each row, and
-ONSLearner, takes its newton_expert_step with its own weighted projection.
+take their descent points in one batched expression per family, and are
+projected as one stack; a family the grid holds no row of (a metagrad grid
+holds only quadratic rows) is not stepped. The Newton rows' Sigma and
+Sigma^{-1} are updated together by one newton_metric_update per round
+(rank-one updates of Sigma^{-1}, re-factorized periodically to stop drift),
+and their targets come from one stacked matvec. Each row, and ONSLearner,
+then takes its newton_expert_step, one weighted projection: a stacked
+boundary solve was measured slower at these sizes.
 
 The metric update works in the buffers of its two outer products, with one
 multiply, add, divide and subtract per entry. From d = EINSUM_MIN_DIM up it
@@ -27,7 +29,7 @@ product is +0.0 where a broadcast multiply can give -0.0. Sigma never holds
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,23 +112,43 @@ def newton_metric_update(sigma: np.ndarray, sigma_inv: np.ndarray, updates: int,
 
 
 def convex_expert_step(points: np.ndarray, etas: np.ndarray, t: int, grad: np.ndarray,
-                       G: float, D: float, dset: Ball) -> np.ndarray:
-    """Descend the padded linear surrogates at round t with rates D/(eta G sqrt(t))."""
+                       G: float, D: float) -> np.ndarray:
+    """Descent points on the padded linear surrogates at round t, rates D/(eta G sqrt(t))."""
     step = D / (etas * G * math.sqrt(t))
-    return dset.project(points - step[:, None] * (etas[:, None] * grad))
+    return points - step[:, None] * (etas[:, None] * grad)
 
 
 def spherical_expert_step(points: np.ndarray, etas: np.ndarray, sph: np.ndarray, t: int,
-                          play: np.ndarray, grad: np.ndarray, dset: Ball) -> np.ndarray:
-    """Descend the spherical surrogates at round t with rates 1/(2 sph t), sph = eta^2 G^2."""
+                          play: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Descent points on the spherical surrogates at round t, rates 1/(2 sph t), sph = eta^2 G^2."""
     g = etas[:, None] * grad + (2.0 * sph)[:, None] * (points - play)
-    return dset.project(points - (1.0 / (2.0 * sph * t))[:, None] * g)
+    return points - (1.0 / (2.0 * sph * t))[:, None] * g
 
 
-def newton_expert_step(x: np.ndarray, sigma: np.ndarray, sigma_inv: np.ndarray, g: np.ndarray,
-                       beta: float, dset: Ball) -> np.ndarray:
-    """One online Newton step on gradient g, given the already updated Sigma and Sigma^{-1}."""
-    return dset.project_weighted(sigma, x - (1.0 / beta) * (sigma_inv @ g))
+def newton_expert_step(sigma: np.ndarray, target: np.ndarray, dset: Ball) -> np.ndarray:
+    """Project the Newton target x - Sigma^{-1} g / beta in the updated Sigma's norm."""
+    return dset.project_weighted(sigma, target)
+
+
+@dataclass(frozen=True)
+class BankLayout:
+    """What no round of a bank changes, fixed by ExpertBank.build.
+
+    rows holds the c, s and ell row indices, rates their etas, and first the
+    c then the s rows, the stack they are projected as; sph is eta^2 G^2 of
+    each s row and ell_slope 2 eta^2 of each ell row.
+    """
+
+    etas: np.ndarray
+    constants: np.ndarray
+    rows: tuple
+    rates: tuple
+    first: np.ndarray
+    sph: np.ndarray
+    ell_slope: np.ndarray
+    beta: float
+    params: ProblemParams
+    dset: Ball
 
 
 @dataclass(frozen=True)
@@ -134,17 +156,10 @@ class ExpertBank:
     """All experts of one grid as arrays; step returns the next bank.
 
     points is E x d and sigma, sigma_inv are L x d x d, one slice per
-    quadratic row; rows holds the c, s and ell row indices, and round the t
-    of the next step.
+    quadratic row; round is the t of the next step.
     """
 
-    etas: np.ndarray
-    constants: np.ndarray
-    rows: tuple
-    ell_slope: np.ndarray
-    beta: float
-    params: ProblemParams
-    dset: Ball
+    layout: BankLayout
     points: np.ndarray
     sigma: np.ndarray
     sigma_inv: np.ndarray
@@ -159,51 +174,52 @@ class ExpertBank:
         if not np.all((etas > 0.0) & (etas <= cap * (1.0 + 1e-12))):
             raise ValueError(f"rates {etas} outside (0, 2/(3DG)] = (0, {cap}]")
         kinds = np.asarray(kinds)
-        rows = tuple(np.flatnonzero(kinds == kind)
-                     for kind in (KIND_CONST, KIND_SPHERICAL, KIND_QUADRATIC))
+        conv, sph, ell = rows = tuple(np.flatnonzero(kinds == kind)
+                                      for kind in (KIND_CONST, KIND_SPHERICAL, KIND_QUADRATIC))
+        constants = surrogates.expert_constants(kinds, etas, G, D)
         beta = newton_beta(ons_grad_bound(D), D, 1.0)
         sigma, sigma_inv = newton_metric(beta, D, params.dim)
-        return cls(
-            etas=etas,
-            constants=surrogates.expert_constants(kinds, etas, G, D),
-            rows=rows,
+        layout = BankLayout(
+            etas=etas, constants=constants, rows=rows, rates=tuple(etas[r] for r in rows),
+            first=np.concatenate((conv, sph)), sph=constants[1, sph],
             # 2 eta^2 in Python floats, as ell_grad computes it
-            ell_slope=np.array([2.0 * float(eta) ** 2 for eta in etas[rows[2]]]),
-            beta=beta,
-            params=params,
-            dset=dset,
-            points=np.zeros((kinds.size, params.dim)),
-            sigma=np.repeat(sigma[None], rows[2].size, axis=0),
-            sigma_inv=np.repeat(sigma_inv[None], rows[2].size, axis=0),
-        )
+            ell_slope=np.array([2.0 * float(eta) ** 2 for eta in etas[ell]]),
+            beta=beta, params=params, dset=dset)
+        return cls(layout, np.zeros((kinds.size, params.dim)),
+                   np.repeat(sigma[None], ell.size, axis=0),
+                   np.repeat(sigma_inv[None], ell.size, axis=0))
 
     def losses(self, play: np.ndarray, grad: np.ndarray) -> np.ndarray:
         """Each expert's surrogate loss at its own iterate this round."""
-        return surrogates.expert_values(self.etas, self.constants, self.points, play, grad)
+        lay = self.layout
+        return surrogates.expert_values(lay.etas, lay.constants, self.points, play, grad)
 
     def step(self, play: np.ndarray, grad: np.ndarray) -> "ExpertBank":
         """The bank after one round; raises if a Newton row's gradient is past its cap."""
-        conv, sph, ell = self.rows
-        G, D, t, X = self.params.grad_bound, self.params.diameter, self.round, self.points
+        lay, t, X = self.layout, self.round, self.points
+        (conv, sph, ell), (c_etas, s_etas, ell_etas) = lay.rows, lay.rates
+        G, D = lay.params.grad_bound, lay.params.diameter
         # grad l_t(x) = (eta + 2 eta^2 (x - x_t)^T g_t) g_t, as surrogates.ell_grad.
-        ip = rowdot(X[ell] - play, grad)
-        ell_grads = (self.etas[ell] + self.ell_slope * ip)[:, None] * grad
+        X_ell = X[ell]
+        ell_grads = (ell_etas + lay.ell_slope * rowdot(X_ell - play, grad))[:, None] * grad
         cap = ons_grad_bound(D)
         norms = np.linalg.norm(ell_grads, axis=1)
         if np.any(norms > cap * (1.0 + 1e-9)):
             raise ValueError(f"surrogate gradient norm {norms.max():.6g} exceeds the proved "
                              f"cap {cap:.6g}")
         nxt = np.empty_like(X)
-        if conv.size:
-            nxt[conv] = convex_expert_step(X[conv], self.etas[conv], t, grad, G, D, self.dset)
-        if sph.size:
-            nxt[sph] = spherical_expert_step(X[sph], self.etas[sph], self.constants[1, sph], t,
-                                             play, grad, self.dset)
+        if lay.first.size:
+            descent = []
+            if conv.size:
+                descent.append(convex_expert_step(X[conv], c_etas, t, grad, G, D))
+            if sph.size:
+                descent.append(spherical_expert_step(X[sph], s_etas, lay.sph, t, play, grad))
+            nxt[lay.first] = lay.dset.project(np.concatenate(descent))
         sigma, sigma_inv = newton_metric_update(self.sigma, self.sigma_inv, t - 1, ell_grads)
+        targets = X_ell - (1.0 / lay.beta) * (sigma_inv @ ell_grads[..., None])[..., 0]
         for j, e in enumerate(ell):
-            nxt[e] = newton_expert_step(X[e], sigma[j], sigma_inv[j], ell_grads[j], self.beta,
-                                        self.dset)
-        return replace(self, points=nxt, sigma=sigma, sigma_inv=sigma_inv, round=t + 1)
+            nxt[e] = newton_expert_step(sigma[j], targets[j], lay.dset)
+        return ExpertBank(lay, nxt, sigma, sigma_inv, t + 1)
 
 
 def expert_regret_s_bound(horizon: int) -> float:

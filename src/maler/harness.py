@@ -243,13 +243,13 @@ def load_classification(path, rounds: int = 100, batch: int = 200,
     Z = X * y[:, None]
     base = Z[np.arange(m + batch - 1) % m]
     base.flags.writeable = False
+    base_norms = _row_norms(base)  # each batch's grad_bound, with each row norm taken once
     losses = []
     g_bound = 0.0
     for t in range(rounds):
         lo = t * batch % m
-        f = LogisticBatchLoss(base[lo : lo + batch], batch)
-        losses.append(f)
-        g_bound = max(g_bound, f.grad_bound)
+        losses.append(LogisticBatchLoss(base[lo : lo + batch], batch))
+        g_bound = max(g_bound, float(np.sum(base_norms[lo : lo + batch])) / batch)
     N = rounds * batch
     total = LogisticBatchLoss(base[:m], batch, counts=N // m + (np.arange(m) < N % m))
     dset = Ball(center=np.zeros(X.shape[1]), radius=radius)
@@ -334,7 +334,16 @@ def _dset_from_json(obj: dict) -> Ball:
 
 
 def _float_array(name: str, value) -> np.ndarray:
-    """value as a float array; ValueError naming name for a JSON integer too large for a float."""
+    """value, nested JSON lists of numbers, as a float array; ValueError naming name for an
+    entry that is not a JSON number (true, a string, null or an object) or is an integer
+    too large for a float."""
+    stack = [value]
+    while stack:
+        entry = stack.pop()
+        if type(entry) is list:
+            stack.extend(entry)
+        elif type(entry) not in (int, float):
+            raise ValueError(f"{name} holds {json.dumps(entry)}, not a number")
     try:
         return np.array(value, dtype=float)
     except OverflowError:

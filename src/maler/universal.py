@@ -174,7 +174,8 @@ class ONSLearner(Learner):
     def _observe(self, play: np.ndarray, grad: np.ndarray) -> None:
         sigma, sigma_inv = experts.newton_metric_update(self._sigma, self._sigma_inv,
                                                         len(self._plays), grad)
-        self._x = experts.newton_expert_step(self._x, sigma, sigma_inv, grad, self.beta, self.dset)
+        target = self._x - (1.0 / self.beta) * (sigma_inv @ grad)
+        self._x = experts.newton_expert_step(sigma, target, self.dset)
         self._sigma, self._sigma_inv = sigma, sigma_inv
 
 

@@ -76,9 +76,9 @@ def test_newton_beta_matches_the_bank_reference_bit_for_bit():
 def test_convex_expert_first_step():
     eta_c = 1.0 / (2.0 * math.sqrt(PARAMS2.horizon))
     nxt = convex_expert_step(np.zeros((1, 2)), np.array([eta_c]), 1, np.array([1.0, 0.0]),
-                             1.0, 1.0, BALL2)
-    # Step D/(G sqrt(1)) = 1 along -g, then projected onto the radius-1/2 ball.
-    np.testing.assert_allclose(nxt, [[-0.5, 0.0]], atol=1e-15)
+                             1.0, 1.0)
+    # Step D/(G sqrt(1)) = 1 along -g; the bank projects it onto the radius-1/2 ball.
+    np.testing.assert_allclose(nxt, [[-1.0, 0.0]], atol=1e-15)
     bank = ExpertBank.build((KIND_CONST,), [eta_c], PARAMS2, BALL2)
     bank = bank.step(np.zeros(2), np.array([1.0, 0.0]))
     np.testing.assert_allclose(bank.points, [[-0.5, 0.0]], atol=1e-15)
@@ -97,26 +97,87 @@ def test_convex_expert_step_decays_like_inverse_sqrt():
 
 @pytest.mark.parametrize("style, calls", [("metagrad", 0), ("maler", 1)])
 def test_bank_steps_only_the_families_its_grid_holds(monkeypatch, style, calls):
-    counts = {"convex_expert_step": 0, "spherical_expert_step": 0}
-    for name in counts:
-        def counted(*args, _name=name, _step=getattr(experts, name)):
+    # The c and s rows are clipped by one Ball.project call on their stack.
+    counts = {"convex_expert_step": 0, "spherical_expert_step": 0, "project": 0}
+    for owner, name in ((experts, "convex_expert_step"), (experts, "spherical_expert_step"),
+                        (Ball, "project")):
+        def counted(*args, _name=name, _step=getattr(owner, name)):
             counts[_name] += 1
             return _step(*args)
-        monkeypatch.setattr(experts, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     grid = build_grid(PARAMS2, style)
     bank = ExpertBank.build(grid.kinds, grid.tilts, PARAMS2, BALL2)
     for t, grad in enumerate(([0.6, 0.0], [0.0, -0.8], [0.3, 0.4]), start=1):
         bank = bank.step(np.array([0.1, -0.2]), np.array(grad))
-        assert counts == {"convex_expert_step": calls * t, "spherical_expert_step": calls * t}
+        assert counts == {"convex_expert_step": calls * t, "spherical_expert_step": calls * t,
+                          "project": calls * t}
     assert bank.round == 4
+
+
+def _reference_step(grid, params, dset, bank, play, grad, outside):
+    """(points, Sigma, Sigma^{-1}) after the bank's step as it was computed before its
+    families were stacked: each family projected on its own, from the grid alone, and
+    each Newton target as its own matvec. Adds the kind of every row whose descent
+    point or target lies outside dset to outside."""
+    G, D, t, X = params.grad_bound, params.diameter, bank.round, bank.points
+    etas, kinds = grid.tilts, np.asarray(grid.kinds)
+    conv, sph, ell = (np.flatnonzero(kinds == kind)
+                      for kind in (KIND_CONST, KIND_SPHERICAL, KIND_QUADRATIC))
+    beta = newton_beta(ons_grad_bound(D), D, 1.0)
+    ip = rowdot(X[ell] - play, grad)
+    slope = np.array([2.0 * float(eta) ** 2 for eta in etas[ell]])
+    ell_grads = (etas[ell] + slope * ip)[:, None] * grad
+    nxt = np.empty_like(X)
+    if conv.size:
+        step = D / (etas[conv] * G * math.sqrt(t))
+        nxt[conv] = X[conv] - step[:, None] * (etas[conv][:, None] * grad)
+    if sph.size:
+        s = surrogates.expert_constants(kinds, etas, G, D)[1, sph]
+        g = etas[sph][:, None] * grad + (2.0 * s)[:, None] * (X[sph] - play)
+        nxt[sph] = X[sph] - (1.0 / (2.0 * s * t))[:, None] * g
+    for rows in (conv, sph):
+        if rows.size:
+            outside.update(kinds[e] for e in rows if not dset.contains(nxt[e]))
+            nxt[rows] = dset.project(nxt[rows])
+    sigma, sigma_inv = newton_metric_update(bank.sigma, bank.sigma_inv, t - 1, ell_grads)
+    for j, e in enumerate(ell):
+        target = X[e] - (1.0 / beta) * (sigma_inv[j] @ ell_grads[j])
+        if not dset.contains(target):
+            outside.add(KIND_QUADRATIC)
+        nxt[e] = dset.project_weighted(sigma[j], target)
+    return nxt, sigma, sigma_inv
+
+
+@pytest.mark.parametrize("style", ["maler", "metagrad"])
+@pytest.mark.parametrize("d", [3, EINSUM_MIN_DIM + 6])
+def test_bank_step_matches_the_per_family_reference_bit_for_bit(monkeypatch, style, d):
+    monkeypatch.setattr(experts, "REFACTOR_EVERY", 7)  # refactor rounds 7, 14, ...
+    rng = np.random.default_rng(24 + d)
+    T, G, D = 40, 2.0, 1.5
+    params = ProblemParams(horizon=T, dim=d, grad_bound=G, diameter=D)
+    c = rng.standard_normal(d)
+    dset = Ball(center=(0.2 * D / np.linalg.norm(c)) * c, radius=D / 2)  # holds the origin
+    grid = build_grid(params, style)
+    bank = ExpertBank.build(grid.kinds, grid.tilts, params, dset)
+    drift = rng.standard_normal(d)  # a steady direction pushes the Newton rows out
+    outside = set()
+    for _ in range(T):
+        play = bank.points.mean(axis=0) if bank.round > 1 else dset.center
+        g = drift + 0.3 * rng.standard_normal(d)
+        g *= G * rng.uniform(0.5, 1.0) / np.linalg.norm(g)
+        want = _reference_step(grid, params, dset, bank, play, g, outside)
+        bank = bank.step(play, g)
+        for got, ref in zip((bank.points, bank.sigma, bank.sigma_inv), want):
+            assert got.tobytes() == ref.tobytes()
+    assert outside == set(grid.kinds)
 
 
 def test_spherical_expert_first_step():
     sph = np.array([0.2**2 * 1.0**2])
     nxt = spherical_expert_step(np.zeros((1, 2)), np.array([0.2]), sph, 1, np.zeros(2),
-                                np.array([1.0, 0.0]), BALL2)
-    # Rate 1/(2 eta^2 G^2) = 12.5 times grad eta*g = (0.2, 0): projected.
-    np.testing.assert_allclose(nxt, [[-0.5, 0.0]], atol=1e-15)
+                                np.array([1.0, 0.0]))
+    # Rate 1/(2 eta^2 G^2) = 12.5 times grad eta*g = (0.2, 0); the bank projects it.
+    np.testing.assert_allclose(nxt, [[-2.5, 0.0]], atol=1e-15)
     bank = ExpertBank.build((KIND_SPHERICAL,), [0.2], PARAMS2, BALL2)
     bank = bank.step(np.zeros(2), np.array([1.0, 0.0]))
     np.testing.assert_allclose(bank.points, [[-0.5, 0.0]], atol=1e-15)
@@ -140,7 +201,7 @@ def test_newton_expert_hand_step():
     g = 0.08 * np.array([5.0, 0.0])
     beta = newton_beta(ons_grad_bound(0.5), 0.5, 1.0)
     sigma, sigma_inv = newton_metric_update(*newton_metric(beta, 0.5, 2), 0, g)
-    x = newton_expert_step(np.zeros(2), sigma, sigma_inv, g, beta, ball)
+    x = newton_expert_step(sigma, np.zeros(2) - (1.0 / beta) * (sigma_inv @ g), ball)
     np.testing.assert_array_equal(x, bank.points[0])
     np.testing.assert_array_equal(sigma, bank.sigma[0])
     np.testing.assert_array_equal(sigma_inv, bank.sigma_inv[0])
@@ -432,7 +493,7 @@ def test_newton_sigma_stays_exactly_symmetric_and_positive_definite():
         ons = ONSLearner(replace(params, exp_concavity=float(10.0 ** rng.uniform(-3.0, 0.0))), ball)
         for learner in ensembles:
             ell = [e for e, kind in enumerate(learner.grid.kinds) if kind == KIND_QUADRATIC]
-            np.testing.assert_array_equal(learner.bank.rows[2], ell)
+            np.testing.assert_array_equal(learner.bank.layout.rows[2], ell)
             assert learner.bank.sigma.shape == learner.bank.sigma_inv.shape == (len(ell), d, d)
         for _ in range(T):
             g = rng.standard_normal(d)

@@ -562,6 +562,22 @@ def test_classification_batches_match_per_round_copies(tmp_path, examples, batch
     assert abs(stacked.value(u) - best.value) <= best.gap + 1e-12 * abs(best.value)
 
 
+def test_classification_gradient_bound_takes_each_row_norm_once(tmp_path, monkeypatch):
+    # 130 examples in batches of 50 wrap around the file. The row norms are taken
+    # once, for the file's rows and then for the m + batch - 1 signed base rows, and
+    # each batch's cap from them equals its LogisticBatchLoss.grad_bound bit for bit.
+    path = tmp_path / "d.libsvm"
+    gen_classification_file(path, examples=130, dim=7, seed=3)
+    calls, row_norms = [], harness._row_norms
+    monkeypatch.setattr(harness, "_row_norms", lambda X: calls.append(len(X)) or row_norms(X))
+    task = load_classification(path, rounds=11, batch=50, seed=4)
+    assert calls == [130, 130 + 49]
+    norms = row_norms(task.losses[0].Z.base)
+    caps = [float(np.sum(norms[t * 50 % 130:][:50])) / 50 for t in range(11)]
+    assert [cap.hex() for cap in caps] == [f.grad_bound.hex() for f in task.losses]
+    assert task.params.grad_bound.hex() == max(caps).hex()
+
+
 def test_classification_stream_memory_does_not_grow_with_rounds(tmp_path):
     path = tmp_path / "d.libsvm"
     gen_classification_file(path, examples=300, dim=10, seed=0)
@@ -982,6 +998,37 @@ def test_certify_names_a_legacy_array_entry_too_large_for_a_float(tmp_path, caps
     assert cli.main(["certify", "--trace", str(_rewritten(tpath, huge_play))]) == 1
     err = capsys.readouterr().err
     assert err == "error: cannot load trace: plays holds an integer too large for a float\n"
+
+
+# Each JSON entry that is not a number, made from the trace value v it replaces.
+NOT_NUMBERS = {"bool": lambda v: True, "string": str, "null": lambda v: None,
+               "object": lambda v: {"value": v}}
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_NUMBERS))
+@pytest.mark.parametrize("layout, name", [("legacy", "loss_at_play"), ("legacy", "plays"),
+                                          ("legacy", "dset.center"), ("format-2", "dset.center")])
+def test_certify_refuses_a_trace_array_entry_that_is_not_a_number(tmp_path, capsys, layout,
+                                                                  name, kind):
+    # Such an entry used to load as a float: true as 1.0, "2.14" as 2.14 and null as NaN.
+    shown = []
+
+    def edit(obj):
+        row = {"loss_at_play": lambda: obj["loss_at_play"], "plays": lambda: obj["plays"][0],
+               "dset.center": lambda: obj["dset"]["center"]}[name]()
+        row[0] = NOT_NUMBERS[kind](row[0])
+        shown.append(json.dumps(row[0]))  # as the file holds it: true, "0.5", null, {...}
+
+    if layout == "legacy":
+        tpath = tmp_path / "legacy.json"
+        with open(LEGACY_TRACE, encoding="utf-8") as fh:
+            tpath.write_text(fh.read())
+    else:
+        tpath = _small_run_trace(tmp_path)
+    capsys.readouterr()
+    assert cli.main(["certify", "--trace", str(_rewritten(tpath, edit))]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot load trace: {name} holds {shown[0]}, not a number\n"
 
 
 def _set_array(key, **fields):

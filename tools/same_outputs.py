@@ -44,15 +44,12 @@ CLS_ALGOS = "maler,metagrad,ogd-convex,ons"
 CHILD = "import sys; sys.path[:0] = sys.argv[1:4]; import same_outputs; same_outputs.produce(sys.argv[4])"
 
 
-def _set(section, key, value):
+def _set(value, *path):
+    """An edit that sets the entry of a JSON trace at path (keys and list indices) to value."""
     def edit(obj):
-        (obj if section is None else obj[section])[key] = value
-    return edit
-
-
-def _set_center(value):
-    def edit(obj):
-        obj["dset"]["center"][0] = value
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
     return edit
 
 
@@ -82,17 +79,21 @@ def steps() -> list:
         out.append(("maler", ["run", *flags]))
     out += [("maler", ["run", "--rounds", "20", "--dim", "5", "--out", "tiny"]),
             ("edit", "tiny/trace_maler.json", "edited/trace_tiny-alpha.json",
-             _set(None, "exp_concavity", 5e-324)),
+             _set(5e-324, "exp_concavity")),
             ("edit", "tiny/trace_maler.json", "edited/trace_huge-grad.json",
              _set_entry("grads", 3 * 5, 1e200)),
             ("edit", "tiny/trace_ons.json", "edited/trace_huge-g.json",
-             _set("params", "grad_bound", 10**400)),
+             _set(10**400, "params", "grad_bound")),
             ("edit", "tiny/trace_ons.json", "edited/trace_huge-center.json",
-             _set_center(10**400)),
+             _set(10**400, "dset", "center", 0)),
             ("edit", "tiny/trace_ons.json", "edited/trace_ons-alpha.json",
-             _set(None, "exp_concavity", 1e-200)),
+             _set(1e-200, "exp_concavity")),
             ("edit", "tiny/trace_ons.json", "edited/trace_true-g.json",
-             _set("params", "grad_bound", True)),
+             _set(True, "params", "grad_bound")),
+            ("edit", "legacy/trace_v1_maler.json", "edited/trace_legacy-true.json",
+             _set(True, "loss_at_play", 0)),
+            ("edit", "legacy/trace_v1_maler.json", "edited/trace_legacy-null.json",
+             _set(None, "loss_at_play", 0)),
             ("libsvm", "train.libsvm", {}),
             ("maler", ["run", "--task", "classification", "--data", "train.libsvm", "--rounds", "20",
                        "--out", "cls"]),
