@@ -188,11 +188,11 @@ class Ball:
     def project(self, y) -> np.ndarray:
         """Euclidean projection of y, one point or an (n, d) stack of rows, onto the ball.
 
-        A point is projected as a one-row stack. A row outside the ball (by
-        the test of contains) is scaled onto the sphere by _shaved; a finite
-        row whose squared offset overflows is first divided by its largest
-        entry, which keeps its direction. Raises ValueError for a non-finite
-        point or row.
+        A point is projected as a one-row stack. The rows outside the ball (by
+        contains) are scaled onto the sphere as one stack, c + z r/||z||, and
+        shaved by ulps as in _shaved; a finite row whose square overflows is
+        first divided by its largest entry. ValueError for a non-finite point
+        or row (checked only when an outside row's norm is not finite).
         """
         v = np.asarray(y, dtype=float)
         if v.ndim > 2 or v.shape[-1:] != (self.dim,):
@@ -201,25 +201,37 @@ class Ball:
         z = rows - self.center
         with np.errstate(over="ignore"):
             n = np.sqrt(rowdot(z, z))
-        # ~(n <= r), not n > r: a NaN row counts as outside and is refused.
-        out = np.flatnonzero(~(n <= self.radius))
-        if out.size == 0:
-            return v
-        _require_finite(rows[out])
-        p = rows.copy()
-        for i in out:
-            zi, ni = z[i], n[i]
-            if ni == math.inf:
-                zi = zi / np.abs(zi).max()
-                ni = math.sqrt(zi.dot(zi))
-            p[i] = self._shaved(zi, self.radius / ni)
+            # ~(n <= r), not n > r: a NaN row counts as outside and is refused.
+            out = (~(n <= self.radius)).nonzero()[0]
+            if out.size == 0:
+                return v
+            if out.size < n.size:
+                z, n = z[out], n[out]
+            if not np.isfinite(n).all():
+                _require_finite(rows[out])
+                big = n == math.inf
+                zb = z[big] / np.abs(z[big]).max(axis=1)[:, None]
+                z[big], n[big] = zb, np.sqrt(rowdot(zb, zb))
+            s = self.radius / n
+            p = self.center + z * s[:, None]
+            for _ in range(99):  # _shaved's 100 points
+                w = p - self.center
+                bad = (~(np.sqrt(rowdot(w, w)) <= self.radius)).nonzero()[0]
+                if bad.size == 0:
+                    break
+                s[bad] = np.nextafter(s[bad], 0.0)
+                p[bad] = self.center + z[bad] * s[bad, None]
+        if out.size < len(rows):
+            rows = rows.copy()
+            rows[out] = p
+            p = rows
         return p.reshape(v.shape)
 
     def _shaved(self, z: np.ndarray, scale: float) -> np.ndarray:
         """center + scale z, with scale shaved by ulps until that point passes contains.
 
-        The feasibility test is the one project applies to its input, so
-        projecting the result a second time is a no-op.
+        The weighted boundary point takes it (project shaves its stack alike);
+        the result passes contains, so projecting it again is a no-op.
         """
         for _ in range(100):
             p = self.center + z * scale
@@ -232,17 +244,20 @@ class Ball:
     def project_weighted(self, H, y) -> np.ndarray:
         """argmin_x (x-y)^T H (x-y) over the ball, H symmetric positive definite.
 
-        Exact: a y outside the ball (by contains) goes to
+        Exact: a y outside the ball (by the test of contains) goes to
         _weighted_boundary_point, whose result passes contains, so projecting
-        it again returns it bit for bit. Raises ValueError if H is not SPD or
-        y is not finite, and ProjectionError if the boundary solve does not
-        converge.
+        it again returns it bit for bit. H is checked first on every call, y
+        for finite entries only if ||y - c||^2 is not finite: ValueError if H
+        is not SPD or y is not finite, ProjectionError if the solve fails.
         """
         M = _check_spd(H, self.dim)
         v = as_vector(y, self.dim)
-        if self.contains(v):
+        z = v - self.center
+        zz = np.vdot(z, z)
+        if math.sqrt(zz) <= self.radius:
             return v
-        _require_finite(v)
+        if not math.isfinite(zz):
+            _require_finite(v)
         return self._weighted_boundary_point(M, v)
 
     def _weighted_boundary_point(self, M, v: np.ndarray) -> np.ndarray:

@@ -27,10 +27,10 @@ from .surrogates import KIND_CONST, KIND_QUADRATIC, KIND_SPHERICAL
 
 def logsumexp(v: np.ndarray) -> float:
     """log(sum(exp(v))) with max-shift; -inf entries are allowed."""
-    m = float(np.max(v))
-    if not np.isfinite(m):
+    m = float(v.max())
+    if not math.isfinite(m):
         return m
-    return m + math.log(float(np.sum(np.exp(v - m))))
+    return m + math.log(float(np.exp(v - m).sum()))
 
 
 def grid_depth(horizon: int) -> int:
@@ -111,9 +111,9 @@ def aggregate_play(log_weights: np.ndarray, grid: ExpertGrid, points: np.ndarray
     pts = np.asarray(points, dtype=float)
     if pts.shape[0] != grid.size:
         raise ValueError(f"expected {grid.size} expert points, got {pts.shape[0]}")
-    m = float(np.max(log_weights))
+    m = float(log_weights.max())
     w = np.exp(log_weights - m) * grid.tilts
-    den = float(np.sum(w))
+    den = float(w.sum())
     return (w @ pts) / den
 
 

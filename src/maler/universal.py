@@ -53,8 +53,8 @@ class Learner:
         if self._pending is None:
             raise ProtocolError("observe requires a pending predict")
         g = as_vector(gradient, self.params.dim)
-        gn = float(np.linalg.norm(g))
-        if not np.all(np.isfinite(g)):
+        gn = math.sqrt(g.dot(g))  # np.linalg.norm's float operations
+        if not np.isfinite(g).all():
             raise AssumptionViolation("gradient has non-finite entries")
         if gn > self.params.grad_cap:
             raise AssumptionViolation(

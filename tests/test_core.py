@@ -114,6 +114,76 @@ def test_projection_refuses_non_finite_points():
             ball.project(np.array([[0.1, 0.2], bad, [3.0, 0.0]]))
 
 
+def _project_row_by_row(ball, Y):
+    """Ball.project as one loop over the outside rows, each scaled and shaved on its own:
+    the reference the stacked scaling must match bit for bit."""
+    rows = np.asarray(Y, dtype=float).reshape(-1, ball.dim)
+    z = rows - ball.center
+    with np.errstate(over="ignore"):
+        n = np.sqrt(core.rowdot(z, z))
+    out = np.flatnonzero(~(n <= ball.radius))
+    if not np.isfinite(rows[out]).all():
+        raise ValueError("cannot project a non-finite point")
+    p = rows.copy()
+    for i in out:
+        zi, ni = z[i], n[i]
+        if ni == math.inf:
+            zi = zi / np.abs(zi).max()
+            ni = math.sqrt(zi.dot(zi))
+        scale = ball.radius / ni
+        for _ in range(100):
+            p[i] = ball.center + zi * scale
+            w = p[i] - ball.center
+            if math.sqrt(w.dot(w)) <= ball.radius:
+                break
+            scale = np.nextafter(scale, 0.0)
+    return p.reshape(np.shape(Y))
+
+
+def _first_scaled_point_fails(ball, y) -> bool:
+    z = y - ball.center
+    w = (ball.center + z * (ball.radius / math.sqrt(z.dot(z)))) - ball.center
+    return math.sqrt(w.dot(w)) > ball.radius
+
+
+@pytest.mark.parametrize("d", [10, 50, 200])
+def test_stacked_projection_matches_the_row_by_row_loop_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    for center, radius in ((np.zeros(d), 0.75), (rng.normal(scale=0.1 / math.sqrt(d), size=d), 3.0)):
+        ball = Ball(center=center, radius=radius)
+        inside = center + rng.normal(scale=0.2 * radius / math.sqrt(d), size=(6, d))
+        past = []  # on the sphere, then moved out by ulps of the largest entry
+        for u in rng.normal(size=(6, d)):
+            x = center + radius * u / np.linalg.norm(u)
+            k = int(np.argmax(np.abs(x - center)))
+            while ball.contains(x):
+                x[k] = np.nextafter(x[k], np.copysign(np.inf, x[k] - center[k]))
+            past.append(x)
+        shave, keep = [], []  # far rows whose first scaled point fails contains, or passes
+        while len(shave) < 6 or len(keep) < 6:
+            y = center + rng.normal(scale=rng.uniform(1.0, 4.0) * radius / math.sqrt(d), size=d)
+            if not ball.contains(y):
+                (shave if _first_scaled_point_fails(ball, y) else keep).append(y)
+        # ||y - c||^2 overflows past ~1.3e154.
+        huge = rng.normal(size=(4, d)) * 10.0 ** rng.uniform(160.0, 300.0, size=(4, 1))
+        Y = np.concatenate((inside, past, shave[:6], keep[:6], huge))
+        for order in (np.arange(len(Y)), rng.permutation(len(Y))):
+            P = ball.project(Y[order])
+            assert np.array_equal(P, _project_row_by_row(ball, Y[order]))
+            assert all(ball.contains(p) for p in P)
+        for y in np.concatenate((inside[:1], past[:1], shave[:1], keep[:1], huge[:1])):
+            assert np.array_equal(ball.project(y), _project_row_by_row(ball, y))
+        assert all(_first_scaled_point_fails(ball, y) for y in shave[:6])
+        assert np.array_equal(ball.project(inside), inside)
+        for bad in (np.nan, np.inf, -np.inf):
+            Z = Y.copy()
+            Z[3, d // 2] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                ball.project(Z)
+            with pytest.raises(ValueError, match="non-finite"):
+                ball.project(Z[3])
+
+
 def test_projections_of_a_point_whose_squared_offset_overflows_reach_the_boundary():
     # ||y - c||^2 overflows past ~1.3e154; the direction of y - c does not.
     ball = Ball(center=np.zeros(2), radius=1.0)
@@ -251,6 +321,45 @@ def test_weighted_projection_rejects_bad_weights():
             for H in (np.array([[bad, 0.0], [0.0, 1.0]]), np.array([[1.0, bad], [bad, 1.0]])):
                 with pytest.raises(ValueError, match="non-finite"):
                     ball.project_weighted(H, y)
+
+
+def test_weighted_projection_checks_the_weights_before_membership():
+    # The target is inside the ball, so it would be returned as it is; H is refused first.
+    ball = Ball(center=np.zeros(2), radius=1.0)
+    y = np.array([0.1, -0.2])
+    for H, why in ((np.array([[1.0, 0.0], [0.0, -2.0]]), "positive definite"),
+                   (np.zeros((2, 2)), "positive definite"),
+                   (np.array([[1.0, 2.0], [2.0, 1.0]]), "positive definite"),
+                   (np.array([[4.0, 0.0], [1e-6, 4.0]]), "symmetric"),
+                   (np.array([[1.0, 0.0], [0.5, 1.0]]), "symmetric"),
+                   (np.array([[np.nan, 0.0], [0.0, 1.0]]), "non-finite"),
+                   (np.array([[1.0, np.inf], [np.inf, 1.0]]), "non-finite")):
+        with pytest.raises(ValueError, match=why):
+            ball.project_weighted(H, y)
+    assert np.array_equal(ball.project_weighted(np.eye(2), y), y)
+
+
+def test_weighted_projection_checks_the_target_before_the_boundary_solve(monkeypatch):
+    solved = []
+
+    def boundary(self, M, v):
+        solved.append(v)
+        return self.center.copy()
+
+    monkeypatch.setattr(Ball, "_weighted_boundary_point", boundary)
+    d = 6
+    ball = Ball(center=np.full(d, 0.1), radius=1.0)
+    H = np.diag(np.arange(1.0, d + 1.0))
+    for bad in (np.nan, np.inf, -np.inf):
+        y = np.full(d, 0.05)
+        y[2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ball.project_weighted(H, y)
+    assert solved == []
+    # ||y - c||^2 overflows, but y is finite: it goes on to the solve.
+    y = np.full(d, 1e200)
+    ball.project_weighted(H, y)
+    assert len(solved) == 1 and solved[0] is y
 
 
 def _spd_case(rng, kind: str) -> np.ndarray:

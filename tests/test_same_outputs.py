@@ -41,3 +41,16 @@ def test_two_runs_of_one_tree_match_and_a_one_ulp_edit_differs(tmp_path):
     assert [row for row in rows if not row.startswith("same ")] == [
         f"DIFF {runs[0]['tiny/trace_maler.json']}/"
         f"{same_outputs.digest(str(tmp_path / 'b'))['tiny/trace_maler.json']} tiny/trace_maler.json"]
+
+    # The array table: the differing trace, then each of its arrays; only plays moved, by one ulp.
+    report = same_outputs.array_report(str(tmp_path / "a"), str(tmp_path / "b"), rows)
+    assert report[0] == [row for row in rows if not row.startswith("same ")][0]
+    table = dict(line.strip().split(": ", 1) for line in report[1:])
+    assert set(table) == {"plays", "grads", "expert_points", "surrogate_losses", "log_weights",
+                          "log_phi", "loss_at_play", "loss_at_comparator", "comparator"}
+    old = np.frombuffer(base64.b64decode(json.loads(
+        (tmp_path / "a" / "tiny" / "trace_maler.json").read_text())["plays"]["f8"]), dtype="<f8")
+    gap = plays[3] - old[3]
+    assert gap > 0.0 and gap == abs(np.spacing(plays[3]))
+    assert table.pop("plays") == f"max abs {gap:.3e} rel {gap / max(abs(plays[3]), abs(old[3])):.3e}"
+    assert set(table.values()) == {"max abs 0.000e+00 rel 0.000e+00"}

@@ -16,6 +16,11 @@ Each process works in its own directory with relative paths, so the `wrote`
 lines match. The tool prints one row per file that either tree wrote (input,
 result, trace, report, and each command's stdout with its exit code): `same`
 and the sha256, or `DIFF` and both. It exits 1 on any difference.
+
+After the rows, each trace that differs is printed again, followed by one
+row per array of either copy (f8 object or legacy nested list): its
+largest absolute and relative difference, for a change that is meant to
+move floats. When no trace differs, nothing is printed there.
 """
 
 from __future__ import annotations
@@ -194,6 +199,56 @@ def compare(old: dict, new: dict) -> tuple:
     return rows, all(r.startswith("same") for r in rows)
 
 
+def _arrays(path: str) -> dict:
+    """{key: float array} of a trace's top-level arrays, in either layout; other entries
+    (and a list that is not all numbers) are left out."""
+    with open(path, encoding="utf-8") as fh:
+        obj = json.load(fh)
+    out = {}
+    for key, val in obj.items():
+        if isinstance(val, dict) and set(val) == {"shape", "f8"}:
+            raw = base64.b64decode(val["f8"])
+            out[key] = np.frombuffer(raw, dtype="<f8").reshape(val["shape"])
+        elif isinstance(val, list):
+            with contextlib.suppress(TypeError, ValueError, OverflowError):
+                out[key] = np.asarray(val, dtype=float)
+    return out
+
+
+def array_rows(old_path: str, new_path: str) -> list:
+    """`key: max abs A rel R` for every array of either trace, R taken against the larger
+    magnitude of the two entries; entries equal (or both NaN) differ by 0, any other
+    pair that gives no finite difference (a NaN, or infinities) by inf."""
+    old, new = _arrays(old_path), _arrays(new_path)
+    rows = []
+    for key in sorted(old.keys() | new.keys()):
+        a, b = old.get(key), new.get(key)
+        if a is None or b is None or a.shape != b.shape:
+            shapes = [("-" if x is None else str(x.shape)) for x in (a, b)]
+            rows.append(f"{key}: shape {shapes[0]} vs {shapes[1]}")
+            continue
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            same = (a == b) | (np.isnan(a) & np.isnan(b))
+            gap = np.where(same, 0.0, np.abs(a - b))
+            rel = np.where(same, 0.0, gap / np.maximum(np.abs(a), np.abs(b)))
+        gap, rel = (np.where(np.isnan(x), np.inf, x) for x in (gap, rel))
+        rows.append(f"{key}: max abs {gap.max(initial=0.0):.3e} rel {rel.max(initial=0.0):.3e}")
+    return rows
+
+
+def array_report(old_dir: str, new_dir: str, rows: list) -> list:
+    """For each DIFF row of compare naming a trace_*.json that both trees wrote, that
+    row and then array_rows of the pair, indented."""
+    out = []
+    for row in rows:
+        name = row.split(" ", 2)[2]
+        pair = [os.path.join(old_dir, name), os.path.join(new_dir, name)]
+        if (row.startswith("DIFF") and re.fullmatch(r"trace_.*\.json", os.path.basename(name))
+                and all(map(os.path.isfile, pair))):
+            out += [row] + [f"    {r}" for r in array_rows(*pair)]
+    return out
+
+
 def _run_tree(src: str, workdir: str) -> dict:
     os.makedirs(workdir)
     subprocess.run([sys.executable, "-c", CHILD, src, os.path.join(REPO, "tools"),
@@ -214,8 +269,11 @@ def main(argv=None) -> int:
         finally:
             subprocess.run(["git", "-C", REPO, "worktree", "remove", "--force", tree], check=False)
         new = _run_tree(os.path.join(REPO, "src"), os.path.join(tmp, "out-head"))
-    rows, ok = compare(old, new)
-    print("\n".join(rows))
+        rows, ok = compare(old, new)
+        print("\n".join(rows))
+        report = array_report(os.path.join(tmp, "out-rev"), os.path.join(tmp, "out-head"), rows)
+        if report:
+            print("\n".join(report))
     print(f"{len(rows)} files, {sum(not r.startswith('same') for r in rows)} differ "
           f"between {rev} and the working tree")
     return 0 if ok else 1
