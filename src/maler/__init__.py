@@ -9,7 +9,6 @@ from .meta import (
     RunTrace,
     aggregate_play,
     build_grid,
-    meta_regret_bound,
     meta_regret_certificate,
     potential_certificate,
     update_weights,
@@ -50,7 +49,6 @@ __all__ = [
     "build_grid",
     "expert_regret_certificate",
     "make_learner",
-    "meta_regret_bound",
     "meta_regret_certificate",
     "metagrad_baseline",
     "parse_libsvm",

@@ -61,8 +61,8 @@ class ProblemParams:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
-        if self.dim > sys.float_info.max:  # the regret caps take d as a float
-            raise ValueError("dim must fit in a float, got an integer too large for a float")
+            if value > sys.float_info.max:  # the grid and the regret caps take T and d as floats
+                raise ValueError(f"{name} must fit in a float, got an integer too large for a float")
         for name in ("grad_bound", "diameter", "sc_modulus", "exp_concavity"):
             value = getattr(self, name)
             if value is not None or name in ("grad_bound", "diameter"):

@@ -43,6 +43,7 @@ from .meta import (
     CertificateRow,
     RunTrace,
     recompute_surrogate_losses,
+    regret_caps,
 )
 
 ONS_GRAD_SCALE = 7.0 / 25.0
@@ -222,21 +223,6 @@ class ExpertBank:
         return ExpertBank(lay, nxt, sigma, sigma_inv, t + 1)
 
 
-def expert_regret_s_bound(horizon: int) -> float:
-    """Surrogate regret bound for the spherical expert: 1 + ln T."""
-    return 1.0 + math.log(horizon)
-
-
-def expert_regret_ell_bound(horizon: int, dim: int) -> float:
-    """Surrogate regret bound for the quadratic expert: 10 d ln T."""
-    return 10.0 * dim * math.log(horizon)
-
-
-def expert_regret_c_bound() -> float:
-    """Surrogate regret bound for the constant-rate expert: 3/4."""
-    return 0.75
-
-
 @dataclass(frozen=True)
 class SurrogateSums:
     """The time-sums over one trace that every expert's summed surrogate is built from.
@@ -271,7 +257,7 @@ def summed_surrogate(eta: float, pad: float, sph: float, quad: float,
 
     The time-sum of surrogates.expert_values' eta ip + pad + sph ||u - x_t||^2
     + quad (eta ip)^2, ip = (u - x_t)^T g_t, for the expert's column
-    (pad, sph, quad) of surrogates.expert_constants. The sums over rounds
+    (pad, sph, quad) of its grid's constants. The sums over rounds
     are taken once per trace, in sums, and shared by every expert; each
     expert only scales them. A zero constant adds no term: iso = T sph, and
     M = quad eta^2 sum_t g_t g_t^T is None if quad is 0.
@@ -296,23 +282,18 @@ def expert_regret_certificate(trace: RunTrace) -> CertificateReport:
     The comparator is the constrained minimizer of the summed surrogate,
     realizing the worst u in the bound's quantifier. The sums over rounds
     behind every expert's surrogate sum are taken once per trace
-    (SurrogateSums.of), not once per expert. The caps 1 + ln T and 10 d ln T
-    take T to be the played rounds. Grid and losses both come from the trace.
+    (SurrogateSums.of), not once per expert. Each cap is the kind's expert
+    cap of meta.regret_caps with T the played rounds. Grid, its constants
+    and losses all come from the trace.
     """
-    grid = trace.grid
-    if grid is None or trace.expert_points is None:
-        raise ValueError("trace does not carry expert data")
-    p = trace.params
-    T, d = trace.plays.shape
     own = recompute_surrogate_losses(trace).sum(axis=0)
-    constants = surrogates.expert_constants(grid.kinds, grid.tilts, p.grad_bound, p.diameter)
-    bounds = {KIND_CONST: expert_regret_c_bound(), KIND_SPHERICAL: expert_regret_s_bound(T),
-              KIND_QUADRATIC: expert_regret_ell_bound(T, d)}
+    grid = trace.grid
+    caps = regret_caps(*trace.plays.shape)
     sums = SurrogateSums.of(trace.plays, trace.grads)
     rows = []
     for e, kind in enumerate(grid.kinds):
-        obj = summed_surrogate(float(grid.tilts[e]), *constants[:, e], sums)
+        obj = summed_surrogate(float(grid.tilts[e]), *grid.constants[:, e], sums)
         rows.append(CertificateRow(label=f"expert-regret {grid.labels[e]}",
                                    measured=float(own[e]) - obj.value(obj.minimize(trace.dset)),
-                                   bound=bounds[kind]))
+                                   bound=caps[kind][1]))
     return CertificateReport(name="expert-regret", rows=rows)

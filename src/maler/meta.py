@@ -38,25 +38,29 @@ def grid_depth(horizon: int) -> int:
     return max(0, math.ceil(0.5 * math.log2(horizon)))
 
 
-def meta_regret_bound(horizon: int) -> float:
-    """Meta-regret bound for spherical/quadratic experts: 2 ln(sqrt(3)(log2(T)/2 + 3))."""
-    return 2.0 * math.log(math.sqrt(3.0) * (0.5 * math.log2(horizon) + 3.0))
-
-
-def meta_regret_c_bound() -> float:
-    """Meta-regret bound for the constant-rate expert: ln 3."""
-    return math.log(3.0)
+def regret_caps(horizon: int, dim: int) -> dict:
+    """{kind: (meta-regret cap, expert-regret cap)} at T = horizon: ln 3 and 3/4 for the
+    constant-rate expert, 2 ln(sqrt(3)(log2(T)/2 + 3)) and 1 + ln T for a spherical one,
+    the same meta cap and 10 d ln T for a quadratic one. The adaptive bounds' constants
+    A and B are the sums of the spherical and the quadratic pair."""
+    meta_cap = 2.0 * math.log(math.sqrt(3.0) * (0.5 * math.log2(horizon) + 3.0))
+    ln_t = math.log(horizon)
+    return {KIND_CONST: (math.log(3.0), 0.75), KIND_SPHERICAL: (meta_cap, 1.0 + ln_t),
+            KIND_QUADRATIC: (meta_cap, 10.0 * dim * ln_t)}
 
 
 @dataclass(frozen=True)
 class ExpertGrid:
-    """Immutable roster of experts: kind, tilt (its learning rate), log prior and label."""
+    """Immutable roster of experts: kind, tilt (its learning rate), log prior and label,
+    and constants, each expert's (pad, sph, quad) column of surrogates.expert_constants,
+    which build_grid computes once from the kinds, the tilts, G and D."""
 
     style: str
     kinds: tuple
     tilts: np.ndarray
     log_priors: np.ndarray
     labels: tuple
+    constants: np.ndarray
 
     @property
     def size(self) -> int:
@@ -103,6 +107,7 @@ def build_grid(params: ProblemParams, style: str = "maler") -> ExpertGrid:
         tilts=tilts,
         log_priors=np.log(priors),
         labels=tuple(labels),
+        constants=surrogates.expert_constants(kinds, tilts, G, D),
     )
 
 
@@ -158,15 +163,18 @@ class RunTrace:
 
 
 def recompute_surrogate_losses(trace: RunTrace) -> np.ndarray:
-    """Re-evaluate every expert's surrogate loss at its own point, for all rounds at once.
+    """Re-evaluate every expert's surrogate loss at its own point, for all rounds at once,
+    with the constants of the trace's grid. Raises ValueError if the trace carries no
+    grid or no expert points.
 
     A recorded expert point far outside the ball gives an inf or NaN loss,
     without a warning, and so fails its certificate rows.
     """
-    grid, p = trace.grid, trace.params
-    constants = surrogates.expert_constants(grid.kinds, grid.tilts, p.grad_bound, p.diameter)
+    grid = trace.grid
+    if grid is None or trace.expert_points is None:
+        raise ValueError("trace does not carry expert data")
     with np.errstate(over="ignore", invalid="ignore"):
-        return surrogates.expert_values(grid.tilts, constants, trace.expert_points,
+        return surrogates.expert_values(grid.tilts, grid.constants, trace.expert_points,
                                         trace.plays, trace.grads)
 
 
@@ -210,25 +218,20 @@ def meta_regret_certificate(trace: RunTrace) -> CertificateReport:
     e's surrogate. At x = x_t the spherical and quadratic surrogates vanish
     and the constant-pad surrogate equals (eta_c G D)^2, so the first term
     is recomputed directly; the second is re-evaluated from the trace.
-    The measured side sums the played rounds; the cap of a spherical or
-    quadratic expert takes T to be the problem's horizon. Grid and losses
-    both come from the trace.
+    The measured side sums the played rounds; each cap is the kind's meta
+    cap of regret_caps with T the problem's horizon. Grid, its constants and
+    losses all come from the trace.
     """
-    grid = trace.grid
-    if grid is None or trace.expert_points is None:
-        raise ValueError("trace does not carry expert data")
+    own = recompute_surrogate_losses(trace).sum(axis=0)
+    grid, T = trace.grid, trace.rounds
     if grid.style != "maler":
         raise ValueError(f"meta-regret bounds are stated for the full grid, not {grid.style!r}")
-    T = trace.rounds
-    G, D = trace.params.grad_bound, trace.params.diameter
-    own = recompute_surrogate_losses(trace).sum(axis=0)
-    pad = surrogates.expert_constants(grid.kinds, grid.tilts, G, D)[0]
-    bound_sl = meta_regret_bound(trace.params.horizon)
+    caps = regret_caps(trace.params.horizon, trace.params.dim)
     rows = [
         CertificateRow(
             label=f"meta-regret {grid.labels[e]}",
-            measured=T * pad[e] - float(own[e]),
-            bound=meta_regret_c_bound() if kind == KIND_CONST else bound_sl,
+            measured=T * grid.constants[0, e] - float(own[e]),
+            bound=caps[kind][0],
         )
         for e, kind in enumerate(grid.kinds)
     ]

@@ -198,16 +198,6 @@ def play_round(learner: Learner, oracle) -> tuple:
     return x, val, g
 
 
-def bound_constant_a(horizon: int) -> float:
-    """Adaptive-bound constant A: meta-regret cap + 1 + ln T (spherical route)."""
-    return meta.meta_regret_bound(horizon) + 1.0 + math.log(horizon)
-
-
-def bound_constant_b(horizon: int, dim: int) -> float:
-    """Adaptive-bound constant B: meta-regret cap + 10 d ln T (quadratic route)."""
-    return meta.meta_regret_bound(horizon) + 10.0 * dim * math.log(horizon)
-
-
 @dataclass
 class RegretDiagnostics:
     """Measured regret and the two cumulative deviation totals."""
@@ -244,16 +234,17 @@ def regret_bound_certificate(trace: RunTrace) -> CertificateReport:
 
     The worst-case bound 2(1+ln3) G D sqrt(T) and the two adaptive bounds
     3 sqrt(V B) + 10 G D B must all hold at once, with V the spherical or
-    quadratic cumulative deviation and B the matching constant; these three
-    rows take T to be the played rounds. Each curvature modulus the trace's
-    params record adds its cap from curvature_caps.
+    quadratic cumulative deviation and B the matching constant, the sum of
+    that kind's two caps in meta.regret_caps; these three rows take T to be
+    the played rounds. Each curvature modulus the trace's params record adds
+    its cap from curvature_caps.
     """
     diag = regret_diagnostics(trace)
     p = trace.params
     T, d = trace.plays.shape
     GD = p.grad_bound * p.diameter
-    a = bound_constant_a(T)
-    b = bound_constant_b(T, d)
+    caps = meta.regret_caps(T, d)
+    a, b = sum(caps[meta.KIND_SPHERICAL]), sum(caps[meta.KIND_QUADRATIC])
     bounds = [
         ("regret <= 2(1+ln3) G D sqrt(T)", 2.0 * (1.0 + math.log(3.0)) * GD * math.sqrt(T)),
         ("regret <= 3 sqrt(V_ell B) + 10 G D B", 3.0 * math.sqrt(diag.v_ell * b) + 10.0 * GD * b),
@@ -268,22 +259,23 @@ def regret_bound_certificate(trace: RunTrace) -> CertificateReport:
 def curvature_caps(params: ProblemParams) -> list:
     """(label, cap) of regret-bounds for each curvature modulus params records, with T the
     horizon: (10GD + 9G^2/(2 lam)) A for sc_modulus lam, (10GD + 9/(2 beta)) B for
-    exp_concavity alpha, beta = experts.newton_beta(G, D, alpha). Raises ValueError
-    naming the modulus if its cap is not finite, since a cap of inf would pass any
-    regret, or if ONSLearner's metric I/(beta D)^2 overflows at that beta."""
+    exp_concavity alpha, beta = experts.newton_beta(G, D, alpha), and A and B as in
+    regret_bound_certificate. Raises ValueError naming the modulus if its cap is not
+    finite, since a cap of inf would pass any regret, or if ONSLearner's metric
+    I/(beta D)^2 overflows at that beta."""
     p = params
     G, D = p.grad_bound, p.diameter
+    table = meta.regret_caps(p.horizon, p.dim)
+    a, b = sum(table[meta.KIND_SPHERICAL]), sum(table[meta.KIND_QUADRATIC])
     caps = []
     if p.sc_modulus is not None:
         tail = 9.0 * G**2 / (2.0 * p.sc_modulus)
-        caps.append(("sc_modulus", "(10GD + 9G^2/(2 lam)) A",
-                     (10.0 * G * D + tail) * bound_constant_a(p.horizon)))
+        caps.append(("sc_modulus", "(10GD + 9G^2/(2 lam)) A", (10.0 * G * D + tail) * a))
     if p.exp_concavity is not None:
         beta = experts.newton_beta(G, D, p.exp_concavity)
         # beta underflows to 0 at the smallest alpha; the cap is then inf.
         tail = 9.0 / (2.0 * beta) if beta > 0.0 else math.inf
-        caps.append(("exp_concavity", "(10GD + 9/(2 beta)) B",
-                     (10.0 * G * D + tail) * bound_constant_b(p.horizon, p.dim)))
+        caps.append(("exp_concavity", "(10GD + 9/(2 beta)) B", (10.0 * G * D + tail) * b))
     for name, label, cap in caps:
         if not cap < math.inf:
             raise ValueError(f"{name} {getattr(p, name)!r} is out of range: the regret cap "

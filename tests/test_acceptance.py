@@ -24,11 +24,6 @@ from maler import (
     metagrad_baseline,
     regret_bound_certificate,
 )
-from maler.experts import (
-    expert_regret_c_bound,
-    expert_regret_ell_bound,
-    expert_regret_s_bound,
-)
 from maler.harness import (
     LogisticBatchLoss,
     RidgeBatchLoss,
@@ -39,6 +34,7 @@ from maler.harness import (
     run_stream,
     sample_ball,
 )
+from maler.meta import KIND_CONST, KIND_QUADRATIC, KIND_SPHERICAL, regret_caps
 from maler.surrogates import (
     SurrogateContext,
     c_grad,
@@ -190,14 +186,14 @@ def test_criterion_2_expert_regret_certificates(fuzz):
             ips = np.einsum("td,td->t", own_pts - trace.plays, trace.grads)
             if kind == "c":
                 own = eta * float(ips.sum()) + T * eta * eta
-                bound = expert_regret_c_bound()
+                bound = regret_caps(T, d)[KIND_CONST][1]
             elif kind == "s":
                 dev = np.einsum("td,td->t", own_pts - trace.plays, own_pts - trace.plays)
                 own = eta * float(ips.sum()) + eta * eta * float(dev.sum())
-                bound = expert_regret_s_bound(T)
+                bound = regret_caps(T, d)[KIND_SPHERICAL][1]
             else:
                 own = eta * float(ips.sum()) + eta * eta * float(ips @ ips)
-                bound = expert_regret_ell_bound(T, d)
+                bound = regret_caps(T, d)[KIND_QUADRATIC][1]
             if pts is not None:
                 best = float(np.min(_summed_value(stats, eta, kind, pts)))
             else:

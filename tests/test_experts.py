@@ -15,10 +15,7 @@ from maler.experts import (
     ExpertBank,
     SurrogateSums,
     convex_expert_step,
-    expert_regret_c_bound,
     expert_regret_certificate,
-    expert_regret_ell_bound,
-    expert_regret_s_bound,
     newton_beta,
     newton_expert_step,
     newton_metric,
@@ -34,7 +31,7 @@ from maler.harness import (
     load_classification,
     run_stream,
 )
-from maler.meta import KIND_CONST, KIND_QUADRATIC, KIND_SPHERICAL, build_grid
+from maler.meta import KIND_CONST, KIND_QUADRATIC, KIND_SPHERICAL, build_grid, regret_caps
 from maler.surrogates import SurrogateContext
 from maler.universal import MalerLearner, ONSLearner, make_learner, metagrad_baseline
 
@@ -609,9 +606,9 @@ def test_summed_surrogate_minimizer_beats_grid():
 
 
 def test_expert_regret_bound_values():
-    assert expert_regret_s_bound(16) == pytest.approx(1.0 + math.log(16.0))
-    assert expert_regret_ell_bound(16, 2) == pytest.approx(20.0 * math.log(16.0))
-    assert expert_regret_c_bound() == 0.75
+    assert regret_caps(16, 2)[KIND_SPHERICAL][1] == pytest.approx(1.0 + math.log(16.0))
+    assert regret_caps(16, 2)[KIND_QUADRATIC][1] == pytest.approx(20.0 * math.log(16.0))
+    assert regret_caps(16, 2)[KIND_CONST][1] == 0.75
 
 
 def test_expert_regret_certificate_on_real_run():

@@ -953,6 +953,8 @@ def _ungridded(obj):
     (_one_round, "horizon T=1 is too short"),
     (_set("params", lambda obj: {**obj["params"], "dim": 10**400}),
      "dim must fit in a float, got an integer too large for a float"),
+    (_set("params", lambda obj: {**obj["params"], "horizon": 10**400}),
+     "horizon must fit in a float, got an integer too large for a float"),
     (_set("params", lambda obj: {**obj["params"], "grad_bound": 10**400}),
      "grad_bound must be finite and > 0, got an integer too large for a float"),
     (_set("params", lambda obj: {**obj["params"], "diameter": 10**400}),
@@ -976,8 +978,9 @@ def _ungridded(obj):
         "comparator-null", "grid_style-null", "algo-other-grid", "algo-without-grid",
         "sc_modulus-zero", "exp_concavity-negative", "sc_modulus-bool", "exp_concavity-string",
         "sc_modulus-nan", "exp_concavity-inf", "sc_modulus-huge-int", "exp_concavity-list",
-        "horizon-one", "dim-huge-int", "grad_bound-huge-int", "diameter-huge-int",
-        "radius-huge-int", "center-huge-int", "grad_bound-bool", "diameter-bool", "radius-bool"])
+        "horizon-one", "dim-huge-int", "horizon-huge-int", "grad_bound-huge-int",
+        "diameter-huge-int", "radius-huge-int", "center-huge-int", "grad_bound-bool",
+        "diameter-bool", "radius-bool"])
 def test_cli_certify_rejects_misshapen_traces(tmp_path, capsys, edit, reason):
     tpath = _tampered_trace(tmp_path, edit)
     capsys.readouterr()
@@ -1440,6 +1443,19 @@ def test_certify_refuses_an_exp_concavity_that_run_refuses(tmp_path, capsys, alg
     assert err.startswith("error: cannot load trace: the online Newton metric I/(beta D)^2 "
                           "overflows at beta = 5e-201, D = 1")
     assert err.endswith(", from exp_concavity 1e-200\n")
+
+
+def test_certify_names_a_horizon_too_large_for_a_float_in_an_ons_trace(tmp_path, capsys):
+    # An ons trace has no expert grid to rebuild, so only ProblemParams refuses this T.
+    out = tmp_path / "run"
+    assert cli.main(["run", "--rounds", "20", "--dim", "3", "--algos", "ons",
+                     "--out", str(out)]) == 0
+    tpath = _rewritten(out / "trace_ons.json",
+                       _set("params", lambda obj: {**obj["params"], "horizon": 10**400}))
+    rc, out, err = _certified(capsys, tpath)
+    assert rc == 1 and out == ""
+    assert err == ("error: cannot load trace: horizon must fit in a float, got an integer too "
+                   "large for a float\n")
 
 
 def test_certify_refuses_a_comparator_outside_the_ball(tmp_path, capsys):

@@ -11,15 +11,15 @@ from maler.meta import (
     RunTrace,
     aggregate_play,
     build_grid,
-    meta_regret_bound,
-    meta_regret_c_bound,
     logsumexp,
     meta_regret_certificate,
     potential_certificate,
     recompute_surrogate_losses,
+    regret_caps,
     update_weights,
 )
-from maler.universal import MalerLearner
+from maler.experts import expert_regret_certificate
+from maler.universal import MalerLearner, metagrad_baseline
 
 
 def params_for(T, d=2, G=1.0, D=1.0):
@@ -106,8 +106,8 @@ def test_metagrad_grid():
 
 
 def test_meta_regret_bound_values():
-    assert meta_regret_bound(16) == pytest.approx(4.3175, abs=5e-5)
-    assert meta_regret_c_bound() == pytest.approx(math.log(3.0))
+    assert regret_caps(16, 2)[KIND_SPHERICAL][0] == pytest.approx(4.3175, abs=5e-5)
+    assert regret_caps(16, 2)[KIND_CONST][0] == pytest.approx(math.log(3.0))
 
 
 def test_logsumexp_matches_naive():
@@ -209,7 +209,7 @@ def test_meta_regret_certificate_passes_on_run():
     assert c_row.bound == pytest.approx(math.log(3.0))
     for row in report.rows:
         if row is not c_row:
-            assert row.bound == pytest.approx(meta_regret_bound(32))
+            assert row.bound == pytest.approx(regret_caps(32, 2)[KIND_SPHERICAL][0])
 
 
 def test_meta_regret_certificate_detects_violation():
@@ -244,3 +244,70 @@ def test_meta_regret_certificate_requires_full_grid():
     trace.grid = build_grid(trace.params, "metagrad")
     with pytest.raises(ValueError):
         meta_regret_certificate(trace)
+
+
+@pytest.mark.parametrize("missing", ["grid", "expert_points"])
+@pytest.mark.parametrize("check", [recompute_surrogate_losses, meta_regret_certificate,
+                                   expert_regret_certificate])
+def test_a_trace_without_expert_data_is_refused(check, missing):
+    # Both certificates reach the refusal through recompute_surrogate_losses.
+    trace = _run_maler(T=8)
+    setattr(trace, missing, None)
+    with pytest.raises(ValueError, match="^trace does not carry expert data$"):
+        check(trace)
+
+
+def test_meta_regret_certificate_refuses_a_metagrad_trace_by_its_style():
+    rng = np.random.default_rng(5)
+    learner = metagrad_baseline(params_for(8), Ball(center=np.zeros(2), radius=0.5))
+    for _ in range(8):
+        learner.predict()
+        learner.observe(rng.uniform(-0.5, 0.5, size=2))
+    with pytest.raises(ValueError, match="^meta-regret bounds are stated for the full grid, "
+                                         "not 'metagrad'$"):
+        meta_regret_certificate(learner.trace())
+
+
+# The seven cap functions that regret_caps replaced, kept here as the reference.
+def _meta_regret_bound(horizon):
+    return 2.0 * math.log(math.sqrt(3.0) * (0.5 * math.log2(horizon) + 3.0))
+
+
+def _meta_regret_c_bound():
+    return math.log(3.0)
+
+
+def _expert_regret_s_bound(horizon):
+    return 1.0 + math.log(horizon)
+
+
+def _expert_regret_ell_bound(horizon, dim):
+    return 10.0 * dim * math.log(horizon)
+
+
+def _expert_regret_c_bound():
+    return 0.75
+
+
+def _bound_constant_a(horizon):
+    return _meta_regret_bound(horizon) + 1.0 + math.log(horizon)
+
+
+def _bound_constant_b(horizon, dim):
+    return _meta_regret_bound(horizon) + 10.0 * dim * math.log(horizon)
+
+
+def test_regret_caps_match_the_seven_cap_functions_they_replaced():
+    # Every cap and B are bit-equal. A is the table's m + (1 + ln T), where the
+    # reference adds (m + 1) + ln T, so it may differ by one ulp.
+    for d in (1, 2, 50):
+        for T in range(2, 5001):
+            caps = regret_caps(T, d)
+            assert caps == {
+                KIND_CONST: (_meta_regret_c_bound(), _expert_regret_c_bound()),
+                KIND_SPHERICAL: (_meta_regret_bound(T), _expert_regret_s_bound(T)),
+                KIND_QUADRATIC: (_meta_regret_bound(T), _expert_regret_ell_bound(T, d)),
+            }, (T, d)
+            assert sum(caps[KIND_QUADRATIC]) == _bound_constant_b(T, d), (T, d)
+            a = _bound_constant_a(T)
+            assert abs(sum(caps[KIND_SPHERICAL]) - a) <= math.ulp(a), T

@@ -7,7 +7,7 @@ import pytest
 from conftest import sample_point
 
 from maler.core import Ball, ProblemParams, ProjectionError
-from maler.meta import POTENTIAL_SLACK, logsumexp
+from maler.meta import KIND_QUADRATIC, KIND_SPHERICAL, POTENTIAL_SLACK, logsumexp, regret_caps
 from maler.universal import (
     AssumptionViolation,
     MalerLearner,
@@ -20,8 +20,6 @@ from maler.universal import (
     play_round,
     regret_diagnostics,
     regret_bound_certificate,
-    bound_constant_a,
-    bound_constant_b,
 )
 
 
@@ -213,8 +211,8 @@ def test_make_learner_names():
 
 
 def test_adaptive_bound_constants():
-    assert bound_constant_a(16) == pytest.approx(8.090, abs=5e-4)
-    assert bound_constant_b(16, 2) == pytest.approx(
+    assert sum(regret_caps(16, 2)[KIND_SPHERICAL]) == pytest.approx(8.090, abs=5e-4)
+    assert sum(regret_caps(16, 2)[KIND_QUADRATIC]) == pytest.approx(
         2.0 * math.log(math.sqrt(3.0) * 5.0) + 20.0 * math.log(16.0)
     )
 
@@ -273,8 +271,8 @@ def test_v_ell_never_exceeds_v_s():
 
 def test_curvature_bound_formulas():
     params = ProblemParams(horizon=16, dim=2, grad_bound=1.0, diameter=1.0)
-    a = bound_constant_a(16)
-    b = bound_constant_b(16, 2)
+    a = sum(regret_caps(16, 2)[KIND_SPHERICAL])
+    b = sum(regret_caps(16, 2)[KIND_QUADRATIC])
     assert curvature_caps(params) == []
     # alpha = 1 exceeds 1/(4GD) = 0.25, so beta = 0.125.
     assert curvature_caps(replace(params, sc_modulus=1.0, exp_concavity=1.0)) == [

@@ -89,6 +89,8 @@ def steps() -> list:
              _set_entry("grads", 3 * 5, 1e200)),
             ("edit", "tiny/trace_ons.json", "edited/trace_huge-g.json",
              _set(10**400, "params", "grad_bound")),
+            ("edit", "tiny/trace_ons.json", "edited/trace_huge-h.json",
+             _set(10**400, "params", "horizon")),
             ("edit", "tiny/trace_ons.json", "edited/trace_huge-center.json",
              _set(10**400, "dset", "center", 0)),
             ("edit", "tiny/trace_ons.json", "edited/trace_ons-alpha.json",
