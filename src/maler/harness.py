@@ -448,8 +448,10 @@ def load_trace(path) -> RunTrace:
     all but GRID_ARRAYS otherwise. The TRACE_MODULI load into the params, as
     None when null or absent. Raises ValueError if the file is malformed, an
     array is missing, G, D, the radius or a modulus is not a finite positive
-    number, a modulus fails curvature_caps (as in `maler run`), or the
-    comparator lies outside the decision set.
+    number, a modulus fails curvature_caps (as in `maler run`), the
+    comparator lies outside the decision set, or make_learner cannot build
+    the algo on the trace's params (the error names algo or the missing
+    modulus).
     """
     # One byte read and one UTF-8 decode; a text-mode reader would also
     # translate newlines, which costs time and JSON does not need.
@@ -483,6 +485,15 @@ def load_trace(path) -> RunTrace:
     _check_trace_shapes(trace)
     if trace.comparator is not None and not trace.dset.contains(trace.comparator):
         raise ValueError("comparator lies outside the decision set")
+    # A trace no learner could have written is refused by make_learner's rules, as run
+    # refuses it: an unknown algo, or a baseline without the modulus it steps by.
+    try:
+        make_learner(trace.algo, params, trace.dset)
+    except TypeError:  # an algo given as a JSON list or object
+        raise ValueError(f"algo must be a string, got {trace.algo!r}") from None
+    except ValueError as exc:
+        field = {"ons": "exp_concavity", "ogd-sc": "sc_modulus"}.get(trace.algo, "algo")
+        raise ValueError(f"{field}: {exc}") from None
     return trace
 
 

@@ -912,6 +912,14 @@ def _ungridded(obj):
         del obj[key]
 
 
+def _as(algo, **fields):
+    """The trace relabelled as one of an ungridded algo, with fields set."""
+    def edit(obj):
+        _ungridded(obj)
+        obj.update(algo=algo, **fields)
+    return edit
+
+
 @pytest.mark.parametrize("edit, reason", [
     (_set("log_phi", lambda obj: obj["log_phi"][:-3]), "log_phi has shape (3,)"),
     (_drop_column("expert_points"), "expert_points has shape (6, 6, 2)"),
@@ -969,6 +977,13 @@ def _ungridded(obj):
      "diameter must be finite and > 0, got True"),
     (_set("dset", lambda obj: {**obj["dset"], "radius": True}),
      "radius must be finite and > 0, got True"),
+    (_as("nope"), "algo: unknown learner 'nope'"),
+    (_as(42), "algo: unknown learner 42"),
+    (_as(None), "algo: unknown learner None"),
+    (_as(["ons"]), "algo must be a string, got ['ons']"),
+    (_as("ons", exp_concavity=None), "exp_concavity: ons baseline needs the exp-concavity modulus"),
+    (_as("ogd-sc", sc_modulus=None),
+     "sc_modulus: ogd-sc baseline needs the strong-convexity modulus"),
 ], ids=["log_phi-rows", "expert_points-experts", "surrogate_losses-experts",
         "log_weights-experts", "horizon-grid", "horizon-below-T", "plays-rows",
         "grads-dim", "loss_at_play-rows", "comparator-dim", "top-level-list",
@@ -980,7 +995,8 @@ def _ungridded(obj):
         "sc_modulus-nan", "exp_concavity-inf", "sc_modulus-huge-int", "exp_concavity-list",
         "horizon-one", "dim-huge-int", "horizon-huge-int", "grad_bound-huge-int",
         "diameter-huge-int", "radius-huge-int", "center-huge-int", "grad_bound-bool",
-        "diameter-bool", "radius-bool"])
+        "diameter-bool", "radius-bool", "algo-unknown", "algo-int", "algo-null",
+        "algo-list", "ons-exp_concavity-null", "ogd-sc-sc_modulus-null"])
 def test_cli_certify_rejects_misshapen_traces(tmp_path, capsys, edit, reason):
     tpath = _tampered_trace(tmp_path, edit)
     capsys.readouterr()

@@ -2,25 +2,19 @@
 
 Usage: python tools/same_outputs.py REV
 
-REV is checked out with `git worktree` into a temporary directory. Then one
-fresh Python process per tree (REV first, then the working tree) runs every
-step of `steps()` with that tree's `src/maler`:
+REV is checked out with `git worktree` into a temporary directory. Then one fresh
+Python process per tree (REV first) runs `steps()` with that tree's `src/maler`: the
+benchmark's reg-stream and cls-libsvm configs (perfbench/workloads.py) at seeds 0 and
+7, then the smoke plan, `smoke_steps()`, which tests/test_same_outputs.py holds to its
+expectations through `check()`; then `maler certify` on every trace written and on
+tests/data/trace_v1_maler.json.
 
-- `maler run` on the benchmark's reg-stream and cls-libsvm configs
-  (perfbench/workloads.py) at seeds 0 and 7;
-- the `maler run` commands of the CI smoke step (.github/workflows/tests.yml),
-  its refusals among them, and its edited copies of saved traces;
-- `maler certify` on every trace written and on tests/data/trace_v1_maler.json.
-
-Each process works in its own directory with relative paths, so the `wrote`
-lines match. The tool prints one row per file that either tree wrote (input,
-result, trace, report, and each command's stdout with its exit code): `same`
-and the sha256, or `DIFF` and both. It exits 1 on any difference.
-
-After the rows, each trace that differs is printed again, followed by one
-row per array of either copy (f8 object or legacy nested list): its
-largest absolute and relative difference, for a change that is meant to
-move floats. When no trace differs, nothing is printed there.
+Each process works in its own directory with relative paths, so the `wrote` lines
+match. One row is printed per file that either tree wrote (input, result, trace,
+report, and each command's stdout, stderr and exit code): `same` and the sha256, or
+`DIFF` and both; the tool exits 1 on any difference. Then each trace that differs is
+printed again, with one row per array of either copy (f8 object or legacy nested
+list): its largest absolute and relative difference, for a change meant to move floats.
 """
 
 from __future__ import annotations
@@ -32,11 +26,13 @@ import hashlib
 import io
 import json
 import os
+import pathlib
 import re
 import shutil
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 
@@ -44,6 +40,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LEGACY_TRACE = os.path.join(REPO, "tests", "data", "trace_v1_maler.json")
 REG_ALGOS = "maler,metagrad,ogd-convex,ogd-sc,ons"
 CLS_ALGOS = "maler,metagrad,ogd-convex,ons"
+COMMAND_S = 60.0  # each smoke command's time limit
 
 # The child process: the tree's src first on the path, then this directory and tests/.
 CHILD = "import sys; sys.path[:0] = sys.argv[1:4]; import same_outputs; same_outputs.produce(sys.argv[4])"
@@ -67,9 +64,8 @@ def _set_entry(name, index, value):
 
 
 def steps() -> list:
-    """What produce runs, in order: ("maler", argv) runs a command and records its
-    stdout and exit code; ("libsvm", path, kwargs), ("e278", path), ("crlf", src, dst)
-    and ("edit", src, dst, edit) make an input file."""
+    """What produce runs by default: the benchmark's reg-stream and cls-libsvm configs at
+    seeds 0 and 7, then smoke_steps()."""
     out = []
     for seed in (0, 7):
         out += [("maler", ["run", "--task", "regression", "--algos", REG_ALGOS, "--rounds", "1000",
@@ -78,77 +74,94 @@ def steps() -> list:
                 ("maler", ["run", "--task", "classification", "--algos", CLS_ALGOS, "--rounds",
                            "1000", "--seed", str(seed), "--data", f"cls-libsvm-{seed}.libsvm",
                            "--out", f"cls-libsvm-{seed}"])]
-    out.append(("maler", ["run", "--out", "defaults"]))
-    for flags in (["--rounds", "1"], ["--lambda", "1e300"], ["--algos", "nope"],
-                  ["--algos", "maler,maler"], ["--rounds", "nan"], ["--seed", "-1"]):
-        out.append(("maler", ["run", *flags]))
-    out += [("maler", ["run", "--rounds", "20", "--dim", "5", "--out", "tiny"]),
-            ("edit", "tiny/trace_maler.json", "edited/trace_tiny-alpha.json",
-             _set(5e-324, "exp_concavity")),
-            ("edit", "tiny/trace_maler.json", "edited/trace_huge-grad.json",
-             _set_entry("grads", 3 * 5, 1e200)),
-            ("edit", "tiny/trace_ons.json", "edited/trace_huge-g.json",
-             _set(10**400, "params", "grad_bound")),
-            ("edit", "tiny/trace_ons.json", "edited/trace_huge-h.json",
-             _set(10**400, "params", "horizon")),
-            ("edit", "tiny/trace_ons.json", "edited/trace_huge-center.json",
-             _set(10**400, "dset", "center", 0)),
-            ("edit", "tiny/trace_ons.json", "edited/trace_ons-alpha.json",
-             _set(1e-200, "exp_concavity")),
-            ("edit", "tiny/trace_ons.json", "edited/trace_true-g.json",
-             _set(True, "params", "grad_bound")),
-            ("edit", "legacy/trace_v1_maler.json", "edited/trace_legacy-true.json",
-             _set(True, "loss_at_play", 0)),
-            ("edit", "legacy/trace_v1_maler.json", "edited/trace_legacy-null.json",
-             _set(None, "loss_at_play", 0)),
-            ("libsvm", "train.libsvm", {}),
-            ("maler", ["run", "--task", "classification", "--data", "train.libsvm", "--rounds", "20",
-                       "--out", "cls"]),
-            ("maler", ["run", "--task", "classification", "--data", "train.libsvm", "--radius",
-                       "1e-300"]),
-            ("crlf", "train.libsvm", "train-crlf.libsvm"),
-            ("maler", ["run", "--task", "classification", "--data", "train-crlf.libsvm", "--rounds",
-                       "20", "--out", "crlf"]),
-            ("maler", ["run", "--task", "classification", "--data", "train.libsvm", "--rounds", "5",
-                       "--out", "few"]),
+    return out + smoke_steps()
+
+
+def smoke_steps() -> list:
+    """The smoke plan. ("maler", argv) runs a command that must exit 0, ("maler", argv, rc,
+    field) one that must exit rc and, unless field is None, print an `error:` line naming
+    field. ("edit", src, dst, edit, rc, field) writes trace src changed by edit(obj) to dst,
+    whose certify must give rc and field alike. ("libsvm", path, kwargs), ("e278", path)
+    and ("crlf", src, dst) make an input file. check() lists what else the outputs owe."""
+    out = [("maler", ["run", "--out", "defaults"]),  # every default but --out
+           ("maler", ["run", "--rounds", "1"], 1, "horizon"),  # no expert grid covers T = 1
+           ("maler", ["run", "--lambda", "1e300"], 1, "--lambda"),  # G^2 overflows
+           ("maler", ["run", "--algos", "nope"], 1, "algo"),
+           ("maler", ["run", "--algos", "maler,maler"], 1, "--algos"),
+           ("maler", ["run", "--rounds", "nan"], 1, None),  # argparse's usage error
+           ("maler", ["run", "--seed", "-1"], 1, "--seed"),
+           ("maler", ["run", "--rounds", "20", "--dim", "5", "--out", "tiny"])]
+    # Edited copies of tiny's traces and of the committed legacy one (nested lists): an
+    # infinite regret cap, a failed assumption (exit 2), numbers too large for a float,
+    # ONS's metric I/(beta D)^2 overflowing (as `maler run --lambda 1e-200` refuses), a
+    # bool or null for a number, and traces that no learner writes.
+    maler, ons, legacy = "tiny/trace_maler.json", "tiny/trace_ons.json", "legacy/trace_v1_maler.json"
+    for src, name, edit, rc, field in [
+            (maler, "tiny-alpha", _set(5e-324, "exp_concavity"), 1, "exp_concavity"),
+            (maler, "huge-grad", _set_entry("grads", 3 * 5, 1e200), 2, None),
+            (ons, "huge-g", _set(10**400, "params", "grad_bound"), 1, "grad_bound"),
+            (ons, "huge-h", _set(10**400, "params", "horizon"), 1, "horizon"),
+            (ons, "huge-center", _set(10**400, "dset", "center", 0), 1, "dset.center"),
+            (ons, "ons-alpha", _set(1e-200, "exp_concavity"), 1, "exp_concavity"),
+            (ons, "true-g", _set(True, "params", "grad_bound"), 1, "grad_bound"),
+            (legacy, "legacy-true", _set(True, "loss_at_play", 0), 1, "loss_at_play"),
+            (legacy, "legacy-null", _set(None, "loss_at_play", 0), 1, "loss_at_play"),
+            (ons, "algo-nope", _set("nope", "algo"), 1, "algo"),
+            (ons, "algo-42", _set(42, "algo"), 1, "algo"),
+            (ons, "algo-null", _set(None, "algo"), 1, "algo"),
+            (ons, "ons-alpha-null", _set(None, "exp_concavity"), 1, "exp_concavity"),
+            ("tiny/trace_ogd-sc.json", "sc-null", _set(None, "sc_modulus"), 1, "sc_modulus")]:
+        out.append(("edit", src, f"edited/trace_{name}.json", edit, rc, field))
+    cls = ["run", "--task", "classification", "--data"]
+    out += [("libsvm", "train.libsvm", {}),
+            ("maler", [*cls, "train.libsvm", "--rounds", "20", "--out", "cls"]),
+            ("maler", [*cls, "train.libsvm", "--radius", "1e-300"], 1, "diameter"),  # D^2 = 0
+            ("crlf", "train.libsvm", "train-crlf.libsvm"),  # `#`-headed; same results.csv
+            ("maler", [*cls, "train-crlf.libsvm", "--rounds", "20", "--out", "crlf"]),
+            # 1000 of the 4000 rows: most rows have a zero count in the summed loss.
+            ("maler", [*cls, "train.libsvm", "--rounds", "5", "--out", "few"]),
+            # A row whose squared norm overflows runs with no RuntimeWarning.
             ("e278", "e278.libsvm"),
-            ("maler", ["run", "--task", "classification", "--data", "e278.libsvm", "--rounds", "20",
-                       "--out", "e278"]),
-            ("maler", ["run", "--task", "classification", "--data", "e278.libsvm", "--rounds", "3",
-                       "--batch", "4"])]
+            ("maler", [*cls, "e278.libsvm", "--rounds", "20", "--out", "e278"]),
+            ("maler", [*cls, "e278.libsvm", "--rounds", "3", "--batch", "4"], 1, "--data")]
+    # Batches of 50 wrap around a file of 130 (not a multiple) and of 37 (fewer) examples.
     for m in (130, 37):
         out += [("libsvm", f"small{m}.libsvm", {"examples": m, "dim": 5}),
-                ("maler", ["run", "--task", "classification", "--data", f"small{m}.libsvm",
-                           "--rounds", "20", "--batch", "50", "--out", f"cls{m}"])]
+                ("maler", [*cls, f"small{m}.libsvm", "--rounds", "20", "--batch", "50",
+                           "--out", f"cls{m}"])]
+    # T < d: the expert-regret certificate minimizes singular surrogate sums. r20's
+    # comparator must converge; cls2 and reg2 guard against a comparator check whose
+    # cost grows with rounds x batch (COMMAND_S).
     out += [("maler", ["run", "--rounds", "20", "--dim", "50", "--out", "wide"]),
-            ("maler", ["run", "--task", "classification", "--data", "small130.libsvm", "--radius",
-                       "20", "--rounds", "50", "--out", "r20"]),
+            ("maler", [*cls, "small130.libsvm", "--radius", "20", "--rounds", "50", "--out", "r20"]),
             ("libsvm", "two.libsvm", {"examples": 400, "dim": 2}),
-            ("maler", ["run", "--task", "classification", "--data", "two.libsvm", "--rounds", "50",
-                       "--batch", "50", "--out", "cls2"]),
+            ("maler", [*cls, "two.libsvm", "--rounds", "50", "--batch", "50", "--out", "cls2"]),
             ("maler", ["run", "--rounds", "30", "--dim", "2", "--out", "reg2"])]
     return out
 
 
-def produce(workdir: str, plan: list | None = None) -> None:
-    """Run plan (default steps()) in workdir with the maler first on sys.path, then
-    `maler certify` on every trace_*.json one level down; each command's stdout and
-    exit code go to a file under stdout/, its stderr is dropped."""
-    from conftest import write_e278_file  # as the CI smoke step makes it
+def produce(workdir: str, plan: list | None = None) -> dict:
+    """Run plan (default steps()) in workdir with the maler first on sys.path, then `maler
+    certify` on every trace_*.json one level down. Each command's stdout, stderr and exit
+    code go to a file under stdout/; returns {command: (exit code, stdout, stderr, s)}."""
+    from conftest import write_e278_file
     from maler import cli, harness
 
-    def maler(argv):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    ran = {}
+
+    def maler(argv, *expectations):
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = cli.main(argv)
+        ran[" ".join(argv)] = (rc, out.getvalue(), err.getvalue(), time.perf_counter() - start)
         name = re.sub(r"[^\w.,=-]+", "_", " ".join(argv))
-        with open(os.path.join("stdout", f"{len(os.listdir('stdout')):03d} {name}.txt"), "w",
-                  encoding="utf-8", newline="\n") as fh:
-            fh.write(f"{out.getvalue()}exit {rc}\n")
+        pathlib.Path("stdout", f"{len(os.listdir('stdout')):03d} {name}.txt").write_text(
+            f"{out.getvalue()}{err.getvalue()}exit {rc}\n", encoding="utf-8", newline="\n")
 
     cwd = os.getcwd()
-    os.makedirs(os.path.join(workdir, "stdout"), exist_ok=True)
-    os.makedirs(os.path.join(workdir, "legacy"), exist_ok=True)
+    for d in ("stdout", "legacy"):
+        os.makedirs(os.path.join(workdir, d), exist_ok=True)
     shutil.copyfile(LEGACY_TRACE, os.path.join(workdir, "legacy", "trace_v1_maler.json"))
     os.chdir(workdir)
     try:
@@ -160,17 +173,13 @@ def produce(workdir: str, plan: list | None = None) -> None:
             elif kind == "e278":
                 write_e278_file(args[0])
             elif kind == "crlf":
-                with open(args[0], "rb") as fh:
-                    blob = fh.read()
-                with open(args[1], "wb") as fh:
-                    fh.write(b"# CRLF copy\r\n" + blob.replace(b"\n", b"\r\n"))
+                blob = pathlib.Path(args[0]).read_bytes().replace(b"\n", b"\r\n")
+                pathlib.Path(args[1]).write_bytes(b"# CRLF copy\r\n" + blob)
             else:
-                with open(args[0], encoding="utf-8") as fh:
-                    obj = json.load(fh)
+                obj = json.loads(pathlib.Path(args[0]).read_bytes())
                 args[2](obj)
                 os.makedirs(os.path.dirname(args[1]), exist_ok=True)
-                with open(args[1], "w", encoding="utf-8") as fh:
-                    json.dump(obj, fh)
+                pathlib.Path(args[1]).write_text(json.dumps(obj), encoding="utf-8")
         for d in sorted(os.listdir(".")):
             if os.path.isdir(d) and d != "stdout":
                 for f in sorted(os.listdir(d)):
@@ -178,17 +187,58 @@ def produce(workdir: str, plan: list | None = None) -> None:
                         maler(["certify", "--trace", f"{d}/{f}"])
     finally:
         os.chdir(cwd)
+    return ran
+
+
+def check(workdir: str, ran: dict, plan: list | None = None) -> list:
+    """One line per expectation of plan (default smoke_steps()) that ran, what produce ran in
+    workdir, misses; [] if none. Beyond each step's exit code and `error:` field: every
+    other trace certifies with exit 0, its stdout verbatim in report.txt if a run wrote its
+    directory; each report's comparator gap is at most 1e-9 max(1, |value|); r20 stops
+    before core.PGD_ITERS steps; crlf's results.csv is cls's; no command takes COMMAND_S."""
+    from maler.core import PGD_ITERS
+
+    def read(name):  # a file's text as written, or "" if there is none
+        path = pathlib.Path(workdir, name)
+        return path.read_bytes().decode() if path.is_file() else ""
+
+    want, outs = {}, []  # {command: (exit code, error field)}; the runs' --out directories
+    for kind, *args in smoke_steps() if plan is None else plan:
+        if kind == "maler":
+            want[" ".join(args[0])] = tuple(args[1:]) or (0, None)
+            outs += [value for flag, value in zip(args[0], args[0][1:]) if flag == "--out"]
+        elif kind == "edit":
+            want[f"certify --trace {args[1]}"] = tuple(args[3:])
+    misses = [f"{command}: not run" for command in want if command not in ran]
+    for command, (rc, out, err, seconds) in ran.items():
+        rc_wanted, field = want.get(command, (0, None))
+        if rc != rc_wanted:
+            misses.append(f"{command}: exit {rc}, expected {rc_wanted}")
+        if field and not re.search(rf"^error: .*{re.escape(field)}", err, re.M):
+            misses.append(f"{command}: no `error:` line names {field}")
+        if seconds >= COMMAND_S:
+            misses.append(f"{command}: took {seconds:.1f} s")
+        report = f"{os.path.dirname(command.split(' ')[-1])}/report.txt"
+        if (command.startswith("certify") and os.path.dirname(report) in outs
+                and out not in read(report)):
+            misses.append(f"{command}: its stdout is not in {report}")
+    for d in outs:
+        line = re.search(r"^comparator: iterations=(\d+) gap=(\S+) value=(\S+)$",
+                         read(f"{d}/report.txt"), re.M)
+        if not line or not float(line[2]) <= 1e-9 * max(1.0, abs(float(line[3]))):
+            misses.append(f"{d}/report.txt: comparator gap missing or above 1e-9 max(1, |value|)")
+        elif d == "r20" and int(line[1]) >= PGD_ITERS:
+            misses.append(f"r20/report.txt: comparator ran {line[1]} of {PGD_ITERS} steps")
+    if read("crlf/results.csv") != read("cls/results.csv"):
+        misses.append("crlf/results.csv differs from cls/results.csv")
+    return misses
 
 
 def digest(workdir: str) -> dict:
     """{path relative to workdir: sha256 hex} of every file under workdir."""
-    out = {}
-    for root, _, files in os.walk(workdir):
-        for f in files:
-            path = os.path.join(root, f)
-            with open(path, "rb") as fh:
-                out[os.path.relpath(path, workdir)] = hashlib.sha256(fh.read()).hexdigest()
-    return out
+    paths = [os.path.join(root, f) for root, _, files in os.walk(workdir) for f in files]
+    return {os.path.relpath(p, workdir): hashlib.sha256(pathlib.Path(p).read_bytes()).hexdigest()
+            for p in paths}
 
 
 def compare(old: dict, new: dict) -> tuple:
@@ -204,10 +254,8 @@ def compare(old: dict, new: dict) -> tuple:
 def _arrays(path: str) -> dict:
     """{key: float array} of a trace's top-level arrays, in either layout; other entries
     (and a list that is not all numbers) are left out."""
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
     out = {}
-    for key, val in obj.items():
+    for key, val in json.loads(pathlib.Path(path).read_bytes()).items():
         if isinstance(val, dict) and set(val) == {"shape", "f8"}:
             raw = base64.b64decode(val["f8"])
             out[key] = np.frombuffer(raw, dtype="<f8").reshape(val["shape"])
@@ -272,10 +320,8 @@ def main(argv=None) -> int:
             subprocess.run(["git", "-C", REPO, "worktree", "remove", "--force", tree], check=False)
         new = _run_tree(os.path.join(REPO, "src"), os.path.join(tmp, "out-head"))
         rows, ok = compare(old, new)
-        print("\n".join(rows))
-        report = array_report(os.path.join(tmp, "out-rev"), os.path.join(tmp, "out-head"), rows)
-        if report:
-            print("\n".join(report))
+        print("\n".join(rows + array_report(os.path.join(tmp, "out-rev"),
+                                            os.path.join(tmp, "out-head"), rows)))
     print(f"{len(rows)} files, {sum(not r.startswith('same') for r in rows)} differ "
           f"between {rev} and the working tree")
     return 0 if ok else 1
