@@ -41,6 +41,7 @@ from .meta import (
     KIND_SPHERICAL,
     CertificateReport,
     CertificateRow,
+    ExpertGrid,
     RunTrace,
     recompute_surrogate_losses,
     regret_caps,
@@ -135,13 +136,13 @@ def newton_expert_step(sigma: np.ndarray, target: np.ndarray, dset: Ball) -> np.
 class BankLayout:
     """What no round of a bank changes, fixed by ExpertBank.build.
 
-    rows holds the c, s and ell row indices, rates their etas, and first the
-    c then the s rows, the stack they are projected as; sph is eta^2 G^2 of
-    each s row and ell_slope 2 eta^2 of each ell row.
+    grid holds the rates (tilts) and surrogate constants; rows holds the c, s
+    and ell row indices, rates their etas, and first the c then the s rows,
+    the stack they are projected as; sph is eta^2 G^2 of each s row and
+    ell_slope 2 eta^2 of each ell row.
     """
 
-    etas: np.ndarray
-    constants: np.ndarray
+    grid: ExpertGrid
     rows: tuple
     rates: tuple
     first: np.ndarray
@@ -167,22 +168,22 @@ class ExpertBank:
     round: int = 1
 
     @classmethod
-    def build(cls, kinds, etas, params: ProblemParams, dset: Ball) -> "ExpertBank":
-        """Bank at round 1: every iterate at the origin; rates must lie in (0, 2/(3DG)]."""
+    def build(cls, grid: ExpertGrid, params: ProblemParams, dset: Ball) -> "ExpertBank":
+        """Bank at round 1 of the grid's experts, every iterate at the origin; the grid's
+        rates (its tilts) must lie in (0, 2/(3DG)]."""
         G, D = params.grad_bound, params.diameter
-        etas = np.asarray(etas, dtype=float)
+        etas = grid.tilts
         cap = surrogates.eta_cap(G, D)
         if not np.all((etas > 0.0) & (etas <= cap * (1.0 + 1e-12))):
             raise ValueError(f"rates {etas} outside (0, 2/(3DG)] = (0, {cap}]")
-        kinds = np.asarray(kinds)
+        kinds = np.asarray(grid.kinds)
         conv, sph, ell = rows = tuple(np.flatnonzero(kinds == kind)
                                       for kind in (KIND_CONST, KIND_SPHERICAL, KIND_QUADRATIC))
-        constants = surrogates.expert_constants(kinds, etas, G, D)
         beta = newton_beta(ons_grad_bound(D), D, 1.0)
         sigma, sigma_inv = newton_metric(beta, D, params.dim)
         layout = BankLayout(
-            etas=etas, constants=constants, rows=rows, rates=tuple(etas[r] for r in rows),
-            first=np.concatenate((conv, sph)), sph=constants[1, sph],
+            grid=grid, rows=rows, rates=tuple(etas[r] for r in rows),
+            first=np.concatenate((conv, sph)), sph=grid.constants[1, sph],
             # 2 eta^2 in Python floats, as ell_grad computes it
             ell_slope=np.array([2.0 * float(eta) ** 2 for eta in etas[ell]]),
             beta=beta, params=params, dset=dset)
@@ -192,8 +193,8 @@ class ExpertBank:
 
     def losses(self, play: np.ndarray, grad: np.ndarray) -> np.ndarray:
         """Each expert's surrogate loss at its own iterate this round."""
-        lay = self.layout
-        return surrogates.expert_values(lay.etas, lay.constants, self.points, play, grad)
+        grid = self.layout.grid
+        return surrogates.expert_values(grid.tilts, grid.constants, self.points, play, grad)
 
     def step(self, play: np.ndarray, grad: np.ndarray) -> "ExpertBank":
         """The bank after one round; raises if a Newton row's gradient is past its cap."""

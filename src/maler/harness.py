@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import libsvm, meta, svgplot
+from . import libsvm, svgplot, universal
 from .core import Ball, ProblemParams, Quadratic, positive_float, projected_gradient
 from .experts import expert_regret_certificate
 from .meta import (
@@ -356,9 +356,6 @@ TRACE_ARRAYS = ("plays", "grads", "expert_points", "surrogate_losses", "log_weig
                 "loss_at_play", "loss_at_comparator", "comparator")
 GRID_ARRAYS = TRACE_ARRAYS[2:6]
 
-# The ensemble algos; each runs on the grid style of its own name, every other algo on none.
-GRID_ALGOS = ("maler", "metagrad")
-
 # Layout version save_trace writes; a trace without the key is the legacy
 # layout, every array a nested JSON list.
 TRACE_FORMAT = 2
@@ -443,15 +440,16 @@ def save_trace(trace: RunTrace, path) -> None:
 def load_trace(path) -> RunTrace:
     """Rebuild a RunTrace from save_trace's JSON or the legacy nested-list layout.
 
-    The algo fixes the grid style, and the trace must carry exactly the
-    arrays that learner records: every one of TRACE_ARRAYS for an ensemble,
-    all but GRID_ARRAYS otherwise. The TRACE_MODULI load into the params, as
-    None when null or absent. Raises ValueError if the file is malformed, an
-    array is missing, G, D, the radius or a modulus is not a finite positive
-    number, a modulus fails curvature_caps (as in `maler run`), the
-    comparator lies outside the decision set, or make_learner cannot build
-    the algo on the trace's params (the error names algo or the missing
-    modulus).
+    The TRACE_MODULI load into the params, as None when null or absent. The
+    trace's algo is built on its params and ball by make_learner, and the
+    trace takes that learner's grid (None for a baseline), which grid_style
+    must name; it must carry exactly the arrays that learner records: every
+    one of TRACE_ARRAYS for an ensemble, all but GRID_ARRAYS otherwise.
+    Raises ValueError if the file is malformed, an array is missing, G, D,
+    the radius or a modulus is not a finite positive number, a modulus fails
+    curvature_caps (as in `maler run`), the algo is not a string or
+    make_learner refuses it (with its text; a baseline without the modulus
+    it steps by names it), or the comparator lies outside the decision set.
     """
     # One byte read and one UTF-8 decode; a text-mode reader would also
     # translate newlines, which costs time and JSON does not need.
@@ -465,18 +463,25 @@ def load_trace(path) -> RunTrace:
     try:
         params = ProblemParams(**obj["params"], **{name: obj.get(name) for name in TRACE_MODULI})
         curvature_caps(params)
-        algo, style = obj["algo"], obj.get("grid_style")
-        expected = algo if algo in GRID_ALGOS else None
+        algo, style, dset = obj["algo"], obj.get("grid_style"), _dset_from_json(obj["dset"])
+        if not isinstance(algo, str):
+            raise ValueError(f"algo must be a string, got {algo!r}")
+        try:  # a trace no learner could have written is refused, as `maler run` refuses it
+            grid = make_learner(algo, params, dset).grid
+        except ValueError as exc:  # a baseline without the modulus it steps by names it
+            field = {"ons": "exp_concavity", "ogd-sc": "sc_modulus"}.get(algo)
+            missing = field is not None and getattr(params, field) is None
+            raise ValueError(f"{field}: {exc}" if missing else exc) from None
+        expected = None if grid is None else grid.style
         if style != expected:
             raise ValueError(f"algo {algo!r} runs on grid_style {expected!r}, not {style!r}")
-        carried = [n for n in TRACE_ARRAYS if style is not None or n not in GRID_ARRAYS]
+        carried = [n for n in TRACE_ARRAYS if grid is not None or n not in GRID_ARRAYS]
         for name in TRACE_ARRAYS:
             if name in carried and obj.get(name) is None:
                 raise ValueError(f"a trace of algo {algo!r} must carry {name}")
             if name not in carried and obj.get(name) is not None:
                 raise ValueError(f"a trace of algo {algo!r} carries no {name}")
-        trace = RunTrace(algo=algo, params=params, dset=_dset_from_json(obj["dset"]),
-                         grid=None if style is None else meta.build_grid(params, style),
+        trace = RunTrace(algo=algo, params=params, dset=dset, grid=grid,
                          **{name: _float_array(name, obj[name]) if legacy
                             else _decode_array(obj[name]) for name in carried})
     # OverflowError: a JSON integer too large for a float.
@@ -485,21 +490,12 @@ def load_trace(path) -> RunTrace:
     _check_trace_shapes(trace)
     if trace.comparator is not None and not trace.dset.contains(trace.comparator):
         raise ValueError("comparator lies outside the decision set")
-    # A trace no learner could have written is refused by make_learner's rules, as run
-    # refuses it: an unknown algo, or a baseline without the modulus it steps by.
-    try:
-        make_learner(trace.algo, params, trace.dset)
-    except TypeError:  # an algo given as a JSON list or object
-        raise ValueError(f"algo must be a string, got {trace.algo!r}") from None
-    except ValueError as exc:
-        field = {"ons": "exp_concavity", "ogd-sc": "sc_modulus"}.get(trace.algo, "algo")
-        raise ValueError(f"{field}: {exc}") from None
     return trace
 
 
 def _check_trace_shapes(trace: RunTrace) -> None:
     """Raise ValueError unless the trace has T >= 2 rounds, as build_grid requires of the
-    horizon, and every array has the shape T, d and the rebuilt grid imply."""
+    horizon, and every array has the shape T, d and the learner's grid imply."""
     p = trace.params
     T = trace.plays.shape[0] if trace.plays.ndim else 0
     if T < 2:
@@ -521,7 +517,7 @@ def _check_trace_shapes(trace: RunTrace) -> None:
 
 # Each task's default learners; the strongly convex regression task runs every algo.
 DEFAULT_ALGOS = {
-    "regression": ("maler", "metagrad", "ogd-convex", "ogd-sc", "ons"),
+    "regression": tuple(universal.LEARNERS),
     "classification": ("maler", "metagrad", "ogd-convex", "ons"),
 }
 
@@ -592,6 +588,10 @@ def csv_lines(result: ExperimentResult) -> list:
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run all requested learners on one stream and certify the results."""
+    for i, name in enumerate(cfg.algos):  # refuse a bad algo before drawing the stream
+        universal.learner_factory(name)
+        if name in cfg.algos[:i]:  # each algo's trace is written to one file, trace_<algo>.json
+            raise ValueError(f"--algos names {name!r} more than once")
     if cfg.seed < 0:
         raise ValueError(f"seed (--seed) must be >= 0, got {cfg.seed}")
     if cfg.task == "regression":
@@ -618,15 +618,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         diags[name] = regret_diagnostics(trace)
         certs[name] = certify_trace(trace)[0]
 
-    result = ExperimentResult(
-        config=cfg,
-        params=task.params,
-        comparator_report=comp_report,
-        traces=traces,
-        diagnostics=diags,
-        certificates=certs,
-        csv_rows=[],
-    )
+    result = ExperimentResult(config=cfg, params=task.params, comparator_report=comp_report,
+                              traces=traces, diagnostics=diags, certificates=certs, csv_rows=[])
     result.csv_rows = csv_lines(result)
     if cfg.out:
         _write_outputs(result)

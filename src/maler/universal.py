@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -32,6 +33,7 @@ class Learner:
     """Base predict/observe learner with gradient validation and tracing."""
 
     algo = "learner"
+    grid = None  # the ExpertGrid of an ensemble; a baseline runs on none
 
     def __init__(self, params: ProblemParams, dset: Ball):
         if dset.dim != params.dim:
@@ -74,7 +76,7 @@ class Learner:
 
     def trace(self) -> RunTrace:
         d = self.params.dim
-        return RunTrace(algo=self.algo, params=self.params, dset=self.dset,
+        return RunTrace(algo=self.algo, params=self.params, dset=self.dset, grid=self.grid,
                         plays=np.array(self._plays).reshape(-1, d),
                         grads=np.array(self._grads).reshape(-1, d))
 
@@ -88,7 +90,7 @@ class _TiltedEnsembleLearner(Learner):
         self.grid = grid
         self.log_weights = grid.log_priors.copy()
         self.log_phi = 0.0
-        self.bank = experts.ExpertBank.build(grid.kinds, grid.tilts, params, dset)
+        self.bank = experts.ExpertBank.build(grid, params, dset)
         self._expert_points: list = []
         self._losses: list = []
         self._log_weights: list = []
@@ -111,7 +113,6 @@ class _TiltedEnsembleLearner(Learner):
     def trace(self) -> RunTrace:
         t = super().trace()
         E, d = self.grid.size, self.params.dim
-        t.grid = self.grid
         t.expert_points = np.array(self._expert_points).reshape(-1, E, d)
         t.surrogate_losses = np.array(self._losses).reshape(-1, E)
         t.log_weights = np.array(self._log_weights).reshape(-1, E)
@@ -179,14 +180,21 @@ class ONSLearner(Learner):
         self._sigma, self._sigma_inv = sigma, sigma_inv
 
 
+# Every algo by name, with its constructor, called as (params, dset).
+LEARNERS = {"maler": MalerLearner, "metagrad": metagrad_baseline, "ogd-convex": OGDLearner,
+            "ogd-sc": partial(OGDLearner, strongly_convex=True), "ons": ONSLearner}
+
+
+def learner_factory(name: str):
+    """LEARNERS[name]; ValueError naming the known algos if name is none of them."""
+    if name not in LEARNERS:
+        raise ValueError(f"unknown algo {name!r}; known: {', '.join(LEARNERS)}")
+    return LEARNERS[name]
+
+
 def make_learner(name: str, params: ProblemParams, dset: Ball) -> Learner:
-    """Construct a learner by CLI name."""
-    if name in ("ogd-convex", "ogd-sc"):
-        return OGDLearner(params, dset, strongly_convex=name == "ogd-sc")
-    learners = {"maler": MalerLearner, "metagrad": metagrad_baseline, "ons": ONSLearner}
-    if name not in learners:
-        raise ValueError(f"unknown learner {name!r}")
-    return learners[name](params, dset)
+    """The learner of algo name on params and dset (learner_factory refuses an unknown name)."""
+    return learner_factory(name)(params, dset)
 
 
 def play_round(learner: Learner, oracle) -> tuple:

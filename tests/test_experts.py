@@ -31,13 +31,31 @@ from maler.harness import (
     load_classification,
     run_stream,
 )
-from maler.meta import KIND_CONST, KIND_QUADRATIC, KIND_SPHERICAL, build_grid, regret_caps
+from maler.meta import (
+    KIND_CONST,
+    KIND_QUADRATIC,
+    KIND_SPHERICAL,
+    ExpertGrid,
+    build_grid,
+    regret_caps,
+)
 from maler.surrogates import SurrogateContext
 from maler.universal import MalerLearner, ONSLearner, make_learner, metagrad_baseline
 
 
 BALL2 = Ball(center=np.zeros(2), radius=0.5)
 PARAMS2 = ProblemParams(horizon=16, dim=2, grad_bound=1.0, diameter=1.0)
+
+
+def _grid(kinds, etas, params):
+    """An ExpertGrid of the given experts, with uniform priors, for a bank on params; its
+    constants are computed as build_grid computes them."""
+    etas = np.asarray(etas, dtype=float)
+    return ExpertGrid(style="test", kinds=tuple(kinds), tilts=etas,
+                      log_priors=np.full(len(kinds), -math.log(len(kinds))),
+                      labels=tuple(f"e[{e}]" for e in range(len(kinds))),
+                      constants=surrogates.expert_constants(kinds, etas, params.grad_bound,
+                                                            params.diameter))
 
 
 def test_ons_constants():
@@ -76,14 +94,14 @@ def test_convex_expert_first_step():
                              1.0, 1.0)
     # Step D/(G sqrt(1)) = 1 along -g; the bank projects it onto the radius-1/2 ball.
     np.testing.assert_allclose(nxt, [[-1.0, 0.0]], atol=1e-15)
-    bank = ExpertBank.build((KIND_CONST,), [eta_c], PARAMS2, BALL2)
+    bank = ExpertBank.build(_grid((KIND_CONST,), [eta_c], PARAMS2), PARAMS2, BALL2)
     bank = bank.step(np.zeros(2), np.array([1.0, 0.0]))
     np.testing.assert_allclose(bank.points, [[-0.5, 0.0]], atol=1e-15)
     assert bank.round == 2
 
 
 def test_convex_expert_step_decays_like_inverse_sqrt():
-    bank = ExpertBank.build((KIND_CONST,), [0.05], PARAMS2, BALL2)
+    bank = ExpertBank.build(_grid((KIND_CONST,), [0.05], PARAMS2), PARAMS2, BALL2)
     g = np.array([0.02, 0.0])
     b1 = bank.step(np.zeros(2), g)
     move1 = b1.points[0, 0]
@@ -103,7 +121,7 @@ def test_bank_steps_only_the_families_its_grid_holds(monkeypatch, style, calls):
             return _step(*args)
         monkeypatch.setattr(owner, name, counted)
     grid = build_grid(PARAMS2, style)
-    bank = ExpertBank.build(grid.kinds, grid.tilts, PARAMS2, BALL2)
+    bank = ExpertBank.build(grid, PARAMS2, BALL2)
     for t, grad in enumerate(([0.6, 0.0], [0.0, -0.8], [0.3, 0.4]), start=1):
         bank = bank.step(np.array([0.1, -0.2]), np.array(grad))
         assert counts == {"convex_expert_step": calls * t, "spherical_expert_step": calls * t,
@@ -155,7 +173,7 @@ def test_bank_step_matches_the_per_family_reference_bit_for_bit(monkeypatch, sty
     c = rng.standard_normal(d)
     dset = Ball(center=(0.2 * D / np.linalg.norm(c)) * c, radius=D / 2)  # holds the origin
     grid = build_grid(params, style)
-    bank = ExpertBank.build(grid.kinds, grid.tilts, params, dset)
+    bank = ExpertBank.build(grid, params, dset)
     drift = rng.standard_normal(d)  # a steady direction pushes the Newton rows out
     outside = set()
     for _ in range(T):
@@ -175,7 +193,7 @@ def test_spherical_expert_first_step():
                                 np.array([1.0, 0.0]))
     # Rate 1/(2 eta^2 G^2) = 12.5 times grad eta*g = (0.2, 0); the bank projects it.
     np.testing.assert_allclose(nxt, [[-2.5, 0.0]], atol=1e-15)
-    bank = ExpertBank.build((KIND_SPHERICAL,), [0.2], PARAMS2, BALL2)
+    bank = ExpertBank.build(_grid((KIND_SPHERICAL,), [0.2], PARAMS2), PARAMS2, BALL2)
     bank = bank.step(np.zeros(2), np.array([1.0, 0.0]))
     np.testing.assert_allclose(bank.points, [[-0.5, 0.0]], atol=1e-15)
 
@@ -184,7 +202,7 @@ def test_newton_expert_hand_step():
     # D = 0.5, eta = 0.08 (the largest grid rate for G = 5), g = (5, 0).
     params = ProblemParams(horizon=16, dim=2, grad_bound=5.0, diameter=0.5)
     ball = Ball(center=np.zeros(2), radius=0.25)
-    bank = ExpertBank.build((KIND_QUADRATIC,), [0.08], params, ball)
+    bank = ExpertBank.build(_grid((KIND_QUADRATIC,), [0.08], params), params, ball)
     beta = 25.0 / 56.0
     scale = 1.0 / (beta**2 * 0.5**2)
     np.testing.assert_allclose(bank.sigma[0], scale * np.eye(2))
@@ -207,7 +225,8 @@ def test_newton_expert_hand_step():
 def test_newton_expert_rejects_oversized_surrogate_gradient():
     params = ProblemParams(horizon=16, dim=2, grad_bound=5.0, diameter=0.5)
     ball = Ball(center=np.zeros(2), radius=0.25)
-    bank = ExpertBank.build((KIND_CONST, KIND_QUADRATIC), [0.08, 0.26], params, ball)
+    grid = _grid((KIND_CONST, KIND_QUADRATIC), [0.08, 0.26], params)
+    bank = ExpertBank.build(grid, params, ball)
     # eta far above 1/(5DG) = 0.08 pushes ||grad l|| past 7/(25 D); the cap
     # is checked before any row steps.
     with pytest.raises(ValueError, match="cap"):
@@ -219,11 +238,12 @@ def test_newton_expert_rejects_oversized_surrogate_gradient():
 def test_bank_rejects_rates_above_the_surrogate_cap():
     # 2/(3DG) = 2/3 for D = G = 1.
     with pytest.raises(ValueError, match="2/\\(3DG\\)"):
-        ExpertBank.build((KIND_SPHERICAL,), [0.7], PARAMS2, BALL2)
+        ExpertBank.build(_grid((KIND_SPHERICAL,), [0.7], PARAMS2), PARAMS2, BALL2)
+    with pytest.raises(ValueError, match="2/\\(3DG\\)"):
+        ExpertBank.build(_grid((KIND_CONST,), [0.0], PARAMS2), PARAMS2, BALL2)
+    # An unknown kind has no surrogate constants, so no grid can hold it.
     with pytest.raises(ValueError):
-        ExpertBank.build((KIND_CONST,), [0.0], PARAMS2, BALL2)
-    with pytest.raises(ValueError):
-        ExpertBank.build(("q",), [0.1], PARAMS2, BALL2)
+        surrogates.expert_constants(("q",), [0.1], 1.0, 1.0)
 
 
 def test_sherman_morrison_matches_dense_inverse():
@@ -241,7 +261,7 @@ def test_newton_expert_inverse_stays_fresh_over_100_rounds():
     rng = np.random.default_rng(4)
     params = ProblemParams(horizon=128, dim=5, grad_bound=1.0, diameter=1.0)
     ball = Ball(center=np.zeros(5), radius=0.5)
-    bank = ExpertBank.build((KIND_QUADRATIC,), [1.0 / 5.0], params, ball)
+    bank = ExpertBank.build(_grid((KIND_QUADRATIC,), [1.0 / 5.0], params), params, ball)
     play = np.zeros(5)
     for t in range(100):
         g = rng.normal(size=5)
@@ -256,7 +276,7 @@ def test_refactor_cadence_resets_drift():
     rng = np.random.default_rng(5)
     params = ProblemParams(horizon=1024, dim=2, grad_bound=1.0, diameter=1.0)
     ball = Ball(center=np.zeros(2), radius=0.5)
-    bank = ExpertBank.build((KIND_QUADRATIC,), [0.2], params, ball)
+    bank = ExpertBank.build(_grid((KIND_QUADRATIC,), [0.2], params), params, ball)
     play = np.zeros(2)
     for t in range(REFACTOR_EVERY):
         g = rng.normal(size=2)
@@ -444,8 +464,8 @@ def test_expert_iterates_stay_feasible():
     rng = np.random.default_rng(6)
     params = ProblemParams(horizon=64, dim=3, grad_bound=1.0, diameter=1.0)
     ball = Ball(center=np.zeros(3), radius=0.5)
-    bank = ExpertBank.build((KIND_CONST, KIND_SPHERICAL, KIND_QUADRATIC),
-                            [1.0 / 16.0, 0.2, 0.2], params, ball)
+    grid = _grid((KIND_CONST, KIND_SPHERICAL, KIND_QUADRATIC), [1.0 / 16.0, 0.2, 0.2], params)
+    bank = ExpertBank.build(grid, params, ball)
     for t in range(64):
         g = rng.normal(size=3)
         g /= max(np.linalg.norm(g), 1.0)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import fd_matches, write_e278_file
-from maler import cli, harness
+from maler import cli, harness, meta, surrogates
 from maler.core import PGD_ITERS, PGD_TOL, Ball, ProblemParams, Quadratic, projected_gradient
 from maler.harness import (
     CSV_HEADER,
@@ -654,6 +654,21 @@ def test_run_experiment_refuses_ogd_sc_on_classification_before_the_comparator(t
         run_experiment(cfg)
 
 
+@pytest.mark.parametrize("algos, reason", [
+    (("maler", "nope"), "unknown algo 'nope'; known: maler, metagrad, ogd-convex, ogd-sc, ons"),
+    (("maler", "ons", "maler"), "--algos names 'maler' more than once"),
+], ids=["unknown", "repeated"])
+def test_run_experiment_refuses_an_algo_before_drawing_the_stream(monkeypatch, algos, reason):
+    # Traces are kept by algo name, so a repeated algo would run twice and keep one trace.
+    def no_stream(*args, **kwargs):
+        raise AssertionError("the stream was drawn before the algos were refused")
+
+    monkeypatch.setattr(harness, "gen_regression", no_stream)
+    with pytest.raises(ValueError) as exc:
+        run_experiment(ExperimentConfig(algos=algos, rounds=3, dim=2))
+    assert str(exc.value) == reason
+
+
 def test_run_experiment_frees_each_learner_before_the_next_runs(monkeypatch):
     built, ran = [], []
 
@@ -977,9 +992,9 @@ def _as(algo, **fields):
      "diameter must be finite and > 0, got True"),
     (_set("dset", lambda obj: {**obj["dset"], "radius": True}),
      "radius must be finite and > 0, got True"),
-    (_as("nope"), "algo: unknown learner 'nope'"),
-    (_as(42), "algo: unknown learner 42"),
-    (_as(None), "algo: unknown learner None"),
+    (_as("nope"), "unknown algo 'nope'; known: maler, metagrad, ogd-convex, ogd-sc, ons"),
+    (_as(42), "algo must be a string, got 42"),
+    (_as(None), "algo must be a string, got None"),
     (_as(["ons"]), "algo must be a string, got ['ons']"),
     (_as("ons", exp_concavity=None), "exp_concavity: ons baseline needs the exp-concavity modulus"),
     (_as("ogd-sc", sc_modulus=None),
@@ -1223,7 +1238,8 @@ def test_cli_error_paths(tmp_path, capsys):
     assert cli.main(["run", "--algos", "bogus"]) == 1
     assert capsys.readouterr().err.splitlines()[-1].startswith("error: unknown algo 'bogus'")
     assert cli.main(["run", "--rounds", "nan"]) == 1
-    assert "invalid int value: 'nan'" in capsys.readouterr().err
+    # A usage error is one `error:` line, as every other refusal is.
+    assert capsys.readouterr().err == "error: argument --rounds: invalid int value: 'nan'\n"
     assert cli.main(["certify", "--trace", str(tmp_path / "missing.json")]) == 1
     assert cli.main(["run", "--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: maler run")
@@ -1240,6 +1256,36 @@ def test_cli_refuses_an_algos_value_naming_no_algo(capsys, value):
     assert cli.main(["run", "--rounds", "3", "--dim", "2", "--algos", value]) == 1
     assert capsys.readouterr().err == (f"error: --algos {value!r} names no algo; known: "
                                        "maler, metagrad, ogd-convex, ogd-sc, ons\n")
+
+
+def test_run_and_certify_refuse_an_unknown_algo_with_one_text(tmp_path, capsys):
+    assert cli.main(["run", "--rounds", "3", "--dim", "2", "--algos", "nope"]) == 1
+    run_err = capsys.readouterr().err
+    tpath = _tampered_trace(tmp_path, _as("nope"))
+    capsys.readouterr()
+    assert cli.main(["certify", "--trace", str(tpath)]) == 1
+    text = "unknown algo 'nope'; known: maler, metagrad, ogd-convex, ogd-sc, ons\n"
+    assert run_err == f"error: {text}"
+    assert capsys.readouterr().err == f"error: cannot load trace: {text}"
+
+
+def test_each_learner_builds_its_grid_and_surrogate_constants_once(tmp_path, monkeypatch):
+    out = tmp_path / "exp"
+    assert cli.main([*SMALL_RUN[:-1], "maler,metagrad", "--out", str(out)]) == 0
+    calls = {"build_grid": 0, "expert_constants": 0}
+    for owner, name in ((meta, "build_grid"), (surrogates, "expert_constants")):
+        def counted(*args, _name=name, _fn=getattr(owner, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(owner, name, counted)
+    # load_trace takes the grid of the learner it builds; the bank reads its constants.
+    for algo in ("maler", "metagrad"):
+        trace = load_trace(out / f"trace_{algo}.json")
+        assert trace.grid.style == algo
+        assert calls == {"build_grid": 1, "expert_constants": 1}, algo
+        calls.update(build_grid=0, expert_constants=0)
+    MalerLearner(trace.params, trace.dset)
+    assert calls == {"build_grid": 1, "expert_constants": 1}
 
 
 def test_cli_classification_run(tmp_path):

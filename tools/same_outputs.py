@@ -88,7 +88,7 @@ def smoke_steps() -> list:
            ("maler", ["run", "--lambda", "1e300"], 1, "--lambda"),  # G^2 overflows
            ("maler", ["run", "--algos", "nope"], 1, "algo"),
            ("maler", ["run", "--algos", "maler,maler"], 1, "--algos"),
-           ("maler", ["run", "--rounds", "nan"], 1, None),  # argparse's usage error
+           ("maler", ["run", "--rounds", "nan"], 1, "--rounds"),  # a usage error, one line
            ("maler", ["run", "--seed", "-1"], 1, "--seed"),
            ("maler", ["run", "--rounds", "20", "--dim", "5", "--out", "tiny"])]
     # Edited copies of tiny's traces and of the committed legacy one (nested lists): an
@@ -115,6 +115,8 @@ def smoke_steps() -> list:
     cls = ["run", "--task", "classification", "--data"]
     out += [("libsvm", "train.libsvm", {}),
             ("maler", [*cls, "train.libsvm", "--rounds", "20", "--out", "cls"]),
+            # Classification has no strong-convexity modulus for ogd-sc to step by.
+            ("maler", [*cls, "train.libsvm", "--algos", "ogd-sc"], 1, "ogd-sc"),
             ("maler", [*cls, "train.libsvm", "--radius", "1e-300"], 1, "diameter"),  # D^2 = 0
             ("crlf", "train.libsvm", "train-crlf.libsvm"),  # `#`-headed; same results.csv
             ("maler", [*cls, "train-crlf.libsvm", "--rounds", "20", "--out", "crlf"]),
