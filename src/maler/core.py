@@ -16,9 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-# Evaluations of ||x(mu) - c|| allowed to Ball._weighted_boundary_point. It
-# takes two or three on well-conditioned weights, up to about 15 at condition 1e12.
+# Evaluations of ||x(mu) - c|| allowed to each solve of Ball._weighted_boundary_point: eigh
+# takes 2-3 on well-conditioned weights, ~15 at condition 1e12, the series 2-3. The series
+# is tried from SERIES_MIN_DIM up, if its bound rho on mu ||M^{-1}|| <= SERIES_MAX_RHO.
 PROJECTION_ITERS = 100
+SERIES_MIN_DIM = 30
+SERIES_MAX_RHO = 1.0 / 16.0
 
 
 class ProjectionError(RuntimeError):
@@ -245,10 +248,12 @@ class Ball:
         """argmin_x (x-y)^T H (x-y) over the ball, H symmetric positive definite.
 
         Exact: a y outside the ball (by the test of contains) goes to
-        _weighted_boundary_point, whose result passes contains, so projecting
-        it again returns it bit for bit. H is checked first on every call, y
-        for finite entries only if ||y - c||^2 is not finite: ValueError if H
-        is not SPD or y is not finite, ProjectionError if the solve fails.
+        _weighted_boundary_point (from d = SERIES_MIN_DIM a Neumann series in
+        H^{-1} where a Gershgorin bound allows, else eigh), whose result passes
+        contains, so projecting it again returns it bit for bit. H is checked
+        first on every call, y for finite entries only if ||y - c||^2 is not
+        finite: ValueError if H is not SPD or y is not finite, ProjectionError
+        if the solve fails.
         """
         M = _check_spd(H, self.dim)
         v = as_vector(y, self.dim)
@@ -274,10 +279,14 @@ class Ball:
         side. The point is shaved as in project, so it passes contains. If
         a.a overflows, lam and a (and so mu) are scaled by one power of two,
         which leaves q(mu) as it is. Raises ProjectionError after
-        PROJECTION_ITERS evaluations (non-finite input).
+        PROJECTION_ITERS evaluations (non-finite input). From d = SERIES_MIN_DIM up,
+        _series_boundary_point goes first.
         """
+        z = v - self.center
+        if self.dim >= SERIES_MIN_DIM and (x := self._series_boundary_point(M, z)) is not None:
+            return x
         lam, V = np.linalg.eigh(M)
-        w = V.T @ (v - self.center)
+        w = V.T @ z
         with np.errstate(over="ignore"):
             a = lam * w
             aa = a.dot(a)
@@ -300,6 +309,46 @@ class Ball:
             # below one ulp of mu, hence the floor.
             mu = max(mu + (n - r) / r * qq / q.dot(q / s), math.nextafter(mu, math.inf))
         raise ProjectionError(f"weighted projection did not converge: ||x - c|| - r = {n - r:.3e}")
+
+    def _series_boundary_point(self, M, z: np.ndarray):
+        """The boundary point from M^{-1} and a Neumann series, or None for the eigh solve.
+
+        x - c = (I + mu M^{-1})^{-1} z = sum_k (-mu)^k M^{-k} z, z = v - c. For an exactly
+        symmetric M, Gershgorin gives lam_min >= lo = min_i (2 M_ii - S_i), S_i the absolute row
+        sums and 2 shaved by _check_spd's margin, and mu* <= s = max_i S_i (||z||/r - 1 + 4u), so
+        rho = s/lo >= mu* ||M^{-1}||. The series in w_k = (s M^{-1})^k z and t = mu/s is cut where
+        rho^(K-1) <= 2^-56; Newton's method on its Gram polynomial climbs from t = 0 as eigh's does.
+        """
+        d, r = self.dim, self.radius
+        with np.errstate(over="ignore", invalid="ignore"):
+            S = np.abs(M).sum(axis=1)
+            lo = float(((2.0 - 4.0 * (d + 1) ** 2 * _U) * M.diagonal() - S).min())
+            s = float(S.max()) * (math.sqrt(z.dot(z)) / r - 1.0 + 4.0 * _U)
+            if not (lo > 0.0 and 0.0 < s / lo <= SERIES_MAX_RHO and (M == M.T).all()):
+                return None
+            B = np.linalg.inv(M)
+            k = np.arange(math.ceil(-56.0 / math.log2(s / lo)) + 1)
+            W = np.empty((k.size, d))
+            W[0] = z
+            for i in k[1:]:
+                W[i] = (B @ W[i - 1]) * s
+            G = W @ W.T
+        if not np.isfinite(G).all():
+            return None
+        # p(t) = sum_m g_m (-t)^m with g_m the sum of G's m-th antidiagonal.
+        g = np.bincount((k[:, None] + k).ravel(), G.ravel()).tolist()[::-1]
+        t = 0.0
+        for _ in range(PROJECTION_ITERS):
+            p = dp = 0.0  # p(t) and -dp/dt by Horner's rule in -t
+            for gm in g:
+                dp, p = dp * -t + p, p * -t + gm
+            n = math.sqrt(p)
+            if n <= r:
+                return self._shaved(np.power(-t, k) @ W, 1.0)
+            if not dp > 0.0:  # underflow: p no longer falls
+                return None
+            t = max(t + 2.0 * p * (n - r) / (r * dp), math.nextafter(t, math.inf))
+        return None
 
 
 # Step cap and move tolerance of projected_gradient.

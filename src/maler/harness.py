@@ -441,7 +441,9 @@ def load_trace(path) -> RunTrace:
     """Rebuild a RunTrace from save_trace's JSON or the legacy nested-list layout.
 
     The TRACE_MODULI load into the params, as None when null or absent. The
-    trace's algo is built on its params and ball by make_learner, and the
+    arrays every learner records must fit T, d and the set before the trace's
+    algo is built on its params and ball by make_learner (an ensemble's bank
+    holds L d x d metrics, so a file that grows as d costs no d^2). The
     trace takes that learner's grid (None for a baseline), which grid_style
     must name; it must carry exactly the arrays that learner records: every
     one of TRACE_ARRAYS for an ensemble, all but GRID_ARRAYS otherwise.
@@ -466,53 +468,53 @@ def load_trace(path) -> RunTrace:
         algo, style, dset = obj["algo"], obj.get("grid_style"), _dset_from_json(obj["dset"])
         if not isinstance(algo, str):
             raise ValueError(f"algo must be a string, got {algo!r}")
+        decode = _float_array if legacy else lambda name, value: _decode_array(value)
+        arrays = {}
+        for name in (n for n in TRACE_ARRAYS if n not in GRID_ARRAYS):
+            if obj.get(name) is None:
+                raise ValueError(f"a trace of algo {algo!r} must carry {name}")
+            arrays[name] = decode(name, obj[name])
+        T, d = arrays["plays"].shape[0] if arrays["plays"].ndim else 0, params.dim
+        if T > params.horizon or dset.dim != d:
+            raise ValueError(f"trace of {T} rounds on a {dset.dim}-dimensional set does not "
+                             f"fit horizon {params.horizon}, dimension {d}")
+        if T >= 2:  # a shorter trace is refused once its learner has judged the horizon
+            _check_shapes(arrays, plays=(T, d), grads=(T, d), loss_at_play=(T,),
+                          loss_at_comparator=(T,), comparator=(d,))
         try:  # a trace no learner could have written is refused, as `maler run` refuses it
             grid = make_learner(algo, params, dset).grid
         except ValueError as exc:  # a baseline without the modulus it steps by names it
             field = {"ons": "exp_concavity", "ogd-sc": "sc_modulus"}.get(algo)
             missing = field is not None and getattr(params, field) is None
             raise ValueError(f"{field}: {exc}" if missing else exc) from None
+        if T < 2:
+            raise ValueError(f"trace of {T} rounds is too short: its regret bounds need T >= 2")
         expected = None if grid is None else grid.style
         if style != expected:
             raise ValueError(f"algo {algo!r} runs on grid_style {expected!r}, not {style!r}")
-        carried = [n for n in TRACE_ARRAYS if grid is not None or n not in GRID_ARRAYS]
-        for name in TRACE_ARRAYS:
-            if name in carried and obj.get(name) is None:
-                raise ValueError(f"a trace of algo {algo!r} must carry {name}")
-            if name not in carried and obj.get(name) is not None:
-                raise ValueError(f"a trace of algo {algo!r} carries no {name}")
-        trace = RunTrace(algo=algo, params=params, dset=dset, grid=grid,
-                         **{name: _float_array(name, obj[name]) if legacy
-                            else _decode_array(obj[name]) for name in carried})
+        for name in GRID_ARRAYS:
+            if (obj.get(name) is None) == (grid is not None):
+                raise ValueError(f"a trace of algo {algo!r} "
+                                 + (f"must carry {name}" if grid else f"carries no {name}"))
+        if grid is not None:
+            arrays.update((name, decode(name, obj[name])) for name in GRID_ARRAYS)
+            E = grid.size
+            _check_shapes(arrays, expert_points=(T, E, d), surrogate_losses=(T, E),
+                          log_weights=(T, E), log_phi=(T,))
+        trace = RunTrace(algo=algo, params=params, dset=dset, grid=grid, **arrays)
     # OverflowError: a JSON integer too large for a float.
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed trace: {type(exc).__name__}: {exc}") from None
-    _check_trace_shapes(trace)
     if trace.comparator is not None and not trace.dset.contains(trace.comparator):
         raise ValueError("comparator lies outside the decision set")
     return trace
 
 
-def _check_trace_shapes(trace: RunTrace) -> None:
-    """Raise ValueError unless the trace has T >= 2 rounds, as build_grid requires of the
-    horizon, and every array has the shape T, d and the learner's grid imply."""
-    p = trace.params
-    T = trace.plays.shape[0] if trace.plays.ndim else 0
-    if T < 2:
-        raise ValueError(f"trace of {T} rounds is too short: its regret bounds need T >= 2")
-    if T > p.horizon or trace.dset.dim != p.dim:
-        raise ValueError(f"trace of {T} rounds on a {trace.dset.dim}-dimensional set does not "
-                         f"fit horizon {p.horizon}, dimension {p.dim}")
-    want = {"plays": (T, p.dim), "grads": (T, p.dim), "loss_at_play": (T,),
-            "loss_at_comparator": (T,), "comparator": (p.dim,)}
-    if trace.grid is not None:
-        E = trace.grid.size
-        want.update(expert_points=(T, E, p.dim), surrogate_losses=(T, E), log_weights=(T, E),
-                    log_phi=(T,))
+def _check_shapes(arrays: dict, **want) -> None:
+    """Raise ValueError naming the first of want's arrays whose shape is not as given."""
     for name, shape in want.items():
-        arr = getattr(trace, name)
-        if arr.shape != shape:
-            raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+        if arrays[name].shape != shape:
+            raise ValueError(f"{name} has shape {arrays[name].shape}, expected {shape}")
 
 
 # Each task's default learners; the strongly convex regression task runs every algo.

@@ -689,40 +689,110 @@ def _bisection_reference(ball, H, y):
     return ball.project(ball.center + V @ (a / (lam + hi)))
 
 
-def test_weighted_projection_is_exact_on_wide_scales():
+def _counted_series(monkeypatch):
+    """A list that grows by one per np.linalg.inv call made by the series boundary solve."""
+    taken, real_inv = [], np.linalg.inv
+
+    def inv(a):
+        if sys._getframe(1).f_code.co_name == "_series_boundary_point":
+            taken.append(1)
+        return real_inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    return taken
+
+
+def test_weighted_projection_is_exact_on_wide_scales(monkeypatch):
     # SPD weights with condition numbers 1 to 1e12 at scales 1e-4 to 1e4, radii
-    # and centers 1e-4 to 1e4, targets just outside the ball and far away.
+    # and centers 1e-4 to 1e4, targets just outside the ball and far away; and from
+    # the series solve's smallest d up, near-isotropic weights (condition 1.01) with
+    # targets at reach up to 1.05, every one of which takes the series solve.
     # Every case must converge to a point inside the ball with no tolerance
     # that projects to itself and scores no worse than the bisection reference
     # beyond a few ulps of the point; H = s I must reproduce Ball.project.
+    taken = _counted_series(monkeypatch)
     rng = np.random.default_rng(16)
     eps = np.finfo(float).eps
-    for d in (1, 3, 8):
-        for cond in (1.0, 1e3, 1e6, 1e12):
-            for _ in range(6):
-                r = 10.0 ** rng.uniform(-4.0, 4.0)
-                unit = rng.normal(size=d)
-                center = r * rng.uniform() * unit / np.linalg.norm(unit)
-                ball = Ball(center=center, radius=r)
-                Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-                lam = 10.0 ** rng.uniform(-4.0, 4.0) * cond ** -np.linspace(0.0, 1.0, d)
-                H = (Q * lam) @ Q.T
-                H = 0.5 * (H + H.T)
-                s = float(lam[0])
-                for reach in (1.0 + 1e-12, 3.0, 1e6):
-                    u = rng.normal(size=d)
-                    y = center + reach * r * u / np.linalg.norm(u)
-                    assert not ball.contains(y)
-                    for W in (H, s * np.eye(d)):
-                        x = ball.project_weighted(W, y)
-                        assert ball.contains(x)
-                        assert np.array_equal(ball.project_weighted(W, x), x)
-                        ref = _bisection_reference(ball, W, y)
-                        # obj(x) - obj(ref) = (x - ref)^T W (x + ref - 2y), free of the
-                        # cancellation between two rounded objectives; a point a few ulps
-                        # of the ball from the minimizer loses at most that times |grad|.
-                        gain = float((x - ref) @ (W @ (x - y) + W @ (ref - y)))
-                        size = float(np.linalg.norm(center)) + r
-                        assert gain <= 32 * eps * size * float(np.linalg.norm(W @ (ref - y)))
-                    # The last x is the one for H = s I.
-                    assert np.max(np.abs(x - ball.project(y))) <= 4 * eps * size
+    cases = [(d, cond, (1.0 + 1e-12, 3.0, 1e6)) for d in (1, 3, 8) for cond in (1.0, 1e3, 1e6, 1e12)]
+    cases += [(d, 1.01, (1.0 + 1e-12, 1.001, 1.05)) for d in (core.SERIES_MIN_DIM, 50)]
+    for d, cond, reaches in cases:
+        for _ in range(6):
+            r = 10.0 ** rng.uniform(-4.0, 4.0)
+            unit = rng.normal(size=d)
+            center = r * rng.uniform() * unit / np.linalg.norm(unit)
+            ball = Ball(center=center, radius=r)
+            Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+            lam = 10.0 ** rng.uniform(-4.0, 4.0) * cond ** -np.linspace(0.0, 1.0, d)
+            H = (Q * lam) @ Q.T
+            H = 0.5 * (H + H.T)
+            s = float(lam[0])
+            for reach in reaches:
+                u = rng.normal(size=d)
+                y = center + reach * r * u / np.linalg.norm(u)
+                assert not ball.contains(y)
+                for W in (H, s * np.eye(d)):
+                    before = len(taken)
+                    x = ball.project_weighted(W, y)
+                    assert len(taken) == before + (d >= core.SERIES_MIN_DIM)
+                    assert ball.contains(x)
+                    assert np.array_equal(ball.project_weighted(W, x), x)
+                    ref = _bisection_reference(ball, W, y)
+                    # obj(x) - obj(ref) = (x - ref)^T W (x + ref - 2y), free of the
+                    # cancellation between two rounded objectives; a point a few ulps
+                    # of the ball from the minimizer loses at most that times |grad|.
+                    gain = float((x - ref) @ (W @ (x - y) + W @ (ref - y)))
+                    size = float(np.linalg.norm(center)) + r
+                    assert gain <= 32 * eps * size * float(np.linalg.norm(W @ (ref - y)))
+                # The last x is the one for H = s I.
+                assert np.max(np.abs(x - ball.project(y))) <= 4 * eps * size
+
+
+@pytest.mark.parametrize("case", ["below-crossover", "not-dominant", "far-target",
+                                  "inverse-overflows"])
+def test_weighted_projection_falls_back_to_eigh_bit_for_bit(monkeypatch, case):
+    # Where the series solve does not apply, or its inverse is not finite, the point is
+    # the eigh solve's to the bit.
+    taken = _counted_series(monkeypatch)
+    d = core.SERIES_MIN_DIM - (case == "below-crossover")
+    rng = np.random.default_rng(7)
+    # At r = 1e-4 the eigh solve's own q / s stays finite for H = 1e-310 I, whose
+    # inverse overflows.
+    r = 1e-4 if case == "inverse-overflows" else 0.5
+    ball = Ball(center=np.full(d, 0.01 * r / d), radius=r)
+    u = rng.normal(size=d)
+    y = ball.center + (3.0 if case == "far-target" else 1.001) * r * u / np.linalg.norm(u)
+    H = {"not-dominant": np.eye(d) + np.full((d, d), 0.9),  # SPD, rows far from dominant
+         "inverse-overflows": 1e-310 * np.eye(d)}.get(case, np.eye(d))
+    got = ball.project_weighted(H, y)
+    assert len(taken) == (case == "inverse-overflows")
+    assert ball.contains(got)
+    monkeypatch.setattr(core, "SERIES_MIN_DIM", d + 1)  # the eigh solve alone
+    assert got.tobytes() == ball.project_weighted(H, y).tobytes()
+
+
+def test_maler_run_takes_the_series_solve(monkeypatch):
+    # A seeded MalerLearner run at the series solve's smallest d, on a stream that drives
+    # its Newton experts out of the ball, takes the series solve and plays within rounding
+    # of the same run on the eigh solve alone.
+    d, T = core.SERIES_MIN_DIM, 40
+    taken = _counted_series(monkeypatch)
+
+    def plays():
+        rng = np.random.default_rng(3)
+        drift = rng.normal(size=d)
+        drift /= np.linalg.norm(drift)
+        learner = MalerLearner(ProblemParams(horizon=T, dim=d, grad_bound=1.0, diameter=1.0),
+                               Ball(center=np.zeros(d), radius=0.5))
+        for _ in range(T):
+            learner.predict()
+            g = -drift + 0.3 * rng.normal(size=d) / math.sqrt(d)
+            learner.observe(g / max(1.0, float(np.linalg.norm(g))))
+        return learner.trace().plays
+
+    fast = plays()
+    assert len(taken) > 0
+    monkeypatch.setattr(core, "SERIES_MIN_DIM", d + 1)
+    count = len(taken)
+    slow = plays()
+    assert len(taken) == count
+    assert np.max(np.abs(fast - slow)) <= 1e-14

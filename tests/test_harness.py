@@ -1021,6 +1021,22 @@ def test_cli_certify_rejects_misshapen_traces(tmp_path, capsys, edit, reason):
     assert reason in err
 
 
+def test_load_trace_refuses_misshapen_arrays_before_building_the_learner(tmp_path, monkeypatch):
+    # A 6-round trace that declares d = 300 (and a ball of that size) with its arrays at
+    # d = 2 is refused on the arrays' shapes; building its learner would allocate the
+    # bank's L x 300 x 300 metrics first.
+    def wide(obj):
+        obj["params"]["dim"] = 300
+        obj["dset"]["center"] = [0.0] * 300
+
+    tpath = _tampered_trace(tmp_path, wide)
+    built = []
+    monkeypatch.setattr(harness, "make_learner", lambda *args: built.append(args))
+    with pytest.raises(ValueError, match=r"^plays has shape \(6, 2\), expected \(6, 300\)$"):
+        load_trace(tpath)
+    assert built == []
+
+
 def test_certify_names_a_legacy_array_entry_too_large_for_a_float(tmp_path, capsys):
     def huge_play(obj):
         obj["plays"][0][0] = 10**400
