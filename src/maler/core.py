@@ -1,9 +1,9 @@
 """Problem data, decision-set geometry, and the quadratic-form type.
 
 The learners in this package operate on a decision set D, a Euclidean ball,
-under two standing assumptions: every loss gradient is bounded in norm
-by G, and the set has Euclidean diameter D. Both constants are part of
-the problem statement and are carried around in :class:`ProblemParams`.
+under two standing assumptions: every loss gradient is bounded in norm by G,
+and the set has Euclidean diameter D. :class:`ProblemParams` carries both, with
+the regret caps and online Newton step constants every learner derives from them.
 """
 
 from __future__ import annotations
@@ -43,11 +43,52 @@ def positive_float(name: str, value) -> float:
     raise ValueError(f"{name} must be finite and > 0, got {value if real else repr(value)}")
 
 
+# The expert kinds: constant-rate, spherical and quadratic (online Newton step).
+KINDS = KIND_CONST, KIND_SPHERICAL, KIND_QUADRATIC = "c", "s", "ell"
+
+
+def regret_caps(horizon: int, dim: int) -> dict:
+    """{kind: (meta-regret cap, expert-regret cap)} at T = horizon: ln 3 and 3/4 for the
+    constant-rate expert, 2 ln(sqrt(3)(log2(T)/2 + 3)) and 1 + ln T for a spherical one,
+    the same meta cap and 10 d ln T for a quadratic one. The adaptive bounds' constants
+    A and B are the sums of the spherical and the quadratic pair."""
+    meta_cap = 2.0 * math.log(math.sqrt(3.0) * (0.5 * math.log2(horizon) + 3.0))
+    ln_t = math.log(horizon)
+    return {KIND_CONST: (math.log(3.0), 0.75), KIND_SPHERICAL: (meta_cap, 1.0 + ln_t),
+            KIND_QUADRATIC: (meta_cap, 10.0 * dim * ln_t)}
+
+
+def ons_grad_bound(D: float) -> float:
+    """Norm cap 7/(25 D) on the quadratic surrogate's gradient."""
+    return (7.0 / 25.0) / D
+
+
+def newton_beta(G: float, D: float, alpha: float) -> float:
+    """Online Newton step parameter beta = min(alpha, 1/(4 G D)) / 2 for alpha-exp-concave
+    losses with gradients bounded by G on a set of diameter D (Hazan, Agarwal & Kale, 2007)."""
+    return 0.5 * min(alpha, 1.0 / (4.0 * (G * D)))
+
+
+def newton_metric(beta: float, D: float, dim: int) -> tuple:
+    """Initial (Sigma, Sigma^{-1}) of an online Newton step, Sigma = I / (beta D)^2;
+    ValueError if (beta D)^2 underflows to 0 or its inverse overflows."""
+    squared = beta**2 * D**2
+    scale = 1.0 / squared if squared > 0.0 else math.inf
+    if scale == math.inf:
+        raise ValueError(f"the online Newton metric I/(beta D)^2 overflows at beta = {beta:g}, "
+                         f"D = {D:g}")
+    return scale * np.eye(dim), (1.0 / scale) * np.eye(dim)
+
+
 @dataclass(frozen=True)
 class ProblemParams:
     """Static description of one online learning problem: T, d, then G, D and the losses'
     strong-convexity and exp-concavity moduli as floats (a modulus None where there is
-    none), and the expert grid's largest rate 1/(5 D G) derived from them (meta.build_grid)."""
+    none). Derived once for every learner and certificate: the grid's top rate 1/(5 D G),
+    the Newton rows' beta newton_beta(7/(25 D), D, 1), ONS's beta newton_beta(G, D, alpha)
+    or None, and curvature_caps, regret-bounds' (label, cap) row per modulus at T the
+    horizon. ValueError naming the field for what they cannot use: a cap of inf, which
+    would pass any regret, or a Newton metric I/(beta D)^2 that overflows."""
 
     horizon: int
     dim: int
@@ -56,6 +97,9 @@ class ProblemParams:
     sc_modulus: float | None = None
     exp_concavity: float | None = None
     top_rate: float = field(init=False, repr=False, compare=False)
+    bank_beta: float = field(init=False, repr=False, compare=False)
+    ons_beta: float | None = field(init=False, repr=False, compare=False)
+    curvature_caps: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("horizon", "dim"):
@@ -71,8 +115,8 @@ class ProblemParams:
             if value is not None or name in ("grad_bound", "diameter"):
                 object.__setattr__(self, name, positive_float(name, value))
         G, D = self.grad_bound, self.diameter
-        # The learners' step sizes divide by D^2 and by 4 G D (experts.newton_beta),
-        # the surrogates and certificates square G and the top rate; Python floats
+        # The learners' step sizes divide by D^2 and by 4 G D (newton_beta), the
+        # surrogates and certificates square G and the top rate; Python floats
         # overflow to inf and underflow to 0 here without a warning.
         for who, what, value in ((f"diameter {D:g} is out of range", "D^2", D * D),
                                  (f"diameter {D:g} is out of range for grad_bound {G:g}",
@@ -84,7 +128,35 @@ class ProblemParams:
         if not 0.0 < rate * rate < math.inf:
             raise ValueError(f"diameter {D:g} is out of range for grad_bound {G:g}: the top "
                              f"rate 1/(5 D G) = {rate:g} squared must be finite and > 0")
+        bank_beta = newton_beta(ons_grad_bound(D), D, 1.0)
+        ons_beta = None if self.exp_concavity is None else newton_beta(G, D, self.exp_concavity)
+        table = regret_caps(self.horizon, self.dim)
+        caps = []
+        if self.sc_modulus is not None:
+            tail = 9.0 * G**2 / (2.0 * self.sc_modulus)
+            caps.append(("sc_modulus", "(10GD + 9G^2/(2 lam)) A",
+                         (10.0 * G * D + tail) * sum(table[KIND_SPHERICAL])))
+        if ons_beta is not None:
+            # beta underflows to 0 at the smallest alpha; the cap is then inf.
+            tail = 9.0 / (2.0 * ons_beta) if ons_beta > 0.0 else math.inf
+            caps.append(("exp_concavity", "(10GD + 9/(2 beta)) B",
+                         (10.0 * G * D + tail) * sum(table[KIND_QUADRATIC])))
+        for name, label, cap in caps:
+            if not cap < math.inf:
+                raise ValueError(f"{name} {getattr(self, name)!r} is out of range: the regret "
+                                 f"cap {label} is {cap:g}; it must be finite")
+        for name, beta in (("diameter", bank_beta), ("exp_concavity", ons_beta)):
+            if beta is None:
+                continue
+            try:
+                newton_metric(beta, D, 1)
+            except ValueError as exc:
+                raise ValueError(f"{exc}, from {name} {getattr(self, name)!r}") from None
         object.__setattr__(self, "top_rate", rate)
+        object.__setattr__(self, "bank_beta", bank_beta)
+        object.__setattr__(self, "ons_beta", ons_beta)
+        object.__setattr__(self, "curvature_caps",
+                           tuple((f"regret <= {label}", cap) for _, label, cap in caps))
 
     @property
     def grad_cap(self) -> float:
@@ -277,8 +349,8 @@ class Ball:
         mu up by at least one ulp, and the first mu with ||q(mu)|| <= r ends
         the solve: the multiplier is pinned within a few ulps on the feasible
         side. The point is shaved as in project, so it passes contains. If
-        a.a overflows, lam and a (and so mu) are scaled by one power of two,
-        which leaves q(mu) as it is. Raises ProjectionError after
+        lam_max < 2^-512 (else q can overflow) or a.a overflows, lam and a (and
+        so mu) are scaled by one power of two, which leaves q(mu) as it is. Raises ProjectionError after
         PROJECTION_ITERS evaluations (non-finite input). From d = SERIES_MIN_DIM up,
         _series_boundary_point goes first.
         """
@@ -286,6 +358,8 @@ class Ball:
         if self.dim >= SERIES_MIN_DIM and (x := self._series_boundary_point(M, z)) is not None:
             return x
         lam, V = np.linalg.eigh(M)
+        if lam[-1] < 2.0**-512:
+            lam = np.ldexp(lam, -math.frexp(lam[-1])[1])
         w = V.T @ z
         with np.errstate(over="ignore"):
             a = lam * w

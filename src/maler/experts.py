@@ -33,50 +33,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import surrogates
-from .core import Ball, ProblemParams, Quadratic, rowdot
+from . import core, surrogates
+from .core import KINDS, Ball, ProblemParams, Quadratic, newton_metric, ons_grad_bound, rowdot
 from .meta import (
-    KIND_CONST,
-    KIND_QUADRATIC,
-    KIND_SPHERICAL,
     CertificateReport,
     CertificateRow,
     ExpertGrid,
     RunTrace,
     recompute_surrogate_losses,
-    regret_caps,
 )
 
-ONS_GRAD_SCALE = 7.0 / 25.0
 REFACTOR_EVERY = 512
 # From this d up, a bank's 6 outer products are faster from einsum than by a
 # broadcast multiply (measured crossover d = 22; d = 45 for one row). The choice
 # depends on d alone, so a stack and each of its slices take one path.
 EINSUM_MIN_DIM = 24
-
-
-def ons_grad_bound(D: float) -> float:
-    """Norm cap 7/(25 D) on the quadratic surrogate's gradient."""
-    return ONS_GRAD_SCALE / D
-
-
-def newton_beta(G: float, D: float, alpha: float) -> float:
-    """Online Newton step parameter beta = min(alpha, 1/(4 G D)) / 2 for alpha-exp-concave
-    losses with gradients bounded by G on a set of diameter D (Hazan, Agarwal & Kale, 2007)."""
-    return 0.5 * min(alpha, 1.0 / (4.0 * (G * D)))
-
-
-def newton_metric(beta: float, D: float, dim: int) -> tuple:
-    """Initial (Sigma, Sigma^{-1}) of an online Newton step: Sigma = I / (beta D)^2.
-
-    Raises ValueError if (beta D)^2 underflows to 0 or its inverse overflows.
-    """
-    squared = beta**2 * D**2
-    scale = 1.0 / squared if squared > 0.0 else math.inf
-    if scale == math.inf:
-        raise ValueError(f"the online Newton metric I/(beta D)^2 overflows at beta = {beta:g}, "
-                         f"D = {D:g}")
-    return scale * np.eye(dim), (1.0 / scale) * np.eye(dim)
 
 
 def _outer(v: np.ndarray) -> np.ndarray:
@@ -177,16 +148,14 @@ class ExpertBank:
         if not np.all((etas > 0.0) & (etas <= cap * (1.0 + 1e-12))):
             raise ValueError(f"rates {etas} outside (0, 2/(3DG)] = (0, {cap}]")
         kinds = np.asarray(grid.kinds)
-        conv, sph, ell = rows = tuple(np.flatnonzero(kinds == kind)
-                                      for kind in (KIND_CONST, KIND_SPHERICAL, KIND_QUADRATIC))
-        beta = newton_beta(ons_grad_bound(D), D, 1.0)
-        sigma, sigma_inv = newton_metric(beta, D, params.dim)
+        conv, sph, ell = rows = tuple(np.flatnonzero(kinds == kind) for kind in KINDS)
+        sigma, sigma_inv = newton_metric(params.bank_beta, D, params.dim)
         layout = BankLayout(
             grid=grid, rows=rows, rates=tuple(etas[r] for r in rows),
             first=np.concatenate((conv, sph)), sph=grid.constants[1, sph],
             # 2 eta^2 in Python floats, as ell_grad computes it
             ell_slope=np.array([2.0 * float(eta) ** 2 for eta in etas[ell]]),
-            beta=beta, params=params, dset=dset)
+            beta=params.bank_beta, params=params, dset=dset)
         return cls(layout, np.zeros((kinds.size, params.dim)),
                    np.repeat(sigma[None], ell.size, axis=0),
                    np.repeat(sigma_inv[None], ell.size, axis=0))
@@ -284,12 +253,12 @@ def expert_regret_certificate(trace: RunTrace) -> CertificateReport:
     realizing the worst u in the bound's quantifier. The sums over rounds
     behind every expert's surrogate sum are taken once per trace
     (SurrogateSums.of), not once per expert. Each cap is the kind's expert
-    cap of meta.regret_caps with T the played rounds. Grid, its constants
+    cap of core.regret_caps with T the played rounds. Grid, its constants
     and losses all come from the trace.
     """
     own = recompute_surrogate_losses(trace).sum(axis=0)
     grid = trace.grid
-    caps = regret_caps(*trace.plays.shape)
+    caps = core.regret_caps(*trace.plays.shape)
     sums = SurrogateSums.of(trace.plays, trace.grads)
     rows = []
     for e, kind in enumerate(grid.kinds):

@@ -32,7 +32,6 @@ from .meta import (
 )
 from .universal import (
     Learner,
-    curvature_caps,
     make_learner,
     play_round,
     regret_bound_certificate,
@@ -170,10 +169,9 @@ def gen_regression(rounds: int = 200, dim: int = 50, batch: int = 200,
     """Sample the regression stream: hidden w in a diameter-1 ball, features
     in a diameter-10 ball, Gaussian label noise, fresh batch per round.
 
-    Raises ValueError unless lam is finite and > 0, noise_std finite and
-    >= 0, and the stream's gradient bound G and exp-concavity 2 lam / G^2
-    are finite and > 0 and pass check_moduli; a stream whose arithmetic
-    overflows is refused too.
+    Raises ValueError unless lam is finite and > 0 and noise_std finite and
+    >= 0; also, naming both flags, if the stream's arithmetic overflows or
+    ProblemParams refuses its G and moduli 2 lam and 2 lam / G^2.
     """
     if min(rounds, dim, batch) < 1:
         raise ValueError(f"rounds, dim and batch must be >= 1, got {rounds}, {dim}, {batch}")
@@ -201,12 +199,11 @@ def gen_regression(rounds: int = 200, dim: int = 50, batch: int = 200,
     except (FloatingPointError, OverflowError):
         raise ValueError(f"{inputs} overflow the losses or their exp-concavity 2 lam / G^2") \
             from None
-    if not (0 < g_bound < math.inf and 0 < exp_concavity < math.inf):
-        raise ValueError(f"{inputs} give gradient bound G = {g_bound:g} and exp-concavity "
-                         f"2 lam / G^2 = {exp_concavity:g}; both must be finite and > 0")
-    params = ProblemParams(horizon=rounds, dim=dim, grad_bound=g_bound, diameter=2 * r_w,
-                           sc_modulus=2.0 * lam, exp_concavity=exp_concavity)
-    check_moduli(params, inputs)
+    try:
+        params = ProblemParams(horizon=rounds, dim=dim, grad_bound=g_bound, diameter=2 * r_w,
+                               sc_modulus=2.0 * lam, exp_concavity=exp_concavity)
+    except ValueError as exc:
+        raise ValueError(f"{inputs} set the curvature moduli out of range: {exc}") from None
     return Task(losses, total, dset, params)
 
 
@@ -256,27 +253,19 @@ def load_classification(path, rounds: int = 100, batch: int = 200,
     # D is checked at G = 1, the largest G of rows scaled into the unit ball, so
     # a G refused after it is too small for the floats.
     params = ProblemParams(horizon=rounds, dim=X.shape[1], grad_bound=1.0, diameter=2 * radius)
-    exp_concavity = math.exp(-radius)
-    if exp_concavity == 0.0:
-        raise ValueError(f"radius (--radius) {radius:g} is too large: the exp-concavity "
-                         "exp(-radius) of the logistic losses underflows to 0")
     try:
-        params = replace(params, grad_bound=g_bound, exp_concavity=exp_concavity)
+        params = replace(params, grad_bound=g_bound)
     except ValueError as exc:
         if not Z[:N].any():  # every row the rounds use is zero, and so is G
             raise
         raise ValueError(f"the gradient bound G = {g_bound:g} of the --data file {path} "
                          f"underflows: {exc}") from None
-    check_moduli(params, f"radius (--radius) {radius:g}")
-    return Task(losses, total, dset, params)
-
-
-def check_moduli(params: ProblemParams, inputs: str) -> None:
-    """curvature_caps(params), its ValueError naming the inputs that set the moduli."""
     try:
-        curvature_caps(params)
+        params = replace(params, exp_concavity=math.exp(-radius))  # the logistic losses' alpha
     except ValueError as exc:
-        raise ValueError(f"{inputs} set the curvature moduli out of range: {exc}") from None
+        raise ValueError(f"radius (--radius) {radius:g} sets the curvature moduli out of range: "
+                         f"{exc}") from None
+    return Task(losses, total, dset, params)
 
 
 def gen_classification_file(path, examples: int = 4000, dim: int = 10, seed: int = 0) -> None:
@@ -447,11 +436,10 @@ def load_trace(path) -> RunTrace:
     trace takes that learner's grid (None for a baseline), which grid_style
     must name; it must carry exactly the arrays that learner records: every
     one of TRACE_ARRAYS for an ensemble, all but GRID_ARRAYS otherwise.
-    Raises ValueError if the file is malformed, an array is missing, G, D,
-    the radius or a modulus is not a finite positive number, a modulus fails
-    curvature_caps (as in `maler run`), the algo is not a string or
-    make_learner refuses it (with its text; a baseline without the modulus
-    it steps by names it), or the comparator lies outside the decision set.
+    Raises ValueError if the file is malformed, an array is missing,
+    ProblemParams refuses the params (as in `maler run`), the radius is not
+    a finite positive number, the algo is not a string or make_learner
+    refuses it, or the comparator lies outside the decision set.
     """
     # One byte read and one UTF-8 decode; a text-mode reader would also
     # translate newlines, which costs time and JSON does not need.
@@ -464,7 +452,6 @@ def load_trace(path) -> RunTrace:
         raise ValueError(f"unknown trace format {obj['format']!r}")
     try:
         params = ProblemParams(**obj["params"], **{name: obj.get(name) for name in TRACE_MODULI})
-        curvature_caps(params)
         algo, style, dset = obj["algo"], obj.get("grid_style"), _dset_from_json(obj["dset"])
         if not isinstance(algo, str):
             raise ValueError(f"algo must be a string, got {algo!r}")
@@ -481,12 +468,8 @@ def load_trace(path) -> RunTrace:
         if T >= 2:  # a shorter trace is refused once its learner has judged the horizon
             _check_shapes(arrays, plays=(T, d), grads=(T, d), loss_at_play=(T,),
                           loss_at_comparator=(T,), comparator=(d,))
-        try:  # a trace no learner could have written is refused, as `maler run` refuses it
-            grid = make_learner(algo, params, dset).grid
-        except ValueError as exc:  # a baseline without the modulus it steps by names it
-            field = {"ons": "exp_concavity", "ogd-sc": "sc_modulus"}.get(algo)
-            missing = field is not None and getattr(params, field) is None
-            raise ValueError(f"{field}: {exc}" if missing else exc) from None
+        # A trace no learner could have written is refused, as `maler run` refuses it.
+        grid = make_learner(algo, params, dset).grid
         if T < 2:
             raise ValueError(f"trace of {T} rounds is too short: its regret bounds need T >= 2")
         expected = None if grid is None else grid.style

@@ -21,8 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import surrogates
-from .core import Ball, ProblemParams
-from .surrogates import KIND_CONST, KIND_QUADRATIC, KIND_SPHERICAL
+from .core import KIND_CONST, KIND_QUADRATIC, KIND_SPHERICAL, Ball, ProblemParams, regret_caps
 
 
 def logsumexp(v: np.ndarray) -> float:
@@ -36,17 +35,6 @@ def logsumexp(v: np.ndarray) -> float:
 def grid_depth(horizon: int) -> int:
     """Number of halvings k = ceil(0.5 * log2 T)."""
     return max(0, math.ceil(0.5 * math.log2(horizon)))
-
-
-def regret_caps(horizon: int, dim: int) -> dict:
-    """{kind: (meta-regret cap, expert-regret cap)} at T = horizon: ln 3 and 3/4 for the
-    constant-rate expert, 2 ln(sqrt(3)(log2(T)/2 + 3)) and 1 + ln T for a spherical one,
-    the same meta cap and 10 d ln T for a quadratic one. The adaptive bounds' constants
-    A and B are the sums of the spherical and the quadratic pair."""
-    meta_cap = 2.0 * math.log(math.sqrt(3.0) * (0.5 * math.log2(horizon) + 3.0))
-    ln_t = math.log(horizon)
-    return {KIND_CONST: (math.log(3.0), 0.75), KIND_SPHERICAL: (meta_cap, 1.0 + ln_t),
-            KIND_QUADRATIC: (meta_cap, 10.0 * dim * ln_t)}
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_vector, rowdot
-
-KIND_CONST = "c"
-KIND_SPHERICAL = "s"
-KIND_QUADRATIC = "ell"
+from .core import KINDS, as_vector, rowdot
 
 
 def eta_cap(G: float, D: float) -> float:
@@ -114,7 +110,7 @@ def expert_constants(kinds, etas, G: float, D: float) -> np.ndarray:
     as c_value and s_value compute them: (eta G D)^2, eta^2 G^2 and 1."""
     out = np.zeros((3, len(kinds)))
     for e, (kind, eta) in enumerate(zip(kinds, map(float, etas))):
-        row = (KIND_CONST, KIND_SPHERICAL, KIND_QUADRATIC).index(kind)
+        row = KINDS.index(kind)
         out[row, e] = ((eta * G * D) ** 2, eta**2 * G**2, 1.0)[row]
     return out
 

@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from . import experts, meta
+from . import core, experts, meta
 from .core import Ball, ProblemParams, as_vector
 from .meta import CertificateReport, CertificateRow, ExpertGrid, RunTrace
 
@@ -140,7 +140,7 @@ class OGDLearner(Learner):
     def __init__(self, params: ProblemParams, dset: Ball, strongly_convex: bool = False):
         super().__init__(params, dset)
         if strongly_convex and params.sc_modulus is None:
-            raise ValueError("ogd-sc baseline needs the strong-convexity modulus")
+            raise ValueError("ogd-sc baseline needs the strong-convexity modulus sc_modulus")
         self.algo = "ogd-sc" if strongly_convex else "ogd-convex"
         self._x = np.zeros(params.dim)
 
@@ -157,17 +157,17 @@ class OGDLearner(Learner):
 
 
 class ONSLearner(Learner):
-    """Online Newton step on the true gradients of losses exp-concave by params.exp_concavity."""
+    """Online Newton step on the true gradients at ONS's beta, params.ons_beta (from alpha)."""
 
     algo = "ons"
 
     def __init__(self, params: ProblemParams, dset: Ball):
         super().__init__(params, dset)
-        if params.exp_concavity is None:
-            raise ValueError("ons baseline needs the exp-concavity modulus")
-        self.beta = experts.newton_beta(params.grad_bound, params.diameter, params.exp_concavity)
+        if params.ons_beta is None:
+            raise ValueError("ons baseline needs the exp-concavity modulus exp_concavity")
+        self.beta = params.ons_beta
         self._x = np.zeros(params.dim)
-        self._sigma, self._sigma_inv = experts.newton_metric(self.beta, params.diameter, params.dim)
+        self._sigma, self._sigma_inv = core.newton_metric(self.beta, params.diameter, params.dim)
 
     def _predict(self) -> np.ndarray:
         return self._x
@@ -243,54 +243,22 @@ def regret_bound_certificate(trace: RunTrace) -> CertificateReport:
     The worst-case bound 2(1+ln3) G D sqrt(T) and the two adaptive bounds
     3 sqrt(V B) + 10 G D B must all hold at once, with V the spherical or
     quadratic cumulative deviation and B the matching constant, the sum of
-    that kind's two caps in meta.regret_caps; these three rows take T to be
+    that kind's two caps in core.regret_caps; these three rows take T to be
     the played rounds. Each curvature modulus the trace's params record adds
-    its cap from curvature_caps.
+    its row of params.curvature_caps, at T the horizon.
     """
     diag = regret_diagnostics(trace)
     p = trace.params
     T, d = trace.plays.shape
     GD = p.grad_bound * p.diameter
-    caps = meta.regret_caps(T, d)
-    a, b = sum(caps[meta.KIND_SPHERICAL]), sum(caps[meta.KIND_QUADRATIC])
+    caps = core.regret_caps(T, d)
+    a, b = sum(caps[core.KIND_SPHERICAL]), sum(caps[core.KIND_QUADRATIC])
     bounds = [
         ("regret <= 2(1+ln3) G D sqrt(T)", 2.0 * (1.0 + math.log(3.0)) * GD * math.sqrt(T)),
         ("regret <= 3 sqrt(V_ell B) + 10 G D B", 3.0 * math.sqrt(diag.v_ell * b) + 10.0 * GD * b),
         ("regret <= 3 sqrt(V_s A) + 10 G D A", 3.0 * math.sqrt(diag.v_s * a) + 10.0 * GD * a),
+        *p.curvature_caps,
     ]
-    bounds += curvature_caps(p)
     rows = [CertificateRow(label=label, measured=diag.regret, bound=bound)
             for label, bound in bounds]
     return CertificateReport(name="regret-bounds", rows=rows)
-
-
-def curvature_caps(params: ProblemParams) -> list:
-    """(label, cap) of regret-bounds for each curvature modulus params records, with T the
-    horizon: (10GD + 9G^2/(2 lam)) A for sc_modulus lam, (10GD + 9/(2 beta)) B for
-    exp_concavity alpha, beta = experts.newton_beta(G, D, alpha), and A and B as in
-    regret_bound_certificate. Raises ValueError naming the modulus if its cap is not
-    finite, since a cap of inf would pass any regret, or if ONSLearner's metric
-    I/(beta D)^2 overflows at that beta."""
-    p = params
-    G, D = p.grad_bound, p.diameter
-    table = meta.regret_caps(p.horizon, p.dim)
-    a, b = sum(table[meta.KIND_SPHERICAL]), sum(table[meta.KIND_QUADRATIC])
-    caps = []
-    if p.sc_modulus is not None:
-        tail = 9.0 * G**2 / (2.0 * p.sc_modulus)
-        caps.append(("sc_modulus", "(10GD + 9G^2/(2 lam)) A", (10.0 * G * D + tail) * a))
-    if p.exp_concavity is not None:
-        beta = experts.newton_beta(G, D, p.exp_concavity)
-        # beta underflows to 0 at the smallest alpha; the cap is then inf.
-        tail = 9.0 / (2.0 * beta) if beta > 0.0 else math.inf
-        caps.append(("exp_concavity", "(10GD + 9/(2 beta)) B", (10.0 * G * D + tail) * b))
-    for name, label, cap in caps:
-        if not cap < math.inf:
-            raise ValueError(f"{name} {getattr(p, name)!r} is out of range: the regret cap "
-                             f"{label} is {cap:g}; it must be finite")
-    if p.exp_concavity is not None:
-        try:
-            experts.newton_metric(beta, D, 1)
-        except ValueError as exc:
-            raise ValueError(f"{exc}, from exp_concavity {p.exp_concavity!r}") from None
-    return [(f"regret <= {label}", cap) for _, label, cap in caps]

@@ -24,6 +24,7 @@ from maler import (
     metagrad_baseline,
     regret_bound_certificate,
 )
+from maler.core import KIND_CONST, KIND_QUADRATIC, KIND_SPHERICAL, regret_caps
 from maler.harness import (
     LogisticBatchLoss,
     RidgeBatchLoss,
@@ -34,7 +35,6 @@ from maler.harness import (
     run_stream,
     sample_ball,
 )
-from maler.meta import KIND_CONST, KIND_QUADRATIC, KIND_SPHERICAL, regret_caps
 from maler.surrogates import (
     SurrogateContext,
     c_grad,
@@ -44,7 +44,6 @@ from maler.surrogates import (
     s_grad,
     s_value,
 )
-from maler.universal import curvature_caps
 
 DIMS = (1, 2, 5, 20)
 HORIZONS = (16, 64, 256)
@@ -257,7 +256,7 @@ def test_criterion_4_curvature_adaptive_bounds():
             r_half, _, _ = _final_regret(losses[:128], lam * 0.9, dset, u_half)
             r_full, trace, params = _final_regret(losses, lam * 0.9, dset, u_full)
             EXTRA_TRACES.append(trace)
-            [(_, cap)] = curvature_caps(replace(params, sc_modulus=lam))
+            [(_, cap)] = replace(params, sc_modulus=lam).curvature_caps
             bad += int(r_full > cap)
             assert r_half > 0
             ratio = r_full / r_half
@@ -284,7 +283,7 @@ def test_criterion_4_curvature_adaptive_bounds():
     r_half, _, _ = _final_regret(losses[:128], max(bounds[:128]), dset, u_half)
     r_full, trace, params = _final_regret(losses, max(bounds), dset, u_full)
     EXTRA_TRACES.append(trace)
-    [(_, cap)] = curvature_caps(replace(params, exp_concavity=alpha))
+    [(_, cap)] = replace(params, exp_concavity=alpha).curvature_caps
     bad += int(r_full > cap)
     assert r_half > 0
     ratio = r_full / r_half

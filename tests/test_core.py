@@ -14,7 +14,7 @@ from maler import core
 from maler.core import PGD_ITERS, PGD_TOL, Ball, ProblemParams, Quadratic, projected_gradient
 from maler.harness import certify_trace
 from maler.meta import RunTrace
-from maler.universal import AssumptionViolation, MalerLearner
+from maler.universal import AssumptionViolation, MalerLearner, make_learner
 
 
 def test_problem_params_validation():
@@ -44,6 +44,46 @@ def test_problem_params_validation():
                          (1e-160, 1e-10, "1/(5 D G) = 2e+169 squared")):
         with pytest.raises(ValueError, match=r"out of range.*" + re.escape(reason)):
             ProblemParams(horizon=2, dim=1, grad_bound=G, diameter=D)
+
+
+def test_problem_params_refuses_a_diameter_whose_newton_rows_overflow():
+    # The ensembles' Newton rows start from I/(beta D)^2 at beta = 25/56: at D = 1e-158
+    # that overflows, though D^2, 4 G D, G^2 and the top rate are all in range.
+    with pytest.raises(ValueError, match=r"^the online Newton metric I/\(beta D\)\^2 overflows "
+                       r"at beta = 0\.446429, D = 1e-158, from diameter 1e-158$"):
+        ProblemParams(horizon=4, dim=2, grad_bound=1e4, diameter=1e-158)
+
+
+def test_every_problem_params_is_one_every_learner_and_certificate_accepts():
+    # Log-uniform G and D, and moduli that are None, a refusal edge (5e-324, 1e-310,
+    # 1e-200) or log-uniform: ProblemParams refuses a draw with a ValueError naming the
+    # field at fault, or every algo whose modulus is present builds on it, every
+    # curvature cap is finite and ONS's beta is newton_beta's to the bit.
+    rng = np.random.default_rng(30)
+    fields = ("grad_bound", "diameter", "sc_modulus", "exp_concavity")
+    refused = dict.fromkeys(fields, 0)
+    accepted = 0
+    for _ in range(3000):
+        T, d = int(rng.integers(2, 1000)), int(rng.integers(1, 5))
+        G, D = (10.0 ** float(e) for e in rng.uniform(-170.0, 170.0, size=2))
+        lam, alpha = ([None, 5e-324, 1e-310, 1e-200, 10.0 ** float(rng.uniform(-330.0, 5.0))]
+                      [int(rng.integers(5))] for _ in range(2))
+        try:
+            params = ProblemParams(horizon=T, dim=d, grad_bound=G, diameter=D,
+                                   sc_modulus=lam, exp_concavity=alpha)
+        except ValueError as exc:
+            named = [name for name in fields if name in str(exc)]
+            assert named, str(exc)
+            refused[named[0]] += 1
+            continue
+        accepted += 1
+        algos = ["maler", "metagrad", "ogd-convex"] + ["ogd-sc"] * (lam is not None)
+        for algo in algos + ["ons"] * (alpha is not None):
+            make_learner(algo, params, Ball(center=np.zeros(d), radius=D / 2))
+        assert len(params.curvature_caps) == (lam is not None) + (alpha is not None)
+        assert all(math.isfinite(cap) for _, cap in params.curvature_caps)
+        assert params.ons_beta == (None if alpha is None else core.newton_beta(G, D, alpha))
+    assert accepted >= 200 and all(refused.values()), (accepted, refused)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -755,9 +795,7 @@ def test_weighted_projection_falls_back_to_eigh_bit_for_bit(monkeypatch, case):
     taken = _counted_series(monkeypatch)
     d = core.SERIES_MIN_DIM - (case == "below-crossover")
     rng = np.random.default_rng(7)
-    # At r = 1e-4 the eigh solve's own q / s stays finite for H = 1e-310 I, whose
-    # inverse overflows.
-    r = 1e-4 if case == "inverse-overflows" else 0.5
+    r = 0.5
     ball = Ball(center=np.full(d, 0.01 * r / d), radius=r)
     u = rng.normal(size=d)
     y = ball.center + (3.0 if case == "far-target" else 1.001) * r * u / np.linalg.norm(u)
@@ -768,6 +806,21 @@ def test_weighted_projection_falls_back_to_eigh_bit_for_bit(monkeypatch, case):
     assert ball.contains(got)
     monkeypatch.setattr(core, "SERIES_MIN_DIM", d + 1)  # the eigh solve alone
     assert got.tobytes() == ball.project_weighted(H, y).tobytes()
+
+
+@pytest.mark.parametrize("d", [10, core.SERIES_MIN_DIM, 50])
+@pytest.mark.parametrize("scale", [1e-310, 1e-320])
+def test_weighted_projection_on_a_subnormal_isotropic_metric_is_euclidean(d, scale):
+    # H = s I near the subnormals is SPD and finite; its eigh solve's q = a / (lam + mu)
+    # used to overflow (RuntimeWarning, then ProjectionError after PROJECTION_ITERS).
+    # For isotropic H the weighted projection is the Euclidean one.
+    rng = np.random.default_rng(d)
+    ball = Ball(center=np.full(d, 0.005 / d), radius=0.5)
+    u = rng.normal(size=d)
+    y = ball.center + 1.001 * 0.5 * u / np.linalg.norm(u)
+    x = ball.project_weighted(scale * np.eye(d), y)
+    assert ball.contains(x)
+    assert np.max(np.abs(x - ball.project(y))) <= np.finfo(float).eps
 
 
 def test_maler_run_takes_the_series_solve(monkeypatch):

@@ -8,7 +8,18 @@ import pytest
 from conftest import quadratic_values, sample_point
 
 from maler import core, experts, surrogates
-from maler.core import Ball, ProblemParams, rowdot
+from maler.core import (
+    KIND_CONST,
+    KIND_QUADRATIC,
+    KIND_SPHERICAL,
+    Ball,
+    ProblemParams,
+    newton_beta,
+    newton_metric,
+    ons_grad_bound,
+    regret_caps,
+    rowdot,
+)
 from maler.experts import (
     EINSUM_MIN_DIM,
     REFACTOR_EVERY,
@@ -16,11 +27,8 @@ from maler.experts import (
     SurrogateSums,
     convex_expert_step,
     expert_regret_certificate,
-    newton_beta,
     newton_expert_step,
-    newton_metric,
     newton_metric_update,
-    ons_grad_bound,
     sherman_morrison_update,
     spherical_expert_step,
     summed_surrogate,
@@ -31,14 +39,7 @@ from maler.harness import (
     load_classification,
     run_stream,
 )
-from maler.meta import (
-    KIND_CONST,
-    KIND_QUADRATIC,
-    KIND_SPHERICAL,
-    ExpertGrid,
-    build_grid,
-    regret_caps,
-)
+from maler.meta import ExpertGrid, build_grid
 from maler.surrogates import SurrogateContext
 from maler.universal import MalerLearner, ONSLearner, make_learner, metagrad_baseline
 

@@ -650,7 +650,8 @@ def test_run_experiment_refuses_ogd_sc_on_classification_before_the_comparator(t
     gen_classification_file(data, examples=20, dim=3, seed=1)
     cfg = ExperimentConfig(task="classification", algos=("maler", "ogd-sc"), data=str(data),
                            rounds=3, batch=4)
-    with pytest.raises(ValueError, match="^ogd-sc baseline needs the strong-convexity modulus$"):
+    with pytest.raises(ValueError,
+                       match="^ogd-sc baseline needs the strong-convexity modulus sc_modulus$"):
         run_experiment(cfg)
 
 
@@ -996,9 +997,9 @@ def _as(algo, **fields):
     (_as(42), "algo must be a string, got 42"),
     (_as(None), "algo must be a string, got None"),
     (_as(["ons"]), "algo must be a string, got ['ons']"),
-    (_as("ons", exp_concavity=None), "exp_concavity: ons baseline needs the exp-concavity modulus"),
+    (_as("ons", exp_concavity=None), "ons baseline needs the exp-concavity modulus exp_concavity"),
     (_as("ogd-sc", sc_modulus=None),
-     "sc_modulus: ogd-sc baseline needs the strong-convexity modulus"),
+     "ogd-sc baseline needs the strong-convexity modulus sc_modulus"),
 ], ids=["log_phi-rows", "expert_points-experts", "surrogate_losses-experts",
         "log_weights-experts", "horizon-grid", "horizon-below-T", "plays-rows",
         "grads-dim", "loss_at_play-rows", "comparator-dim", "top-level-list",
@@ -1406,8 +1407,11 @@ def test_cli_run_refuses_a_negative_seed_by_name(tmp_path, capsys):
 @pytest.mark.parametrize("radius, name", [
     ("1e-300", "diameter 2e-300 is out of range: D^2 = 0"),
     ("1e160", "diameter 2e+160 is out of range: D^2 = inf"),
-    ("1e150", "radius (--radius) 1e+150 is too large"),
+    ("1e150", "radius (--radius) 1e+150 sets the curvature moduli out of range: exp_concavity "
+              "must be finite and > 0, got 0.0"),  # exp(-radius) underflows
     ("400", "the online Newton metric I/(beta D)^2 overflows"),
+    # D^2 is in range, but the Newton rows' I/(beta D)^2 at beta = 25/56 overflows.
+    ("8e-155", "overflows at beta = 0.446429, D = 1.6e-154, from diameter 1.6e-154"),
 ])
 def test_cli_run_refuses_a_radius_out_of_range(tmp_path, capsys, radius, name):
     data = tmp_path / "d.libsvm"
@@ -1499,10 +1503,8 @@ def test_certify_refuses_a_set_whose_center_norm_overflows(tmp_path, capsys):
     ("exp_concavity", 5e-324), ("exp_concavity", 1e-310), ("sc_modulus", 5e-324),
 ])
 def test_certify_refuses_a_modulus_whose_cap_is_infinite(tmp_path, capsys, name, value):
-    def tiny(trace):
-        trace.params = replace(trace.params, **{name: value})
-
-    rc, out, err = _certified(capsys, _edited(_twenty_round_trace(tmp_path), tiny))
+    tpath = _rewritten(_twenty_round_trace(tmp_path), _set(name, lambda obj: value))
+    rc, out, err = _certified(capsys, tpath)
     assert rc == 1 and out == ""
     assert err.startswith(f"error: cannot load trace: {name} {value!r} is out of range: "
                           "the regret cap ") and err.endswith("it must be finite\n")
@@ -1553,4 +1555,5 @@ def test_cli_run_names_the_flag_behind_an_unusable_exp_concavity(tmp_path, capsy
     gen_classification_file(data, examples=20, dim=3, seed=1)
     err = _refused(capsys, ["run", "--rounds", "3", "--dim", "2", "--batch", "4",
                             "--data", str(data), *flags], name)
-    assert "set the curvature moduli out of range: the online Newton metric" in err
+    verb = "sets" if name == "--radius" else "set"  # one flag, or --lambda and --noise-std
+    assert f"{verb} the curvature moduli out of range: the online Newton metric" in err

@@ -3,11 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from maler.core import Ball, ProblemParams
+from maler.core import KIND_CONST, KIND_QUADRATIC, KIND_SPHERICAL, Ball, ProblemParams, regret_caps
 from maler.meta import (
-    KIND_CONST,
-    KIND_QUADRATIC,
-    KIND_SPHERICAL,
     RunTrace,
     aggregate_play,
     build_grid,
@@ -15,7 +12,6 @@ from maler.meta import (
     meta_regret_certificate,
     potential_certificate,
     recompute_surrogate_losses,
-    regret_caps,
     update_weights,
 )
 from maler.experts import expert_regret_certificate

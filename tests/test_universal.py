@@ -6,15 +6,21 @@ import pytest
 
 from conftest import sample_point
 
-from maler.core import Ball, ProblemParams, ProjectionError
-from maler.meta import KIND_QUADRATIC, KIND_SPHERICAL, POTENTIAL_SLACK, logsumexp, regret_caps
+from maler.core import (
+    KIND_QUADRATIC,
+    KIND_SPHERICAL,
+    Ball,
+    ProblemParams,
+    ProjectionError,
+    regret_caps,
+)
+from maler.meta import POTENTIAL_SLACK, logsumexp
 from maler.universal import (
     AssumptionViolation,
     MalerLearner,
     OGDLearner,
     ONSLearner,
     ProtocolError,
-    curvature_caps,
     make_learner,
     metagrad_baseline,
     play_round,
@@ -273,12 +279,14 @@ def test_curvature_bound_formulas():
     params = ProblemParams(horizon=16, dim=2, grad_bound=1.0, diameter=1.0)
     a = sum(regret_caps(16, 2)[KIND_SPHERICAL])
     b = sum(regret_caps(16, 2)[KIND_QUADRATIC])
-    assert curvature_caps(params) == []
+    assert params.curvature_caps == () and params.ons_beta is None
     # alpha = 1 exceeds 1/(4GD) = 0.25, so beta = 0.125.
-    assert curvature_caps(replace(params, sc_modulus=1.0, exp_concavity=1.0)) == [
+    both = replace(params, sc_modulus=1.0, exp_concavity=1.0)
+    assert both.ons_beta == 0.125
+    assert both.curvature_caps == (
         ("regret <= (10GD + 9G^2/(2 lam)) A", pytest.approx((10.0 + 4.5) * a)),
         ("regret <= (10GD + 9/(2 beta)) B", pytest.approx((10.0 + 36.0) * b)),
-    ]
+    )
     with pytest.raises(ValueError, match="sc_modulus must be finite and > 0"):
         replace(params, sc_modulus=0.0)
     with pytest.raises(ValueError, match="exp_concavity must be finite and > 0"):
@@ -293,7 +301,7 @@ def test_curvature_bounds_refuse_an_infinite_cap(name, modulus):
     # A cap of inf would pass any regret; at 5e-324 exp-concavity, beta underflows to 0.
     params = ProblemParams(horizon=20, dim=5, grad_bound=25.0, diameter=1.0)
     with pytest.raises(ValueError, match=rf"^{name} {modulus!r} is out of range: .*must be finite"):
-        curvature_caps(replace(params, **{name: modulus}))
+        replace(params, **{name: modulus})
 
 
 def test_play_round_contract():

@@ -86,6 +86,7 @@ def smoke_steps() -> list:
     out = [("maler", ["run", "--out", "defaults"]),  # every default but --out
            ("maler", ["run", "--rounds", "1"], 1, "horizon"),  # no expert grid covers T = 1
            ("maler", ["run", "--lambda", "1e300"], 1, "--lambda"),  # G^2 overflows
+           ("maler", ["run", "--lambda", "1e-200"], 1, "--lambda"),  # ONS's I/(beta D)^2 overflows
            ("maler", ["run", "--algos", "nope"], 1, "algo"),
            ("maler", ["run", "--algos", "maler,maler"], 1, "--algos"),
            ("maler", ["run", "--rounds", "nan"], 1, "--rounds"),  # a usage error, one line
@@ -118,6 +119,8 @@ def smoke_steps() -> list:
             # Classification has no strong-convexity modulus for ogd-sc to step by.
             ("maler", [*cls, "train.libsvm", "--algos", "ogd-sc"], 1, "ogd-sc"),
             ("maler", [*cls, "train.libsvm", "--radius", "1e-300"], 1, "diameter"),  # D^2 = 0
+            # alpha = exp(-700): ONS's metric I/(beta D)^2 overflows.
+            ("maler", [*cls, "train.libsvm", "--radius", "700"], 1, "--radius"),
             ("crlf", "train.libsvm", "train-crlf.libsvm"),  # `#`-headed; same results.csv
             ("maler", [*cls, "train-crlf.libsvm", "--rounds", "20", "--out", "crlf"]),
             # 1000 of the 4000 rows: most rows have a zero count in the summed loss.
