@@ -339,11 +339,11 @@ def _float_array(name: str, value) -> np.ndarray:
         raise ValueError(f"{name} holds an integer too large for a float") from None
 
 
-# Every array of a RunTrace, in the order save_trace writes them; the four
+# Every array of a RunTrace, in the order save_trace writes them; the two
 # GRID_ARRAYS are recorded by an ensemble only, the others by every learner.
-TRACE_ARRAYS = ("plays", "grads", "expert_points", "surrogate_losses", "log_weights", "log_phi",
-                "loss_at_play", "loss_at_comparator", "comparator")
-GRID_ARRAYS = TRACE_ARRAYS[2:6]
+TRACE_ARRAYS = ("plays", "grads", "expert_points", "log_phi", "loss_at_play",
+                "loss_at_comparator", "comparator")
+GRID_ARRAYS = TRACE_ARRAYS[2:4]
 
 # Layout version save_trace writes; a trace without the key is the legacy
 # layout, every array a nested JSON list.
@@ -392,7 +392,8 @@ def _decode_array(obj) -> np.ndarray:
 
 def save_trace(trace: RunTrace, path) -> None:
     """Serialize a trace to one line of JSON: problem data as JSON values, then
-    each of TRACE_ARRAYS as _write_array or null.
+    each of TRACE_ARRAYS as _write_array or null. The surrogate losses and log
+    weights are not written: the grid, expert points, plays and grads fix them.
 
     The arrays are streamed to the file, so writing holds no copy of the
     document, only one encoded chunk.
@@ -435,11 +436,13 @@ def load_trace(path) -> RunTrace:
     holds L d x d metrics, so a file that grows as d costs no d^2). The
     trace takes that learner's grid (None for a baseline), which grid_style
     must name; it must carry exactly the arrays that learner records: every
-    one of TRACE_ARRAYS for an ensemble, all but GRID_ARRAYS otherwise.
-    Raises ValueError if the file is malformed, an array is missing,
-    ProblemParams refuses the params (as in `maler run`), the radius is not
-    a finite positive number, the algo is not a string or make_learner
-    refuses it, or the comparator lies outside the decision set.
+    one of TRACE_ARRAYS for an ensemble, all but GRID_ARRAYS otherwise. A key
+    it does not read is ignored, whatever it holds, such as the
+    surrogate_losses and log_weights that older traces carry. Raises
+    ValueError if the file is malformed, an array is missing, ProblemParams
+    refuses the params (as in `maler run`), the radius is not a finite
+    positive number, the algo is not a string or make_learner refuses it,
+    or the comparator lies outside the decision set.
     """
     # One byte read and one UTF-8 decode; a text-mode reader would also
     # translate newlines, which costs time and JSON does not need.
@@ -481,9 +484,7 @@ def load_trace(path) -> RunTrace:
                                  + (f"must carry {name}" if grid else f"carries no {name}"))
         if grid is not None:
             arrays.update((name, decode(name, obj[name])) for name in GRID_ARRAYS)
-            E = grid.size
-            _check_shapes(arrays, expert_points=(T, E, d), surrogate_losses=(T, E),
-                          log_weights=(T, E), log_phi=(T,))
+            _check_shapes(arrays, expert_points=(T, grid.size, d), log_phi=(T,))
         trace = RunTrace(algo=algo, params=params, dset=dset, grid=grid, **arrays)
     # OverflowError: a JSON integer too large for a float.
     except (KeyError, TypeError, OverflowError) as exc:

@@ -138,8 +138,6 @@ class RunTrace:
     grads: np.ndarray
     grid: Optional[ExpertGrid] = None
     expert_points: Optional[np.ndarray] = None
-    surrogate_losses: Optional[np.ndarray] = None
-    log_weights: Optional[np.ndarray] = None
     log_phi: Optional[np.ndarray] = None
     loss_at_play: Optional[np.ndarray] = None
     loss_at_comparator: Optional[np.ndarray] = None

@@ -92,8 +92,6 @@ class _TiltedEnsembleLearner(Learner):
         self.log_phi = 0.0
         self.bank = experts.ExpertBank.build(grid, params, dset)
         self._expert_points: list = []
-        self._losses: list = []
-        self._log_weights: list = []
         self._log_phi: list = []
 
     def _predict(self) -> np.ndarray:
@@ -104,18 +102,13 @@ class _TiltedEnsembleLearner(Learner):
         log_weights, log_z = meta.update_weights(self.log_weights, self.grid, losses)
         bank = self.bank.step(play, grad)
         self._expert_points.append(self.bank.points)
-        # update_weights returns a fresh array, so the record may hold it as is.
         self.log_weights, self.log_phi, self.bank = log_weights, self.log_phi + log_z, bank
-        self._losses.append(losses)
-        self._log_weights.append(log_weights)
         self._log_phi.append(self.log_phi)
 
     def trace(self) -> RunTrace:
         t = super().trace()
         E, d = self.grid.size, self.params.dim
         t.expert_points = np.array(self._expert_points).reshape(-1, E, d)
-        t.surrogate_losses = np.array(self._losses).reshape(-1, E)
-        t.log_weights = np.array(self._log_weights).reshape(-1, E)
         t.log_phi = np.array(self._log_phi)
         return t
 

@@ -939,8 +939,6 @@ def _as(algo, **fields):
 @pytest.mark.parametrize("edit, reason", [
     (_set("log_phi", lambda obj: obj["log_phi"][:-3]), "log_phi has shape (3,)"),
     (_drop_column("expert_points"), "expert_points has shape (6, 6, 2)"),
-    (_drop_column("surrogate_losses"), "surrogate_losses has shape (6, 6)"),
-    (_drop_column("log_weights"), "log_weights has shape (6, 6)"),
     (_set("params", lambda obj: {**obj["params"], "horizon": 200}),
      "expert_points has shape (6, 7, 2), expected (6, 11, 2)"),
     (_set("params", lambda obj: {**obj["params"], "horizon": 4}), "does not fit horizon 4"),
@@ -1000,8 +998,7 @@ def _as(algo, **fields):
     (_as("ons", exp_concavity=None), "ons baseline needs the exp-concavity modulus exp_concavity"),
     (_as("ogd-sc", sc_modulus=None),
      "ogd-sc baseline needs the strong-convexity modulus sc_modulus"),
-], ids=["log_phi-rows", "expert_points-experts", "surrogate_losses-experts",
-        "log_weights-experts", "horizon-grid", "horizon-below-T", "plays-rows",
+], ids=["log_phi-rows", "expert_points-experts", "horizon-grid", "horizon-below-T", "plays-rows",
         "grads-dim", "loss_at_play-rows", "comparator-dim", "top-level-list",
         "params-extra-key", "horizon-string", "center-scalar", "center-nan", "center-inf",
         "horizon-fraction",
@@ -1099,7 +1096,7 @@ def _set_array(key, **fields):
     (_set_array("comparator", shape=2), "non-negative integers"),
     (_set_array("comparator", f8=None), "base64 string"),
     (_set_array("plays", dtype="f8"), "exactly the keys"),
-    (_set("log_weights", lambda obj: _decode(obj["log_weights"]).tolist()), "exactly the keys"),
+    (_set("log_phi", lambda obj: _decode(obj["log_phi"]).tolist()), "exactly the keys"),
     (_set("format", lambda obj: 3), "unknown trace format"),
     (_set("format", lambda obj: "2"), "unknown trace format"),
     (_set("format", lambda obj: None), "unknown trace format"),
@@ -1239,6 +1236,46 @@ def test_legacy_trace_loads_like_its_format_2_run(tmp_path):
         return [(rep.name, row.label, row.measured, row.bound) for rep in reps for row in rep.rows]
 
     assert rows(legacy_reports) == rows(reports)
+
+
+# The per-round series older traces carry and load_trace ignores: the grid, expert
+# points, plays and grads fix them, and log_phi fixes the log weights' normalization.
+META_SERIES = ("surrogate_losses", "log_weights")
+
+
+def _meta_series(trace):
+    """The surrogate losses and log weights of each round of trace's run."""
+    losses = meta.recompute_surrogate_losses(trace)
+    return losses, trace.grid.log_priors - np.cumsum(losses, axis=0) - trace.log_phi[:, None]
+
+
+@pytest.mark.parametrize("layout", ["format-2", "legacy"])
+def test_certify_ignores_the_meta_series_a_trace_carries(tmp_path, capsys, layout):
+    if layout == "legacy":
+        with open(LEGACY_TRACE, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        valid = {name: obj[name] for name in META_SERIES}
+        # The carried copy is the derived series: losses bit for bit, weights to rounding.
+        losses, log_weights = _meta_series(load_trace(LEGACY_TRACE))
+        assert losses.tolist() == valid["surrogate_losses"]
+        np.testing.assert_allclose(log_weights, valid["log_weights"], rtol=0, atol=1e-12)
+    else:
+        tpath = _small_run_trace(tmp_path)
+        obj = json.loads(tpath.read_text())
+        assert not set(META_SERIES) & set(obj)
+        valid = dict(zip(META_SERIES, map(_encode, _meta_series(load_trace(tpath)))))
+    forms = {"valid": valid, "null": dict.fromkeys(META_SERIES),
+             "malformed": dict.fromkeys(META_SERIES, [["not", "an array"], None])}
+    outcomes = {}
+    for form, carried in [("without", {}), *forms.items()]:
+        path = tmp_path / f"{form}.json"
+        path.write_text(json.dumps({**{k: v for k, v in obj.items() if k not in META_SERIES},
+                                    **carried}))
+        load_trace(path)
+        capsys.readouterr()
+        outcomes[form] = cli.main(["certify", "--trace", str(path)]), capsys.readouterr().out
+    assert outcomes["without"][0] == 0
+    assert all(outcome == outcomes["without"] for outcome in outcomes.values()), layout
 
 
 def test_cli_run_defaults_are_the_config_defaults():

@@ -221,9 +221,18 @@ def test_meta_regret_certificate_detects_violation():
 
 
 def test_recompute_surrogate_losses_matches_engine():
-    trace = _run_maler()
-    again = recompute_surrogate_losses(trace)
-    assert np.max(np.abs(again - trace.surrogate_losses)) <= 1e-12
+    # The losses the certificates see are, bit for bit, the ones the meta layer used.
+    T, d = 32, 2
+    rng = np.random.default_rng(3)
+    learner = MalerLearner(params_for(T, d), Ball(center=np.zeros(d), radius=0.5))
+    engine = []
+    for _ in range(T):
+        play = learner.predict()
+        g = rng.normal(size=d)
+        g /= max(np.linalg.norm(g), 1.0)
+        engine.append(learner.bank.losses(play, g))
+        learner.observe(g)
+    np.testing.assert_array_equal(recompute_surrogate_losses(learner.trace()), np.array(engine))
 
 
 def test_potential_certificate():

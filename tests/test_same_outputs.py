@@ -53,14 +53,28 @@ def test_two_runs_of_one_tree_match_and_a_one_ulp_edit_differs(tmp_path):
     report = same_outputs.array_report(str(tmp_path / "a"), str(tmp_path / "b"), rows)
     assert report[0] == [row for row in rows if not row.startswith("same ")][0]
     table = dict(line.strip().split(": ", 1) for line in report[1:])
-    assert set(table) == {"plays", "grads", "expert_points", "surrogate_losses", "log_weights",
-                          "log_phi", "loss_at_play", "loss_at_comparator", "comparator"}
+    assert set(table) == {"plays", "grads", "expert_points", "log_phi", "loss_at_play",
+                          "loss_at_comparator", "comparator"}
     old = np.frombuffer(base64.b64decode(json.loads(
         (tmp_path / "a" / "tiny" / "trace_maler.json").read_text())["plays"]["f8"]), dtype="<f8")
     gap = plays[3] - old[3]
     assert gap > 0.0 and gap == abs(np.spacing(plays[3]))
     assert table.pop("plays") == f"max abs {gap:.3e} rel {gap / max(abs(plays[3]), abs(old[3])):.3e}"
     assert set(table.values()) == {"max abs 0.000e+00 rel 0.000e+00"}
+
+
+def test_array_rows_names_an_array_only_one_trace_carries(tmp_path):
+    # An older trace carries the surrogate losses that a newer one does not record.
+    def encoded(a):
+        return {"shape": list(a.shape), "f8": base64.b64encode(a.astype("<f8").tobytes()).decode()}
+
+    plays = encoded(np.arange(12.0).reshape(6, 2))
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(json.dumps({"plays": plays, "surrogate_losses": encoded(np.ones((6, 6)))}))
+    new.write_text(json.dumps({"plays": plays}))
+    assert same_outputs.array_rows(str(old), str(new)) == [
+        "plays: max abs 0.000e+00 rel 0.000e+00", "surrogate_losses: shape (6, 6) vs -"]
+    assert same_outputs.array_rows(str(new), str(old))[1] == "surrogate_losses: shape - vs (6, 6)"
 
 
 def test_the_tool_runs_the_benchmark_configs_with_the_default_algos():
