@@ -70,14 +70,14 @@ def newton_beta(G: float, D: float, alpha: float) -> float:
 
 
 def newton_metric(beta: float, D: float, dim: int) -> tuple:
-    """Initial (Sigma, Sigma^{-1}) of an online Newton step, Sigma = I / (beta D)^2;
-    ValueError if (beta D)^2 underflows to 0 or its inverse overflows."""
+    """Initial (Sigma, Sigma^{-1}, lambda_min, tr Sigma rounded up) of an online Newton step,
+    Sigma = I / (beta D)^2; ValueError if (beta D)^2 underflows to 0 or its inverse overflows."""
     squared = beta**2 * D**2
     scale = 1.0 / squared if squared > 0.0 else math.inf
     if scale == math.inf:
         raise ValueError(f"the online Newton metric I/(beta D)^2 overflows at beta = {beta:g}, "
                          f"D = {D:g}")
-    return scale * np.eye(dim), (1.0 / scale) * np.eye(dim)
+    return scale * np.eye(dim), (1.0 / scale) * np.eye(dim), scale, (1.0 + 4.0 * _U) * (dim * scale)
 
 
 @dataclass(frozen=True)
@@ -228,6 +228,26 @@ def _check_spd(H, dim: int) -> np.ndarray:
     return M
 
 
+def proves_spd(floor, trace, dim: int):
+    """Whether floor <= lambda_min(H) and trace >= tr H, elementwise, prove that _check_spd
+    accepts an exactly symmetric H: they do if floor > _DIAG_FLOOR, floor > 4 (d+1)^2 u trace
+    and trace <= max / (2d). Then every |H_ij| <= trace, so H and the factorization's sums
+    are finite, H_ii >= floor keeps underflow out as in _check_spd's first step, and H scaled
+    to a unit diagonal has lambda_min >= floor / trace > 4 (d+1)^2 u (1 - u), above the m of
+    Demmel's condition there, so Cholesky succeeds. A NaN fails every comparison."""
+    return ((floor > np.maximum((4.0 * (dim + 1) ** 2 * _U) * trace, _DIAG_FLOOR))
+            & (trace <= sys.float_info.max / (2 * dim)))
+
+
+@dataclass(frozen=True)
+class ProvedSPD:
+    """A weight matrix that Ball.project_weighted takes without _check_spd. Only code that
+    proved, by proves_spd on bounds of this very matrix, that the check would accept it may
+    build one (the Newton rows, from experts.newton_metric_update's bounds)."""
+
+    matrix: np.ndarray
+
+
 def _require_finite(v: np.ndarray) -> None:
     if not np.isfinite(v).all():
         raise ValueError("cannot project a non-finite point")
@@ -322,12 +342,13 @@ class Ball:
         Exact: a y outside the ball (by the test of contains) goes to
         _weighted_boundary_point (from d = SERIES_MIN_DIM a Neumann series in
         H^{-1} where a Gershgorin bound allows, else eigh), whose result passes
-        contains, so projecting it again returns it bit for bit. H is checked
-        first on every call, y for finite entries only if ||y - c||^2 is not
-        finite: ValueError if H is not SPD or y is not finite, ProjectionError
-        if the solve fails.
+        contains, so projecting it again returns it bit for bit. An array H is
+        checked first by _check_spd, a ProvedSPD's matrix is taken unchecked;
+        y is checked for finite entries only if ||y - c||^2 is not finite:
+        ValueError if H is not SPD or y is not finite, ProjectionError if the
+        solve fails.
         """
-        M = _check_spd(H, self.dim)
+        M = H.matrix if isinstance(H, ProvedSPD) else _check_spd(H, self.dim)
         v = as_vector(y, self.dim)
         z = v - self.center
         zz = np.vdot(z, z)

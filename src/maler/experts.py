@@ -15,9 +15,11 @@ projected as one stack; a family the grid holds no row of (a metagrad grid
 holds only quadratic rows) is not stepped. The Newton rows' Sigma and
 Sigma^{-1} are updated together by one newton_metric_update per round
 (rank-one updates of Sigma^{-1}, re-factorized periodically to stop drift),
-and their targets come from one stacked matvec. Each row, and ONSLearner,
-then takes its newton_expert_step, one weighted projection: a stacked
-boundary solve was measured slower at these sizes.
+and their targets come from one stacked matvec; the update also carries a
+floor on each Sigma's lambda_min that proves Sigma SPD with no factorization.
+Each row, and ONSLearner, then takes its newton_expert_step, one weighted
+projection of its Sigma, passed as a core.ProvedSPD (no check) where proved:
+a stacked boundary solve was measured slower at these sizes.
 
 The metric update works in the buffers of its two outer products, with one
 multiply, add, divide and subtract per entry. From d = EINSUM_MIN_DIM up it
@@ -70,18 +72,33 @@ def sherman_morrison_update(A_inv: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.subtract(A_inv, out, out=out)
 
 
-def newton_metric_update(sigma: np.ndarray, sigma_inv: np.ndarray, updates: int,
+def newton_metric_update(sigma: np.ndarray, sigma_inv: np.ndarray, floor, trace, updates: int,
                          G: np.ndarray) -> tuple:
-    """(Sigma + g g^T, its inverse) for every row g of G at once; sigma is (..., d, d).
+    """(Sigma + g g^T, its inverse, floor, trace) for every row g of G at once; sigma is
+    (..., d, d), floor and trace (...). updates counts the rank-one updates already in
+    sigma; every REFACTOR_EVERY-th update re-inverts densely instead.
 
-    updates counts the rank-one updates already in sigma; every
-    REFACTOR_EVERY-th update re-inverts densely instead.
+    For d <= 2^50, floor f <= lambda_min(Sigma) and trace tau >= tr Sigma while f >= 2^-969
+    (f never rises). With u = 2^-53 and eta = 2^-1074, a product errs by u relative and by
+    eta/2 if it underflows, a sum by u relative; so for Sigma symmetric with f > 0:
+      - s = fl(sum_i fl(g_i^2)), summed in any order, has ||g||^2 <= (1 + 2du) s + d eta.
+      - Sigma' = fl(Sigma + fl(g g^T)) is exactly symmetric (g_i g_j = g_j g_i); its error E
+        has ||E||_2 <= ||E||_F <= u (2 + u) ||g||^2 + u ||Sigma||_F + d eta <= 3us + 5u tau/4,
+        as ||Sigma||_F <= tr Sigma <= tau and d eta <= u tau/4; by Weyl's inequality
+        lambda_min(Sigma') >= f - ||E||_2.
+      - w = fl(4s + tau) >= (1 - u)(4s + tau) and delta = fl(4u w) is exact, so delta -
+        ||E||_2 >= 2u tau >= u f covers fl(f - delta) rounding up; f - delta < 0 gives f' <= 0.
+      - tr Sigma' <= (1 + u)(tau + (1 + u)||g||^2 + d eta) <= (1 + 3u/2) tau + 2s, below
+        tau' = fl(w (1 + 4u)) >= (1 + 2u - 8u^2)(4s + tau). A finite tau' bounds every
+        |Sigma'_ij|, so none overflowed; an infinite or NaN tau or f stays so.
     """
     sigma_next = _outer(G)
     sigma_next += sigma
+    w = 4.0 * np.add.reduce(G * G, axis=-1) + trace
+    floor, trace = floor - (4.0 * core._U) * w, (1.0 + 4.0 * core._U) * w
     if (updates + 1) % REFACTOR_EVERY == 0:
-        return sigma_next, np.linalg.inv(sigma_next)
-    return sigma_next, sherman_morrison_update(sigma_inv, G)
+        return sigma_next, np.linalg.inv(sigma_next), floor, trace
+    return sigma_next, sherman_morrison_update(sigma_inv, G), floor, trace
 
 
 def convex_expert_step(points: np.ndarray, etas: np.ndarray, t: int, grad: np.ndarray,
@@ -98,7 +115,7 @@ def spherical_expert_step(points: np.ndarray, etas: np.ndarray, sph: np.ndarray,
     return points - (1.0 / (2.0 * sph * t))[:, None] * g
 
 
-def newton_expert_step(sigma: np.ndarray, target: np.ndarray, dset: Ball) -> np.ndarray:
+def newton_expert_step(sigma, target: np.ndarray, dset: Ball) -> np.ndarray:
     """Project the Newton target x - Sigma^{-1} g / beta in the updated Sigma's norm."""
     return dset.project_weighted(sigma, target)
 
@@ -129,13 +146,16 @@ class ExpertBank:
     """All experts of one grid as arrays; step returns the next bank.
 
     points is E x d and sigma, sigma_inv are L x d x d, one slice per
-    quadratic row; round is the t of the next step.
+    quadratic row, with floor and trace (L,) the bounds newton_metric_update
+    carries; round is the t of the next step.
     """
 
     layout: BankLayout
     points: np.ndarray
     sigma: np.ndarray
     sigma_inv: np.ndarray
+    floor: np.ndarray
+    trace: np.ndarray
     round: int = 1
 
     @classmethod
@@ -149,7 +169,7 @@ class ExpertBank:
             raise ValueError(f"rates {etas} outside (0, 2/(3DG)] = (0, {cap}]")
         kinds = np.asarray(grid.kinds)
         conv, sph, ell = rows = tuple(np.flatnonzero(kinds == kind) for kind in KINDS)
-        sigma, sigma_inv = newton_metric(params.bank_beta, D, params.dim)
+        sigma, sigma_inv, floor, trace = newton_metric(params.bank_beta, D, params.dim)
         layout = BankLayout(
             grid=grid, rows=rows, rates=tuple(etas[r] for r in rows),
             first=np.concatenate((conv, sph)), sph=grid.constants[1, sph],
@@ -158,7 +178,8 @@ class ExpertBank:
             beta=params.bank_beta, params=params, dset=dset)
         return cls(layout, np.zeros((kinds.size, params.dim)),
                    np.repeat(sigma[None], ell.size, axis=0),
-                   np.repeat(sigma_inv[None], ell.size, axis=0))
+                   np.repeat(sigma_inv[None], ell.size, axis=0),
+                   np.full(ell.size, floor), np.full(ell.size, trace))
 
     def losses(self, play: np.ndarray, grad: np.ndarray) -> np.ndarray:
         """Each expert's surrogate loss at its own iterate this round."""
@@ -186,11 +207,14 @@ class ExpertBank:
             if sph.size:
                 descent.append(spherical_expert_step(X[sph], s_etas, lay.sph, t, play, grad))
             nxt[lay.first] = lay.dset.project(np.concatenate(descent))
-        sigma, sigma_inv = newton_metric_update(self.sigma, self.sigma_inv, t - 1, ell_grads)
+        sigma, sigma_inv, floor, trace = newton_metric_update(
+            self.sigma, self.sigma_inv, self.floor, self.trace, t - 1, ell_grads)
         targets = X_ell - (1.0 / lay.beta) * (sigma_inv @ ell_grads[..., None])[..., 0]
+        proved = core.proves_spd(floor, trace, lay.params.dim).tolist()
         for j, e in enumerate(ell):
-            nxt[e] = newton_expert_step(sigma[j], targets[j], lay.dset)
-        return ExpertBank(lay, nxt, sigma, sigma_inv, t + 1)
+            H = core.ProvedSPD(sigma[j]) if proved[j] else sigma[j]
+            nxt[e] = newton_expert_step(H, targets[j], lay.dset)
+        return ExpertBank(lay, nxt, sigma, sigma_inv, floor, trace, t + 1)
 
 
 @dataclass(frozen=True)

@@ -160,17 +160,19 @@ class ONSLearner(Learner):
             raise ValueError("ons baseline needs the exp-concavity modulus exp_concavity")
         self.beta = params.ons_beta
         self._x = np.zeros(params.dim)
-        self._sigma, self._sigma_inv = core.newton_metric(self.beta, params.diameter, params.dim)
+        self._sigma, self._sigma_inv, self._floor, self._trace = core.newton_metric(
+            self.beta, params.diameter, params.dim)
 
     def _predict(self) -> np.ndarray:
         return self._x
 
     def _observe(self, play: np.ndarray, grad: np.ndarray) -> None:
-        sigma, sigma_inv = experts.newton_metric_update(self._sigma, self._sigma_inv,
-                                                        len(self._plays), grad)
+        sigma, sigma_inv, floor, trace = experts.newton_metric_update(
+            self._sigma, self._sigma_inv, self._floor, self._trace, len(self._plays), grad)
         target = self._x - (1.0 / self.beta) * (sigma_inv @ grad)
-        self._x = experts.newton_expert_step(sigma, target, self.dset)
-        self._sigma, self._sigma_inv = sigma, sigma_inv
+        H = core.ProvedSPD(sigma) if core.proves_spd(floor, trace, self.params.dim) else sigma
+        self._x = experts.newton_expert_step(H, target, self.dset)
+        self._sigma, self._sigma_inv, self._floor, self._trace = sigma, sigma_inv, floor, trace
 
 
 # Every algo by name, with its constructor, called as (params, dset).

@@ -131,10 +131,10 @@ def test_bank_steps_only_the_families_its_grid_holds(monkeypatch, style, calls):
 
 
 def _reference_step(grid, params, dset, bank, play, grad, outside):
-    """(points, Sigma, Sigma^{-1}) after the bank's step as it was computed before its
-    families were stacked: each family projected on its own, from the grid alone, and
-    each Newton target as its own matvec. Adds the kind of every row whose descent
-    point or target lies outside dset to outside."""
+    """(points, Sigma, Sigma^{-1}, floor, trace) after the bank's step as it was computed
+    before its families were stacked: each family projected on its own, from the grid
+    alone, and each Newton target as its own matvec, projected with no proof. Adds the
+    kind of every row whose descent point or target lies outside dset to outside."""
     G, D, t, X = params.grad_bound, params.diameter, bank.round, bank.points
     etas, kinds = grid.tilts, np.asarray(grid.kinds)
     conv, sph, ell = (np.flatnonzero(kinds == kind)
@@ -155,13 +155,14 @@ def _reference_step(grid, params, dset, bank, play, grad, outside):
         if rows.size:
             outside.update(kinds[e] for e in rows if not dset.contains(nxt[e]))
             nxt[rows] = dset.project(nxt[rows])
-    sigma, sigma_inv = newton_metric_update(bank.sigma, bank.sigma_inv, t - 1, ell_grads)
+    sigma, sigma_inv, floor, trace = newton_metric_update(bank.sigma, bank.sigma_inv, bank.floor,
+                                                          bank.trace, t - 1, ell_grads)
     for j, e in enumerate(ell):
         target = X[e] - (1.0 / beta) * (sigma_inv[j] @ ell_grads[j])
         if not dset.contains(target):
             outside.add(KIND_QUADRATIC)
         nxt[e] = dset.project_weighted(sigma[j], target)
-    return nxt, sigma, sigma_inv
+    return nxt, sigma, sigma_inv, floor, trace
 
 
 @pytest.mark.parametrize("style", ["maler", "metagrad"])
@@ -183,7 +184,8 @@ def test_bank_step_matches_the_per_family_reference_bit_for_bit(monkeypatch, sty
         g *= G * rng.uniform(0.5, 1.0) / np.linalg.norm(g)
         want = _reference_step(grid, params, dset, bank, play, g, outside)
         bank = bank.step(play, g)
-        for got, ref in zip((bank.points, bank.sigma, bank.sigma_inv), want):
+        for got, ref in zip((bank.points, bank.sigma, bank.sigma_inv, bank.floor, bank.trace),
+                            want, strict=True):
             assert got.tobytes() == ref.tobytes()
     assert outside == set(grid.kinds)
 
@@ -216,7 +218,7 @@ def test_newton_expert_hand_step():
     # The kernels alone, on the surrogate gradient eta*g, give the same step.
     g = 0.08 * np.array([5.0, 0.0])
     beta = newton_beta(ons_grad_bound(0.5), 0.5, 1.0)
-    sigma, sigma_inv = newton_metric_update(*newton_metric(beta, 0.5, 2), 0, g)
+    sigma, sigma_inv, _, _ = newton_metric_update(*newton_metric(beta, 0.5, 2), 0, g)
     x = newton_expert_step(sigma, np.zeros(2) - (1.0 / beta) * (sigma_inv @ g), ball)
     np.testing.assert_array_equal(x, bank.points[0])
     np.testing.assert_array_equal(sigma, bank.sigma[0])
@@ -290,7 +292,7 @@ def test_refactor_cadence_resets_drift():
     sigma = np.eye(2)
     g = np.array([0.3, 0.1])
     for updates, fresh in ((REFACTOR_EVERY - 2, False), (REFACTOR_EVERY - 1, True)):
-        s, s_inv = newton_metric_update(sigma, np.zeros((2, 2)), updates, g)
+        s, s_inv, _, _ = newton_metric_update(sigma, np.zeros((2, 2)), 1.0, 2.0, updates, g)
         assert np.array_equal(s_inv, np.linalg.inv(s)) == fresh
 
 
@@ -315,11 +317,13 @@ def test_stacked_metric_update_matches_each_slice_bit_for_bit():
             for j in range(L):
                 assert np.array_equal(stacked[j], sherman_morrison_update(sigma_inv[j], G[j]))
                 assert np.array_equal(stacked[j], _one_row_sherman_morrison(sigma_inv[j], G[j]))
+            floor, trace = np.ones(L), 2.0 * np.trace(sigma, axis1=1, axis2=2)
             for updates in (0, REFACTOR_EVERY - 1):
-                S, S_inv = newton_metric_update(sigma, sigma_inv, updates, G)
+                stack = newton_metric_update(sigma, sigma_inv, floor, trace, updates, G)
                 for j in range(L):
-                    s, s_inv = newton_metric_update(sigma[j], sigma_inv[j], updates, G[j])
-                    assert np.array_equal(S[j], s) and np.array_equal(S_inv[j], s_inv)
+                    one = newton_metric_update(sigma[j], sigma_inv[j], floor[j], trace[j],
+                                               updates, G[j])
+                    assert all(np.array_equal(a[j], b) for a, b in zip(stack, one, strict=True))
 
 
 def _broadcast_sherman_morrison(A_inv, v):
@@ -362,7 +366,7 @@ def test_metric_update_repeats_the_broadcast_formulas_bit_for_bit():
                     assert np.array_equal(_bits(sherman_morrison_update(sigma_inv, G)),
                                           _bits(_broadcast_sherman_morrison(sigma_inv, G)))
                     for updates in (0, REFACTOR_EVERY - 2, REFACTOR_EVERY - 1):
-                        new = newton_metric_update(sigma, sigma_inv, updates, G)
+                        new = newton_metric_update(sigma, sigma_inv, 1.0, 1.0, updates, G)[:2]
                         ref = _broadcast_metric_update(sigma, sigma_inv, updates, G)
                         for a, b in zip(new, ref):
                             assert np.array_equal(_bits(a), _bits(b))
@@ -375,15 +379,15 @@ def test_metric_update_signed_zero_rule():
     d = EINSUM_MIN_DIM
     g = np.zeros(d)
     g[0] = -5.0
-    sigma, sigma_inv = newton_metric(newton_beta(1.0, 1.0, 1.0), 1.0, d)
+    sigma, sigma_inv, floor, trace = newton_metric(newton_beta(1.0, 1.0, 1.0), 1.0, d)
     # Sigma never holds -0.0: Sigma_0's off-diagonals are +0.0, and +0.0 + -0.0
     # = +0.0. Nor does Sigma^{-1} between refactors. So both agree in every bit.
     for updates in range(3):
-        new = newton_metric_update(sigma, sigma_inv, updates, g)
+        new = newton_metric_update(sigma, sigma_inv, floor, trace, updates, g)
         ref = _broadcast_metric_update(sigma, sigma_inv, updates, g)
-        for a, b in zip(new, ref):
+        for a, b in zip(new[:2], ref):
             assert np.array_equal(_bits(a), _bits(b))
-        sigma, sigma_inv = new
+        sigma, sigma_inv, floor, trace = new
     assert not np.signbit(sigma).any() and not np.signbit(sigma_inv).any()
     # Only a -0.0 that a refactor's inv put into Sigma^{-1} tells them apart:
     # Av = A_inv g is +0.0 past its first entry, the products Av_0 Av_j are
@@ -414,12 +418,13 @@ def test_newton_metric_inverse_drift_is_bounded_and_reset_by_the_refactor():
     for d in (1, 2, 10, 50):
         for _ in range(6):
             G, D = 10.0 ** rng.uniform(-4.0, 4.0, size=2)
-            sigma, sigma_inv = newton_metric(newton_beta(G, D, 1.0), D, d)
+            sigma, sigma_inv, floor, trace = newton_metric(newton_beta(G, D, 1.0), D, d)
             sigma, sigma_inv = np.repeat(sigma[None], 6, axis=0), np.repeat(sigma_inv[None], 6, axis=0)
             for updates in range(REFACTOR_EVERY):
                 g = rng.normal(size=(6, d))
                 g *= G * rng.uniform(size=(6, 1)) / np.linalg.norm(g, axis=1, keepdims=True)
-                sigma, sigma_inv = newton_metric_update(sigma, sigma_inv, updates, g)
+                sigma, sigma_inv, floor, trace = newton_metric_update(sigma, sigma_inv, floor,
+                                                                      trace, updates, g)
                 if updates == REFACTOR_EVERY - 2:
                     before = np.abs(sigma_inv @ sigma - np.eye(d)).max()
             after = np.abs(sigma_inv @ sigma - np.eye(d)).max()
@@ -440,12 +445,13 @@ def test_projections_of_newton_targets_are_idempotent_bitwise():
             u = rng.normal(size=d)
             ball = Ball(center=r * rng.uniform() * u / np.linalg.norm(u), radius=r)
             beta = newton_beta(G, D, 1.0)
-            sigma, sigma_inv = newton_metric(beta, D, d)
+            sigma, sigma_inv, floor, trace = newton_metric(beta, D, d)
             targets = []
             for updates in range(8):
                 g = rng.normal(size=d)
                 g *= G * rng.uniform() / np.linalg.norm(g)
-                sigma, sigma_inv = newton_metric_update(sigma, sigma_inv, updates, g)
+                sigma, sigma_inv, floor, trace = newton_metric_update(sigma, sigma_inv, floor,
+                                                                      trace, updates, g)
                 x = sample_point(ball, rng)
                 targets.append(x - (1.0 / beta) * (sigma_inv @ g))
             for reach in (1.0 + 1e-12, 3.0, 1e6):
@@ -522,26 +528,98 @@ def test_newton_sigma_stays_exactly_symmetric_and_positive_definite():
             for S in [*ensembles[0].bank.sigma, *ensembles[1].bank.sigma, ons._sigma]:
                 assert np.array_equal(S, S.T), (G, D)
                 np.linalg.cholesky(S)
+            # The floor and trace bound each learner carries hold at every scale.
+            for S, floor, trace in [(e.bank.sigma, e.bank.floor, e.bank.trace) for e in ensembles]:
+                assert np.all((0.0 < floor) & (floor <= np.linalg.eigvalsh(S)[:, 0])), (G, D)
+                assert np.all(np.trace(S, axis1=1, axis2=2) <= trace)
+            assert 0.0 < ons._floor <= np.linalg.eigvalsh(ons._sigma)[0]
+            assert np.trace(ons._sigma) <= ons._trace
 
 
 def test_learners_prove_their_newton_metrics_spd_without_factorizing(tmp_path, monkeypatch):
-    # Sigma_0 = I / (beta D)^2 dominates the rank-one updates, so every
-    # weighted projection of maler, metagrad and ONS takes the diagonal
-    # dominance test of core._check_spd and no Cholesky factorization.
-    checks, factored = [], []
+    # Every Newton row of maler and metagrad, and ONS's, carries a floor 0 < f <=
+    # lambda_min(Sigma) that proves its metric, so no weighted projection of a
+    # learner runs core._check_spd or a Cholesky factorization, at d = 6, 10 and 50.
+    checks, factored, metrics = [], [], []
     real_check, real_cholesky = core._check_spd, np.linalg.cholesky
+    real_update = experts.newton_metric_update
     monkeypatch.setattr(core, "_check_spd", lambda H, d: checks.append(d) or real_check(H, d))
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(1) or real_cholesky(a))
+    monkeypatch.setattr(experts, "newton_metric_update",
+                        lambda *a: metrics.append(real_update(*a)) or metrics[-1])
     data = tmp_path / "train.libsvm"
-    gen_classification_file(data, examples=150, dim=4, seed=3)
+    gen_classification_file(data, examples=150, dim=10, seed=3)
     for task in (gen_regression(rounds=40, dim=6, batch=20, seed=5),
-                 load_classification(data, rounds=40, batch=20, seed=5)):
+                 load_classification(data, rounds=40, batch=20, seed=5),
+                 gen_regression(rounds=40, dim=50, batch=60, seed=5)):
+        d = task.params.dim
         for algo in ("maler", "metagrad", "ons"):
-            before = len(checks)
-            learner = make_learner(algo, task.params, task.dset)
-            run_stream(learner, task.losses)
-            assert len(checks) >= before + 40, algo  # one per round at least
-    assert not factored
+            del metrics[:]
+            run_stream(make_learner(algo, task.params, task.dset), task.losses)
+            assert len(metrics) == 40, algo
+            for sigma, _, floor, trace in metrics:
+                lam = np.linalg.eigvalsh(sigma)[..., 0]
+                assert np.all((0.0 < floor) & (floor <= lam)), (algo, d)
+                assert np.all(np.trace(sigma, axis1=-2, axis2=-1) <= trace)
+                assert np.all(core.proves_spd(floor, trace, d))
+    assert not checks and not factored
+
+
+def test_a_row_whose_floor_fails_is_checked_and_steps_the_same(monkeypatch):
+    # A bank row whose floor is forced to 0, or ONS's forced to NaN, projects its bare
+    # Sigma through core._check_spd, and its next point is the proved path's bit for bit.
+    checks = []
+    real_check = core._check_spd
+    monkeypatch.setattr(core, "_check_spd", lambda H, d: checks.append(d) or real_check(H, d))
+    rng = np.random.default_rng(31)
+    d, G, D = 6, 2.0, 1.0
+    params = ProblemParams(horizon=40, dim=d, grad_bound=G, diameter=D, exp_concavity=0.5)
+    dset = Ball(center=np.zeros(d), radius=D / 2)
+    bank = ExpertBank.build(build_grid(params), params, dset)
+    ons, forced_ons = ONSLearner(params, dset), ONSLearner(params, dset)
+    forced_ons._floor = np.nan
+    drift = rng.standard_normal(d)  # pushes the Newton targets out of the ball
+    on_sphere = 0
+    for t in range(20):
+        g = drift + 0.3 * rng.standard_normal(d)
+        g *= G * rng.uniform(0.5, 1.0) / np.linalg.norm(g)
+        play = bank.points.mean(axis=0)
+        j = t % bank.floor.size
+        forced = replace(bank, floor=np.where(np.arange(bank.floor.size) == j, 0.0, bank.floor))
+        del checks[:]
+        bank, forced = bank.step(play, g), forced.step(play, g)
+        assert checks == [d] and forced.floor[j] <= 0.0
+        assert _bits(forced.points).tobytes() == _bits(bank.points).tobytes()
+        on_sphere += np.linalg.norm(bank.points[bank.layout.rows[2][j]]) > 0.999 * dset.radius
+        for learner in (ons, forced_ons):
+            learner.predict()
+            learner.observe(g)
+        assert checks == [d, d] and np.isnan(forced_ons._floor)
+        assert _bits(forced_ons._x).tobytes() == _bits(ons._x).tobytes()
+    assert on_sphere >= 4
+
+
+def test_floor_stays_a_proof_over_a_long_horizon(monkeypatch):
+    # 20,000 surrogate gradients at the cap norm 7/(25D), all near one direction: Sigma
+    # soon fails _check_spd's dominance test, but the floor still proves it every round.
+    rng = np.random.default_rng(32)
+    d, D = 10, 0.3
+    cap = ons_grad_bound(D)
+    sigma, sigma_inv, floor, trace = newton_metric(ProblemParams(
+        horizon=20000, dim=d, grad_bound=1.0, diameter=D).bank_beta, D, d)
+    axis = rng.standard_normal(d)
+    for t in range(20000):
+        g = axis + 0.05 * rng.standard_normal(d)
+        g *= cap / np.linalg.norm(g)
+        sigma, sigma_inv, floor, trace = newton_metric_update(sigma, sigma_inv, floor, trace, t, g)
+        if t % 50 == 0 or t == 19999:
+            assert 0.0 < floor <= np.linalg.eigvalsh(sigma)[0] and np.trace(sigma) <= trace
+            assert core.proves_spd(floor, trace, d)
+    factored = []
+    real_cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(1) or real_cholesky(a))
+    core._check_spd(sigma, d)
+    assert factored == [1]  # the dominance test rejected Sigma
 
 
 def _random_history(rng, T, d, G=1.0, radius=0.5):
